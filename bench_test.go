@@ -5,6 +5,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -18,13 +19,13 @@ import (
 	"repro/internal/transient"
 )
 
-func mustPipeline(b *testing.B) *Pipeline {
+func mustSession(b *testing.B) *Session {
 	b.Helper()
-	p, err := NewPipeline(PaperCUT(), nil)
+	s, err := NewSession(PaperCUT())
 	if err != nil {
 		b.Fatal(err)
 	}
-	return p
+	return s
 }
 
 // reducedGA keeps per-iteration cost sane while preserving the paper's
@@ -39,17 +40,17 @@ func reducedGA(seed int64) OptimizeConfig {
 
 // BenchmarkFig1Dictionary (E1): building the full fault dictionary grid
 // — 56 faulty circuits plus golden across a 13-point frequency sweep.
-// Each iteration needs a fresh pipeline (a warm dictionary would serve
-// the grid from its memo), but pipeline construction happens with the
+// Each iteration needs a fresh session (a warm dictionary would serve
+// the grid from its memo), but session construction happens with the
 // timer stopped so only BuildGrid is measured.
 func BenchmarkFig1Dictionary(b *testing.B) {
 	grid := numeric.Logspace(0.01, 100, 13)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		p := mustPipeline(b)
+		s := mustSession(b)
 		b.StartTimer()
-		if err := p.Dictionary().BuildGrid(nil, grid, 4); err != nil {
+		if err := s.Dictionary().BuildGrid(nil, grid, 4); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -58,8 +59,8 @@ func BenchmarkFig1Dictionary(b *testing.B) {
 // BenchmarkFig2Transform (E2): the curve-to-point transformation for one
 // fault at a two-frequency test vector.
 func BenchmarkFig2Transform(b *testing.B) {
-	p := mustPipeline(b)
-	d := p.Dictionary()
+	s := mustSession(b)
+	d := s.Dictionary()
 	f := Fault{Component: "R3", Deviation: 0.4}
 	omegas := []float64{0.5, 2}
 	b.ReportAllocs()
@@ -74,13 +75,13 @@ func BenchmarkFig2Transform(b *testing.B) {
 // BenchmarkFig3Diagnosis (E3): one perpendicular-projection diagnosis of
 // an off-grid fault against the 7-trajectory map.
 func BenchmarkFig3Diagnosis(b *testing.B) {
-	p := mustPipeline(b)
-	dg, err := p.Diagnoser([]float64{0.5635, 4.5524})
+	s := mustSession(b)
+	dg, err := s.Diagnoser(context.Background(), []float64{0.5635, 4.5524})
 	if err != nil {
 		b.Fatal(err)
 	}
 	unknown := Fault{Component: "R3", Deviation: 0.25}
-	sig, err := p.Dictionary().Signature(unknown, dg.Map().Omegas)
+	sig, err := s.Dictionary().Signature(unknown, dg.Map().Omegas)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -100,13 +101,13 @@ func BenchmarkFig3Diagnosis(b *testing.B) {
 // BenchmarkGAPaperParams (E4): the paper's full GA — 128 individuals,
 // 15 generations, roulette wheel, fitness 1/(1+I).
 func BenchmarkGAPaperParams(b *testing.B) {
-	p := mustPipeline(b)
+	s := mustSession(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg := PaperOptimizeConfig(1)
 		cfg.Seed = int64(i + 1)
-		tv, err := p.Optimize(cfg)
+		tv, err := s.Optimize(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -119,11 +120,11 @@ func BenchmarkGAPaperParams(b *testing.B) {
 // BenchmarkE5Accuracy: the hold-out evaluation (42 off-grid faults) for
 // a fixed test vector — the cost of the accuracy numbers in E5's table.
 func BenchmarkE5Accuracy(b *testing.B) {
-	p := mustPipeline(b)
+	s := mustSession(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev, err := p.Evaluate([]float64{0.5635, 4.5524}, nil)
+		ev, err := s.Evaluate(context.Background(), []float64{0.5635, 4.5524}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -135,8 +136,8 @@ func BenchmarkE5Accuracy(b *testing.B) {
 
 // BenchmarkE5Baselines: the three baseline strategies at matched budget.
 func BenchmarkE5Baselines(b *testing.B) {
-	p := mustPipeline(b)
-	atpg := p.ATPG()
+	s := mustSession(b)
+	atpg := s.ATPG()
 	b.Run("random", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -166,14 +167,14 @@ func BenchmarkE5Baselines(b *testing.B) {
 
 // BenchmarkE6Frequencies: GA optimization per test-vector size k.
 func BenchmarkE6Frequencies(b *testing.B) {
-	p := mustPipeline(b)
+	s := mustSession(b)
 	for k := 1; k <= 4; k++ {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				cfg := reducedGA(int64(i + 1))
 				cfg.NumFrequencies = k
-				if _, err := p.Optimize(cfg); err != nil {
+				if _, err := s.Optimize(context.Background(), cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -183,7 +184,7 @@ func BenchmarkE6Frequencies(b *testing.B) {
 
 // BenchmarkE7GA: GA operator ablation (selection methods).
 func BenchmarkE7GA(b *testing.B) {
-	p := mustPipeline(b)
+	s := mustSession(b)
 	for _, sel := range []struct {
 		name string
 		set  func(*OptimizeConfig)
@@ -197,7 +198,7 @@ func BenchmarkE7GA(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := reducedGA(int64(i + 1))
 				sel.set(&cfg)
-				if _, err := p.Optimize(cfg); err != nil {
+				if _, err := s.Optimize(context.Background(), cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -212,8 +213,8 @@ func BenchmarkE7GA(b *testing.B) {
 // dictionary.SignaturesInto, trajectory.Builder) keep allocation-free;
 // TestFitnessPathAllocationFree guards the allocs/op reported here.
 func BenchmarkFitnessEval(b *testing.B) {
-	p := mustPipeline(b)
-	bu := trajectory.NewBuilder(p.Dictionary())
+	s := mustSession(b)
+	bu := trajectory.NewBuilder(s.Dictionary())
 	omegas := []float64{0.5, 2}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -261,18 +262,18 @@ func BenchmarkE9Circuits(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				p, err := NewPipeline(cut, nil)
+				s, err := NewSession(cut)
 				if err != nil {
 					b.Fatal(err)
 				}
 				b.StartTimer()
 				cfg := reducedGA(int64(i + 1))
 				cfg.BandLo, cfg.BandHi = cut.Omega0/100, cut.Omega0*100
-				tv, err := p.Optimize(cfg)
+				tv, err := s.Optimize(context.Background(), cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := p.Evaluate(tv.Omegas, nil); err != nil {
+				if _, err := s.Evaluate(context.Background(), tv.Omegas, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -290,7 +291,7 @@ func BenchmarkE9Circuits(b *testing.B) {
 func BenchmarkBatchVsScalar(b *testing.B) {
 	grid := numeric.Logspace(0.01, 100, 13)
 	b.Run("scalar", func(b *testing.B) {
-		d := mustPipeline(b).Dictionary()
+		d := mustSession(b).Dictionary()
 		faults := append([]Fault{{}}, d.Universe().Faults()...)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -307,14 +308,14 @@ func BenchmarkBatchVsScalar(b *testing.B) {
 	b.Run("batch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			// Fresh pipeline per iteration so BuildGrid computes instead
+			// Fresh session per iteration so BuildGrid computes instead
 			// of hitting the memo; construction (including template
 			// compilation) happens off the clock so the two sides time
 			// the same work: filling the (fault × frequency) table.
 			b.StopTimer()
-			p := mustPipeline(b)
+			s := mustSession(b)
 			b.StartTimer()
-			if err := p.Dictionary().BuildGrid(nil, grid, 0); err != nil {
+			if err := s.Dictionary().BuildGrid(nil, grid, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -324,7 +325,7 @@ func BenchmarkBatchVsScalar(b *testing.B) {
 // BenchmarkACSolve: the innermost substrate cost — one MNA factor+solve
 // of the paper CUT at one frequency.
 func BenchmarkACSolve(b *testing.B) {
-	d := mustPipeline(b).Dictionary()
+	d := mustSession(b).Dictionary()
 	trials := diagnosis.HoldOutTrials(d.Universe(), []float64{0.17}) // unmemoized deviations
 	_ = trials
 	faults := d.Universe().Faults()
@@ -342,14 +343,14 @@ func BenchmarkACSolve(b *testing.B) {
 // BenchmarkTrajectoryBuild: building the 7-component trajectory map for
 // a fresh test vector (the GA's per-candidate cost).
 func BenchmarkTrajectoryBuild(b *testing.B) {
-	p := mustPipeline(b)
+	s := mustSession(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Vary frequencies to defeat memoization, as the GA does.
 		w1 := 0.5 + float64(i%100)*1e-5
 		w2 := 2.0 + float64(i%100)*1e-5
-		if _, err := p.Trajectories([]float64{w1, w2}); err != nil {
+		if _, err := s.Trajectories(context.Background(), []float64{w1, w2}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -372,9 +373,9 @@ func BenchmarkFaultUniverse(b *testing.B) {
 // BenchmarkE10Reject: one out-of-model rejection decision (diagnosis of
 // a double-fault point plus the threshold test).
 func BenchmarkE10Reject(b *testing.B) {
-	p := mustPipeline(b)
+	s := mustSession(b)
 	omegas := []float64{0.5, 2}
-	dg, err := p.Diagnoser(omegas)
+	dg, err := s.Diagnoser(context.Background(), omegas)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -385,11 +386,11 @@ func BenchmarkE10Reject(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	double, err := m.Apply(p.Dictionary().Golden())
+	double, err := m.Apply(s.Dictionary().Golden())
 	if err != nil {
 		b.Fatal(err)
 	}
-	sig, err := p.Dictionary().CircuitSignature(double, omegas)
+	sig, err := s.Dictionary().CircuitSignature(double, omegas)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -408,9 +409,9 @@ func BenchmarkE10Reject(b *testing.B) {
 // BenchmarkE11Tolerance: one tolerance-perturbed board build + variant
 // signature + diagnosis.
 func BenchmarkE11Tolerance(b *testing.B) {
-	p := mustPipeline(b)
+	s := mustSession(b)
 	omegas := []float64{0.5, 2}
-	if _, err := p.Diagnoser(omegas); err != nil {
+	if _, err := s.Diagnoser(context.Background(), omegas); err != nil {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
@@ -418,14 +419,14 @@ func BenchmarkE11Tolerance(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		board, err := tol.Perturb(p.Dictionary().Golden(), rng, "C2")
+		board, err := tol.Perturb(s.Dictionary().Golden(), rng, "C2")
 		if err != nil {
 			b.Fatal(err)
 		}
 		if err := board.ScaleValue("C2", 1.25); err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := p.DiagnoseCircuit(board, omegas, 0.05); err != nil {
+		if _, _, err := s.DiagnoseCircuit(context.Background(), board, omegas, 0.05); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -441,13 +442,13 @@ func BenchmarkE12Active(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		p, err := NewPipeline(cut, nil)
+		s, err := NewSession(cut)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
 		cfg := reducedGA(int64(i + 1))
-		if _, err := p.Optimize(cfg); err != nil {
+		if _, err := s.Optimize(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -475,12 +476,12 @@ func BenchmarkTransientStep(b *testing.B) {
 // BenchmarkFitRational: recovering the CUT's third-order transfer
 // function from 21 AC samples.
 func BenchmarkFitRational(b *testing.B) {
-	p := mustPipeline(b)
+	s := mustSession(b)
 	omegas := numeric.Logspace(0.02, 50, 21)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.FitTransfer(0, 3, omegas); err != nil {
+		if _, err := s.FitTransfer(0, 3, omegas); err != nil {
 			b.Fatal(err)
 		}
 	}

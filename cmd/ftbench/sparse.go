@@ -4,8 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/cmplx"
 	"os"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -18,9 +18,9 @@ import (
 // sparseSizes is the measured scaling ladder: RC ladders across the
 // dense→sparse crossover, two op-amp-macro cascades for a CUT whose
 // pattern is not banded, and 2-D RC grids into the thousand-unknown
-// tier where the supernodal numeric phase is the story (the dense path
-// is only timed below denseTimeableNodes — an n=4097 dense factor per
-// frequency is not benchmarkable).
+// tier where the frequency-blocked numeric phase is the story (the dense
+// path is only timed below denseTimeableNodes — an n=4097 dense factor
+// per frequency is not benchmarkable).
 var sparseSizes = []string{
 	"rc-ladder-16", "rc-ladder-32", "rc-ladder-64", "rc-ladder-128",
 	"rc-ladder-256", "rc-ladder-512",
@@ -35,9 +35,8 @@ var sparseSizes = []string{
 const denseTimeableNodes = 600
 
 // sparseEntry is one CUT's sparse-engine measurement: the dense-vs-
-// sparse grid build (small CUTs), plus the supernodal numeric-phase
-// split — refactor cost vs solve cost per frequency, scalar vs
-// frequency-blocked, and the level-set parallel refactor speedup.
+// sparse grid build (small CUTs), plus the numeric-phase split —
+// refactor cost vs solve cost per frequency, scalar vs frequency-blocked.
 type sparseEntry struct {
 	// CUT names the circuit under test ("rc-grid-45").
 	CUT string `json:"cut"`
@@ -67,7 +66,6 @@ type sparseEntry struct {
 	// Supernode structure of the compiled elimination schedule.
 	Supernodes int `json:"supernodes"`
 	MaxPanel   int `json:"max_panel"`
-	Levels     int `json:"levels"`
 	// ScalarRefactorNsPerFreq / BlockedRefactorNsPerFreq split the
 	// numeric phase out of the grid build: one golden refactorization per
 	// frequency on the scalar up-looking walk vs the frequency-blocked
@@ -80,11 +78,6 @@ type sparseEntry struct {
 	// SolveNsPerFreq times the triangular solve pair on the factored
 	// system — the non-refactor half of a frequency column.
 	SolveNsPerFreq float64 `json:"solve_ns_per_freq"`
-	// ParallelWorkers / ParallelSpeedup time the level-set parallel
-	// refactorization against its own single-worker run. Zero when
-	// GOMAXPROCS is 1 (single-core runner — nothing to measure).
-	ParallelWorkers int     `json:"parallel_workers"`
-	ParallelSpeedup float64 `json:"parallel_speedup"`
 }
 
 // sparseReport is the BENCH_sparse.json schema.
@@ -98,16 +91,16 @@ type sparseReport struct {
 
 // sparse measures golden grid builds dense vs sparse over the scaling
 // CUT tier, splits the numeric phase (scalar vs frequency-blocked
-// refactorization, solve cost, parallel speedup), and writes
-// BENCH_sparse.json. Every timed comparison is cross-checked to 1e-9
-// relative agreement before anything is timed, so the recorded speedups
-// are between verified-equal answers.
+// refactorization, solve cost), and writes BENCH_sparse.json. Every
+// timed comparison is cross-checked to 1e-9 relative agreement before
+// anything is timed, so the recorded speedups are between verified-equal
+// answers.
 func (r *runner) sparse() error {
-	r.header("SPARSE", "dense vs supernodal sparse golden grid builds → "+r.sparseOut)
+	r.header("SPARSE", "dense vs sparse golden grid builds → "+r.sparseOut)
 	rep := &sparseReport{benchEnvelope: newBenchEnvelope(r.date)}
-	r.printf("  %-16s %6s %8s %5s %12s %12s %7s %12s %12s %8s %7s\n",
+	r.printf("  %-16s %6s %8s %5s %12s %12s %7s %12s %12s %8s\n",
 		"cut", "nodes", "nnz", "sn", "dense ns/op", "sparse ns/op", "spdup",
-		"scalar ns/f", "blocked ns/f", "numeric", "par")
+		"scalar ns/f", "blocked ns/f", "numeric")
 
 	for _, name := range sparseSizes {
 		e, err := r.sparseOne(name)
@@ -115,9 +108,9 @@ func (r *runner) sparse() error {
 			return fmt.Errorf("sparse: %s: %w", name, err)
 		}
 		rep.Entries = append(rep.Entries, *e)
-		r.printf("  %-16s %6d %8d %5d %12.0f %12.0f %6.1f× %12.0f %12.0f %7.2f× %6.2f×\n",
+		r.printf("  %-16s %6d %8d %5d %12.0f %12.0f %6.1f× %12.0f %12.0f %7.2f×\n",
 			e.CUT, e.Nodes, e.NNZ, e.Supernodes, e.DenseNsPerOp, e.SparseNsPerOp, e.Speedup,
-			e.ScalarRefactorNsPerFreq, e.BlockedRefactorNsPerFreq, e.NumericSpeedup, e.ParallelSpeedup)
+			e.ScalarRefactorNsPerFreq, e.BlockedRefactorNsPerFreq, e.NumericSpeedup)
 	}
 
 	for _, e := range rep.Entries {
@@ -248,8 +241,9 @@ func (r *runner) sparseOne(name string) (*sparseEntry, error) {
 		return nil
 	}
 
-	// Cross-check before timing: supernodal sparse vs the scalar sparse
-	// walk always; vs the dense path when dense is tractable.
+	// Cross-check before timing: the sparse golden row vs the scalar
+	// sparse walk always; the whole grid vs the dense path when dense is
+	// tractable.
 	eng.SetFactorPath(engine.FactorSparse)
 	got, err := eng.BatchResponsesSets(r.ctx, sets, omegas, 1)
 	if err != nil {
@@ -259,13 +253,7 @@ func (r *runner) sparseOne(name string) (*sparseEntry, error) {
 	for _, g := range got.Golden {
 		peak = math.Max(peak, g)
 	}
-	eng.UseScalarSparse(true)
-	refScalar, err := eng.BatchResponsesSets(r.ctx, sets, omegas, 1)
-	if err != nil {
-		return nil, err
-	}
-	eng.UseScalarSparse(false)
-	if err := check(got, refScalar, peak, "supernodal vs scalar-sparse"); err != nil {
+	if err := checkGoldenScalar(eng, got, peak); err != nil {
 		return nil, err
 	}
 	e := &sparseEntry{
@@ -276,7 +264,6 @@ func (r *runner) sparseOne(name string) (*sparseEntry, error) {
 		Omegas:     len(omegas),
 		Supernodes: sym.Supernodes(),
 		MaxPanel:   sym.MaxPanel(),
-		Levels:     sym.Levels(),
 	}
 	if e.Nodes <= denseTimeableNodes {
 		eng.SetFactorPath(engine.FactorDense)
@@ -321,11 +308,49 @@ func (r *runner) sparseOne(name string) (*sparseEntry, error) {
 	return e, nil
 }
 
+// checkGoldenScalar recomputes every golden column of got on the scalar
+// sparse walk — Template.StampSparse, SparseLU.RefactorReuse, SolveInto —
+// and requires |x_out / source amplitude| to match got.Golden to 1e-9
+// relative. It is the engine-level check on CUTs too large for the dense
+// comparison.
+func checkGoldenScalar(eng *engine.Engine, got *engine.Batch, peak float64) error {
+	tm := eng.Template()
+	sym := tm.SparsePattern()
+	outIdx, err := tm.System().NodeIndex(eng.Output())
+	if err != nil {
+		return err
+	}
+	re := make([]float64, sym.LUNNZ())
+	im := make([]float64, sym.LUNNZ())
+	x := make([]complex128, sym.N())
+	var lu numeric.SparseLU
+	for j, w := range got.Omegas {
+		if err := tm.StampSparse(re, im, w); err != nil {
+			return err
+		}
+		if err := lu.RefactorReuse(sym, re, im); err != nil {
+			return fmt.Errorf("scalar sparse golden at ω=%g: %w", w, err)
+		}
+		if err := lu.SolveInto(x, tm.RHS()); err != nil {
+			return err
+		}
+		var want float64
+		if outIdx >= 0 {
+			want = cmplx.Abs(x[outIdx]) / eng.SourceAmplitude()
+		}
+		a := got.Golden[j]
+		if scale := math.Max(math.Max(a, want), 1e-3*peak); math.Abs(a-want)/scale > 1e-9 {
+			return fmt.Errorf("golden vs scalar sparse at ω=%g: %.15g vs %.15g", w, a, want)
+		}
+	}
+	return nil
+}
+
 // sparseNumericPhase isolates the golden refactorization from the
 // solves: it stamps FreqBlock frequency value planes once, cross-checks
-// the frequency-blocked and parallel supernodal factorizations against
-// the scalar walk through their triangular solves, then times each
-// numeric-phase variant and the solve separately.
+// the frequency-blocked factorization against the scalar walk through
+// their triangular solves, then times each numeric-phase variant and the
+// solve separately.
 func (r *runner) sparseNumericPhase(eng *engine.Engine, e *sparseEntry, omega0 float64) error {
 	tm := eng.Template()
 	sym := tm.SparsePattern()
@@ -364,9 +389,9 @@ func (r *runner) sparseNumericPhase(eng *engine.Engine, e *sparseEntry, omega0 f
 		return nil
 	}
 
-	// Cross-check: blocked planes and the parallel supernodal refactor
-	// against the scalar walk, each through a full triangular solve.
-	var scalar, par numeric.SparseLU
+	// Cross-check: blocked planes against the scalar walk, each through a
+	// full triangular solve.
+	var scalar numeric.SparseLU
 	var blk [numeric.FreqBlock]numeric.SparseLU
 	var bref numeric.BlockRefactorer
 	errs := bref.RefactorBlock(sym, &blk, &res, &ims)
@@ -381,26 +406,13 @@ func (r *runner) sparseNumericPhase(eng *engine.Engine, e *sparseEntry, omega0 f
 			return err
 		}
 	}
-	nw := runtime.GOMAXPROCS(0)
-	if err := par.RefactorParallel(sym, res[0], ims[0], nw); err != nil {
-		return fmt.Errorf("parallel refactor: %w", err)
-	}
-	if err := scalar.RefactorReuse(sym, res[0], ims[0]); err != nil {
-		return err
-	}
-	if err := compareSolves(&scalar, &par, "parallel supernodal vs scalar"); err != nil {
-		return err
-	}
 
 	// Timings: scalar walk per frequency, blocked walk per frequency
-	// (one RefactorBlock covers FreqBlock frequencies), the solve pair,
-	// and — on multi-core runners — the parallel refactor speedup over
-	// its own single-worker schedule. The scalar/blocked and
-	// sequential/parallel pairs are timed in interleaved rounds
-	// (benchMinNsPaired): both sides of each ratio must see the same
-	// runner-contention regime, or NumericSpeedup/ParallelSpeedup swing
-	// with whatever the host was doing between two separately-timed
-	// phases.
+	// (one RefactorBlock covers FreqBlock frequencies), and the solve
+	// pair. The scalar/blocked pair is timed in interleaved rounds
+	// (benchMinNsPaired): both sides of the ratio must see the same
+	// runner-contention regime, or NumericSpeedup swings with whatever
+	// the host was doing between two separately-timed phases.
 	scalarNs, blockNs, err := r.benchMinNsPaired(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if err := scalar.RefactorReuse(sym, res[i%numeric.FreqBlock], ims[i%numeric.FreqBlock]); err != nil {
@@ -434,28 +446,6 @@ func (r *runner) sparseNumericPhase(eng *engine.Engine, e *sparseEntry, omega0 f
 	}); err != nil {
 		return err
 	}
-	if nw > 1 {
-		seqNs, parNs, err := r.benchMinNsPaired(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := par.RefactorParallel(sym, res[0], ims[0], 1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := par.RefactorParallel(sym, res[0], ims[0], nw); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		if err != nil {
-			return err
-		}
-		e.ParallelWorkers = nw
-		if parNs > 0 {
-			e.ParallelSpeedup = seqNs / parNs
-		}
-	}
 	return nil
 }
 
@@ -475,19 +465,14 @@ func (r *runner) sparseNumericPhase(eng *engine.Engine, e *sparseEntry, omega0 f
 //     timed — the acceptance floor of the sparse engine;
 //   - the frequency-blocked numeric phase fell more than -gate-tol
 //     below its baseline blocked-vs-scalar ratio at 2000+ unknowns, or
-//     below the hard 2× collapse floor. The ≥3× supernodal acceptance
+//     below the hard 2× collapse floor. The ≥3× numeric-phase acceptance
 //     floor is asserted on the checked-in report (CI's
 //     machine-independent invariant step): the committed record must
 //     demonstrate ≥3× at scale on the bench machine, while
 //     regenerations on arbitrary runner classes are held to
 //     tolerance-relative ratios — the honest blocked-vs-scalar ratio
 //     hugs 3× at this tier, so an absolute 3× floor on a fresh noisy
-//     run would be flaky in a way the baseline-relative check is not;
-//   - on a multi-core runner, the parallel refactor fell more than
-//     -gate-tol below break-even against its own sequential schedule at
-//     2000+ unknowns (skipped when GOMAXPROCS is 1 — a single-core
-//     runner has nothing to assert; the tolerance absorbs contended
-//     shared-runner scheduling noise in this raw same-run ratio).
+//     run would be flaky in a way the baseline-relative check is not.
 func (r *runner) gateSparse(rep *sparseReport) error {
 	data, err := os.ReadFile(r.sparseGate)
 	if err != nil {
@@ -540,15 +525,9 @@ func (r *runner) gateSparse(rep *sparseReport) error {
 			failures = append(failures, fmt.Sprintf("%s (%d unknowns): sparse speedup %.1f×, want ≥5×",
 				e.CUT, e.Nodes, e.Speedup))
 		}
-		if e.Nodes >= 2000 {
-			if e.NumericSpeedup < 2 {
-				failures = append(failures, fmt.Sprintf("%s (%d unknowns): blocked numeric phase %.2f× over scalar, below the 2× collapse floor",
-					e.CUT, e.Nodes, e.NumericSpeedup))
-			}
-			if e.ParallelWorkers > 1 && e.ParallelSpeedup < 1-r.gateTol {
-				failures = append(failures, fmt.Sprintf("%s (%d unknowns): parallel refactor %.2f× on %d workers, want ≥%.2f× (1 − tol)",
-					e.CUT, e.Nodes, e.ParallelSpeedup, e.ParallelWorkers, 1-r.gateTol))
-			}
+		if e.Nodes >= 2000 && e.NumericSpeedup < 2 {
+			failures = append(failures, fmt.Sprintf("%s (%d unknowns): blocked numeric phase %.2f× over scalar, below the 2× collapse floor",
+				e.CUT, e.Nodes, e.NumericSpeedup))
 		}
 	}
 	if len(failures) > 0 {

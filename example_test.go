@@ -49,27 +49,6 @@ func ExampleSession_Optimize() {
 	// Output: 2 frequencies, I = 0, fitness 1.00
 }
 
-// ExampleNewPipeline demonstrates the minimal end-to-end flow on the
-// paper's circuit under test with a fixed (pre-optimized) test vector.
-func ExampleNewPipeline() {
-	pipeline, err := repro.NewPipeline(repro.PaperCUT(), nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	omegas := []float64{0.56, 4.55} // a known zero-intersection vector
-	diagnoser, err := pipeline.Diagnoser(omegas)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := diagnoser.DiagnoseFault(pipeline.Dictionary(),
-		repro.Fault{Component: "R3", Deviation: 0.25})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%s at %+.0f%%\n", res.Best().Component, res.Best().Deviation*100)
-	// Output: R3 at +25%
-}
-
 // ExampleParseNetlist shows the SPICE-subset parser.
 func ExampleParseNetlist() {
 	c, err := repro.ParseNetlist(`rc lowpass
@@ -85,14 +64,14 @@ C1 out 0 100n
 	// Output: rc lowpass 3
 }
 
-// ExamplePipeline_Fitness evaluates the paper's fitness 1/(1+I) for an
+// ExampleSession_Fitness evaluates the paper's fitness 1/(1+I) for an
 // explicit frequency pair.
-func ExamplePipeline_Fitness() {
-	pipeline, err := repro.NewPipeline(repro.PaperCUT(), nil)
+func ExampleSession_Fitness() {
+	session, err := repro.NewSession(repro.PaperCUT())
 	if err != nil {
 		log.Fatal(err)
 	}
-	fit, err := pipeline.Fitness([]float64{0.56, 4.55})
+	fit, err := session.Fitness(context.Background(), []float64{0.56, 4.55})
 	if err != nil {
 		log.Fatal(err)
 	}

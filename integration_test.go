@@ -4,6 +4,7 @@ package repro
 // packages that no single package test covers end to end.
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -29,22 +30,22 @@ C2 p 0 0.70711
 U1 p out out
 .end
 `
-	p, err := NewPipelineFromNetlist(nl, "V1", "out", []string{"C1", "C2"}, nil)
+	s, err := NewSessionFromNetlist(nl, "V1", "out", WithComponents("C1", "C2"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := PaperOptimizeConfig(1)
 	cfg.GA.PopSize = 24
 	cfg.GA.Generations = 6
-	tv, err := p.Optimize(cfg)
+	tv, err := s.Optimize(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dg, err := p.Diagnoser(tv.Omegas)
+	dg, err := s.Diagnoser(context.Background(), tv.Omegas)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := dg.DiagnoseFault(p.Dictionary(), Fault{Component: "C1", Deviation: -0.25})
+	res, err := dg.DiagnoseFault(s.Dictionary(), Fault{Component: "C1", Deviation: -0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestIntegrationTransientAgreesWithAC(t *testing.T) {
 // diagnosis: tolerance-perturbed board with a hard fault, plus a double
 // fault that must be rejected.
 func TestIntegrationDiagnoseCircuitAPI(t *testing.T) {
-	p, err := NewPipeline(PaperCUT(), nil)
+	s, err := NewSession(PaperCUT())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,14 +110,14 @@ func TestIntegrationDiagnoseCircuitAPI(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 
 	// Tolerance background + single fault: diagnosed, not rejected.
-	board, err := (Tolerance{Sigma: 0.005}).Perturb(p.Dictionary().Golden(), rng, "C2")
+	board, err := (Tolerance{Sigma: 0.005}).Perturb(s.Dictionary().Golden(), rng, "C2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := board.ScaleValue("C2", 1.3); err != nil {
 		t.Fatal(err)
 	}
-	res, rejected, err := p.DiagnoseCircuit(board, omegas, 0.05)
+	res, rejected, err := s.DiagnoseCircuit(context.Background(), board, omegas, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +136,11 @@ func TestIntegrationDiagnoseCircuitAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	double, err := m.Apply(p.Dictionary().Golden())
+	double, err := m.Apply(s.Dictionary().Golden())
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rejected, err = p.DiagnoseCircuit(double, omegas, 0.02)
+	_, rejected, err = s.DiagnoseCircuit(context.Background(), double, omegas, 0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestIntegrationDiagnoseCircuitAPI(t *testing.T) {
 	// off-manifold for this test vector — assert it is caught.
 	if !rejected {
 		t.Log("double fault not rejected at ratio 0.02 — checking at 0.01")
-		_, rejected, err = p.DiagnoseCircuit(double, omegas, 0.01)
+		_, rejected, err = s.DiagnoseCircuit(context.Background(), double, omegas, 0.01)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +157,7 @@ func TestIntegrationDiagnoseCircuitAPI(t *testing.T) {
 		}
 	}
 	// Rejection disabled → never rejected.
-	_, rejected, err = p.DiagnoseCircuit(double, omegas, 0)
+	_, rejected, err = s.DiagnoseCircuit(context.Background(), double, omegas, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,15 +169,15 @@ func TestIntegrationDiagnoseCircuitAPI(t *testing.T) {
 // TestIntegrationFitTransferMatchesSweep validates the public fitting
 // API against a fresh AC sweep of the CUT.
 func TestIntegrationFitTransferMatchesSweep(t *testing.T) {
-	p, err := NewPipeline(PaperCUT(), nil)
+	s, err := NewSession(PaperCUT())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := p.FitTransfer(0, 3, numeric.Logspace(0.02, 50, 21))
+	r, err := s.FitTransfer(0, 3, numeric.Logspace(0.02, 50, 21))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ac, err := analysis.NewAC(p.Dictionary().Golden())
+	ac, err := analysis.NewAC(s.Dictionary().Golden())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestIntegrationFitTransferMatchesSweep(t *testing.T) {
 		}
 	}
 	// Degenerate degrees rejected through the public API too.
-	if _, err := p.FitTransfer(0, 0, numeric.Logspace(0.1, 10, 9)); err == nil {
+	if _, err := s.FitTransfer(0, 0, numeric.Logspace(0.1, 10, 9)); err == nil {
 		t.Fatal("denDeg 0 accepted")
 	}
 }
@@ -200,7 +201,7 @@ func TestIntegrationFitTransferMatchesSweep(t *testing.T) {
 // measurement path at moderate noise and verifies the diagnosis survives
 // (the examples' flow, asserted).
 func TestIntegrationCoherentMeasurementDiagnosis(t *testing.T) {
-	p, err := NewPipeline(PaperCUT(), nil)
+	s, err := NewSession(PaperCUT())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,14 +210,14 @@ func TestIntegrationCoherentMeasurementDiagnosis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dg, err := p.Diagnoser(omegas)
+	dg, err := s.Diagnoser(context.Background(), omegas)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	gains := func(f Fault) []complex128 {
 		t.Helper()
-		circ, err := f.Apply(p.Dictionary().Golden())
+		circ, err := f.Apply(s.Dictionary().Golden())
 		if err != nil {
 			t.Fatal(err)
 		}

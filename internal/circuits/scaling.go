@@ -15,17 +15,18 @@ import (
 // Two families are registered:
 //
 //   - rc-ladder-<n>     — RCLadder(n), the pure-passive stress ladder
-//     (~n+2 unknowns);
+//     (n+2 unknowns);
 //   - opamp-cascade-<n> — OpampCascade(n), an active n-stage MFB
 //     low-pass chain built through the netlist .subckt expansion with a
-//     single-pole opamp macromodel per stage (~6n unknowns);
+//     single-pole opamp macromodel per stage (6n+2 unknowns);
 //   - rc-grid-<k>       — RCGrid(k), a k×k two-dimensional RC mesh
-//     (~k²+1 unknowns) whose 2-D connectivity produces the fill and
+//     (k²+1 unknowns) whose 2-D connectivity produces the fill and
 //     supernode structure a 1-D ladder cannot — the thousand-node tier
-//     the supernodal numeric phase targets.
+//     the sparse numeric phase targets.
 //
 // All are reachable by name from every binary through ByName, which
-// recognizes the parameterized suffix.
+// recognizes the parameterized suffix and refuses sizes past
+// MaxUnknowns before constructing anything.
 
 // OpampCascade returns an n-stage active filter cascade: n MFB low-pass
 // subcircuit instances X1..Xn in series, each expanded into passives
@@ -93,9 +94,8 @@ RO p out 75
 // whose tridiagonal-like MNA pattern factors with almost no fill — the
 // mesh is a genuine 2-D elimination problem (nested-dissection-grade
 // fill, wide supernodes, a deep elimination tree), the structure the
-// supernodal numeric phase and frequency-blocked refactorization are
-// built for. k = 32 crosses a thousand unknowns (k²+1 = 1025); k = 64
-// reaches 4097.
+// frequency-blocked sparse refactorization is built for. k = 32 crosses
+// a thousand unknowns (k²+1 = 1025); k = 64 reaches 4097.
 //
 // The fault universe stays bounded as the grid scales: the 2k-1
 // passives on the source→output main diagonal staircase, capped at 24
@@ -185,18 +185,28 @@ func Families() []string {
 	return []string{"rc-ladder-<n>", "opamp-cascade-<n>", "rc-grid-<k>"}
 }
 
+// MaxUnknowns caps the MNA system size a family name given to ByName
+// may build: rc-grid-64 (4097 unknowns), the largest CUT any checked-in
+// benchmark record measures. Names are reachable from network requests,
+// so an uncapped size would let one request allocate without bound.
+const MaxUnknowns = 4097
+
 // parameterized resolves a parameterized family name like "rc-ladder-128"
 // or "opamp-cascade-16". The second return is false when the name does
 // not belong to a family (the caller falls through to its own error);
-// a family name with a bad size returns the constructor's error.
+// a family name whose system would exceed MaxUnknowns, or with a size
+// its constructor rejects, returns an error.
 func parameterized(name string) (CUT, bool, error) {
 	for _, fam := range []struct {
 		prefix string
 		make   func(int) (CUT, error)
+		// unknowns is the family's MNA system order at size n, in float64
+		// so that absurd sizes cannot overflow past the cap.
+		unknowns func(n float64) float64
 	}{
-		{"rc-ladder-", RCLadder},
-		{"opamp-cascade-", OpampCascade},
-		{"rc-grid-", RCGrid},
+		{"rc-ladder-", RCLadder, func(n float64) float64 { return n + 2 }},
+		{"opamp-cascade-", OpampCascade, func(n float64) float64 { return 6*n + 2 }},
+		{"rc-grid-", RCGrid, func(k float64) float64 { return k*k + 1 }},
 	} {
 		if !strings.HasPrefix(name, fam.prefix) {
 			continue
@@ -204,6 +214,9 @@ func parameterized(name string) (CUT, bool, error) {
 		n, err := strconv.Atoi(name[len(fam.prefix):])
 		if err != nil {
 			return CUT{}, false, nil
+		}
+		if u := fam.unknowns(float64(n)); u > MaxUnknowns {
+			return CUT{}, true, fmt.Errorf("circuits: %s would have %.0f MNA unknowns, above the %d cap", name, u, MaxUnknowns)
 		}
 		cut, err := fam.make(n)
 		if err != nil {

@@ -94,6 +94,39 @@ func TestByNameParameterized(t *testing.T) {
 	}
 }
 
+// TestByNameSizeCap pins the family size cap at both sides of the
+// boundary: the largest size of each family whose MNA system fits in
+// MaxUnknowns builds with exactly the predicted unknown count, and the
+// next size is refused before anything is constructed.
+func TestByNameSizeCap(t *testing.T) {
+	for _, tc := range []struct {
+		fits, over string
+		unknowns   int
+	}{
+		{"rc-ladder-4095", "rc-ladder-4096", 4095 + 2},
+		{"opamp-cascade-682", "opamp-cascade-683", 6*682 + 2},
+		{"rc-grid-64", "rc-grid-65", 64*64 + 1},
+	} {
+		cut, err := ByName(tc.fits)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.fits, err)
+		}
+		sys, err := cut.Circuit.Assemble()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sys.Size() != tc.unknowns || sys.Size() > MaxUnknowns {
+			t.Errorf("%s: %d unknowns, want %d (cap %d)", tc.fits, sys.Size(), tc.unknowns, MaxUnknowns)
+		}
+		if _, err := ByName(tc.over); err == nil || !strings.Contains(err.Error(), "cap") {
+			t.Errorf("%s: err = %v, want the size-cap error", tc.over, err)
+		}
+	}
+	if _, err := ByName("rc-grid-100000"); err == nil || !strings.Contains(err.Error(), "cap") {
+		t.Errorf("rc-grid-100000: err = %v, want the size-cap error", err)
+	}
+}
+
 // TestOpampCascadeBehavesLowpass sanity-checks the cascade's response
 // shape indirectly through its metadata: the golden circuit must
 // assemble and every stage's five filter passives must be Valued fault

@@ -9,29 +9,30 @@ import (
 	"repro/internal/numeric"
 )
 
-// This file is the blocked SoA kernel path of the engine — the default
-// per-frequency column solver. Where the scalar reference path factors
-// the golden complex128 system and then performs k+1 sequential one-RHS
-// triangular solves (golden x0, one z per distinct slot), the blocked
-// path stamps the golden matrix into split re/im float64 planes,
-// factors it with numeric.FactorSoAReuse (no complex division, no hypot
-// in the pivot search), assembles x0's RHS and every distinct slot's u
-// vector as columns of one numeric.Block, and runs a single multi-RHS
-// SolveBlock: both triangular sweeps walk the factored matrix once per
-// frequency instead of once per RHS, with the inner axpys over
-// contiguous float64 plane runs. The Sherman–Morrison(-Woodbury)
-// corrections then read x0 and the z vectors straight off the block
-// planes (raw indexing, sqrt-based magnitudes — no hypot or complex-
-// division runtime calls in the per-item loops). Fallback solves
-// (ill-conditioned updates) stay on the SoA factorization too. All
-// storage lives in the pooled workspace, so the path is allocation-free
-// in steady state, like the scalar one.
+// This file is the engine's per-frequency column solver. The golden
+// system is factored once per frequency on one of two paths: the dense
+// path stamps it into split re/im float64 planes and factors it with
+// numeric.FactorSoAReuse (no complex division, no hypot in the pivot
+// search); the sparse path stamps FreqBlock frequencies' value planes
+// and refactors them in one numeric.BlockRefactorer walk (prepareGroup).
+// Either way x0's RHS and every distinct slot's u vector are assembled
+// as columns of one numeric.Block and solved by a single multi-RHS
+// SolveBlock: both triangular sweeps walk the factors once per frequency
+// instead of once per RHS, with the inner axpys over contiguous float64
+// plane runs. The Sherman–Morrison(-Woodbury) corrections then read x0
+// and the z vectors straight off the block planes (raw indexing,
+// sqrt-based magnitudes — no hypot or complex-division runtime calls in
+// the per-item loops). Ill-conditioned updates fall back to an exact
+// solve: a partial sparse refactorization, or a dense SoA factorization.
+// All storage lives in the pooled workspace, so the path is
+// allocation-free in steady state. Engine.ResponseSet is the independent
+// full-LU reference the tests pin this path against.
 
-// absC is the blocked path's magnitude: sqrt(re²+im²) without hypot's
+// absC is the column solver's magnitude: sqrt(re²+im²) without hypot's
 // overflow guards — a single sqrt instruction instead of a function
 // call. Response magnitudes here are moderate (no squaring overflow),
 // and the ≤1-ulp difference from cmplx.Abs is far inside the 1e-9
-// blocked-vs-scalar contract.
+// contract against the full-LU reference.
 func absC(v complex128) float64 {
 	r, i := real(v), imag(v)
 	return math.Sqrt(r*r + i*i)
@@ -50,7 +51,7 @@ func dotPlanes(v []sparseEntry, re, im []float64, nc, c int) complex128 {
 	return complex(sr, si)
 }
 
-// recipC returns 1/v in the scaled (Smith) form — the blocked path's
+// recipC returns 1/v in the scaled (Smith) form — the column solver's
 // replacement for the complex-division runtime call.
 func recipC(v complex128) complex128 {
 	a, b := real(v), imag(v)
@@ -64,14 +65,16 @@ func recipC(v complex128) complex128 {
 	return complex(r/d, -1/d)
 }
 
-// solveSmallFast is solveSmall on the blocked path's arithmetic: pivot
-// selection by squared modulus (no hypot) and elimination/back-
-// substitution by reciprocal multiplication (no complex-division
-// runtime call). The pivot-size guard compares squared magnitudes, so
-// the same denGuard threshold applies squared. Results agree with
-// solveSmall to last-bits rounding — inside the 1e-9 blocked-vs-scalar
-// contract.
-func solveSmallFast(k int, m, r []complex128) bool {
+// solveSmall solves the k×k dense complex system m·x = r in place
+// (row-major m; r is overwritten with the solution) by Gaussian
+// elimination with partial pivoting: pivot selection by squared modulus
+// (no hypot) and elimination/back-substitution by reciprocal
+// multiplication (no complex-division runtime call). It reports false —
+// leaving the caller to fall back to an exact solve — when a pivot
+// falls below denGuard relative to the matrix magnitude, the analogue
+// of the rank-1 denominator guard; the comparison runs on squared
+// magnitudes, so the threshold applies squared.
+func solveSmall(k int, m, r []complex128) bool {
 	var norm2 float64
 	for _, v := range m {
 		if a := real(v)*real(v) + imag(v)*imag(v); a > norm2 {
@@ -124,74 +127,66 @@ func solveSmallFast(k int, m, r []complex128) bool {
 }
 
 // prepareGroup refactors the golden systems of frequency columns
-// [g, hi) in one frequency-blocked supernodal-schedule walk and caches
-// the per-column factors and outcomes in the workspace. It only engages
-// for full FreqBlock-wide groups on the sparse blocked path; remainder
-// groups, the scalar paths, and dense engines leave the cache empty and
-// take solveColumnBlocked's per-column flow. Any error — including a
-// singular plane — is deferred to the column's own solve, so outcomes
-// are identical to per-column refactorization.
+// [g, hi) in one frequency-blocked walk and caches the per-column
+// factors and outcomes in the workspace. A group shorter than FreqBlock
+// (the last one, when the frequency count is not a multiple of it)
+// fills its unused planes with copies of its last real column's planes;
+// their factors are never read. Dense engines leave the cache empty.
+// Any error — including a singular plane — is deferred to the column's
+// own solve.
 func (e *Engine) prepareGroup(ws *workspace, omegas []float64, g, hi int) {
-	ws.grpJ0, ws.grpLen = -1, 0
-	if e.scalarKernels || e.scalarSparse || hi-g != numeric.FreqBlock || !e.sparseColumn() {
+	ws.grpJ0 = -1
+	if !e.sparseColumn() {
 		return
 	}
 	t := e.tmpl
 	for x := 0; x < numeric.FreqBlock; x++ {
-		t.stampGoldenSparse(ws.spreBlk[x], ws.spimBlk[x], complex(0, omegas[g+x]))
+		if g+x < hi {
+			t.stampGoldenSparse(ws.spreBlk[x], ws.spimBlk[x], complex(0, omegas[g+x]))
+		} else {
+			copy(ws.spreBlk[x], ws.spreBlk[hi-g-1])
+			copy(ws.spimBlk[x], ws.spimBlk[hi-g-1])
+		}
 	}
 	ws.grpErr = ws.bref.RefactorBlock(t.sparse.sym, &ws.slusBlk, &ws.spreBlk, &ws.spimBlk)
-	ws.grpJ0, ws.grpLen = g, hi-g
+	ws.grpJ0 = g
 }
 
-// solveColumnBlocked fills column j of the batch table on the blocked
-// SoA kernels. Semantics (guards, fallbacks, results up to ≤1e-9
-// relative rounding differences) match solveColumnScalar.
-func (e *Engine) solveColumnBlocked(ws *workspace, omega float64, faults []fault.Fault, sets []fault.Set, out *Batch, j int) error {
+// solveColumn fills column j of the batch table: one golden
+// factorization, one multi-RHS solve for x0 and every distinct slot's z,
+// then O(k²·n_sparse + k³) work per k-part item (O(1) for the dominant
+// rank-1 case). The item-resolution scratch (off, partSlot, partVal,
+// distinct, zSlot) is read from out, where batchInto prepared it.
+func (e *Engine) solveColumn(ws *workspace, omega float64, faults []fault.Fault, sets []fault.Set, out *Batch, j int) error {
+	// Path counters accumulate in the workspace for the column and flush
+	// to the shared atomics once at the end — including error returns, so
+	// partially solved columns are still attributed. Spans are recorded
+	// on the fault-set path only (see SetTracer); the single-fault GA
+	// fitness path pays one nil check here and nothing else.
+	if tr := e.tracer; tr != nil && sets != nil {
+		defer tr.StartSpan("engine.column").End()
+	}
+	ws.cDense, ws.cSparse, ws.cRank1, ws.cRankK, ws.cFallback = 0, 0, 0, 0, 0
+	ws.cSupernodal, ws.cPartial, ws.cPartialCols, ws.cDenseExact, ws.cDenseSingular = 0, 0, 0, 0, 0
+	defer e.stats.flush(ws)
+
 	s := complex(0, omega)
 	t := e.tmpl
-	// Golden factorization: the sparse path stamps coefficient values into
-	// the compiled pattern's planes and refactors numerically on the
-	// pattern's static elimination schedule — O(fill) instead of O(n³) —
-	// through the supernodal numeric phase: frequency-blocked group walks
-	// when prepareGroup cached this column, a supernodal (optionally
-	// level-set-parallel) single-column refactor otherwise, and the scalar
-	// walk only under UseScalarSparse. An ill-conditioned sparse pivot
-	// (the sparse factorization does no numerical pivoting) falls through
-	// to the dense partial-pivoting factorization below, so sparse never
-	// changes what is computable.
+	// Golden factorization: on the sparse path prepareGroup already
+	// refactored this column's planes numerically on the pattern's static
+	// elimination schedule — O(fill) instead of O(n³). An ill-conditioned
+	// sparse pivot (the sparse factorization does no numerical pivoting)
+	// falls through to the dense partial-pivoting factorization below, so
+	// sparse never changes what is computable.
 	ws.colSparse = false
 	ws.denseStamped = false
-	ws.sluGold = nil
-	if x := j - ws.grpJ0; ws.grpJ0 >= 0 && x >= 0 && x < ws.grpLen {
-		// Golden factors were refactored by this column's group walk.
-		err := ws.grpErr[x]
+	if ws.grpJ0 >= 0 {
+		ws.gx = j - ws.grpJ0
+		err := ws.grpErr[ws.gx]
 		if err == nil {
 			ws.colSparse = true
-			ws.sluGold = &ws.slusBlk[x]
-			ws.spre, ws.spim = ws.spreBlk[x], ws.spimBlk[x]
 			ws.cSparse++
 			ws.cSupernodal++
-		} else if !errors.Is(err, numeric.ErrSingular) {
-			return fmt.Errorf("engine: golden system at ω=%g: %w", omega, err)
-		} else {
-			ws.cDenseSingular++
-		}
-	} else if e.sparseColumn() {
-		t.stampGoldenSparse(ws.spre, ws.spim, s)
-		var err error
-		if e.scalarSparse {
-			err = ws.slus.RefactorReuse(t.sparse.sym, ws.spre, ws.spim)
-		} else {
-			err = ws.slus.RefactorParallel(t.sparse.sym, ws.spre, ws.spim, e.refactorWorkers)
-			if err == nil {
-				ws.cSupernodal++
-			}
-		}
-		if err == nil {
-			ws.colSparse = true
-			ws.sluGold = &ws.slus
-			ws.cSparse++
 		} else if !errors.Is(err, numeric.ErrSingular) {
 			return fmt.Errorf("engine: golden system at ω=%g: %w", omega, err)
 		} else {
@@ -214,8 +209,7 @@ func (e *Engine) solveColumnBlocked(ws *workspace, omega float64, faults []fault
 	// One multi-RHS block per frequency: column 0 carries the source
 	// vector b (→ the golden solution x0), column 1+zi the sparse u
 	// pattern of distinct slot zi (→ its z = A⁻¹u). A single blocked
-	// solve replaces the k+1 sequential SolveInto calls of the scalar
-	// path.
+	// solve replaces k+1 sequential one-RHS solves.
 	nc := 1 + len(out.distinct)
 	blk := ws.blk
 	blk.Reset(t.n, nc)
@@ -236,7 +230,7 @@ func (e *Engine) solveColumnBlocked(ws *workspace, omega float64, faults []fault
 		}
 	}
 	if ws.colSparse {
-		if err := ws.sluGold.SolveBlock(blk); err != nil {
+		if err := ws.slusBlk[ws.gx].SolveBlock(blk); err != nil {
 			return err
 		}
 	} else if err := ws.slu.SolveBlock(blk); err != nil {
@@ -274,7 +268,7 @@ func (e *Engine) solveColumnBlocked(ws *workspace, omega float64, faults []fault
 			continue
 		}
 		if hi-lo > 1 {
-			if err := e.solveItemKBlocked(ws, s, omega, faults, sets, out, fi, j, x0out, x0outAbs); err != nil {
+			if err := e.solveItemK(ws, s, omega, faults, sets, out, fi, j, x0out, x0outAbs); err != nil {
 				return err
 			}
 			continue
@@ -314,12 +308,19 @@ func (e *Engine) solveColumnBlocked(ws *workspace, omega float64, faults []fault
 	return nil
 }
 
-// solveItemKBlocked is solveItemK consuming the block solve results:
-// the k×k Sherman–Morrison–Woodbury capacitance system is assembled
-// from sparse dots against the block's x0 and z columns, with the same
-// guards and the same exact-refactorization fallback (on the SoA
-// planes) as the scalar path.
-func (e *Engine) solveItemKBlocked(ws *workspace, s complex128, omega float64, faults []fault.Fault, sets []fault.Set, out *Batch, fi, j int, x0out complex128, x0outAbs float64) error {
+// solveItemK solves one k ≥ 2 part item of column j by the
+// Sherman–Morrison–Woodbury identity. With the update written as
+// Σ_a δ_a u_a v_aᵀ, the corrected solution is
+//
+//	x = x₀ − Z w,   (I_k + diag(δ) Vᵀ Z) w = diag(δ) Vᵀ x₀,
+//
+// where column b of Z is the already-solved z_b = A⁻¹ u_b shared with
+// every other item touching slot b; the k×k capacitance system is
+// assembled from sparse dots against the block's x0 and z columns. An
+// ill-conditioned capacitance matrix (small pivot) or a catastrophic
+// cancellation in the output falls back to the exact solve — the same
+// guards, and the same fallback, as the rank-1 path.
+func (e *Engine) solveItemK(ws *workspace, s complex128, omega float64, faults []fault.Fault, sets []fault.Set, out *Batch, fi, j int, x0out complex128, x0outAbs float64) error {
 	t := e.tmpl
 	bre, bim := ws.blk.Planes()
 	nc := ws.blk.Cols()
@@ -360,7 +361,7 @@ func (e *Engine) solveItemKBlocked(ws *workspace, s complex128, omega float64, f
 		}
 	}
 	xout := x0out
-	ok := solveSmallFast(k, cm, w)
+	ok := solveSmall(k, cm, w)
 	if ok && e.outIdx >= 0 {
 		for b := 0; b < k; b++ {
 			zc := 1 + out.zSlot[out.partSlot[lo+b]]
@@ -394,15 +395,15 @@ func (e *Engine) exactFallback(ws *workspace, s complex128, omega float64, fault
 	t := e.tmpl
 	ws.cFallback++
 	if ws.colSparse {
-		copy(ws.spre2, ws.spre)
-		copy(ws.spim2, ws.spim)
+		copy(ws.spre2, ws.spreBlk[ws.gx])
+		copy(ws.spim2, ws.spimBlk[ws.gx])
 		touched := ws.touched[:0]
 		for a, si := range slots {
 			t.addRank1Sparse(ws.spre2, ws.spim2, si, deltas[a])
 			touched = append(touched, t.sparse.slotRows[si]...)
 		}
 		ws.touched = touched
-		cnt, err := ws.slus2.PartialRefactor(ws.sluGold, ws.spre2, ws.spim2, touched)
+		cnt, err := ws.slus2.PartialRefactor(&ws.slusBlk[ws.gx], ws.spre2, ws.spim2, touched)
 		if err == nil {
 			ws.cSparse++
 			ws.cPartial++

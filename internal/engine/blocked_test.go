@@ -44,79 +44,6 @@ func doublePairs(t testing.TB, cut circuits.CUT) []fault.Set {
 	return sets
 }
 
-// TestBlockedMatchesScalarAllCUTs is the blocked-kernel acceptance pin:
-// on every built-in CUT, the default blocked SoA path must agree with
-// the scalar complex128 reference path to within 1e-9 relative error
-// over the full single-fault paper universe AND the complete
-// double-fault pair universe, at every worker count. Responses far
-// below the CUT's response scale (notch nulls) are compared against a
-// noise floor, exactly like the engine-vs-reference pins.
-func TestBlockedMatchesScalarAllCUTs(t *testing.T) {
-	for _, cut := range circuits.All() {
-		cut := cut
-		t.Run(cut.Circuit.Name(), func(t *testing.T) {
-			eng, err := New(cut.Circuit, cut.Source, cut.Output)
-			if err != nil {
-				t.Fatal(err)
-			}
-			omegas := testOmegas(cut.Omega0)
-			singles := paperSingles(t, cut)
-			doubles := doublePairs(t, cut)
-
-			eng.UseScalarKernels(true)
-			refSingles, err := eng.BatchResponses(nil, singles, omegas, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			refDoubles, err := eng.BatchResponsesSets(nil, doubles, omegas, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var peak float64
-			for _, g := range refSingles.Golden {
-				if g > peak {
-					peak = g
-				}
-			}
-			floor := 1e-3 * peak
-
-			eng.UseScalarKernels(false)
-			for _, workers := range []int{1, 2, 3, 8} {
-				gotSingles, err := eng.BatchResponses(nil, singles, omegas, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range singles {
-					for j := range omegas {
-						if re := relErrFloor(gotSingles.Mags[i][j], refSingles.Mags[i][j], floor); re > 1e-9 {
-							t.Fatalf("workers=%d fault %s ω=%g: blocked %.15g vs scalar %.15g (rel %.3g)",
-								workers, singles[i].ID(), omegas[j], gotSingles.Mags[i][j], refSingles.Mags[i][j], re)
-						}
-					}
-				}
-				for j := range omegas {
-					if re := relErrFloor(gotSingles.Golden[j], refSingles.Golden[j], floor); re > 1e-9 {
-						t.Fatalf("workers=%d golden ω=%g: blocked %.15g vs scalar %.15g",
-							workers, omegas[j], gotSingles.Golden[j], refSingles.Golden[j])
-					}
-				}
-				gotDoubles, err := eng.BatchResponsesSets(nil, doubles, omegas, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range doubles {
-					for j := range omegas {
-						if re := relErrFloor(gotDoubles.Mags[i][j], refDoubles.Mags[i][j], floor); re > 1e-9 {
-							t.Fatalf("workers=%d set %s ω=%g: blocked %.15g vs scalar %.15g (rel %.3g)",
-								workers, doubles[i].ID(), omegas[j], gotDoubles.Mags[i][j], refDoubles.Mags[i][j], re)
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestBlockedWorkerCountInvariance pins that the blocked path is
 // bit-identical across worker counts: columns are solved independently
 // in self-contained workspaces, so the worker decomposition must never
@@ -138,20 +65,13 @@ func TestBlockedWorkerCountInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range singles {
-			for j := range omegas {
-				if got.Mags[i][j] != ref.Mags[i][j] {
-					t.Fatalf("workers=%d fault %s ω=%g: %.17g != %.17g (1 worker)",
-						workers, singles[i].ID(), omegas[j], got.Mags[i][j], ref.Mags[i][j])
-				}
-			}
-		}
+		checkBitIdentical(t, fmt.Sprintf("workers=%d", workers), got, ref)
 	}
 }
 
 // BenchmarkColumnKernels times one full single-fault universe batch
-// (paper CUT, 2 frequencies — the GA fitness shape) under each kernel
-// path, so `benchstat` can show the blocked-over-scalar win directly.
+// (paper CUT, 2 frequencies — the GA fitness shape) through the column
+// solver.
 func BenchmarkColumnKernels(b *testing.B) {
 	cut := circuits.NFLowpass7()
 	eng, err := New(cut.Circuit, cut.Source, cut.Output)
@@ -160,23 +80,14 @@ func BenchmarkColumnKernels(b *testing.B) {
 	}
 	singles := paperSingles(b, cut)
 	omegas := []float64{0.5, 2}
-	for _, mode := range []struct {
-		name   string
-		scalar bool
-	}{{"blocked", false}, {"scalar", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			eng.UseScalarKernels(mode.scalar)
-			defer eng.UseScalarKernels(false)
-			var out Batch
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				omegas[0] = 0.5 + float64(i%100)*1e-5
-				omegas[1] = 2 + float64(i%100)*1e-5
-				if err := eng.BatchResponsesInto(nil, singles, omegas, 1, &out); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	var out Batch
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		omegas[0] = 0.5 + float64(i%100)*1e-5
+		omegas[1] = 2 + float64(i%100)*1e-5
+		if err := eng.BatchResponsesInto(nil, singles, omegas, 1, &out); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -190,20 +101,11 @@ func BenchmarkColumnKernelsMulti(b *testing.B) {
 	}
 	doubles := doublePairs(b, cut)
 	omegas := []float64{0.5, 2}
-	for _, mode := range []struct {
-		name   string
-		scalar bool
-	}{{"blocked", false}, {"scalar", true}} {
-		b.Run(fmt.Sprintf("%s", mode.name), func(b *testing.B) {
-			eng.UseScalarKernels(mode.scalar)
-			defer eng.UseScalarKernels(false)
-			var out Batch
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := eng.BatchResponsesSetsInto(nil, doubles, omegas, 1, &out); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	var out Batch
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := eng.BatchResponsesSetsInto(nil, doubles, omegas, 1, &out); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -65,23 +65,6 @@ type Engine struct {
 	invAmpAbs float64   // 1/|amp|: the per-item divide becomes a multiply
 	pool      sync.Pool // *workspace, shared across BatchResponses calls
 
-	// scalarKernels switches the per-frequency column solver from the
-	// blocked SoA kernels (the default) to the scalar complex128
-	// reference path. See UseScalarKernels.
-	scalarKernels bool
-
-	// scalarSparse pins the golden sparse numeric phase to the scalar
-	// one-column-at-a-time walk (the pre-supernodal baseline), disabling
-	// frequency-blocked group refactorization and the supernodal panel
-	// path. Benchmarks use it to attribute the supernodal win; see
-	// UseScalarSparse.
-	scalarSparse bool
-
-	// refactorWorkers parallelizes single-column supernodal golden
-	// refactorizations over the elimination level sets when > 1. See
-	// SetRefactorWorkers.
-	refactorWorkers int
-
 	// factorPath is the golden-factorization override (FactorAuto by
 	// default); sparseAuto is the heuristic verdict computed once at New.
 	// See SetFactorPath.
@@ -214,7 +197,7 @@ func (e *Engine) sparseColumn() bool {
 // "sparse" or "dense". Serving and benchmark envelopes record it so
 // results say which path produced them.
 func (e *Engine) FactorPathName() string {
-	if e.sparseColumn() && !e.scalarKernels {
+	if e.sparseColumn() {
 		return "sparse"
 	}
 	return "dense"
@@ -231,35 +214,6 @@ func (e *Engine) NNZ() int {
 	}
 	return e.tmpl.sparse.sym.NNZ()
 }
-
-// UseScalarKernels selects between the blocked SoA kernel path (false,
-// the default) and the scalar complex128 reference path (true) for all
-// subsequent batch calls. The scalar path is the original one-RHS-at-a-
-// time implementation, kept as the reference the blocked path is pinned
-// against (≤ 1e-9 relative on every built-in CUT); production callers
-// never need this. Must not be toggled concurrently with a running
-// batch.
-func (e *Engine) UseScalarKernels(on bool) { e.scalarKernels = on }
-
-// UseScalarSparse pins the golden sparse numeric phase to the scalar
-// refactorization walk instead of the supernodal/frequency-blocked
-// phase. Results are identical: the supernodal walk is pinned
-// bit-identical to the scalar walk, the frequency-blocked walk is
-// pinned identical under == (bit-identical except the sign of exact
-// zeros — see numeric.RefactorBlock); only the numeric-phase cost
-// changes. Benchmarks toggle this to attribute the supernodal speedup.
-// Must not be toggled concurrently with a running batch.
-func (e *Engine) UseScalarSparse(on bool) { e.scalarSparse = on }
-
-// SetRefactorWorkers sets the worker count for parallel supernodal
-// refactorization of single-column golden systems (level-set schedule
-// within one refactorization; results are bit-identical at every worker
-// count). n ≤ 1 — the default — refactors sequentially. Frequency
-// groups of FreqBlock columns always use the blocked single-thread
-// walk; the setting applies to the remainder columns and to engines
-// whose batches arrive one frequency at a time. Must not be changed
-// concurrently with a running batch.
-func (e *Engine) SetRefactorWorkers(n int) { e.refactorWorkers = n }
 
 // Template exposes the compiled stamp program.
 func (e *Engine) Template() *Template { return e.tmpl }
@@ -414,67 +368,52 @@ func (b *Batch) Signatures() [][]float64 {
 	return out
 }
 
-// workspace is one worker's preallocated scratch: stamped matrix, two
-// factorization targets (golden and fallback) with their reusable LU
-// headers, solution vectors, one z = A⁻¹u vector per distinct fault
-// slot in the batch, and the small dense scratch of the rank-k
-// capacitance solves (k is bounded by the slot count, so sizing at
-// nslots covers every batch shape).
+// workspace is one worker's preallocated scratch for the column solver
+// (blocked.go). Everything lives here, so steady-state batches allocate
+// nothing. The rank-k capacitance scratch is sized at the slot count,
+// which bounds k for every batch shape.
 type workspace struct {
-	m     *numeric.Matrix // golden A(s), kept unfactored for fallbacks
-	f     *numeric.Matrix // golden factorization storage
-	f2    *numeric.Matrix // fallback factorization storage
-	lu    numeric.LU      // golden LU header, refactored in place
-	lu2   numeric.LU      // fallback LU header
-	x0    []complex128    // golden solution
-	xf    []complex128    // fallback solution
-	rhs   []complex128    // dense u for z-solves
-	z     [][]complex128  // per distinct slot
-	delta []complex128    // per-part coefficient deltas of one item
-	cmat  []complex128    // k×k capacitance matrix (row-major)
-	wvec  []complex128    // capacitance RHS, overwritten with the solution
+	xf    []complex128 // exact-fallback solution
+	delta []complex128 // per-part coefficient deltas of one item
+	cmat  []complex128 // k×k capacitance matrix (row-major)
+	wvec  []complex128 // capacitance RHS, overwritten with the solution
 
-	// Blocked SoA kernel scratch (the default path): the golden matrix
-	// and both factorization targets as split re/im planes, their LU
-	// headers, and the multi-RHS block holding the golden solve plus one
-	// z-solve per distinct slot — filled and swept once per frequency.
+	// Dense SoA path: the golden matrix and both factorization targets as
+	// split re/im planes with their LU headers. Sparse-capable engines
+	// size them only if a column falls back to dense.
 	ms   *numeric.SoAMatrix // golden A(s) planes, kept unfactored for fallbacks
 	fs   *numeric.SoAMatrix // golden factorization storage
 	f2s  *numeric.SoAMatrix // fallback factorization storage
 	slu  numeric.SoALU      // golden SoA LU header, refactored in place
 	slu2 numeric.SoALU      // fallback SoA LU header
-	blk  *numeric.Block     // col 0 = x0, col 1+zi = z of distinct slot zi
 
-	// Sparse golden path scratch (sized only when the template compiled a
-	// sparse pattern): the pristine stamped golden value planes, a second
-	// pair for patched fallback refactorizations, and the two sparse LU
-	// headers mirroring slu/slu2. colSparse records whether the current
-	// column's golden factorization is sparse; denseStamped whether ws.ms
-	// holds this column's dense golden stamp (filled lazily on sparse
-	// columns, only if a dense fallback needs it).
-	spre, spim   []float64
+	// blk is the per-frequency multi-RHS block on either path: column 0
+	// holds the golden solution x0, column 1+zi the z = A⁻¹u of distinct
+	// slot zi.
+	blk *numeric.Block
+
+	// Sparse path (sized only when the template compiled a sparse
+	// pattern). A worker claims FreqBlock consecutive frequency columns,
+	// stamps their value planes and refactors all of them in one
+	// interleaved walk (numeric.BlockRefactorer); prepareGroup pads a
+	// short last group with copies of its last real column. gx is the
+	// current column's plane in the group. spre2/spim2 and slus2 hold the
+	// patched planes and factors of a partial-refactorization fallback.
+	// colSparse records whether the current column's golden factorization
+	// is sparse; denseStamped whether ms holds this column's dense golden
+	// stamp (filled lazily, only if a dense fallback needs it).
+	bref         numeric.BlockRefactorer
+	slusBlk      [numeric.FreqBlock]numeric.SparseLU
+	spreBlk      [numeric.FreqBlock][]float64
+	spimBlk      [numeric.FreqBlock][]float64
+	grpErr       [numeric.FreqBlock]error
+	grpJ0        int // first batch column of the cached group; -1 on the dense path
+	gx           int
 	spre2, spim2 []float64
-	slus         numeric.SparseLU
 	slus2        numeric.SparseLU
 	colSparse    bool
 	denseStamped bool
 	touched      []int // merged per-slot touched rows of one fallback item
-
-	// Frequency-blocked golden refactorization: a worker claims
-	// FreqBlock consecutive frequency columns, stamps their value planes
-	// and refactors all of them in one interleaved supernodal-schedule
-	// walk (numeric.BlockRefactorer), caching per-column factors and
-	// outcomes here. sluGold points at the current column's golden
-	// sparse factors — a group slot or ws.slus — so solves and partial
-	// refactorizations are source-agnostic.
-	bref    numeric.BlockRefactorer
-	slusBlk [numeric.FreqBlock]numeric.SparseLU
-	spreBlk [numeric.FreqBlock][]float64
-	spimBlk [numeric.FreqBlock][]float64
-	grpErr  [numeric.FreqBlock]error
-	grpJ0   int // first batch column of the cached group; -1 when none
-	grpLen  int // columns in the cached group
-	sluGold *numeric.SparseLU
 
 	// Per-column per-distinct-slot precomputes (indexed by z position):
 	// every deviation of a component shares its slot, so the slot-only
@@ -504,10 +443,7 @@ type workspace struct {
 func newWorkspace(t *Template) *workspace {
 	n, nslots := t.n, len(t.slots)
 	ws := &workspace{
-		x0:     make([]complex128, n),
 		xf:     make([]complex128, n),
-		rhs:    make([]complex128, n),
-		z:      make([][]complex128, nslots),
 		delta:  make([]complex128, nslots),
 		cmat:   make([]complex128, nslots*nslots),
 		wvec:   make([]complex128, nslots),
@@ -518,13 +454,8 @@ func newWorkspace(t *Template) *workspace {
 		gcoeff: make([]complex128, nslots),
 		grpJ0:  -1,
 	}
-	for i := range ws.z {
-		ws.z[i] = make([]complex128, n)
-	}
 	if t.sparse != nil {
 		lnnz := t.sparse.sym.LUNNZ()
-		ws.spre = make([]float64, lnnz)
-		ws.spim = make([]float64, lnnz)
 		ws.spre2 = make([]float64, lnnz)
 		ws.spim2 = make([]float64, lnnz)
 		for x := 0; x < numeric.FreqBlock; x++ {
@@ -533,41 +464,22 @@ func newWorkspace(t *Template) *workspace {
 		}
 	} else {
 		// Dense-only engines factor n×n every column; sparse-capable
-		// engines allocate the six dense matrices lazily, only if a
+		// engines allocate the three dense matrices lazily, only if a
 		// column actually falls back — a thousand-node grid would
 		// otherwise pin hundreds of megabytes per worker it never uses.
-		ws.ensureScalarDense(n)
 		ws.ensureSoADense(n)
 	}
 	return ws
 }
 
-// ensureScalarDense sizes the scalar-path golden/fallback dense
-// matrices on first use.
-func (ws *workspace) ensureScalarDense(n int) {
-	if ws.m == nil {
-		ws.m = numeric.NewMatrix(n, n)
-		ws.f = numeric.NewMatrix(n, n)
-		ws.f2 = numeric.NewMatrix(n, n)
-	}
-}
-
-// ensureSoADense sizes the blocked-path dense SoA matrices on first
-// use (a dense golden column or a dense exact fallback).
+// ensureSoADense sizes the dense SoA matrices on first use (a dense
+// golden column or a dense exact fallback).
 func (ws *workspace) ensureSoADense(n int) {
 	if ws.ms == nil {
 		ws.ms = numeric.NewSoAMatrix(n, n)
 		ws.fs = numeric.NewSoAMatrix(n, n)
 		ws.f2s = numeric.NewSoAMatrix(n, n)
 	}
-}
-
-func sparseDot(v []sparseEntry, x []complex128) complex128 {
-	var s complex128
-	for _, e := range v {
-		s += e.w * x[e.idx]
-	}
-	return s
 }
 
 // BatchResponses fills the dense [fault][omega] response table. Per
@@ -761,8 +673,10 @@ func (e *Engine) batchInto(ctx context.Context, faults []fault.Fault, sets []fau
 	// Workers claim whole frequency groups (FreqBlock consecutive
 	// columns refactored in one blocked walk on the sparse path, single
 	// columns otherwise), so the useful worker count is the group count.
+	// Group boundaries depend only on the omega list, never on the worker
+	// count, which keeps results bit-identical at every worker count.
 	unit := 1
-	if !e.scalarKernels && e.sparseColumn() && !e.scalarSparse {
+	if e.sparseColumn() {
 		unit = numeric.FreqBlock
 	}
 	groups := (len(omegas) + unit - 1) / unit
@@ -785,7 +699,6 @@ func (e *Engine) batchInto(ctx context.Context, faults []fault.Fault, sets []fau
 		// small batches (a GA candidate is k=2 frequencies).
 		ws := e.pool.Get().(*workspace)
 		defer e.pool.Put(ws)
-		ws.grpJ0, ws.grpLen = -1, 0
 		for g := 0; g < len(omegas); g += unit {
 			hi := g + unit
 			if hi > len(omegas) {
@@ -824,7 +737,6 @@ func (e *Engine) batchParallel(ctx context.Context, faults []fault.Fault, sets [
 			defer wg.Done()
 			ws := e.pool.Get().(*workspace)
 			defer e.pool.Put(ws)
-			ws.grpJ0, ws.grpLen = -1, 0
 			for g := range jobs {
 				if ctx.Err() != nil {
 					continue // drain without solving so the producer never blocks
@@ -874,242 +786,4 @@ feed:
 		return rerr.Canceled(err)
 	}
 	return nil
-}
-
-// solveColumn fills column j of the batch table: one golden
-// factorization, one z-solve per distinct slot, then O(k²·n_sparse + k³)
-// work per k-part item (O(1) for the dominant rank-1 case). The
-// item-resolution scratch (off, partSlot, partVal, distinct, zSlot) is
-// read from out, where batchInto prepared it. The work runs on the
-// blocked SoA kernels by default; UseScalarKernels(true) routes it
-// through the original scalar complex128 reference implementation.
-func (e *Engine) solveColumn(ws *workspace, omega float64, faults []fault.Fault, sets []fault.Set, out *Batch, j int) error {
-	// Path counters accumulate in the workspace for the column and flush
-	// to the shared atomics once at the end — including error returns, so
-	// partially solved columns are still attributed. Spans are recorded
-	// on the fault-set path only (see SetTracer); the single-fault GA
-	// fitness path pays one nil check here and nothing else.
-	if tr := e.tracer; tr != nil && sets != nil {
-		defer tr.StartSpan("engine.column").End()
-	}
-	ws.cDense, ws.cSparse, ws.cRank1, ws.cRankK, ws.cFallback = 0, 0, 0, 0, 0
-	ws.cSupernodal, ws.cPartial, ws.cPartialCols, ws.cDenseExact, ws.cDenseSingular = 0, 0, 0, 0, 0
-	var err error
-	if e.scalarKernels {
-		err = e.solveColumnScalar(ws, omega, faults, sets, out, j)
-	} else {
-		err = e.solveColumnBlocked(ws, omega, faults, sets, out, j)
-	}
-	e.stats.flush(ws)
-	return err
-}
-
-// solveColumnScalar is the scalar complex128 reference implementation
-// of solveColumn: one golden factorization and k+1 sequential one-RHS
-// triangular solves per frequency.
-func (e *Engine) solveColumnScalar(ws *workspace, omega float64, faults []fault.Fault, sets []fault.Set, out *Batch, j int) error {
-	s := complex(0, omega)
-	t := e.tmpl
-	ws.ensureScalarDense(t.n)
-	t.stampGolden(ws.m, s)
-	if err := ws.f.CopyFrom(ws.m); err != nil {
-		return err
-	}
-	if err := numeric.FactorReuse(&ws.lu, ws.f); err != nil {
-		return fmt.Errorf("engine: golden system at ω=%g: %w", omega, err)
-	}
-	ws.cDense++
-	lu := &ws.lu
-	if err := lu.SolveInto(ws.x0, t.b); err != nil {
-		return err
-	}
-	x0out := e.out(ws.x0)
-	out.Golden[j] = cmplx.Abs(x0out / e.amp)
-
-	for zi, si := range out.distinct {
-		for i := range ws.rhs {
-			ws.rhs[i] = 0
-		}
-		for _, ue := range t.slots[si].u {
-			ws.rhs[ue.idx] = ue.w
-		}
-		if err := lu.SolveInto(ws.z[zi], ws.rhs); err != nil {
-			return err
-		}
-	}
-
-	for fi := range out.Mags {
-		lo, hi := out.off[fi], out.off[fi+1]
-		if lo == hi {
-			out.Mags[fi][j] = out.Golden[j]
-			continue
-		}
-		if hi-lo > 1 {
-			if err := e.solveItemK(ws, s, omega, faults, sets, out, fi, j, x0out); err != nil {
-				return err
-			}
-			continue
-		}
-		si := out.partSlot[lo]
-		sl := &t.slots[si]
-		delta := sl.coeff(out.partVal[lo], s) - sl.coeff(sl.value, s)
-		if delta == 0 {
-			out.Mags[fi][j] = out.Golden[j]
-			continue
-		}
-		z := ws.z[out.zSlot[si]]
-		ws.cRank1++
-		vtz := sparseDot(sl.v, z)
-		den := 1 + delta*vtz
-		var zout complex128
-		if e.outIdx >= 0 {
-			zout = z[e.outIdx]
-		}
-		xout := x0out - delta*sparseDot(sl.v, ws.x0)/den*zout
-		if cmplx.Abs(den) < denGuard*(1+cmplx.Abs(delta*vtz)) ||
-			cmplx.Abs(xout) < cancelGuard*cmplx.Abs(x0out) {
-			// Ill-conditioned update or catastrophic cancellation: solve
-			// the faulted system exactly.
-			ws.cFallback++
-			if err := ws.f2.CopyFrom(ws.m); err != nil {
-				return err
-			}
-			t.addRank1(ws.f2, sl, delta)
-			if err := numeric.FactorReuse(&ws.lu2, ws.f2); err != nil {
-				return fmt.Errorf("engine: fault %s at ω=%g: %w", itemID(faults, sets, fi), omega, err)
-			}
-			ws.cDense++
-			if err := ws.lu2.SolveInto(ws.xf, t.b); err != nil {
-				return err
-			}
-			xout = e.out(ws.xf)
-		}
-		out.Mags[fi][j] = cmplx.Abs(xout / e.amp)
-	}
-	return nil
-}
-
-// solveItemK solves one k ≥ 2 part item of column j by the
-// Sherman–Morrison–Woodbury identity. With the update written as
-// Σ_a δ_a u_a v_aᵀ, the corrected solution is
-//
-//	x = x₀ − Z w,   (I_k + diag(δ) Vᵀ Z) w = diag(δ) Vᵀ x₀,
-//
-// where column b of Z is the already-computed z_b = A⁻¹ u_b shared with
-// every other item touching slot b. Only the k×k capacitance system is
-// new work. An ill-conditioned capacitance matrix (small pivot) or a
-// catastrophic cancellation in the output falls back to an exact
-// refactorization of the patched system — the same guards, and the same
-// fallback, as the rank-1 path.
-func (e *Engine) solveItemK(ws *workspace, s complex128, omega float64, faults []fault.Fault, sets []fault.Set, out *Batch, fi, j int, x0out complex128) error {
-	t := e.tmpl
-	lo, hi := out.off[fi], out.off[fi+1]
-	k := hi - lo
-	anyDelta := false
-	for a := 0; a < k; a++ {
-		sl := &t.slots[out.partSlot[lo+a]]
-		d := sl.coeff(out.partVal[lo+a], s) - sl.coeff(sl.value, s)
-		ws.delta[a] = d
-		if d != 0 {
-			anyDelta = true
-		}
-	}
-	if !anyDelta {
-		out.Mags[fi][j] = out.Golden[j]
-		return nil
-	}
-	ws.cRankK++
-	cm := ws.cmat[:k*k]
-	w := ws.wvec[:k]
-	for a := 0; a < k; a++ {
-		sl := &t.slots[out.partSlot[lo+a]]
-		w[a] = ws.delta[a] * sparseDot(sl.v, ws.x0)
-		for b := 0; b < k; b++ {
-			v := ws.delta[a] * sparseDot(sl.v, ws.z[out.zSlot[out.partSlot[lo+b]]])
-			if a == b {
-				v++
-			}
-			cm[a*k+b] = v
-		}
-	}
-	xout := x0out
-	ok := solveSmall(k, cm, w)
-	if ok && e.outIdx >= 0 {
-		for b := 0; b < k; b++ {
-			xout -= w[b] * ws.z[out.zSlot[out.partSlot[lo+b]]][e.outIdx]
-		}
-	}
-	if !ok || cmplx.Abs(xout) < cancelGuard*cmplx.Abs(x0out) {
-		ws.cFallback++
-		if err := ws.f2.CopyFrom(ws.m); err != nil {
-			return err
-		}
-		for a := 0; a < k; a++ {
-			t.addRank1(ws.f2, &t.slots[out.partSlot[lo+a]], ws.delta[a])
-		}
-		if err := numeric.FactorReuse(&ws.lu2, ws.f2); err != nil {
-			return fmt.Errorf("engine: fault %s at ω=%g: %w", itemID(faults, sets, fi), omega, err)
-		}
-		ws.cDense++
-		if err := ws.lu2.SolveInto(ws.xf, t.b); err != nil {
-			return err
-		}
-		xout = e.out(ws.xf)
-	}
-	out.Mags[fi][j] = cmplx.Abs(xout / e.amp)
-	return nil
-}
-
-// solveSmall solves the k×k dense complex system m·x = r in place
-// (row-major m; r is overwritten with the solution) by Gaussian
-// elimination with partial pivoting. It reports false — leaving the
-// caller to fall back to an exact solve — when a pivot falls below
-// denGuard relative to the matrix magnitude, the analogue of the rank-1
-// denominator guard.
-func solveSmall(k int, m, r []complex128) bool {
-	var norm float64
-	for _, v := range m {
-		if a := cmplx.Abs(v); a > norm {
-			norm = a
-		}
-	}
-	if norm == 0 {
-		return false
-	}
-	for col := 0; col < k; col++ {
-		p, pa := col, cmplx.Abs(m[col*k+col])
-		for row := col + 1; row < k; row++ {
-			if a := cmplx.Abs(m[row*k+col]); a > pa {
-				p, pa = row, a
-			}
-		}
-		if pa < denGuard*norm {
-			return false
-		}
-		if p != col {
-			for c := col; c < k; c++ {
-				m[p*k+c], m[col*k+c] = m[col*k+c], m[p*k+c]
-			}
-			r[p], r[col] = r[col], r[p]
-		}
-		inv := 1 / m[col*k+col]
-		for row := col + 1; row < k; row++ {
-			f := m[row*k+col] * inv
-			if f == 0 {
-				continue
-			}
-			for c := col + 1; c < k; c++ {
-				m[row*k+c] -= f * m[col*k+c]
-			}
-			r[row] -= f * r[col]
-		}
-	}
-	for row := k - 1; row >= 0; row-- {
-		v := r[row]
-		for c := row + 1; c < k; c++ {
-			v -= m[row*k+c] * r[c]
-		}
-		r[row] = v / m[row*k+row]
-	}
-	return true
 }

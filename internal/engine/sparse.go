@@ -11,10 +11,10 @@ import (
 // static entries plus each slot's u·vᵀ rank-1 pattern — and that pattern
 // is frequency-independent, so the symbolic analysis (transversal +
 // minimum-degree ordering + fill pattern, numeric.AnalyzeSparse) runs
-// once per circuit at Compile time. Per frequency the blocked column
-// solver then only writes coefficient values into flat planes indexed by
-// this program and calls SparseLU.RefactorReuse: no index discovery, no
-// allocation.
+// once per circuit at Compile time. Per frequency the column solver then
+// only writes coefficient values into flat planes indexed by this
+// program; prepareGroup refactors FreqBlock such plane sets in one
+// numeric.BlockRefactorer walk. No index discovery, no allocation.
 
 // sparseProgram maps the template's stamp contributions onto value-plane
 // positions of the compiled sparse pattern.
@@ -133,8 +133,9 @@ func (t *Template) SparsePattern() *numeric.SparseSymbolic {
 }
 
 // StampSparse writes the golden A(jω) values onto the compiled sparse
-// pattern's planes (each of length SparsePattern().LUNNZ()) — the
-// benchmark harness uses it to time the numeric phase in isolation.
+// pattern's planes (each of length SparsePattern().LUNNZ()) — benchmark
+// harnesses use it to time the numeric phase in isolation and to check
+// the engine's golden solves against SparseLU.RefactorReuse.
 func (t *Template) StampSparse(re, im []float64, omega float64) error {
 	if t.sparse == nil {
 		return fmt.Errorf("engine: template has no sparse pattern")

@@ -30,10 +30,12 @@ type PathStats struct {
 	// resolution was served from / recomputed into the engine memo.
 	MemoHits   atomic.Int64
 	MemoMisses atomic.Int64
-	// SupernodalRefactors counts golden refactorizations that ran on the
-	// supernodal numeric phase (frequency-blocked group columns and
-	// single-column supernodal/parallel refactors), a subset of
-	// SparseFactors.
+	// SupernodalRefactors counts sparse golden columns refactored by the
+	// frequency-blocked numeric phase (numeric.BlockRefactorer, the only
+	// sparse golden refactorization), one per successfully refactored
+	// batch column — padding planes of a short last group are not
+	// counted. A subset of SparseFactors; the name predates the blocked
+	// walk and is kept for report and metric continuity.
 	SupernodalRefactors atomic.Int64
 	// PartialRefactors counts exact fallbacks served by a partial
 	// refactorization from the column's golden factors instead of a

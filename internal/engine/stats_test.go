@@ -82,23 +82,6 @@ func TestPathStatsCounting(t *testing.T) {
 		t.Errorf("set batches must not touch the memo counters")
 	}
 
-	// Scalar reference path keeps the same books.
-	eng2, err := New(cut.Circuit, cut.Source, cut.Output)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng2.UseScalarKernels(true)
-	if _, err := eng2.BatchResponses(nil, faults, omegas, 1); err != nil {
-		t.Fatal(err)
-	}
-	s2 := eng2.Stats()
-	if s2.Rank1Solves != wantRank1 {
-		t.Errorf("scalar Rank1Solves = %d, want %d", s2.Rank1Solves, wantRank1)
-	}
-	if s2.DenseFactors != int64(len(omegas))+s2.ExactFallbacks {
-		t.Errorf("scalar DenseFactors = %d, want columns %d + fallbacks %d",
-			s2.DenseFactors, len(omegas), s2.ExactFallbacks)
-	}
 }
 
 // TestSnapshotAdd pins the aggregation arithmetic the serving layer

@@ -9,17 +9,20 @@ import (
 	"repro/internal/numeric"
 )
 
-// This file pins the supernodal numeric-phase wiring: the frequency-
-// blocked group refactorization and single-column supernodal refactors
-// against the scalar sparse walk and the dense reference, the partial-
-// refactorization exact fallback (counter-asserted — no dense work), and
-// bit-identity of the group decomposition across worker counts.
+// This file pins the sparse numeric-phase wiring: frequency groups
+// refactored by numeric.BlockRefactorer (padded when short) against the
+// dense path and the full-LU reference, the partial-refactorization
+// exact fallback (counter-asserted — no dense work), and bit-identity of
+// the group decomposition across worker counts.
 
-// TestSupernodalThreeWayEquivalence is the tentpole acceptance pin: on
-// sparse CUTs including the 2-D rc-grid family, the supernodal blocked
-// path (frequency groups + supernodal single columns), the scalar sparse
-// walk (UseScalarSparse), and the dense path agree to 1e-9 relative over
-// single and double faults at worker counts {1, 4, NumCPU}.
+// TestSupernodalThreeWayEquivalence is the sparse acceptance pin on the
+// rc-grid and rc-ladder families, three ways: batches of 1, 2, 3, 5 and
+// 9 frequencies — every group shape, padded or full — on the sparse path
+// must match the dense path to 1e-9 relative over single and double
+// faults, match the ResponseSet full-LU reference on a sample of items,
+// and be bit-identical at worker counts {1, 2, 4}. Every sparse golden
+// column must be refactored by the blocked walk: the SupernodalRefactors
+// delta of each batch equals its column count.
 func TestSupernodalThreeWayEquivalence(t *testing.T) {
 	grid, err := circuits.RCGrid(8)
 	if err != nil {
@@ -45,18 +48,15 @@ func TestSupernodalThreeWayEquivalence(t *testing.T) {
 			for i, p := range pairs {
 				doubles[i] = p
 			}
-			// 9 frequencies: two full FreqBlock groups plus a remainder, so
-			// both the group walk and the single-column supernodal refactor
-			// run inside one batch.
 			w0 := cut.Omega0
-			omegas := []float64{w0 / 8, w0 / 4, w0 / 2, w0 * 0.8, w0, w0 * 1.3, w0 * 2, w0 * 4, w0 * 8}
+			all := []float64{w0 / 8, w0 / 4, w0 / 2, w0 * 0.8, w0, w0 * 1.3, w0 * 2, w0 * 4, w0 * 8}
 
 			eng.SetFactorPath(FactorDense)
-			refS, err := eng.BatchResponses(nil, singles, omegas, 1)
+			refS, err := eng.BatchResponses(nil, singles, all, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			refD, err := eng.BatchResponsesSets(nil, doubles, omegas, 1)
+			refD, err := eng.BatchResponsesSets(nil, doubles, all, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,56 +67,107 @@ func TestSupernodalThreeWayEquivalence(t *testing.T) {
 				}
 			}
 			floor := 1e-3 * peak
+			// The full-LU reference on every 17th single and every 5th
+			// double (items 0 — the golden and the first pair — included).
+			exactS := map[int][]float64{}
+			for i := 0; i < len(singles); i += 17 {
+				for _, w := range all {
+					v, err := eng.Response(singles[i], w)
+					if err != nil {
+						t.Fatal(err)
+					}
+					exactS[i] = append(exactS[i], v)
+				}
+			}
+			exactD := map[int][]float64{}
+			for i := 0; i < len(doubles); i += 5 {
+				for _, w := range all {
+					v, err := eng.ResponseSet(doubles[i], w)
+					if err != nil {
+						t.Fatal(err)
+					}
+					exactD[i] = append(exactD[i], v)
+				}
+			}
 
 			eng.SetFactorPath(FactorSparse)
-			for _, scalarSparse := range []bool{false, true} {
-				eng.UseScalarSparse(scalarSparse)
-				for _, workers := range sparseWorkerCounts() {
-					tag := fmt.Sprintf("scalarSparse=%v workers=%d", scalarSparse, workers)
+			for _, m := range []int{1, 2, 3, 5, 9} {
+				omegas := all[:m]
+				var baseS, baseD *Batch
+				for _, workers := range []int{1, 2, 4} {
+					tag := fmt.Sprintf("%d freqs, workers=%d", m, workers)
+					before := eng.Stats().SupernodalRefactors
 					gotS, err := eng.BatchResponses(nil, singles, omegas, workers)
 					if err != nil {
 						t.Fatal(err)
 					}
-					for j := range omegas {
-						if re := relErrFloor(gotS.Golden[j], refS.Golden[j], floor); re > 1e-9 {
-							t.Fatalf("%s golden ω=%g: %.15g vs dense %.15g (rel %.3g)",
-								tag, omegas[j], gotS.Golden[j], refS.Golden[j], re)
-						}
-					}
-					for i := range singles {
-						for j := range omegas {
-							if re := relErrFloor(gotS.Mags[i][j], refS.Mags[i][j], floor); re > 1e-9 {
-								t.Fatalf("%s fault %s ω=%g: %.15g vs dense %.15g (rel %.3g)",
-									tag, singles[i].ID(), omegas[j], gotS.Mags[i][j], refS.Mags[i][j], re)
-							}
-						}
-					}
+					mid := eng.Stats().SupernodalRefactors
 					gotD, err := eng.BatchResponsesSets(nil, doubles, omegas, workers)
 					if err != nil {
 						t.Fatal(err)
 					}
-					for i := range doubles {
-						for j := range omegas {
-							if re := relErrFloor(gotD.Mags[i][j], refD.Mags[i][j], floor); re > 1e-9 {
-								t.Fatalf("%s set %s ω=%g: %.15g vs dense %.15g (rel %.3g)",
-									tag, doubles[i].ID(), omegas[j], gotD.Mags[i][j], refD.Mags[i][j], re)
-							}
-						}
+					after := eng.Stats().SupernodalRefactors
+					if mid-before != int64(m) || after-mid != int64(m) {
+						t.Fatalf("%s: blocked golden refactors %d (singles) and %d (doubles), want %d each",
+							tag, mid-before, after-mid, m)
 					}
+					if workers == 1 {
+						checkBatch(t, tag+" vs dense", gotS, refS, floor)
+						checkBatch(t, tag+" vs dense", gotD, refD, floor)
+						checkExact(t, tag+" vs full LU", gotS, exactS, floor)
+						checkExact(t, tag+" vs full LU", gotD, exactD, floor)
+						baseS, baseD = gotS, gotD
+						continue
+					}
+					checkBitIdentical(t, tag, gotS, baseS)
+					checkBitIdentical(t, tag, gotD, baseD)
 				}
 			}
-			eng.UseScalarSparse(false)
-
-			// The supernodal paths did the golden work: every sparse golden
-			// refactor above outside scalar-sparse mode is counted.
-			s := eng.Stats()
-			if s.SupernodalRefactors == 0 {
-				t.Error("no supernodal refactors counted on a sparse CUT batch")
-			}
-			if s.SupernodalRefactors > s.SparseFactors {
-				t.Errorf("supernodal %d > sparse %d", s.SupernodalRefactors, s.SparseFactors)
-			}
 		})
+	}
+}
+
+// checkBatch compares got against the leading columns of ref to 1e-9
+// relative (with the notch-null noise floor).
+func checkBatch(t *testing.T, tag string, got, ref *Batch, floor float64) {
+	t.Helper()
+	for j := range got.Omegas {
+		if re := relErrFloor(got.Golden[j], ref.Golden[j], floor); re > 1e-9 {
+			t.Fatalf("%s: golden ω=%g: %.15g vs %.15g (rel %.3g)", tag, got.Omegas[j], got.Golden[j], ref.Golden[j], re)
+		}
+		for i := range got.Mags {
+			if re := relErrFloor(got.Mags[i][j], ref.Mags[i][j], floor); re > 1e-9 {
+				t.Fatalf("%s: item %d ω=%g: %.15g vs %.15g (rel %.3g)", tag, i, got.Omegas[j], got.Mags[i][j], ref.Mags[i][j], re)
+			}
+		}
+	}
+}
+
+// checkExact compares the sampled rows of got against their full-LU
+// reference values to 1e-9 relative.
+func checkExact(t *testing.T, tag string, got *Batch, exact map[int][]float64, floor float64) {
+	t.Helper()
+	for i, want := range exact {
+		for j := range got.Omegas {
+			if re := relErrFloor(got.Mags[i][j], want[j], floor); re > 1e-9 {
+				t.Fatalf("%s: item %d ω=%g: %.15g vs %.15g (rel %.3g)", tag, i, got.Omegas[j], got.Mags[i][j], want[j], re)
+			}
+		}
+	}
+}
+
+// checkBitIdentical requires got to equal base exactly.
+func checkBitIdentical(t *testing.T, tag string, got, base *Batch) {
+	t.Helper()
+	for j := range got.Omegas {
+		if got.Golden[j] != base.Golden[j] {
+			t.Fatalf("%s: golden ω=%g: %.17g != %.17g (1 worker)", tag, got.Omegas[j], got.Golden[j], base.Golden[j])
+		}
+		for i := range got.Mags {
+			if got.Mags[i][j] != base.Mags[i][j] {
+				t.Fatalf("%s: item %d ω=%g: %.17g != %.17g (1 worker)", tag, i, got.Omegas[j], got.Mags[i][j], base.Mags[i][j])
+			}
+		}
 	}
 }
 
@@ -132,7 +183,7 @@ func mustUniverse(t *testing.T, cut circuits.CUT) *fault.Universe {
 // TestSparseWorkerCountBitIdentical pins the group decomposition: the
 // frequency-group boundaries depend only on the omega list, never on the
 // worker count, so sparse batch results must be bit-identical — not just
-// 1e-9-close — at every worker count, including group/remainder splits.
+// 1e-9-close — at every worker count, including a padded last group.
 func TestSparseWorkerCountBitIdentical(t *testing.T) {
 	grid, err := circuits.RCGrid(8)
 	if err != nil {
@@ -145,7 +196,7 @@ func TestSparseWorkerCountBitIdentical(t *testing.T) {
 	eng.SetFactorPath(FactorSparse)
 	singles := paperSingles(t, grid)
 	w0 := grid.Omega0
-	// 10 frequencies: two full groups + two remainder columns.
+	// 10 frequencies: two full groups + a padded group of two columns.
 	omegas := make([]float64, 10)
 	for i := range omegas {
 		omegas[i] = w0 * (0.2 + 0.35*float64(i))
@@ -159,19 +210,7 @@ func TestSparseWorkerCountBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for j := range omegas {
-			if got.Golden[j] != ref.Golden[j] {
-				t.Fatalf("workers=%d golden ω=%g: %.17g != %.17g", workers, omegas[j], got.Golden[j], ref.Golden[j])
-			}
-		}
-		for i := range singles {
-			for j := range omegas {
-				if got.Mags[i][j] != ref.Mags[i][j] {
-					t.Fatalf("workers=%d fault %s ω=%g: %.17g != %.17g",
-						workers, singles[i].ID(), omegas[j], got.Mags[i][j], ref.Mags[i][j])
-				}
-			}
-		}
+		checkBitIdentical(t, fmt.Sprintf("workers=%d", workers), got, ref)
 	}
 }
 
@@ -269,6 +308,9 @@ func TestPartialRefactorServesSMWFallback(t *testing.T) {
 // allocation pin to the frequency-group path: with two full FreqBlock
 // groups per batch, repeated batches allocate nothing.
 func TestSupernodalGroupBatchAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation drops pooled workspaces; counts are meaningless")
+	}
 	lad, err := circuits.RCLadder(80)
 	if err != nil {
 		t.Fatal(err)

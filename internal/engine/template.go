@@ -11,14 +11,19 @@
 // exactly one scalar coefficient times a rank-1 pattern, so a parametric
 // fault is a rank-1 perturbation of the golden matrix and a simultaneous
 // k-component fault is a rank-k one. Per frequency the engine factors
-// the golden system once, performs one z-solve per distinct slot in the
-// batch, and then solves every single fault via the Sherman–Morrison
+// the golden system once — a dense SoA LU for small circuits, or, for
+// large sparse ones, a numeric refactorization on the pattern compiled
+// here, FreqBlock frequencies per walk (sparse.go) — performs one
+// z-solve per distinct slot in the batch in a single multi-RHS block
+// solve, and then solves every single fault via the Sherman–Morrison
 // identity and every k-part fault set via the Sherman–Morrison–Woodbury
 // identity (a k×k capacitance system over the shared z vectors), falling
-// back to a full LU when an update is ill-conditioned. Frequencies fan
-// out over a worker pool with per-worker scratch workspaces, so a whole
-// dictionary grid costs one O(n³) factorization per frequency instead of
-// one per (fault, frequency).
+// back to an exact solve when an update is ill-conditioned (blocked.go).
+// Frequencies fan out over a worker pool with per-worker scratch
+// workspaces, so a whole dictionary grid costs one golden factorization
+// per frequency instead of one per (fault, frequency). ResponseSet
+// factors each (fault set, frequency) from scratch with a plain complex
+// LU; it is the independent reference the batch path is tested against.
 package engine
 
 import (

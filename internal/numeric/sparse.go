@@ -19,9 +19,14 @@ import (
 //     low, and a symbolic elimination computes the static L+U fill
 //     pattern and row schedule shared by every numeric factorization;
 //
-//   - SparseLU.RefactorReuse — numeric-only refactorization into
-//     caller-owned storage on the compiled pattern: no pivot search, no
-//     index discovery, no allocation in steady state; and
+//   - BlockRefactorer.RefactorBlock (freqblock.go) — the numeric-only
+//     refactorization the engine runs: FreqBlock frequencies' value
+//     planes eliminated in one walk over the compiled pattern into
+//     caller-owned SparseLUs, with no pivot search, no index discovery
+//     and no allocation in steady state. SparseLU.RefactorReuse is the
+//     same elimination one plane at a time — the scalar reference the
+//     blocked walk is pinned against, and the row kernel PartialRefactor
+//     reuses; and
 //
 //   - SolveBlock / SolveBlockInto / SolveInto — allocation-free
 //     triangular sweeps, over a whole multi-RHS Block panel or a single
@@ -58,16 +63,10 @@ type SparseSymbolic struct {
 
 	annz int // structural nonzeros of A before fill-in
 
-	// Supernodal schedule (see supernodal.go): maximal runs of permuted
-	// rows with nested U patterns and dense in-block L, their dependency
-	// DAG, and a level-set order for parallel refactorization. Computed
-	// once by AnalyzeSparse, immutable afterwards.
+	// Supernodes (see supernodal.go): maximal runs of permuted rows with
+	// nested U patterns and dense in-block L. Computed once by
+	// AnalyzeSparse, immutable afterwards.
 	snStart  []int32 // supernode s covers permuted rows [snStart[s], snStart[s+1]); len S+1
-	snOf     []int32 // permuted row → its supernode
-	depOff   []int32 // CSR offsets over depSn; len S+1
-	depSn    []int32 // ascending dependency supernodes per supernode
-	lvlOff   []int32 // CSR offsets over lvlSn; len L+1
-	lvlSn    []int32 // supernodes grouped by DAG level, ascending within each
 	maxPanel int     // widest supernode (≤ maxPanelWidth)
 }
 
@@ -143,8 +142,8 @@ func AnalyzeSparse(n int, rows [][]int) (*SparseSymbolic, error) {
 // recomputes the symbolic fill. For the (near-)symmetric patterns MNA
 // produces this is the classic fill-preserving relabeling that makes
 // the members of each fundamental supernode consecutive — without it,
-// minimum degree interleaves structurally identical rows and the
-// supernodal phase degenerates to singletons. Any relabeling is correct
+// minimum degree interleaves structurally identical rows and supernode
+// detection finds only singletons. Any relabeling is correct
 // (the fill is recomputed); this one only changes which equivalent
 // order we factor in.
 func (s *SparseSymbolic) postorderReorder(adj [][]int) {
@@ -475,10 +474,8 @@ type SparseLU struct {
 
 	guard2 float64 // squared pivot guard of the last refactorization
 
-	panels  []panelScratch // per-worker supernodal panel scratch
-	lvlCur  []int64        // per-level claim cursors for RefactorParallel
-	markRow []int          // partial-refactor affected-row stamps
-	markGen int            // current stamp generation for markRow
+	markRow []int // partial-refactor affected-row stamps
+	markGen int   // current stamp generation for markRow
 }
 
 // Sym returns the symbolic pattern of the last refactorization (nil
@@ -508,10 +505,10 @@ func (f *SparseLU) RefactorReuse(sym *SparseSymbolic, are, aim []float64) error 
 
 // prepRefactor validates shapes, sizes the factor storage and scratch,
 // and derives the squared pivot guard from the input magnitude. It is
-// the shared head of every refactorization flavor (scalar, supernodal,
-// parallel). The value planes are NOT copied: the elimination scatters
-// each row from the input planes and gathers the factored row into
-// f.vre/f.vim, so untouched garbage in f.vre is never read.
+// the shared head of every refactorization flavor (scalar, frequency-
+// blocked, partial). The value planes are NOT copied: the elimination
+// scatters each row from the input planes and gathers the factored row
+// into f.vre/f.vim, so untouched garbage in f.vre is never read.
 func (f *SparseLU) prepRefactor(sym *SparseSymbolic, are, aim []float64) error {
 	nnz := len(sym.cols)
 	if len(are) != nnz || len(aim) != nnz {
@@ -550,18 +547,12 @@ func (f *SparseLU) prepRefactor(sym *SparseSymbolic, are, aim []float64) error {
 // up-looking scalar sweep: scatter the row's input values into the dense
 // work row, eliminate against every factored row in its L pattern
 // ascending, gather the finished row into the factor planes, and invert
-// the pivot. The supernodal path performs the same per-position
-// arithmetic in the same order, so both produce bit-identical factors.
+// the pivot. RefactorBlock performs the same per-plane arithmetic in the
+// same order.
 func (f *SparseLU) factorRowScalar(i int, are, aim []float64) error {
-	return f.factorRowInto(i, are, aim, f.wre, f.wim)
-}
-
-// factorRowInto is factorRowScalar on a caller-chosen work row — the
-// parallel supernodal path hands each worker its own panel scratch so
-// singleton supernodes can take this exact scalar walk race-free.
-func (f *SparseLU) factorRowInto(i int, are, aim []float64, wre, wim []float64) error {
 	sym := f.sym
 	vre, vim := f.vre, f.vim
+	wre, wim := f.wre, f.wim
 	cols, rs, dp := sym.cols, sym.rowStart, sym.diagPos
 	lo, hi := rs[i], rs[i+1]
 	// Scatter row i into the dense work row; all positions touched

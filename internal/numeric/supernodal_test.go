@@ -2,9 +2,7 @@ package numeric
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -12,7 +10,7 @@ import (
 // gridSystem builds the pattern and value planes of a k×k 5-point mesh
 // (the shape of the rc-grid CUT family): diagonally dominant complex
 // values on a 2-D grid graph. Real fill, real supernodes — the pattern
-// class the supernodal phase exists for.
+// class of the thousand-node CUTs.
 func gridSystem(rng *rand.Rand, k int) (int, [][]int, func(sym *SparseSymbolic) ([]float64, []float64)) {
 	n := k * k
 	rows := make([][]int, n)
@@ -59,58 +57,6 @@ func gridSystem(rng *rand.Rand, k int) (int, [][]int, func(sym *SparseSymbolic) 
 	return n, rows, planes
 }
 
-// TestSupernodalMatchesScalarBitIdentical pins the core contract: the
-// supernodal and parallel refactorizations produce factors bit-identical
-// to the scalar sweep — same vre/vim/ire/iim, float for float — on
-// random unsymmetric systems and on grid meshes, at several worker
-// counts.
-func TestSupernodalMatchesScalarBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	type caseSys struct {
-		name string
-		sym  *SparseSymbolic
-		re   []float64
-		im   []float64
-	}
-	var cases []caseSys
-	for trial := 0; trial < 30; trial++ {
-		n := 1 + rng.Intn(40)
-		m, rows := randSparseSystem(rng, n)
-		sym, err := AnalyzeSparse(n, rows)
-		if err != nil {
-			t.Fatalf("analyze: %v", err)
-		}
-		re, im := planesFor(t, sym, m)
-		cases = append(cases, caseSys{fmt.Sprintf("rand-%d", n), sym, re, im})
-	}
-	for _, k := range []int{3, 8, 16, 23} {
-		n, rows, planes := gridSystem(rng, k)
-		sym, err := AnalyzeSparse(n, rows)
-		if err != nil {
-			t.Fatalf("grid analyze: %v", err)
-		}
-		re, im := planes(sym)
-		cases = append(cases, caseSys{fmt.Sprintf("grid-%d", k), sym, re, im})
-	}
-	for _, cs := range cases {
-		var ref, sup SparseLU
-		if err := ref.RefactorReuse(cs.sym, cs.re, cs.im); err != nil {
-			t.Fatalf("%s: scalar refactor: %v", cs.name, err)
-		}
-		if err := sup.RefactorSupernodal(cs.sym, cs.re, cs.im); err != nil {
-			t.Fatalf("%s: supernodal refactor: %v", cs.name, err)
-		}
-		compareFactors(t, cs.name+" supernodal", &ref, &sup)
-		for _, workers := range []int{2, 4, runtime.NumCPU()} {
-			var par SparseLU
-			if err := par.RefactorParallel(cs.sym, cs.re, cs.im, workers); err != nil {
-				t.Fatalf("%s: parallel(%d) refactor: %v", cs.name, workers, err)
-			}
-			compareFactors(t, fmt.Sprintf("%s parallel(%d)", cs.name, workers), &ref, &par)
-		}
-	}
-}
-
 func compareFactors(t *testing.T, name string, want, got *SparseLU) {
 	t.Helper()
 	for i := range want.vre {
@@ -126,9 +72,10 @@ func compareFactors(t *testing.T, name string, want, got *SparseLU) {
 	}
 }
 
-// TestSupernodeScheduleInvariants checks the detected schedule: runs
-// cover [0,n) in order, widths respect the cap, every dependency
-// precedes its dependent, and levels strictly order dependencies.
+// TestSupernodeScheduleInvariants checks the detected supernode runs:
+// they cover [0,n) in ascending order, widths respect the cap, MaxPanel
+// is the widest run, and every run satisfies the two defining
+// invariants (nested U, dense in-block L).
 func TestSupernodeScheduleInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	n, rows, _ := gridSystem(rng, 20)
@@ -144,32 +91,44 @@ func TestSupernodeScheduleInvariants(t *testing.T) {
 		t.Fatalf("MaxPanel %d out of [1,%d]", sym.MaxPanel(), maxPanelWidth)
 	}
 	// A 20×20 mesh must actually produce multi-row supernodes, or the
-	// blocked phase is vacuous.
+	// detection is vacuous.
 	if sym.MaxPanel() < 4 {
 		t.Fatalf("grid mesh produced MaxPanel %d; expected real supernodes", sym.MaxPanel())
 	}
-	level := make([]int, S)
-	for lv := 0; lv < sym.Levels(); lv++ {
-		for x := sym.lvlOff[lv]; x < sym.lvlOff[lv+1]; x++ {
-			level[sym.lvlSn[x]] = lv
-		}
-	}
+	rs, dp, cols := sym.rowStart, sym.diagPos, sym.cols
+	widest := 0
 	for sn := 0; sn < S; sn++ {
-		for di := sym.depOff[sn]; di < sym.depOff[sn+1]; di++ {
-			d := int(sym.depSn[di])
-			if d >= sn {
-				t.Fatalf("supernode %d depends on non-earlier %d", sn, d)
+		lo, hi := int(sym.snStart[sn]), int(sym.snStart[sn+1])
+		if hi <= lo || hi-lo > maxPanelWidth {
+			t.Fatalf("supernode %d spans [%d,%d)", sn, lo, hi)
+		}
+		if hi-lo > widest {
+			widest = hi - lo
+		}
+		for r := lo + 1; r < hi; r++ {
+			// (1) nested U: U(r) = U(r-1) minus its diagonal.
+			if rs[r+1]-dp[r] != rs[r]-dp[r-1]-1 {
+				t.Fatalf("supernode %d row %d: U length not nested", sn, r)
 			}
-			if level[d] >= level[sn] {
-				t.Fatalf("dependency %d (level %d) not below %d (level %d)", d, level[d], sn, level[sn])
+			for q := 0; q < rs[r+1]-dp[r]; q++ {
+				if cols[dp[r]+q] != cols[dp[r-1]+1+q] {
+					t.Fatalf("supernode %d row %d: U pattern not nested", sn, r)
+				}
+			}
+			// (2) dense in-block L: columns lo … r-1 just left of the diagonal.
+			w := r - lo
+			if dp[r]-rs[r] < w {
+				t.Fatalf("supernode %d row %d: in-block L too short", sn, r)
+			}
+			for q := 0; q < w; q++ {
+				if cols[dp[r]-w+q] != lo+q {
+					t.Fatalf("supernode %d row %d: in-block L not dense", sn, r)
+				}
 			}
 		}
 	}
-	for i := 0; i < n; i++ {
-		sn := int(sym.snOf[i])
-		if i < int(sym.snStart[sn]) || i >= int(sym.snStart[sn+1]) {
-			t.Fatalf("snOf[%d]=%d outside its run", i, sn)
-		}
+	if widest != sym.MaxPanel() {
+		t.Fatalf("MaxPanel %d, widest run %d", sym.MaxPanel(), widest)
 	}
 }
 
@@ -305,55 +264,6 @@ func TestPartialRefactorGuards(t *testing.T) {
 	if _, err := f.PartialRefactor(&base, sing, im, []int{0, 1}); !errors.Is(err, ErrSingular) {
 		t.Fatalf("singular patch: got %v, want ErrSingular", err)
 	}
-	// After a failed supernodal elimination the scratch must stay clean:
-	// a following good refactorization still matches the scalar sweep.
-	var sup SparseLU
-	if err := sup.RefactorSupernodal(sym, sing, im); !errors.Is(err, ErrSingular) {
-		t.Fatalf("supernodal singular: got %v, want ErrSingular", err)
-	}
-	if err := sup.RefactorSupernodal(sym, re, im); err != nil {
-		t.Fatalf("supernodal after failure: %v", err)
-	}
-	var ref SparseLU
-	if err := ref.RefactorReuse(sym, re, im); err != nil {
-		t.Fatalf("scalar: %v", err)
-	}
-	compareFactors(t, "post-failure supernodal", &ref, &sup)
-}
-
-// TestSupernodalRefactorAllocationFree pins the steady-state contract
-// for the sequential supernodal path (the per-frequency hot path): after
-// one warm-up, refactor + block solve performs no heap allocation. The
-// parallel path is excluded — it spawns goroutines by design.
-func TestSupernodalRefactorAllocationFree(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	n, rows, planes := gridSystem(rng, 12)
-	sym, err := AnalyzeSparse(n, rows)
-	if err != nil {
-		t.Fatalf("analyze: %v", err)
-	}
-	re, im := planes(sym)
-	var f SparseLU
-	blk := NewBlock(n, 4)
-	rhs := NewBlock(n, 4)
-	for c := 0; c < 4; c++ {
-		for i := 0; i < n; i++ {
-			rhs.Set(i, c, complex(rng.Float64(), rng.Float64()))
-		}
-	}
-	run := func() {
-		if err := f.RefactorSupernodal(sym, re, im); err != nil {
-			t.Fatalf("refactor: %v", err)
-		}
-		blk.CopyFrom(rhs)
-		if err := f.SolveBlock(blk); err != nil {
-			t.Fatalf("solve: %v", err)
-		}
-	}
-	run()
-	if avg := testing.AllocsPerRun(20, run); avg > 0 {
-		t.Fatalf("supernodal refactor+solve allocates %.1f times per run after warm-up", avg)
-	}
 }
 
 // TestPartialRefactorAllocationFree pins the same contract for the
@@ -383,35 +293,5 @@ func TestPartialRefactorAllocationFree(t *testing.T) {
 	run()
 	if avg := testing.AllocsPerRun(20, run); avg > 0 {
 		t.Fatalf("partial refactor allocates %.1f times per run after warm-up", avg)
-	}
-}
-
-// BenchmarkSparseRefactor compares the scalar and supernodal numeric
-// phases on mesh patterns of increasing size (the ftbench sparse suite
-// measures the same thing through the engine).
-func BenchmarkSparseRefactor(b *testing.B) {
-	for _, k := range []int{16, 32, 45} {
-		rng := rand.New(rand.NewSource(5))
-		n, rows, planes := gridSystem(rng, k)
-		sym, err := AnalyzeSparse(n, rows)
-		if err != nil {
-			b.Fatalf("analyze: %v", err)
-		}
-		re, im := planes(sym)
-		var f SparseLU
-		b.Run(fmt.Sprintf("scalar/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := f.RefactorReuse(sym, re, im); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("supernodal/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := f.RefactorSupernodal(sym, re, im); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -164,7 +164,7 @@ func WriteEnginePrometheus(w io.Writer, s engine.PathStatsSnapshot) {
 	counter("exact_fallbacks_total", "items re-solved by exact refactorization", s.ExactFallbacks)
 	counter("memo_hits_total", "fault-resolution memo hits", s.MemoHits)
 	counter("memo_misses_total", "fault-resolution memo misses", s.MemoMisses)
-	counter("supernodal_refactors_total", "golden refactorizations on the supernodal numeric phase", s.SupernodalRefactors)
+	counter("supernodal_refactors_total", "sparse golden columns refactored by the frequency-blocked numeric phase", s.SupernodalRefactors)
 	counter("partial_refactors_total", "exact fallbacks served by partial refactorization", s.PartialRefactors)
 	counter("partial_refactor_columns_total", "matrix columns re-eliminated by partial refactors", s.PartialRefactorColumns)
 	counter("dense_fallback_exact_total", "dense factorizations after a singular partial refactor", s.DenseFallbackExact)

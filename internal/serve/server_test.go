@@ -131,6 +131,9 @@ func TestServerErrorMapping(t *testing.T) {
 		want int
 	}{
 		{"unknown CUT", map[string]any{"cut": "nope", "fault": map[string]any{"component": "R1", "deviation": 0.2}}, 404},
+		// A family size past the circuits cap (10¹⁰ unknowns) is refused
+		// at name resolution, before any circuit is constructed.
+		{"oversized family CUT", map[string]any{"cut": "rc-grid-100000", "fault": map[string]any{"component": "Rh0x0", "deviation": 0.2}}, 404},
 		{"unknown component", map[string]any{"cut": "nf-lowpass-7", "fault": map[string]any{"component": "R99", "deviation": 0.2}}, 404},
 		{"bad point dimension", map[string]any{"cut": "nf-lowpass-7", "point": []float64{1, 2, 3}}, 400},
 		{"empty request", map[string]any{"cut": "nf-lowpass-7"}, 400},

@@ -1,6 +1,9 @@
 package repro
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestPaperGADeterministicOptimum runs the paper's full GA configuration
 // (128 individuals, 15 generations) on the paper CUT twice with the
@@ -8,19 +11,20 @@ import "testing"
 // the zero-intersection optimum (fitness 1), matching the seed
 // implementation's result on this workload.
 func TestPaperGADeterministicOptimum(t *testing.T) {
-	p, err := NewPipeline(PaperCUT(), nil)
+	s, err := NewSession(PaperCUT())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := PaperOptimizeConfig(p.CUT().Omega0)
-	tv1, err := p.Optimize(cfg)
+	ctx := context.Background()
+	cfg := PaperOptimizeConfig(s.CUT().Omega0)
+	tv1, err := s.Optimize(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tv1.Fitness < 1 || tv1.Intersections != 0 {
 		t.Fatalf("fitness = %g (I = %d), want the zero-intersection optimum", tv1.Fitness, tv1.Intersections)
 	}
-	tv2, err := p.Optimize(cfg)
+	tv2, err := s.Optimize(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

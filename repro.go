@@ -34,8 +34,6 @@
 // dictionary grids, test vectors, trajectory maps — as versioned,
 // checksummed JSON (SaveDictionary / SaveTestVector / SaveTrajectories
 // and the matching Load functions).
-//
-// The v1 Pipeline type remains as a deprecated shim over Session.
 package repro
 
 import (

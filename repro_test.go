@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -45,70 +46,70 @@ func TestPaperConstants(t *testing.T) {
 	}
 }
 
-func TestPipelineEndToEnd(t *testing.T) {
-	p, err := NewPipeline(PaperCUT(), nil)
+func TestSessionEndToEnd(t *testing.T) {
+	s, err := NewSession(PaperCUT())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.CUT().Circuit.Name() != "nf-lowpass-7" {
+	if s.CUT().Circuit.Name() != "nf-lowpass-7" {
 		t.Fatal("CUT accessor wrong")
 	}
 	// A reduced GA run end to end.
-	cfg := PaperOptimizeConfig(p.CUT().Omega0)
+	ctx := context.Background()
+	cfg := PaperOptimizeConfig(s.CUT().Omega0)
 	cfg.GA.PopSize = 20
 	cfg.GA.Generations = 5
-	tv, err := p.Optimize(cfg)
+	tv, err := s.Optimize(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tv.Omegas) != 2 {
 		t.Fatalf("test vector = %v", tv.Omegas)
 	}
-	fit, err := p.Fitness(tv.Omegas)
+	fit, err := s.Fitness(ctx, tv.Omegas)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(fit-1/(1+float64(tv.Intersections))) > 1e-12 {
 		t.Fatalf("fitness mismatch: %g vs I=%d", fit, tv.Intersections)
 	}
-	m, err := p.Trajectories(tv.Omegas)
+	m, err := s.Trajectories(ctx, tv.Omegas)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(m.Trajectories) != 7 {
 		t.Fatalf("trajectories = %d", len(m.Trajectories))
 	}
-	dg, err := p.Diagnoser(tv.Omegas)
+	dg, err := s.Diagnoser(ctx, tv.Omegas)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := dg.DiagnoseFault(p.Dictionary(), Fault{Component: "R2", Deviation: 0.25})
+	res, err := dg.DiagnoseFault(s.Dictionary(), Fault{Component: "R2", Deviation: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Best().Component == "" {
 		t.Fatal("no diagnosis")
 	}
-	ev, err := p.Evaluate(tv.Omegas, nil)
+	ev, err := s.Evaluate(ctx, tv.Omegas, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ev.Total != 42 {
 		t.Fatalf("default hold-out = %d trials", ev.Total)
 	}
-	if p.ATPG() == nil {
+	if s.ATPG() == nil {
 		t.Fatal("ATPG accessor nil")
 	}
 }
 
-func TestNewPipelineRejectsBadCUT(t *testing.T) {
+func TestNewSessionRejectsBadCUT(t *testing.T) {
 	cut := PaperCUT()
 	cut.Source = "missing"
-	if _, err := NewPipeline(cut, nil); err == nil {
+	if _, err := NewSession(cut); err == nil {
 		t.Fatal("bad CUT accepted")
 	}
-	cut = PaperCUT()
-	if _, err := NewPipeline(cut, []float64{0}); err == nil {
+	if _, err := NewSession(PaperCUT(), WithDeviations(0)); err == nil {
 		t.Fatal("zero deviation accepted")
 	}
 }
@@ -133,21 +134,21 @@ C1 out 0 1u
 	}
 }
 
-func TestNewPipelineFromNetlist(t *testing.T) {
+func TestNewSessionFromNetlist(t *testing.T) {
 	text := `netlist cut
 V1 in 0 1
 R1 in out 1k
 C1 out 0 1u
 `
-	p, err := NewPipelineFromNetlist(text, "V1", "out", nil, nil)
+	s, err := NewSessionFromNetlist(text, "V1", "out")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// R1 and C1 are the faultable components.
-	if got := len(p.CUT().Passives); got != 2 {
+	if got := len(s.CUT().Passives); got != 2 {
 		t.Fatalf("passives = %d", got)
 	}
-	ev, err := p.Evaluate([]float64{300, 3000}, []float64{-0.25, 0.25})
+	ev, err := s.Evaluate(context.Background(), []float64{300, 3000}, []float64{-0.25, 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,13 +156,13 @@ C1 out 0 1u
 		t.Fatalf("RC accuracy = %g", ev.Accuracy())
 	}
 	// Errors surface.
-	if _, err := NewPipelineFromNetlist("garbage", "V1", "out", nil, nil); err == nil {
+	if _, err := NewSessionFromNetlist("garbage", "V1", "out"); err == nil {
 		t.Fatal("garbage netlist accepted")
 	}
-	if _, err := NewPipelineFromNetlist(text, "V9", "out", nil, nil); err == nil {
+	if _, err := NewSessionFromNetlist(text, "V9", "out"); err == nil {
 		t.Fatal("missing source accepted")
 	}
-	if _, err := NewPipelineFromNetlist("t\nV1 a 0 1\nU1 a 0 b\nR1 b a 1\n", "V1", "b", []string{}, nil); err == nil {
+	if _, err := NewSessionFromNetlist("t\nV1 a 0 1\nU1 a 0 b\nR1 b a 1\n", "V1", "b", WithComponents()); err == nil {
 		t.Fatal("empty component list accepted")
 	}
 }

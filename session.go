@@ -244,8 +244,7 @@ type Session struct {
 }
 
 // NewSession builds the fault dictionary for a CUT and returns the
-// session every other stage hangs off. Options replace Pipeline's
-// positional nil-able arguments:
+// session every other stage hangs off, configured by functional options:
 //
 //	s, err := repro.NewSession(cut,
 //	    repro.WithDeviations(-0.2, -0.1, 0.1, 0.2),

@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 )
 
@@ -35,28 +36,6 @@ func TestSessionOptionValidation(t *testing.T) {
 	}
 	if _, err := NewSession(PaperCUT(), WithComponents("R99")); !errors.Is(err, ErrUnknownComponent) {
 		t.Fatalf("unknown component: err = %v, want ErrUnknownComponent", err)
-	}
-}
-
-func TestSessionMatchesPipeline(t *testing.T) {
-	// The deprecated shim and the v2 session must produce identical
-	// results for the same inputs.
-	p, err := NewPipeline(PaperCUT(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := testSession(t)
-	ctx := context.Background()
-	tvP, err := p.Optimize(smallCfg(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tvS, err := s.Optimize(ctx, smallCfg(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tvP.Fitness != tvS.Fitness || tvP.Omegas[0] != tvS.Omegas[0] || tvP.Omegas[1] != tvS.Omegas[1] {
-		t.Fatalf("pipeline %v vs session %v", tvP.Omegas, tvS.Omegas)
 	}
 }
 
@@ -176,8 +155,15 @@ func TestProgressChannelNeverBlocks(t *testing.T) {
 }
 
 func TestPrecomputeStreamsPerFrequencyProgress(t *testing.T) {
+	// Precompute may invoke the callback from several workers at once
+	// (see WithProgress), so the collector must be safe for that.
+	var mu sync.Mutex
 	var events []Progress
-	s, err := NewSession(PaperCUT(), WithProgress(func(p Progress) { events = append(events, p) }))
+	s, err := NewSession(PaperCUT(), WithProgress(func(p Progress) {
+		mu.Lock()
+		events = append(events, p)
+		mu.Unlock()
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,14 +232,14 @@ func TestWithComponentsReflectedInCUT(t *testing.T) {
 	if len(got) != 2 || got[0] != "R3" || got[1] != "C2" {
 		t.Fatalf("CUT().Passives = %v, want the restricted targets", got)
 	}
-	// The deprecated shim keeps the v1 contract too.
+	// The netlist entry point restricts targets the same way.
 	nl := "t\nV1 in 0 1\nR1 in out 1k\nC1 out 0 1u\n"
-	p, err := NewPipelineFromNetlist(nl, "V1", "out", []string{"R1"}, nil)
+	fromNetlist, err := NewSessionFromNetlist(nl, "V1", "out", WithComponents("R1"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.CUT().Passives; len(got) != 1 || got[0] != "R1" {
-		t.Fatalf("pipeline CUT().Passives = %v, want [R1]", got)
+	if got := fromNetlist.CUT().Passives; len(got) != 1 || got[0] != "R1" {
+		t.Fatalf("netlist CUT().Passives = %v, want [R1]", got)
 	}
 }
 
