@@ -44,6 +44,89 @@ func doublePairs(t testing.TB, cut circuits.CUT) []fault.Set {
 	return sets
 }
 
+// TestBlockedMatchesScalarAllCUTs is the blocked-kernel acceptance pin:
+// on every built-in CUT, the blocked SoA column solver must agree with
+// the scalar complex128 full-LU reference (ResponseSet: patch the
+// template, factor the whole system per point) to within 1e-9 relative
+// error over the golden, the full single-fault paper universe AND the
+// complete double-fault pair universe, at every worker count. Responses
+// far below the CUT's response scale (notch nulls) are compared against
+// a noise floor, exactly like the other engine-vs-reference pins.
+func TestBlockedMatchesScalarAllCUTs(t *testing.T) {
+	for _, cut := range circuits.All() {
+		cut := cut
+		t.Run(cut.Circuit.Name(), func(t *testing.T) {
+			eng, err := New(cut.Circuit, cut.Source, cut.Output)
+			if err != nil {
+				t.Fatal(err)
+			}
+			omegas := testOmegas(cut.Omega0)
+			singles := paperSingles(t, cut)
+			doubles := doublePairs(t, cut)
+			reference := func(set fault.Set) []float64 {
+				row := make([]float64, len(omegas))
+				for j, w := range omegas {
+					v, err := eng.ResponseSet(set, w)
+					if err != nil {
+						t.Fatalf("%s at ω=%g: %v", set.ID(), w, err)
+					}
+					row[j] = v
+				}
+				return row
+			}
+			refSingles := make([][]float64, len(singles))
+			for i, f := range singles {
+				refSingles[i] = reference(f)
+			}
+			refDoubles := make([][]float64, len(doubles))
+			for i, s := range doubles {
+				refDoubles[i] = reference(s)
+			}
+			// singles[0] is the golden.
+			var peak float64
+			for _, g := range refSingles[0] {
+				if g > peak {
+					peak = g
+				}
+			}
+			floor := 1e-3 * peak
+
+			for _, workers := range []int{1, 2, 3, 8} {
+				gotSingles, err := eng.BatchResponses(nil, singles, omegas, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range singles {
+					for j := range omegas {
+						if re := relErrFloor(gotSingles.Mags[i][j], refSingles[i][j], floor); re > 1e-9 {
+							t.Fatalf("workers=%d fault %s ω=%g: blocked %.15g vs full LU %.15g (rel %.3g)",
+								workers, singles[i].ID(), omegas[j], gotSingles.Mags[i][j], refSingles[i][j], re)
+						}
+					}
+				}
+				for j := range omegas {
+					if re := relErrFloor(gotSingles.Golden[j], refSingles[0][j], floor); re > 1e-9 {
+						t.Fatalf("workers=%d golden ω=%g: blocked %.15g vs full LU %.15g",
+							workers, omegas[j], gotSingles.Golden[j], refSingles[0][j])
+					}
+				}
+				gotDoubles, err := eng.BatchResponsesSets(nil, doubles, omegas, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range doubles {
+					for j := range omegas {
+						if re := relErrFloor(gotDoubles.Mags[i][j], refDoubles[i][j], floor); re > 1e-9 {
+							t.Fatalf("workers=%d set %s ω=%g: blocked %.15g vs full LU %.15g (rel %.3g)",
+								workers, doubles[i].ID(), omegas[j], gotDoubles.Mags[i][j], refDoubles[i][j], re)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestBlockedWorkerCountInvariance pins that the blocked path is
 // bit-identical across worker counts: columns are solved independently
 // in self-contained workspaces, so the worker decomposition must never

@@ -37,42 +37,44 @@ func testOmegas(omega0 float64) []float64 {
 // every built-in CUT, the batched Woodbury path must agree with the
 // full-LU reference (ResponseSet: patch the template, factor the whole
 // system) to within 1e-9 relative error over the complete double-fault
-// universe at the paper deviations, at worker counts {1, 2, 3, 8}.
+// universe at the paper deviations.
 func TestBatchSetsMatchFullLUReference(t *testing.T) {
 	for i, cut := range circuits.All() {
 		eng := cutEngines(t)[i]
-		sets := append([]fault.Set{fault.Fault{}, fault.Fault{Component: cut.Passives[0], Deviation: 0.3}},
-			doublePairs(t, cut)...)
+		u, err := fault.NewUniverse(cut.Passives, []float64{-0.4, -0.2, 0.3})
+		if err != nil {
+			t.Fatalf("%s: %v", cut.Circuit.Name(), err)
+		}
+		pairs, err := u.Pairs(nil, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", cut.Circuit.Name(), err)
+		}
+		sets := make([]fault.Set, 0, len(pairs)+2)
+		sets = append(sets, fault.Fault{}, fault.Fault{Component: cut.Passives[0], Deviation: 0.3})
+		for _, p := range pairs {
+			sets = append(sets, p)
+		}
 		omegas := testOmegas(cut.Omega0)
-		want := make([][]float64, len(sets))
-		for si, set := range sets {
-			want[si] = make([]float64, len(omegas))
-			for j, w := range omegas {
-				v, err := eng.ResponseSet(set, w)
-				if err != nil {
-					t.Fatalf("%s: %s: %v", cut.Circuit.Name(), set.ID(), err)
-				}
-				want[si][j] = v
-			}
+		batch, err := eng.BatchResponsesSets(nil, sets, omegas, 3)
+		if err != nil {
+			t.Fatalf("%s: %v", cut.Circuit.Name(), err)
 		}
 		// Same noise-floor convention as TestBatchAllCUTs: notch nulls far
 		// below the circuit's peak response compare on absolute terms.
 		var peak float64
-		for _, g := range want[0] {
+		for _, g := range batch.Golden {
 			peak = math.Max(peak, g)
 		}
 		floor := 1e-3 * peak
-		for _, workers := range []int{1, 2, 3, 8} {
-			batch, err := eng.BatchResponsesSets(nil, sets, omegas, workers)
-			if err != nil {
-				t.Fatalf("%s: %v", cut.Circuit.Name(), err)
-			}
-			for si, set := range sets {
-				for j, w := range omegas {
-					if re := relErrFloor(batch.Mags[si][j], want[si][j], floor); re > 1e-9 {
-						t.Fatalf("%s workers=%d: %s at ω=%g: batch %.15g, full LU %.15g (rel %.3g)",
-							cut.Circuit.Name(), workers, set.ID(), w, batch.Mags[si][j], want[si][j], re)
-					}
+		for si, set := range sets {
+			for j, w := range omegas {
+				want, err := eng.ResponseSet(set, w)
+				if err != nil {
+					t.Fatalf("%s: %s: %v", cut.Circuit.Name(), set.ID(), err)
+				}
+				if re := relErrFloor(batch.Mags[si][j], want, floor); re > 1e-9 {
+					t.Fatalf("%s: %s at ω=%g: batch %.15g, full LU %.15g (rel %.3g)",
+						cut.Circuit.Name(), set.ID(), w, batch.Mags[si][j], want, re)
 				}
 			}
 		}
