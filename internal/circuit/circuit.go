@@ -242,6 +242,27 @@ func (s *System) StampAt(sFreq complex128) (*numeric.Matrix, []complex128, error
 	return st.A, st.B, nil
 }
 
+// TripletsAt is StampAt without the dense matrix: every element stamps
+// at complex frequency sFreq in triplet mode, so the A contributions come
+// back as (row, col, value) triplets in stamp order (ground dropped,
+// repeated positions not summed), alongside the RHS. Memory is O(nnz + n)
+// where StampAt's is O(n²). The storage of trip and b is reused when
+// large enough, so callers probing several frequencies allocate once.
+func (s *System) TripletsAt(sFreq complex128, trip []Triplet, b []complex128) ([]Triplet, []complex128, error) {
+	if cap(b) < s.size {
+		b = make([]complex128, s.size)
+	}
+	b = b[:s.size]
+	clear(b)
+	st := &Stamp{B: b, S: sFreq, nodeOf: s.nodeOf, auxOf: s.auxOf, trip: trip[:0]}
+	for _, e := range s.circ.elements {
+		if err := e.Stamp(st); err != nil {
+			return nil, nil, err
+		}
+	}
+	return st.trip, st.B, nil
+}
+
 // Validate checks structural sanity: every non-ground node must be
 // touched by at least two element terminals (no dangling nodes), and the
 // circuit must reference ground somewhere (otherwise the MNA matrix is

@@ -22,7 +22,9 @@ const GroundName = "0"
 // controlled voltage sources, opamp outputs). Ground maps to index -1 and
 // all its stamps are dropped.
 type Stamp struct {
-	// A is the (n+aux)×(n+aux) complex MNA matrix.
+	// A is the (n+aux)×(n+aux) complex MNA matrix. When nil, the stamp is
+	// in triplet mode: AddA records each contribution instead (see
+	// System.TripletsAt).
 	A *numeric.Matrix
 	// B is the right-hand side (source) vector.
 	B []complex128
@@ -31,6 +33,14 @@ type Stamp struct {
 
 	nodeOf map[string]int
 	auxOf  map[string]int
+	trip   []Triplet // triplet-mode contributions, in stamp order
+}
+
+// Triplet is one MNA matrix contribution: A[Row][Col] += V. A position
+// stamped by several elements appears once per contribution.
+type Triplet struct {
+	Row, Col int
+	V        complex128
 }
 
 // NodeIndex returns the matrix index of a node, -1 for ground.
@@ -52,8 +62,13 @@ func (st *Stamp) AuxIndex(elem string) (int, bool) {
 }
 
 // AddA accumulates v into A[i][j], silently dropping ground (-1) indices.
+// In triplet mode (A nil) it appends (i, j, v) instead.
 func (st *Stamp) AddA(i, j int, v complex128) {
 	if i < 0 || j < 0 {
+		return
+	}
+	if st.A == nil {
+		st.trip = append(st.trip, Triplet{Row: i, Col: j, V: v})
 		return
 	}
 	st.A.Add(i, j, v)

@@ -167,10 +167,10 @@ func New(c *circuit.Circuit, source, output string) (*Engine, error) {
 	ampAbs := cmplx.Abs(vs.Amplitude)
 	eng := &Engine{tmpl: tmpl, source: source, output: output, outIdx: outIdx, amp: vs.Amplitude, ampAbs: ampAbs, invAmpAbs: 1 / ampAbs}
 	eng.sparseAuto = tmpl.sparse != nil && tmpl.n >= sparseMinN && tmpl.sparse.sym.FillRatio() <= sparseMaxFill
-	// Workspaces are sized for the worst case (every slot distinct) so one
-	// pool serves every batch shape; callers in tight loops (the GA's
-	// fitness evaluations) then reuse scratch instead of reallocating
-	// three n×n matrices per call.
+	// One pool serves every batch shape: a workspace's per-batch scratch
+	// grows to the largest batch it has served and keeps that capacity,
+	// so callers in tight loops (the GA's fitness evaluations) reuse it
+	// instead of reallocating per call.
 	eng.pool.New = func() any { return newWorkspace(tmpl) }
 	return eng, nil
 }
@@ -368,15 +368,18 @@ func (b *Batch) Signatures() [][]float64 {
 	return out
 }
 
-// workspace is one worker's preallocated scratch for the column solver
-// (blocked.go). Everything lives here, so steady-state batches allocate
-// nothing. The rank-k capacitance scratch is sized at the slot count,
-// which bounds k for every batch shape.
+// workspace is one worker's scratch for the column solver (blocked.go).
+// Everything lives here, so steady-state batches allocate nothing. The
+// per-batch scratch — the block, the per-distinct-slot precomputes and
+// the rank-k capacitance system — is sized by the batches the workspace
+// serves (fitBatch), never by the template's slot count: a worker's
+// memory is O(n·(1 + distinct slots) + k²) plus the factorization
+// storage.
 type workspace struct {
 	xf    []complex128 // exact-fallback solution
-	delta []complex128 // per-part coefficient deltas of one item
+	delta []complex128 // per-part coefficient deltas of one item (k)
 	cmat  []complex128 // k×k capacitance matrix (row-major)
-	wvec  []complex128 // capacitance RHS, overwritten with the solution
+	wvec  []complex128 // capacitance RHS, overwritten with the solution (k)
 
 	// Dense SoA path: the golden matrix and both factorization targets as
 	// split re/im planes with their LU headers. Sparse-capable engines
@@ -441,18 +444,11 @@ type workspace struct {
 }
 
 func newWorkspace(t *Template) *workspace {
-	n, nslots := t.n, len(t.slots)
+	n := t.n
 	ws := &workspace{
-		xf:     make([]complex128, n),
-		delta:  make([]complex128, nslots),
-		cmat:   make([]complex128, nslots*nslots),
-		wvec:   make([]complex128, nslots),
-		blk:    numeric.NewBlock(n, 1+nslots),
-		vtz:    make([]complex128, nslots),
-		vtx0:   make([]complex128, nslots),
-		zoutc:  make([]complex128, nslots),
-		gcoeff: make([]complex128, nslots),
-		grpJ0:  -1,
+		xf:    make([]complex128, n),
+		blk:   numeric.NewBlock(0, 0), // solveColumn's Reset grows it
+		grpJ0: -1,
 	}
 	if t.sparse != nil {
 		lnnz := t.sparse.sym.LUNNZ()
@@ -472,6 +468,20 @@ func newWorkspace(t *Template) *workspace {
 	return ws
 }
 
+// fitBatch grows the per-batch scratch to a batch with nd distinct slots
+// whose largest item has k parts. Capacity stays in the pooled
+// workspace, so a batch no larger than one already served allocates
+// nothing.
+func (ws *workspace) fitBatch(nd, k int) {
+	ws.vtz = sliceutil.Grow(ws.vtz, nd)
+	ws.vtx0 = sliceutil.Grow(ws.vtx0, nd)
+	ws.zoutc = sliceutil.Grow(ws.zoutc, nd)
+	ws.gcoeff = sliceutil.Grow(ws.gcoeff, nd)
+	ws.delta = sliceutil.Grow(ws.delta, k)
+	ws.cmat = sliceutil.Grow(ws.cmat, k*k)
+	ws.wvec = sliceutil.Grow(ws.wvec, k)
+}
+
 // ensureSoADense sizes the dense SoA matrices on first use (a dense
 // golden column or a dense exact fallback).
 func (ws *workspace) ensureSoADense(n int) {
@@ -487,7 +497,7 @@ func (ws *workspace) ensureSoADense(n int) {
 // solved by a rank-1 Sherman–Morrison update against that factorization,
 // with a full refactorization fallback for ill-conditioned updates.
 // Frequencies fan out over workers goroutines (≤0 → runtime.NumCPU()),
-// each with its own preallocated workspace.
+// each with its own pooled workspace grown to the batch's shape.
 //
 // The context is checked before every frequency column, so a canceled
 // context stops the batch within one in-flight column per worker and the
@@ -667,6 +677,18 @@ func (e *Engine) batchInto(ctx context.Context, faults []fault.Fault, sets []fau
 		out.Mags[i] = out.magsFlat[i*nw : (i+1)*nw : (i+1)*nw]
 	}
 
+	// The largest part count sizes every worker's capacitance scratch. A
+	// single-fault item has at most one part, so only fault-set batches
+	// (never memoized) need the scan.
+	maxParts := min(1, len(out.partSlot))
+	if sets != nil {
+		for i := 0; i < nitems; i++ {
+			if k := out.off[i+1] - out.off[i]; k > maxParts {
+				maxParts = k
+			}
+		}
+	}
+
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
@@ -699,6 +721,7 @@ func (e *Engine) batchInto(ctx context.Context, faults []fault.Fault, sets []fau
 		// small batches (a GA candidate is k=2 frequencies).
 		ws := e.pool.Get().(*workspace)
 		defer e.pool.Put(ws)
+		ws.fitBatch(len(out.distinct), maxParts)
 		for g := 0; g < len(omegas); g += unit {
 			hi := g + unit
 			if hi > len(omegas) {
@@ -719,7 +742,7 @@ func (e *Engine) batchInto(ctx context.Context, faults []fault.Fault, sets []fau
 		}
 		return nil
 	}
-	return e.batchParallel(ctx, faults, sets, omegas, workers, unit, report, out)
+	return e.batchParallel(ctx, faults, sets, omegas, workers, unit, maxParts, report, out)
 }
 
 // batchParallel is batchInto's worker-pool branch. It lives in its own
@@ -727,7 +750,7 @@ func (e *Engine) batchInto(ctx context.Context, faults []fault.Fault, sets []fau
 // batchInto's: escape analysis is flow-insensitive, and keeping the
 // captures here is what lets the single-worker GA path run without ctx
 // or progress state escaping to the heap.
-func (e *Engine) batchParallel(ctx context.Context, faults []fault.Fault, sets []fault.Set, omegas []float64, workers, unit int, report func(), out *Batch) error {
+func (e *Engine) batchParallel(ctx context.Context, faults []fault.Fault, sets []fault.Set, omegas []float64, workers, unit, maxParts int, report func(), out *Batch) error {
 	jobs := make(chan int)
 	errs := make(chan error, workers)
 	var wg sync.WaitGroup
@@ -737,6 +760,7 @@ func (e *Engine) batchParallel(ctx context.Context, faults []fault.Fault, sets [
 			defer wg.Done()
 			ws := e.pool.Get().(*workspace)
 			defer e.pool.Put(ws)
+			ws.fitBatch(len(out.distinct), maxParts)
 			for g := range jobs {
 				if ctx.Err() != nil {
 					continue // drain without solving so the producer never blocks

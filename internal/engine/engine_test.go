@@ -3,6 +3,7 @@ package engine
 import (
 	"math"
 	"math/cmplx"
+	"strings"
 	"testing"
 
 	"repro/internal/analysis"
@@ -50,6 +51,115 @@ func TestTemplateMatchesStampAt(t *testing.T) {
 					t.Fatalf("%s: template b mismatch at ω=%g", cut.Circuit.Name(), w)
 				}
 			}
+		}
+	}
+}
+
+// TestTemplateSelfCheckRejectsCorruption pins the strength of Compile's
+// self-check. Every built-in and scaling CUT's pristine template passes.
+// On every built-in CUT, one compiled static entry, an extra static entry
+// outside the element pattern, one slot's u weight and one RHS entry are
+// corrupted in turn, each so that A or b entries move by a multiple of
+// the check's DC tolerance 1e-12·(1 + max|A(0)|):
+// at 10× the check must report the disagreement, at 0.1× it must pass
+// (the second probe's tolerance is never smaller — its entries add only
+// imaginary parts to the DC ones).
+func TestTemplateSelfCheckRejectsCorruption(t *testing.T) {
+	for _, cut := range append(circuits.All(), circuits.Scaling()...) {
+		tm, err := Compile(cut.Circuit)
+		if err != nil {
+			t.Fatalf("%s: pristine template rejected: %v", cut.Circuit.Name(), err)
+		}
+		if err := tm.verify(); err != nil {
+			t.Fatalf("%s: pristine template rejected: %v", cut.Circuit.Name(), err)
+		}
+	}
+	for _, cut := range circuits.All() {
+		name := cut.Circuit.Name()
+		tm, err := Compile(cut.Circuit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a0, _, err := tm.System().StampAt(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tol := 1e-12 * (1 + a0.MaxAbs())
+		res := -1 // first conductance slot: its coefficient 1/R is ω-independent
+		for i := range tm.slots {
+			if tm.slots[i].kind == coeffConductance {
+				res = i
+				break
+			}
+		}
+		rhs := -1
+		for i, v := range tm.b {
+			if v != 0 {
+				rhs = i
+				break
+			}
+		}
+		a1, _, err := tm.System().StampAt(complex(0, 2.7182818))
+		if err != nil {
+			t.Fatal(err)
+		}
+		zi, zj := -1, -1 // an entry outside the pattern at both probes
+		for i := 0; i < tm.n && zi < 0; i++ {
+			for j := 0; j < tm.n; j++ {
+				if a0.At(i, j) == 0 && a1.At(i, j) == 0 {
+					zi, zj = i, j
+					break
+				}
+			}
+		}
+		if len(tm.static) == 0 || res < 0 || rhs < 0 || zi < 0 {
+			t.Fatalf("%s: no static entry, resistor slot, source or structural zero to corrupt", name)
+		}
+		// Each corruption moves its entries by x·tol and returns the undo.
+		corruptions := []struct {
+			what  string
+			apply func(x float64) func()
+		}{
+			{"static entry", func(x float64) func() {
+				old := tm.static[0].v
+				tm.static[0].v += complex(x*tol, 0)
+				return func() { tm.static[0].v = old }
+			}},
+			{"entry outside the pattern", func(x float64) func() {
+				old := tm.static
+				tm.static = append(old[:len(old):len(old)], staticEntry{zi, zj, complex(x*tol, 0)})
+				return func() { tm.static = old }
+			}},
+			{"slot u weight", func(x float64) func() {
+				sl := &tm.slots[res]
+				old := sl.u
+				// u and v may share storage; corrupt a copy of u only.
+				sl.u = append([]sparseEntry(nil), old...)
+				sl.u[0].w += complex(x*tol*sl.value, 0)
+				return func() { sl.u = old }
+			}},
+			{"rhs entry", func(x float64) func() {
+				old := tm.b[rhs]
+				tm.b[rhs] += complex(x*tol, 0)
+				return func() { tm.b[rhs] = old }
+			}},
+		}
+		for _, c := range corruptions {
+			undo := c.apply(10)
+			err := tm.verify()
+			undo()
+			if err == nil || !strings.Contains(err.Error(), "disagrees with element stamps") {
+				t.Errorf("%s: %s off by 10× tolerance: check returned %v", name, c.what, err)
+			}
+			undo = c.apply(0.1)
+			err = tm.verify()
+			undo()
+			if err != nil {
+				t.Errorf("%s: %s off by 0.1× tolerance rejected: %v", name, c.what, err)
+			}
+		}
+		if err := tm.verify(); err != nil {
+			t.Fatalf("%s: restored template rejected: %v", name, err)
 		}
 	}
 }

@@ -149,7 +149,8 @@ func TestBatchSetsMatchCloneAndSolve(t *testing.T) {
 
 // TestBatchSetsSharedSlots: items of a mixed batch share z-solves — a
 // batch mixing golden, singles, and overlapping pairs must agree with
-// each set solved alone.
+// each set solved alone. The workspace-reuse case runs batches of
+// growing shape through one sparse engine's pooled workspaces.
 func TestBatchSetsSharedSlots(t *testing.T) {
 	cut := circuits.NFLowpass7()
 	eng, err := New(cut.Circuit, cut.Source, cut.Output)
@@ -178,6 +179,64 @@ func TestBatchSetsSharedSlots(t *testing.T) {
 			if batch.Mags[i][j] != alone.Mags[0][j] {
 				t.Fatalf("%s at ω=%g: mixed batch %.17g, alone %.17g",
 					set.ID(), omegas[j], batch.Mags[i][j], alone.Mags[0][j])
+			}
+		}
+	}
+	t.Run("workspace-reuse", testWorkspaceReuseAcrossShapes)
+}
+
+// testWorkspaceReuseAcrossShapes: per-batch workspace scratch is sized by
+// the batch, so one sparse engine must serve, in order, singles over two
+// slots, a batch holding a 3-part set, and singles over more distinct
+// slots — every batch matching ResponseSet to 1e-9 — at one worker (the
+// same pooled workspace each time) and at two.
+func testWorkspaceReuseAcrossShapes(t *testing.T) {
+	grid, err := circuits.RCGrid(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := grid.Passives
+	if len(p) < 8 {
+		t.Fatalf("rc-grid-8 has %d fault targets, want ≥ 8", len(p))
+	}
+	triple, err := fault.NewMulti(fault.Fault{Component: p[0], Deviation: 0.2}, fault.Fault{Component: p[1], Deviation: -0.3}, fault.Fault{Component: p[2], Deviation: 0.4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wide []fault.Set
+	for _, c := range p[:8] {
+		wide = append(wide, fault.Fault{Component: c, Deviation: -0.4}, fault.Fault{Component: c, Deviation: 0.3})
+	}
+	shapes := [][]fault.Set{
+		{fault.Fault{}, fault.Fault{Component: p[0], Deviation: 0.2}, fault.Fault{Component: p[1], Deviation: -0.3}},
+		{triple, fault.Fault{Component: p[3], Deviation: -0.2}, fault.Fault{}},
+		wide,
+	}
+	w0 := grid.Omega0
+	omegas := []float64{w0 / 4, w0, w0 * 3}
+	for _, workers := range []int{1, 2} {
+		eng, err := New(grid.Circuit, grid.Source, grid.Output)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.SetFactorPath(FactorSparse)
+		for si, sets := range shapes {
+			b, err := eng.BatchResponsesSets(nil, sets, omegas, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			floor := 1e-3 * math.Max(b.Golden[0], math.Max(b.Golden[1], b.Golden[2]))
+			for i, set := range sets {
+				for j, w := range omegas {
+					want, err := eng.ResponseSet(set, w)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if re := relErrFloor(b.Mags[i][j], want, floor); re > 1e-9 {
+						t.Fatalf("workers=%d batch %d: %s at ω=%g: %.15g, full LU %.15g (rel %.3g)",
+							workers, si, set.ID(), w, b.Mags[i][j], want, re)
+					}
+				}
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -325,5 +326,58 @@ func TestSparseBatchAllocationFree(t *testing.T) {
 		if avg >= 1 {
 			t.Fatalf("%d-frequency sparse batch allocates %.2f objects/run in steady state, want < 1", len(omegas), avg)
 		}
+	}
+}
+
+// TestColdBuildMemoryBounded pins the cold path's memory on a
+// thousand-node CUT, measured as runtime.MemStats.TotalAlloc deltas:
+// compiling rc-grid-32 (1025 unknowns, 3008 elements) must stay under
+// 20 MB, and a fresh engine's first batch — the 192-fault paper universe
+// at 8 ω on 2 workers — under 40 MB. Scratch sized by the element count
+// (an nslots² capacitance matrix and a 1+nslots-column block per worker)
+// or dense n×n self-check stamps would take about 76 MB and 400 MB.
+func TestColdBuildMemoryBounded(t *testing.T) {
+	cut, err := circuits.RCGrid(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocMB := func(f func()) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / 1e6
+	}
+	if mb := allocMB(func() { _, err = Compile(cut.Circuit) }); err != nil {
+		t.Fatal(err)
+	} else if mb >= 20 {
+		t.Errorf("Compile(rc-grid-32) allocated %.1f MB, want < 20", mb)
+	}
+	eng, err := New(cut.Circuit, cut.Source, cut.Output)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := mustUniverse(t, cut)
+	var faults []fault.Fault
+	for _, c := range u.Components {
+		for _, d := range u.Deviations {
+			faults = append(faults, fault.Fault{Component: c, Deviation: d})
+		}
+	}
+	if len(faults) != 192 {
+		t.Fatalf("paper universe has %d faults, want 192", len(faults))
+	}
+	omegas := make([]float64, 8)
+	for i := range omegas {
+		omegas[i] = cut.Omega0 * math.Pow(10, float64(i)/2-1.5)
+	}
+	var b *Batch
+	if mb := allocMB(func() { b, err = eng.BatchResponses(nil, faults, omegas, 2) }); err != nil {
+		t.Fatal(err)
+	} else if mb >= 40 {
+		t.Errorf("first rc-grid-32 batch allocated %.1f MB, want < 40", mb)
+	}
+	if eng.FactorPathName() != "sparse" || len(b.Mags) != len(faults) {
+		t.Fatalf("batch ran on the %s path with %d rows", eng.FactorPathName(), len(b.Mags))
 	}
 }

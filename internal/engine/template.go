@@ -28,9 +28,11 @@ package engine
 
 import (
 	"fmt"
+	"math/cmplx"
 
 	"repro/internal/circuit"
 	"repro/internal/numeric"
+	"repro/internal/sliceutil"
 )
 
 // sparseEntry is one weighted index of a pattern vector.
@@ -120,10 +122,8 @@ func Compile(c *circuit.Circuit) (*Template, error) {
 			return nil, err
 		}
 	}
-	for _, s := range []complex128{0, complex(0, 2.7182818)} {
-		if err := t.verifyAt(s); err != nil {
-			return nil, err
-		}
+	if err := t.verify(); err != nil {
+		return nil, err
 	}
 	t.sparse = compileSparse(t)
 	return t, nil
@@ -352,23 +352,158 @@ func (t *Template) addRank1SoA(dst *numeric.SoAMatrix, sl *slot, theta complex12
 // RHS returns the template's constant source vector (not a copy).
 func (t *Template) RHS() []complex128 { return t.b }
 
+// verify cross-checks the compiled template against the elements' own
+// Stamp methods at two probe frequencies, sharing one stampCheck between
+// them.
+func (t *Template) verify() error {
+	c := newStampCheck(t)
+	for _, s := range []complex128{0, complex(0, 2.7182818)} {
+		if err := t.verifyAt(s, &c); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// stampCheck is verifyAt's scratch: both sides' stamp triplets, their
+// row-sorted copies and row boundaries, and dense length-n row
+// accumulators — O(nnz + n) in all, where comparing dense stamps would
+// take O(n²).
+type stampCheck struct {
+	want, got       []circuit.Triplet // stamp order
+	wantB           []complex128
+	wantRow, gotRow []circuit.Triplet // sorted by row, stamp order kept within a row
+	wantOff, gotOff []int             // row r is xRow[xOff[r]:xOff[r+1]]
+	accW, accG      []complex128      // row accumulators, all zero between rows
+	seen            []int             // 1 if the column is touched in the current row
+	cols            []int             // touched columns of the current row
+}
+
+// newStampCheck sizes the scratch for t in one allocation per element
+// type: the triplet lists at the template's contribution count, which a
+// matching element stamp equals (an element stamp with more
+// contributions grows its list on append).
+func newStampCheck(t *Template) stampCheck {
+	n, nnz := t.n, len(t.static)
+	for i := range t.slots {
+		nnz += len(t.slots[i].u) * len(t.slots[i].v)
+	}
+	trip := make([]circuit.Triplet, 4*nnz)
+	ints := make([]int, 4*n+2)
+	vals := make([]complex128, 3*n)
+	return stampCheck{
+		want:    trip[0:0:nnz],
+		got:     trip[nnz : nnz : 2*nnz],
+		wantRow: trip[2*nnz : 2*nnz : 3*nnz],
+		gotRow:  trip[3*nnz : 3*nnz : 4*nnz],
+		wantB:   vals[0:0:n],
+		accW:    vals[n : 2*n : 2*n],
+		accG:    vals[2*n : 3*n : 3*n],
+		wantOff: ints[0 : n+1 : n+1],
+		gotOff:  ints[n+1 : 2*n+2 : 2*n+2],
+		cols:    ints[2*n+2 : 2*n+2 : 3*n+2],
+		seen:    ints[3*n+2 : 4*n+2 : 4*n+2],
+	}
+}
+
 // verifyAt cross-checks the compiled template against the elements' own
-// Stamp methods at one complex frequency.
-func (t *Template) verifyAt(s complex128) error {
-	want, wantB, err := t.sys.StampAt(s)
+// Stamp methods at one complex frequency: every entry of A in the union
+// of both sparsity patterns must agree within 1e-12·(1 + max|A|), and so
+// must every RHS entry. Entries outside both patterns are zero on both
+// sides. Each side sums a position's contributions in stamp order — the
+// exact additions a dense stamp performs — one row at a time.
+func (t *Template) verifyAt(s complex128, c *stampCheck) error {
+	var err error
+	c.want, c.wantB, err = t.sys.TripletsAt(s, c.want, c.wantB)
 	if err != nil {
 		return err
 	}
-	got := numeric.NewMatrix(t.n, t.n)
-	t.stampGolden(got, s)
-	tol := 1e-12 * (1 + want.MaxAbs())
-	if !got.Equalish(want, tol) {
-		return fmt.Errorf("engine: compiled template disagrees with element stamps at s=%v", s)
+	c.got = t.goldenTriplets(c.got, s)
+	c.wantRow = sortRows(c.want, c.wantRow, c.wantOff)
+	c.gotRow = sortRows(c.got, c.gotRow, c.gotOff)
+	var maxWant, maxDiff float64
+	wi, wj := 0, 0
+	for r := 0; r < t.n; r++ {
+		cols := c.accumulate(c.wantRow[c.wantOff[r]:c.wantOff[r+1]], c.accW, c.cols[:0])
+		cols = c.accumulate(c.gotRow[c.gotOff[r]:c.gotOff[r+1]], c.accG, cols)
+		for _, j := range cols {
+			if a := cmplx.Abs(c.accW[j]); a > maxWant {
+				maxWant = a
+			}
+			if d := cmplx.Abs(c.accG[j] - c.accW[j]); d > maxDiff {
+				maxDiff, wi, wj = d, r, j
+			}
+			c.accW[j], c.accG[j], c.seen[j] = 0, 0, 0
+		}
+		c.cols = cols
 	}
-	for i := range wantB {
-		if d := t.b[i] - wantB[i]; real(d)*real(d)+imag(d)*imag(d) > tol*tol {
+	tol := 1e-12 * (1 + maxWant)
+	if maxDiff > tol {
+		return fmt.Errorf("engine: compiled template disagrees with element stamps at s=%v: A[%d][%d] differs by %.3g (tolerance %.3g)", s, wi, wj, maxDiff, tol)
+	}
+	for i := range c.wantB {
+		if d := t.b[i] - c.wantB[i]; real(d)*real(d)+imag(d)*imag(d) > tol*tol {
 			return fmt.Errorf("engine: compiled RHS disagrees with element stamps at s=%v", s)
 		}
 	}
 	return nil
+}
+
+// accumulate adds one side's row contributions into acc in stamp order
+// and appends every column the row touches for the first time to cols.
+func (c *stampCheck) accumulate(row []circuit.Triplet, acc []complex128, cols []int) []int {
+	for _, e := range row {
+		if c.seen[e.Col] == 0 {
+			c.seen[e.Col] = 1
+			cols = append(cols, e.Col)
+		}
+		acc[e.Col] += e.V
+	}
+	return cols
+}
+
+// goldenTriplets appends the golden A(s) contributions to dst[:0] in
+// stampGolden's order, skipping the same zero-coefficient slots.
+func (t *Template) goldenTriplets(dst []circuit.Triplet, s complex128) []circuit.Triplet {
+	dst = dst[:0]
+	for _, e := range t.static {
+		dst = append(dst, circuit.Triplet{Row: e.i, Col: e.j, V: e.v})
+	}
+	for i := range t.slots {
+		sl := &t.slots[i]
+		theta := sl.coeff(sl.value, s)
+		if theta == 0 {
+			continue
+		}
+		for _, ue := range sl.u {
+			w := theta * ue.w
+			for _, ve := range sl.v {
+				dst = append(dst, circuit.Triplet{Row: ue.idx, Col: ve.idx, V: w * ve.w})
+			}
+		}
+	}
+	return dst
+}
+
+// sortRows counting-sorts trip by row into dst, which it returns, and
+// fills off (length n+1) with the row boundaries. The sort is stable, so
+// each row keeps stamp order.
+func sortRows(trip, dst []circuit.Triplet, off []int) []circuit.Triplet {
+	clear(off)
+	for _, e := range trip {
+		off[e.Row+1]++
+	}
+	for r := 1; r < len(off); r++ {
+		off[r] += off[r-1]
+	}
+	// Place each triplet at its row's cursor off[row], which then ends at
+	// the row's end; shifting off up by one restores the row starts.
+	dst = sliceutil.Grow(dst, len(trip))
+	for _, e := range trip {
+		dst[off[e.Row]] = e
+		off[e.Row]++
+	}
+	copy(off[1:], off[:len(off)-1])
+	off[0] = 0
+	return dst
 }

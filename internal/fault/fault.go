@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/circuit"
@@ -62,8 +63,28 @@ func (f Fault) Parts() []Fault {
 	return []Fault{f}
 }
 
-// ParseID parses an identifier produced by ID (or "golden").
+// ParseID parses an identifier produced by ID (or "golden"): the whole
+// text between the last "@" and the single trailing "%" must be a finite
+// number. Because ID renders whole percents, a deviation that rendering
+// cannot carry back is rejected too — one that is nonzero but shows as
+// 0 % (the golden circuit), or so large that the rendering drifts — so
+// the ID of every accepted fault parses back to the same ID. The range
+// of the value (a deviation of −100 % or below) is the caller's check.
 func ParseID(id string) (Fault, error) {
+	f, err := parseID(id)
+	if err != nil {
+		return Fault{}, err
+	}
+	if canon := f.ID(); canon != "golden" {
+		if g, err := parseID(canon); err != nil || g.ID() != canon {
+			return Fault{}, fmt.Errorf("fault: deviation in %q does not survive its whole-percent id %q", id, canon)
+		}
+	}
+	return f, nil
+}
+
+// parseID is ParseID's syntax: NAME@<finite float>%.
+func parseID(id string) (Fault, error) {
 	if id == "golden" {
 		return Fault{}, nil
 	}
@@ -71,9 +92,12 @@ func ParseID(id string) (Fault, error) {
 	if at <= 0 || !strings.HasSuffix(id, "%") {
 		return Fault{}, fmt.Errorf("fault: malformed id %q (want NAME@±NN%%)", id)
 	}
-	var pct float64
-	if _, err := fmt.Sscanf(id[at+1:], "%f%%", &pct); err != nil {
+	pct, err := strconv.ParseFloat(id[at+1:len(id)-1], 64)
+	if err != nil {
 		return Fault{}, fmt.Errorf("fault: malformed deviation in %q: %v", id, err)
+	}
+	if math.IsNaN(pct) || math.IsInf(pct, 0) {
+		return Fault{}, fmt.Errorf("fault: non-finite deviation in %q", id)
 	}
 	return Fault{Component: id[:at], Deviation: pct / 100}, nil
 }

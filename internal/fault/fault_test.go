@@ -37,9 +37,20 @@ func TestParseIDRoundTrip(t *testing.T) {
 			t.Fatalf("round trip %+v -> %+v", f, got)
 		}
 	}
-	for _, bad := range []string{"", "R3", "R3@", "@+20%", "R3@x%", "R3@20"} {
+	for _, bad := range []string{"", "R3", "R3@", "@+20%", "R3@x%", "R3@20",
+		"R1@NaN%", "R1@+Inf%", "R1@20%x%",
+		// IDs show whole percents: 0.4 % would come back as the golden.
+		"R1@0.4%", "R1@-0.4%"} {
 		if _, err := ParseID(bad); err == nil {
 			t.Errorf("ParseID(%q) accepted", bad)
+		}
+	}
+	// Range is the caller's check: −99.6 % renders as −100 %, and that
+	// rendering must parse back.
+	for id, dev := range map[string]float64{"R1@-99.6%": -0.996, "R1@-100%": -1, "R1@12.5%": 0.125, "R1@0%": 0} {
+		f, err := ParseID(id)
+		if err != nil || f.Deviation != dev {
+			t.Errorf("ParseID(%q) = %+v, %v; want deviation %g", id, f, err, dev)
 		}
 	}
 }

@@ -80,8 +80,26 @@ func (m Multi) Apply(golden *circuit.Circuit) (*circuit.Circuit, error) {
 // (or "golden") back into the corresponding fault set — the inverse the
 // dictionary export and the serving wire format round-trip through.
 // Multi-part IDs are split at every "+" that follows a "%" terminator,
-// so deviation signs ("R3@+20%") never act as separators.
+// so deviation signs ("R3@+20%") never act as separators. Parts follow
+// ParseID's rules, and a multi-part ID is also rejected when its own
+// whole-percent ID would not parse back: a part at −99.6 % renders as
+// −100 %, which NewMulti refuses.
 func ParseSetID(id string) (Set, error) {
+	s, err := parseSetID(id)
+	if err != nil {
+		return nil, err
+	}
+	if m, ok := s.(Multi); ok {
+		canon := m.ID()
+		if again, err := parseSetID(canon); err != nil || again.ID() != canon {
+			return nil, fmt.Errorf("fault: %q does not survive its whole-percent id %q", id, canon)
+		}
+	}
+	return s, nil
+}
+
+// parseSetID is ParseSetID without the multi-part round-trip check.
+func parseSetID(id string) (Set, error) {
 	if id == "golden" {
 		return Fault{}, nil
 	}

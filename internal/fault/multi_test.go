@@ -56,7 +56,11 @@ func TestParseSetIDRoundTrip(t *testing.T) {
 	if s, _ := ParseSetID("R3@+25%"); len(s.Parts()) != 1 {
 		t.Fatal("single fault parts != 1")
 	}
-	for _, bad := range []string{"", "R3", "R3@+25%+", "R3@+25%+R3@-10%"} {
+	for _, bad := range []string{"", "R3", "R3@+25%+", "R3@+25%+R3@-10%",
+		"R1@NaN%", "R1@+Inf%", "R1@20%x%", "R1@NaN%+R2@+10%", "R1@+10%+R2@-Inf%",
+		// −99.6 % is a legal part, but its ID reads −100 %, which no
+		// multi accepts.
+		"R1@-99.6%+R2@+10%"} {
 		if _, err := ParseSetID(bad); err == nil {
 			t.Fatalf("malformed id %q accepted", bad)
 		}

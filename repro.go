@@ -38,6 +38,7 @@ package repro
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -193,6 +194,7 @@ func FaultSetKey(set FaultSet) string { return diagnosis.SetKey(set) }
 
 // ParseFrequencies parses a comma-separated list of angular frequencies
 // in rad/s ("0.56, 4.55") — the format the CLI -freqs flags accept.
+// Every value must be finite and non-negative (ω = 0, DC, is valid).
 // Failures wrap ErrBadConfig.
 func ParseFrequencies(s string) ([]float64, error) {
 	parts := strings.Split(s, ",")
@@ -201,6 +203,9 @@ func ParseFrequencies(s string) ([]float64, error) {
 		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
 		if err != nil {
 			return nil, fmt.Errorf("repro: %w: bad frequency %q", ErrBadConfig, f)
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+			return nil, fmt.Errorf("repro: %w: frequency %q must be finite and non-negative", ErrBadConfig, f)
 		}
 		out = append(out, v)
 	}
