@@ -1,7 +1,6 @@
 // Package dictionary implements the paper's fault-simulation (FS) step:
 // from the golden circuit it derives the faulty AC magnitude responses of
-// every fault in the universe and serves them on demand, memoized by
-// (fault, frequency).
+// every fault in the universe and serves them on demand.
 //
 // Responses are computed by the batched solver in internal/engine: the
 // golden circuit is compiled once into a stamp template, a fault is a
@@ -11,6 +10,11 @@
 // responses at arbitrary candidate frequencies, so the dictionary
 // evaluates lazily instead of precomputing a fixed grid; a fixed grid can
 // still be precomputed with BuildGrid for reporting (Figure 1) or export.
+//
+// What the dictionary stores is the paper's fault dictionary, a table:
+// each BuildGrid or BuildGridSets keeps the engine's (fault set × ω)
+// response table as it came back, with one row index by fault-set ID,
+// and responses computed one at a time go into a small point memo.
 package dictionary
 
 import (
@@ -18,6 +22,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/cmplx"
+	"slices"
 	"sort"
 	"sync"
 
@@ -28,12 +33,16 @@ import (
 	"repro/internal/sliceutil"
 )
 
-// MemoLimit bounds the response memo: once this many (fault, ω) pairs
-// are cached, further responses are computed but not stored. Grid builds
-// (tens of faults × hundreds of frequencies) fit comfortably; what the
-// bound prevents is a long-running probe workload growing the memo
-// without limit. The GA fitness path bypasses the memo entirely (see
-// SignaturesInto), so it neither grows it nor contends on its mutex.
+// MemoLimit bounds the stored responses: grid cells and point-memo
+// cells together. A grid that does not fit keeps the prefix of its cells
+// that does, golden row first and then rows in input order; once the
+// limit is reached, further responses are computed but not stored. Every
+// cell of a grid counts, even one whose point an older grid already
+// holds. Grid builds (tens of faults × hundreds of frequencies) fit
+// comfortably; what the bound prevents is a long-running probe workload
+// growing the memo without limit. The GA fitness path bypasses the memo
+// entirely (see SignaturesInto), so it neither grows it nor contends on
+// its mutex.
 const MemoLimit = 1 << 16
 
 // Dictionary serves golden and faulty magnitude responses.
@@ -46,9 +55,34 @@ type Dictionary struct {
 	eng      *engine.Engine
 
 	mu        sync.Mutex
-	analyzers map[string]*analysis.AC        // fault ID → analyzer, scalar reference path only
-	memo      map[string]map[float64]float64 // fault ID → ω → |H|
-	memoSize  int                            // total (fault, ω) pairs stored
+	analyzers map[fault.Fault]*analysis.AC // scalar reference path only
+	grids     []*grid                      // BuildGrid/BuildGridSets tables, oldest first
+	points    map[string]pointRow          // responses computed one at a time, by set ID
+	cells     int                          // cells stored in grids and points (≤ MemoLimit)
+}
+
+// grid is one BuildGrid/BuildGridSets result, kept as the engine's
+// table: cell (r, j) is row r's response at omegas[j], and row -1 is the
+// golden row. Cells are ordered golden row first, then rows in input
+// order; the first kept of them are stored (see MemoLimit).
+type grid struct {
+	omegas []float64
+	golden []float64
+	mags   [][]float64
+	// parts holds the rows' parts flat: row r's are parts[off[r]:off[r+1]],
+	// or parts[r:r+1] when off is nil (one single fault per row).
+	parts []fault.Fault
+	off   []int
+	rows  map[string]int  // row ID → last row with that ID
+	cols  map[float64]int // ω → last column at that ω
+	kept  int
+}
+
+// pointRow is one fault set's point-memo entry: its parts and its
+// responses by ω.
+type pointRow struct {
+	parts []fault.Fault
+	mags  map[float64]float64
 }
 
 // New builds a dictionary for the golden circuit observed at output and
@@ -66,8 +100,8 @@ func New(golden *circuit.Circuit, source, output string, u *fault.Universe) (*Di
 		output:    output,
 		universe:  u,
 		faults:    u.Faults(),
-		analyzers: make(map[string]*analysis.AC),
-		memo:      make(map[string]map[float64]float64),
+		analyzers: make(map[fault.Fault]*analysis.AC),
+		points:    make(map[string]pointRow),
 	}
 	// Compiling the template fails fast on unbuildable golden circuits and
 	// unusable measurements (missing source, zero amplitude).
@@ -97,9 +131,8 @@ func (d *Dictionary) Golden() *circuit.Circuit { return d.golden.Clone() }
 // analyzer returns (building if needed) the AC analyzer for a fault —
 // the classic clone+assemble path kept as the scalar reference.
 func (d *Dictionary) analyzer(f fault.Fault) (*analysis.AC, error) {
-	id := f.ID()
 	d.mu.Lock()
-	ac, ok := d.analyzers[id]
+	ac, ok := d.analyzers[f]
 	d.mu.Unlock()
 	if ok {
 		return ac, nil
@@ -111,14 +144,14 @@ func (d *Dictionary) analyzer(f fault.Fault) (*analysis.AC, error) {
 	}
 	ac, err = analysis.NewAC(faulty)
 	if err != nil {
-		return nil, fmt.Errorf("dictionary: fault %s: %w", id, err)
+		return nil, fmt.Errorf("dictionary: fault %s: %w", f.ID(), err)
 	}
 	d.mu.Lock()
 	// Another goroutine may have raced us; keep the first.
-	if prev, ok := d.analyzers[id]; ok {
+	if prev, ok := d.analyzers[f]; ok {
 		ac = prev
 	} else {
-		d.analyzers[id] = ac
+		d.analyzers[f] = ac
 	}
 	d.mu.Unlock()
 	return ac, nil
@@ -142,33 +175,42 @@ func (d *Dictionary) ScalarResponse(f fault.Fault, omega float64) (float64, erro
 }
 
 // Response returns |H(jω)| for the given fault (use the zero Fault for
-// the golden circuit). Results are memoized up to MemoLimit pairs.
+// the golden circuit). A stored response is served when one matches;
+// otherwise the response is computed and stored in the point memo while
+// MemoLimit allows.
+//
+// A stored response matches when its row's ID equals the fault's and
+// its parts equal the fault's exactly, component and deviation compared
+// with ==. The ID only narrows the search: IDs round deviations to whole
+// percents, and R4@+20.4 % must not be answered with R4@+20 %. The
+// newest grid holding the point serves first, then the point memo, so
+// for sequential calls the last computation of a point wins. The first
+// parts stored in the point memo under an ID keep it; a set whose ID
+// collides with them is computed on every query.
 //
 // Lazy queries solve the faulted system exactly (full factorization of
-// the patched template); BuildGrid fills the same memo through the
-// batched Sherman–Morrison path. The two agree to within 1e-9 relative
-// error (enforced by the engine's fallback guards and tests), so a memo
-// entry may differ in its last few ulps depending on which path computed
-// it first — callers comparing exports bit-for-bit should produce them
-// through the same call sequence.
+// the patched template); BuildGrid fills its grid through the batched
+// Sherman–Morrison path. The two agree to within 1e-9 relative error
+// (enforced by the engine's fallback guards and tests), so a stored
+// response may differ in its last few ulps depending on which path
+// computed it last — callers comparing exports bit-for-bit should
+// produce them through the same call sequence.
 func (d *Dictionary) Response(f fault.Fault, omega float64) (float64, error) {
 	return d.ResponseSet(f, omega)
 }
 
 // ResponseSet is Response over an arbitrary fault set — golden, single,
-// or multiple fault. Memo keys are the set's stable ID, so single-fault
-// entries are shared with Response and a multi-fault grid coexists with
-// the single-fault one in the same memo.
+// or multiple fault. Rows are named by the set's stable ID, so
+// single-fault entries are shared with Response and a multi-fault grid
+// coexists with the single-fault one.
 func (d *Dictionary) ResponseSet(set fault.Set, omega float64) (float64, error) {
-	id := set.ID()
+	id, parts := set.ID(), set.Parts()
 	d.mu.Lock()
-	if byW, ok := d.memo[id]; ok {
-		if v, ok := byW[omega]; ok {
-			d.mu.Unlock()
-			return v, nil
-		}
-	}
+	v, ok := d.lookup(id, parts, omega)
 	d.mu.Unlock()
+	if ok {
+		return v, nil
+	}
 
 	mag, err := d.eng.ResponseSet(set, omega)
 	if err != nil {
@@ -176,31 +218,129 @@ func (d *Dictionary) ResponseSet(set fault.Set, omega float64) (float64, error) 
 	}
 
 	d.mu.Lock()
-	d.memoize(id, omega, mag)
+	d.storePoint(id, parts, omega, mag)
 	d.mu.Unlock()
 	return mag, nil
 }
 
-// memoize stores one response; the caller holds d.mu. Once the memo
-// holds MemoLimit pairs, new entries are dropped (existing entries keep
-// serving lookups), so an unbounded stream of distinct probe frequencies
-// cannot grow the memo without limit.
-func (d *Dictionary) memoize(id string, omega, mag float64) {
-	byW, ok := d.memo[id]
-	if !ok {
-		if d.memoSize >= MemoLimit {
+// lookup returns the stored response of the set with this ID and these
+// parts at ω: the newest grid holding it first, then the point memo. The
+// caller holds d.mu.
+func (d *Dictionary) lookup(id string, parts []fault.Fault, omega float64) (float64, bool) {
+	for i := len(d.grids) - 1; i >= 0; i-- {
+		if v, ok := d.grids[i].lookup(id, parts, omega); ok {
+			return v, true
+		}
+	}
+	p, ok := d.points[id]
+	if !ok || !slices.Equal(p.parts, parts) {
+		return 0, false
+	}
+	v, ok := p.mags[omega]
+	return v, ok
+}
+
+// storePoint stores one computed response in the point memo; the caller
+// holds d.mu. Nothing is stored once MemoLimit cells are, so an
+// unbounded stream of distinct probe frequencies cannot grow the memo
+// without limit, and nothing is stored under an ID that other parts
+// already hold.
+func (d *Dictionary) storePoint(id string, parts []fault.Fault, omega, mag float64) {
+	p, ok := d.points[id]
+	switch {
+	case !ok:
+		if d.cells >= MemoLimit {
 			return
 		}
-		byW = make(map[float64]float64)
-		d.memo[id] = byW
+		p = pointRow{parts: slices.Clone(parts), mags: make(map[float64]float64)}
+		d.points[id] = p
+	case !slices.Equal(p.parts, parts):
+		return
 	}
-	if _, ok := byW[omega]; !ok {
-		if d.memoSize >= MemoLimit {
+	if _, ok := p.mags[omega]; !ok {
+		if d.cells >= MemoLimit {
 			return
 		}
-		d.memoSize++
+		d.cells++
 	}
-	byW[omega] = mag
+	p.mags[omega] = mag
+}
+
+// newGrid wraps a finished batch as a grid over the given row parts (see
+// grid.parts), indexing its columns and its golden row. The caller adds
+// the fault rows to g.rows.
+func newGrid(b *engine.Batch, parts []fault.Fault, off []int) *grid {
+	g := &grid{
+		omegas: b.Omegas,
+		golden: b.Golden,
+		mags:   b.Mags,
+		parts:  parts,
+		off:    off,
+		rows:   make(map[string]int, len(b.Mags)+1),
+		cols:   make(map[float64]int, len(b.Omegas)),
+	}
+	g.rows["golden"] = -1
+	for j, w := range b.Omegas {
+		g.cols[w] = j
+	}
+	return g
+}
+
+// rowParts returns row r's parts (none for the golden row).
+func (g *grid) rowParts(r int) []fault.Fault {
+	switch {
+	case r < 0:
+		return nil
+	case g.off == nil:
+		return g.parts[r : r+1]
+	}
+	return g.parts[g.off[r]:g.off[r+1]]
+}
+
+// has reports whether cell (r, j) is stored.
+func (g *grid) has(r, j int) bool { return (r+1)*len(g.omegas)+j < g.kept }
+
+// lookup returns the stored response of the last row with this ID at the
+// last column at ω, if that row's parts equal parts.
+func (g *grid) lookup(id string, parts []fault.Fault, omega float64) (float64, bool) {
+	r, ok := g.rows[id]
+	if !ok || !slices.Equal(g.rowParts(r), parts) {
+		return 0, false
+	}
+	j, ok := g.cols[omega]
+	if !ok || !g.has(r, j) {
+		return 0, false
+	}
+	if r < 0 {
+		return g.golden[j], true
+	}
+	return g.mags[r][j], true
+}
+
+// storeGrid adds a grid, keeping the prefix of its cells that fits under
+// MemoLimit. A partly kept grid copies out the rows it keeps, so the
+// rest of the engine's table can be collected.
+func (d *Dictionary) storeGrid(g *grid) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	nw := len(g.omegas)
+	total := (len(g.mags) + 1) * nw
+	g.kept = min(total, MemoLimit-d.cells)
+	if g.kept <= 0 {
+		return
+	}
+	if g.kept < total {
+		rows := (g.kept+nw-1)/nw - 1 // fault rows holding a kept cell
+		flat := make([]float64, rows*nw)
+		mags := make([][]float64, rows)
+		for r := range mags {
+			mags[r] = flat[r*nw : (r+1)*nw]
+			copy(mags[r], g.mags[r])
+		}
+		g.mags = mags
+	}
+	d.cells += g.kept
+	d.grids = append(d.grids, g)
 }
 
 // GoldenResponse returns the nominal |H(jω)|.
@@ -265,11 +405,14 @@ func (d *Dictionary) CircuitSignature(c *circuit.Circuit, omegas []float64) ([]f
 
 // BuildGrid precomputes every fault's response (plus the golden one) on a
 // frequency grid via the batched engine, fanning the frequencies out
-// across workers goroutines (0 → one per CPU). Results land in the memo,
-// so subsequent Response/Signature/Snapshot calls on grid points are pure
-// lookups. It returns the first error encountered; a canceled context
-// stops within one in-flight frequency per worker (the error wraps
-// rerr.ErrCanceled) and leaves the memo untouched.
+// across workers goroutines (0 → one per CPU). The engine's table is kept
+// as a grid, with one row index by fault ID built before BuildGrid
+// returns, so subsequent Response/Signature/Snapshot calls on grid
+// points are pure lookups (see Response for the exact-match rule and
+// MemoLimit for how cells count). It returns the first error
+// encountered; a canceled context stops within one in-flight frequency
+// per worker (the error wraps rerr.ErrCanceled) and leaves the memo
+// untouched.
 func (d *Dictionary) BuildGrid(ctx context.Context, omegas []float64, workers int) error {
 	return d.BuildGridProgress(ctx, omegas, workers, nil)
 }
@@ -277,46 +420,42 @@ func (d *Dictionary) BuildGrid(ctx context.Context, omegas []float64, workers in
 // BuildGridProgress is BuildGrid with a per-frequency progress hook (see
 // engine.BatchResponsesProgress for the hook's concurrency contract).
 func (d *Dictionary) BuildGridProgress(ctx context.Context, omegas []float64, workers int, progress func(done, total int)) error {
-	faults := d.faults
-	batch, err := d.eng.BatchResponsesProgress(ctx, faults, omegas, workers, progress)
+	batch, err := d.eng.BatchResponsesProgress(ctx, d.faults, omegas, workers, progress)
 	if err != nil {
 		return fmt.Errorf("dictionary: %w", err)
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for j, w := range omegas {
-		d.memoize("golden", w, batch.Golden[j])
+	g := newGrid(batch, d.faults, nil) // d.faults never changes
+	for r, f := range d.faults {
+		g.rows[f.ID()] = r
 	}
-	for i, f := range faults {
-		id := f.ID()
-		for j, w := range omegas {
-			d.memoize(id, w, batch.Mags[i][j])
-		}
-	}
+	d.storeGrid(g)
 	return nil
 }
 
 // BuildGridSets precomputes the responses of arbitrary fault sets (plus
 // the golden row) on a frequency grid via the batched rank-k engine and
-// lands them in the memo under each set's ID — the multi-fault analogue
-// of BuildGrid, used to extend a dictionary grid with a double-fault
-// universe before Snapshot. Cancellation semantics match BuildGrid.
+// keeps the table as a grid with rows named by each set's ID — the
+// multi-fault analogue of BuildGrid, used to extend a dictionary grid
+// with a double-fault universe before Snapshot. The grid copies every
+// set's parts, so the exact-match rule (see Response) holds even if the
+// caller changes a set afterwards. Lookups, cell counting and
+// cancellation match BuildGrid.
 func (d *Dictionary) BuildGridSets(ctx context.Context, sets []fault.Set, omegas []float64, workers int) error {
 	batch, err := d.eng.BatchResponsesSets(ctx, sets, omegas, workers)
 	if err != nil {
 		return fmt.Errorf("dictionary: %w", err)
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for j, w := range omegas {
-		d.memoize("golden", w, batch.Golden[j])
+	n := 0
+	for _, set := range sets {
+		n += len(set.Parts())
 	}
-	for i, set := range sets {
-		id := set.ID()
-		for j, w := range omegas {
-			d.memoize(id, w, batch.Mags[i][j])
-		}
+	g := newGrid(batch, make([]fault.Fault, 0, n), make([]int, 1, len(sets)+1))
+	for r, set := range sets {
+		g.rows[set.ID()] = r
+		g.parts = append(g.parts, set.Parts()...)
+		g.off = append(g.off, len(g.parts))
 	}
+	d.storeGrid(g)
 	return nil
 }
 
@@ -517,23 +656,52 @@ func ParseExport(data []byte) (*Export, error) {
 	return &e, nil
 }
 
-// CachedCount reports how many (fault, ω) pairs are memoized — useful in
-// tests and benchmarks to verify laziness.
+// CachedCount reports how many distinct (fault ID, ω) points are stored
+// — useful in tests and benchmarks to verify laziness. A point several
+// grids hold counts once here, though each of its cells counts against
+// MemoLimit. It is computed on demand from the grids and the point memo.
 func (d *Dictionary) CachedCount() int {
+	type point struct {
+		id    string
+		omega float64
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.memoSize
+	seen := make(map[point]bool)
+	d.eachPoint(func(id string, omega float64) { seen[point{id, omega}] = true })
+	return len(seen)
 }
 
-// CachedFaultIDs lists the fault IDs with at least one memoized response,
+// CachedFaultIDs lists the fault IDs with at least one stored response,
 // sorted.
 func (d *Dictionary) CachedFaultIDs() []string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]string, 0, len(d.memo))
-	for id := range d.memo {
+	seen := make(map[string]bool)
+	d.eachPoint(func(id string, _ float64) { seen[id] = true })
+	out := make([]string, 0, len(seen))
+	for id := range seen {
 		out = append(out, id)
 	}
 	sort.Strings(out)
 	return out
+}
+
+// eachPoint calls fn for every stored point a lookup can reach, once per
+// grid or point memo holding it. The caller holds d.mu.
+func (d *Dictionary) eachPoint(fn func(id string, omega float64)) {
+	for _, g := range d.grids {
+		for id, r := range g.rows {
+			for w, j := range g.cols {
+				if g.has(r, j) {
+					fn(id, w)
+				}
+			}
+		}
+	}
+	for id, p := range d.points {
+		for w := range p.mags {
+			fn(id, w)
+		}
+	}
 }

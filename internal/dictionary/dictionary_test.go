@@ -2,6 +2,8 @@ package dictionary
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/circuit"
@@ -191,6 +193,31 @@ func TestBuildGridAndSnapshot(t *testing.T) {
 	if got := d.CachedCount(); got != want {
 		t.Fatalf("cached = %d, want %d", got, want)
 	}
+	// Counts are of distinct (ID, ω) points: rebuilding the same grid adds
+	// none, and a fault-set grid on the same ω adds its rows but not a
+	// second golden row.
+	ids := d.CachedFaultIDs()
+	if err := d.BuildGrid(nil, grid, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.CachedCount(); got != want {
+		t.Fatalf("cached after rebuild = %d, want %d", got, want)
+	}
+	if again := d.CachedFaultIDs(); !slices.Equal(again, ids) {
+		t.Fatalf("fault IDs changed on rebuild: %d → %d", len(ids), len(again))
+	}
+	pairs := pairSets(t, d, 10)
+	for range 2 {
+		if err := d.BuildGridSets(nil, pairs, grid, 2); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := d.CachedCount(), (7*8+1+len(pairs))*5; got != want {
+			t.Fatalf("cached after pair grid = %d, want %d", got, want)
+		}
+	}
+	if got := len(d.CachedFaultIDs()); got != 7*8+1+len(pairs) {
+		t.Fatalf("%d cached fault IDs, want %d", got, 7*8+1+len(pairs))
+	}
 	snap, err := d.Snapshot(grid)
 	if err != nil {
 		t.Fatal(err)
@@ -308,8 +335,10 @@ func TestSnapshotPropagatesErrors(t *testing.T) {
 func TestConcurrentAccess(t *testing.T) {
 	d := paperDict(t)
 	grid := []float64{0.3, 1, 3}
-	done := make(chan error, 8)
-	for i := 0; i < 8; i++ {
+	pairs := pairSets(t, d, 12)
+	const readers, builders = 8, 4
+	done := make(chan error, readers+builders+1)
+	for i := 0; i < readers; i++ {
 		go func() {
 			var err error
 			for _, f := range d.Universe().Faults()[:10] {
@@ -320,9 +349,269 @@ func TestConcurrentAccess(t *testing.T) {
 			done <- err
 		}()
 	}
-	for i := 0; i < 8; i++ {
+	for i := 0; i < builders; i++ {
+		go func() {
+			if i%2 == 0 {
+				done <- d.BuildGrid(nil, grid, 2)
+				return
+			}
+			done <- d.BuildGridSets(nil, pairs, grid[1:], 2)
+		}()
+	}
+	go func() {
+		var err error
+		for _, set := range pairs {
+			if _, e := d.ResponseSet(set, grid[0]); e != nil {
+				err = e
+			}
+			if _, e := d.SnapshotSets(grid[:1], pairs[:2]); e != nil {
+				err = e
+			}
+			_ = d.CachedCount()
+		}
+		done <- err
+	}()
+	for i := 0; i < readers+builders+1; i++ {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
+	}
+	// The distinct points stored do not depend on the interleaving.
+	if got, want := d.CachedCount(), (7*8+1)*3+len(pairs)*3; got != want {
+		t.Fatalf("cached = %d, want %d", got, want)
+	}
+}
+
+// pairSets returns the first n double faults of d's universe as sets.
+func pairSets(t *testing.T, d *Dictionary, n int) []fault.Set {
+	t.Helper()
+	pairs, err := d.Universe().Pairs(nil, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := make([]fault.Set, len(pairs))
+	for i, p := range pairs {
+		sets[i] = p
+	}
+	return sets
+}
+
+// TestMemoLastWriteWins pins which computation a point serves when
+// several have stored it: the latest, bit for bit.
+func TestMemoLastWriteWins(t *testing.T) {
+	d := paperDict(t)
+	eng := d.Engine()
+	faults := d.Universe().Faults()
+	omegas := []float64{0.05, 0.5, 5}
+
+	// A point stored by Response, then a grid over the same ω.
+	f := fault.Fault{Component: "R4", Deviation: 0.2}
+	row := slices.Index(faults, f)
+	for _, w := range omegas[:2] {
+		if _, err := d.Response(f, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.BuildGrid(nil, omegas, 2); err != nil {
+		t.Fatal(err)
+	}
+	batch, err := eng.BatchResponses(nil, faults, omegas, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, w := range omegas {
+		if got, _ := d.Response(f, w); got != batch.Mags[row][j] {
+			t.Fatalf("%s at ω=%g: %v, grid batch %v", f.ID(), w, got, batch.Mags[row][j])
+		}
+		if got, _ := d.GoldenResponse(w); got != batch.Golden[j] {
+			t.Fatalf("golden at ω=%g: %v, grid batch %v", w, got, batch.Golden[j])
+		}
+	}
+
+	// Two grids sharing ω: the newer one. Its sets repeat one set and one
+	// ω, and the later row and column serve.
+	pairs := pairSets(t, d, 6)
+	if err := d.BuildGridSets(nil, pairs, omegas[:2], 2); err != nil {
+		t.Fatal(err)
+	}
+	newer := append(pairs[2:], pairs[3])
+	newerW := []float64{0.5, 7, 0.5}
+	if err := d.BuildGridSets(nil, newer, newerW, 2); err != nil {
+		t.Fatal(err)
+	}
+	nb, err := eng.BatchResponsesSets(nil, newer, newerW, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(newer) - 1
+	for i, set := range newer {
+		if i == 1 {
+			i = last // pairs[3] appears twice: the later row serves
+		}
+		for j, w := range newerW {
+			if j == 0 {
+				j = 2 // 0.5 appears twice: the later column serves
+			}
+			if got, _ := d.ResponseSet(set, w); got != nb.Mags[i][j] {
+				t.Fatalf("%s at ω=%g: %v, newer grid %v", set.ID(), w, got, nb.Mags[i][j])
+			}
+		}
+	}
+	if got, _ := d.GoldenResponse(0.5); got != nb.Golden[2] {
+		t.Fatalf("golden at ω=0.5: %v, newer grid %v", got, nb.Golden[2])
+	}
+}
+
+// TestMemoLimitKeepsGridPrefix: a grid larger than MemoLimit stores the
+// cells that fit, golden row first and then rows in input order, and a
+// dropped cell is computed without growing the memo.
+func TestMemoLimitKeepsGridPrefix(t *testing.T) {
+	d := paperDict(t)
+	omegas := numeric.Logspace(0.01, 100, 1150) // 57 rows × 1150 ω = 65 550 cells
+	if err := d.BuildGrid(nil, omegas, 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.CachedCount(); got != MemoLimit {
+		t.Fatalf("cached = %d, want MemoLimit %d", got, MemoLimit)
+	}
+	batch, err := d.Engine().BatchResponses(nil, d.Universe().Faults(), omegas, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := append([]fault.Fault{{}}, d.Universe().Faults()...)
+	for r, f := range rows {
+		for j, w := range omegas {
+			if r*len(omegas)+j >= MemoLimit {
+				break
+			}
+			want := batch.Golden[j]
+			if r > 0 {
+				want = batch.Mags[r-1][j]
+			}
+			if got, err := d.Response(f, w); err != nil || got != want {
+				t.Fatalf("kept cell %s at ω=%g: %v (%v), batch %v", f.ID(), w, got, err, want)
+			}
+		}
+	}
+	f, w := rows[len(rows)-1], omegas[len(omegas)-1]
+	got, err := d.Response(f, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := batch.Mags[len(rows)-2][len(omegas)-1]; math.Abs(got-want) > 1e-9*math.Max(1, want) {
+		t.Fatalf("dropped cell %s at ω=%g: %v, batch %v", f.ID(), w, got, want)
+	}
+	if got := d.CachedCount(); got != MemoLimit {
+		t.Fatalf("cached after a dropped cell = %d, want MemoLimit %d", got, MemoLimit)
+	}
+}
+
+// TestBuildGridSetsOwnsItsInputs: mutating the caller's ω list or a
+// Multi's parts after BuildGridSets changes no stored answer.
+func TestBuildGridSetsOwnsItsInputs(t *testing.T) {
+	d := paperDict(t)
+	omegas := []float64{0.3, 1, 3}
+	m, err := fault.NewMulti(fault.Fault{Component: "R1", Deviation: 0.2}, fault.Fault{Component: "R4", Deviation: -0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := append(fault.Multi(nil), m...)
+	origW := append([]float64(nil), omegas...)
+	if err := d.BuildGridSets(nil, []fault.Set{m}, omegas, 1); err != nil {
+		t.Fatal(err)
+	}
+	want, err := d.SnapshotSets(origW, []fault.Set{orig})
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := d.CachedCount()
+	omegas[0], omegas[2] = 2, 5
+	m[0].Deviation, m[1].Component = 0.4, "C1"
+	got, err := d.SnapshotSets(origW, []fault.Set{orig})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("stored answers changed after the caller mutated its inputs")
+	}
+	if got := d.CachedCount(); got != count {
+		t.Fatalf("cached = %d after mutation, want %d", got, count)
+	}
+}
+
+// TestMemoMatchesDeviationExactly: IDs round deviations to whole
+// percents, so R4@+20.4 % and R4@+19.6 % share the ID "R4@+20%". A
+// memoized answer must still be the queried deviation's own, bit for bit
+// what a fresh dictionary computes.
+func TestMemoMatchesDeviationExactly(t *testing.T) {
+	const w = 0.05
+	up := fault.Fault{Component: "R4", Deviation: 0.204}
+	down := fault.Fault{Component: "R4", Deviation: 0.196}
+	fresh := func(set fault.Set) float64 {
+		t.Helper()
+		v, err := paperDict(t).ResponseSet(set, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	check := func(d *Dictionary, set fault.Set, after string) {
+		t.Helper()
+		got, err := d.ResponseSet(set, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fresh(set); got != want {
+			t.Fatalf("%s (%v) after %s: %.17g, fresh dictionary %.17g", set.ID(), set.Parts(), after, got, want)
+		}
+	}
+
+	// The scalar reference path caches one analyzer per fault, not per ID.
+	d := paperDict(t)
+	for _, f := range []fault.Fault{up, down} {
+		got, err := d.ScalarResponse(f, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := paperDict(t).ScalarResponse(f, w); got != want {
+			t.Fatalf("ScalarResponse(%v): %.17g, fresh dictionary %.17g", f, got, want)
+		}
+	}
+
+	// Against a point entry, in both orders and on repeat.
+	d = paperDict(t)
+	check(d, up, "nothing")
+	check(d, down, "a point for +20.4 %")
+	check(d, down, "a point for +20.4 % and a miss")
+	check(d, up, "a point for +20.4 %")
+
+	// Against a universe grid row (R4@+20 %).
+	d = paperDict(t)
+	if err := d.BuildGrid(nil, []float64{w, 0.5}, 1); err != nil {
+		t.Fatal(err)
+	}
+	check(d, up, "a grid holding +20 %")
+	if _, err := d.Signature(down, []float64{w}); err != nil {
+		t.Fatal(err)
+	}
+	check(d, down, "a grid holding +20 % and a signature")
+
+	// Against a fault-set grid row.
+	pair, err := fault.NewMulti(fault.Fault{Component: "R1", Deviation: 0.1}, fault.Fault{Component: "R4", Deviation: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	near := fault.Multi{pair[0], up}
+	if err := d.BuildGridSets(nil, []fault.Set{pair}, []float64{w}, 1); err != nil {
+		t.Fatal(err)
+	}
+	check(d, near, "a grid holding "+pair.ID())
+	// The grid still serves the pair it holds.
+	b, err := d.Engine().BatchResponsesSets(nil, []fault.Set{pair}, []float64{w}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := d.ResponseSet(pair, w); got != b.Mags[0][0] {
+		t.Fatalf("%s: %v, grid batch %v", pair.ID(), got, b.Mags[0][0])
 	}
 }

@@ -40,12 +40,32 @@ type Fault struct {
 	Deviation float64
 }
 
-// ID renders the paper-style fault identifier, e.g. "R3@+20%".
+// ID renders the paper-style fault identifier, e.g. "R3@+20%": the
+// deviation in whole percents as fmt's %+.0f prints it, "golden" at zero.
 func (f Fault) ID() string {
 	if f.Deviation == 0 {
 		return "golden"
 	}
-	return fmt.Sprintf("%s@%+.0f%%", f.Component, f.Deviation*100)
+	var buf [32]byte
+	return string(f.appendID(buf[:0]))
+}
+
+// appendID appends f's ID to b. It renders like fmt's %+.0f without fmt:
+// strconv rounds half to even and keeps the sign of a negative value
+// that rounds to zero ("-0"), and a "+" goes before anything strconv
+// leaves unsigned, NaN included.
+func (f Fault) appendID(b []byte) []byte {
+	if f.Deviation == 0 {
+		return append(b, "golden"...)
+	}
+	b = append(b, f.Component...)
+	b = append(b, '@')
+	pct := f.Deviation * 100
+	if math.IsNaN(pct) || !math.Signbit(pct) && !math.IsInf(pct, 1) {
+		b = append(b, '+')
+	}
+	b = strconv.AppendFloat(b, pct, 'f', 0, 64)
+	return append(b, '%')
 }
 
 // Scale returns the multiplicative factor applied to the nominal value.

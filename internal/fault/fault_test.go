@@ -2,6 +2,7 @@ package fault
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -19,6 +20,31 @@ func TestFaultID(t *testing.T) {
 		if got := f.ID(); got != want {
 			t.Errorf("ID(%+v) = %q, want %q", f, got, want)
 		}
+	}
+}
+
+func TestIDMatchesFmt(t *testing.T) {
+	// Random bit patterns, random deviations in the paper's range, and
+	// odd multiples of 1/8 (exact ties: 12.5 %, 37.5 %, …), all against
+	// fmt's rendering.
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		var d float64
+		switch i % 3 {
+		case 0:
+			d = math.Float64frombits(rng.Uint64())
+		case 1:
+			d = rng.Float64()*2 - 1
+		default:
+			d = float64(2*rng.Intn(16)-15) / 8
+		}
+		f := Fault{Component: "U1.Rout", Deviation: d}
+		if got, want := f.ID(), fmtID(f); got != want {
+			t.Fatalf("Fault%+v.ID() = %q, fmt renders %q", f, got, want)
+		}
+	}
+	if got := (Multi{}).ID(); got != "" {
+		t.Fatalf("empty Multi ID = %q", got)
 	}
 }
 

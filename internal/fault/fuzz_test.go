@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/circuits"
@@ -39,6 +41,37 @@ func FuzzParseSetID(f *testing.F) {
 		}
 		if again.ID() != canon {
 			t.Fatalf("ParseSetID(%q): ID %q re-parses to %q", id, canon, again.ID())
+		}
+	})
+}
+
+// fmtID is the identifier as fmt renders it: the oracle Fault.ID and
+// Multi.ID must match byte for byte.
+func fmtID(f Fault) string {
+	if f.Deviation == 0 {
+		return "golden"
+	}
+	return fmt.Sprintf("%s@%+.0f%%", f.Component, f.Deviation*100)
+}
+
+// FuzzFaultID: for any component name and any deviation's float64 bits,
+// Fault.ID renders what fmt's %+.0f does (half-way percents round to
+// even, NaN gets a "+", a deviation that rounds to zero keeps its sign),
+// and a two-part Multi.ID joins its parts' IDs with "+".
+func FuzzFaultID(f *testing.F) {
+	devs := append(PaperDeviations(), 0.004, -0.004, 0.005, -0.005, 0.125,
+		math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1))
+	for i, d := range devs {
+		f.Add("R3", math.Float64bits(d), math.Float64bits(devs[(i+1)%len(devs)]))
+	}
+	f.Fuzz(func(t *testing.T, comp string, a, b uint64) {
+		x := Fault{Component: comp, Deviation: math.Float64frombits(a)}
+		if got, want := x.ID(), fmtID(x); got != want {
+			t.Fatalf("Fault%+v.ID() = %q, fmt renders %q", x, got, want)
+		}
+		y := Fault{Component: "C1", Deviation: math.Float64frombits(b)}
+		if got, want := (Multi{x, y}).ID(), fmtID(x)+"+"+fmtID(y); got != want {
+			t.Fatalf("Multi{%+v, %+v}.ID() = %q, want %q", x, y, got, want)
 		}
 	})
 }

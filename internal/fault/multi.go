@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strings"
 
 	"repro/internal/circuit"
 )
@@ -45,13 +44,17 @@ func NewMulti(parts ...Fault) (Multi, error) {
 	return m, nil
 }
 
-// ID renders e.g. "C1@-20%+R3@+30%".
+// ID renders e.g. "C1@-20%+R3@+30%": the parts' IDs joined by "+".
 func (m Multi) ID() string {
-	ids := make([]string, len(m))
+	var buf [64]byte
+	b := buf[:0]
 	for i, f := range m {
-		ids[i] = f.ID()
+		if i > 0 {
+			b = append(b, '+')
+		}
+		b = f.appendID(b)
 	}
-	return strings.Join(ids, "+")
+	return string(b)
 }
 
 // Parts implements Set.

@@ -243,6 +243,12 @@ func Build(ctx context.Context, d *dictionary.Dictionary, omegas []float64, extr
 
 	nsets, nfreq, samples := len(sets), len(omegas), cfg.Samples
 	flat := make([]float64, samples*nsets*nfreq)
+	// Every sample's composed sets carry their hypothesis's ID, which
+	// only engine error messages read: render each once.
+	ids := make([]string, nsets)
+	for si, set := range sets {
+		ids[si] = set.ID()
+	}
 	sampleErrs := make([]error, samples)
 
 	var pool sync.Pool
@@ -271,7 +277,7 @@ func Build(ctx context.Context, d *dictionary.Dictionary, omegas []float64, extr
 		}
 		for si, set := range sets {
 			ps := &sc.storage[si]
-			ps.id = set.ID()
+			ps.id = ids[si]
 			ps.parts = ps.parts[:0]
 			parts := set.Parts()
 			for ci, name := range perturb {
@@ -345,7 +351,7 @@ func Build(ctx context.Context, d *dictionary.Dictionary, omegas []float64, extr
 	for si, set := range sets {
 		parts := set.Parts()
 		c := &cs.Clouds[si]
-		c.ID = set.ID()
+		c.ID = ids[si]
 		c.Key = diagnosis.SetKey(set)
 		c.Components = make([]string, len(parts))
 		c.Deviations = make([]float64, len(parts))

@@ -29,9 +29,7 @@
 # sparse refactorization at 2000+ unknowns (its blocked-vs-scalar
 # ratio is additionally gated relative to the baseline; the ≥3×
 # supernodal acceptance floor is asserted on the checked-in record by
-# CI's invariant step). The parallel-refactorization speedup is
-# asserted within tolerance of break-even only on multi-core runners
-# (GOMAXPROCS=1 records no parallel measurement).
+# CI's invariant step).
 set -euo pipefail
 
 baseline=${1:-BENCH_hotpath.json}
