@@ -63,10 +63,33 @@ func (s Segment) Degenerate() bool { return s.Length() <= Eps }
 // Orientation classifies the turn a→b→c:
 // +1 counter-clockwise, -1 clockwise, 0 collinear (within Eps scaled by
 // the operand magnitudes).
+//
+// With u = b−a, w = c−a and v = u×w, the defining test compares v with
+// tol = Eps·max(|u|·|w|, 1). Two cheap filters decide most calls without
+// the two Hypot norms, and each returns only what that test returns:
+//   - |v| ≤ Eps gives 0, because tol is never below Eps (NaN norms make
+//     the test return 0 too).
+//   - |v| > Eps·max(1, ½(|u|²+|w|²)·(1+1e-9)) gives the sign of v,
+//     because |u|·|w| ≤ ½(|u|²+|w|²) (AM–GM). The computed norms and the
+//     sum of squares are each within a few ulps of exact, FMA contraction
+//     included; the 1e-9 margin covers that rounding on both sides.
+//
+// Everything else — the narrow band between the filters, NaN, ±Inf and
+// squares that overflow — falls through to the defining test unchanged.
 func Orientation(a, b, c Point) int {
-	v := b.Sub(a).Cross(c.Sub(a))
-	scale := b.Sub(a).Norm() * c.Sub(a).Norm()
-	tol := Eps * math.Max(scale, 1)
+	u, w := b.Sub(a), c.Sub(a)
+	v := u.Cross(w)
+	av := math.Abs(v)
+	if av <= Eps {
+		return 0
+	}
+	if av > Eps*max(1, 0.5*(u.Dot(u)+w.Dot(w))*(1+1e-9)) {
+		if v > 0 {
+			return 1
+		}
+		return -1
+	}
+	tol := Eps * math.Max(u.Norm()*w.Norm(), 1)
 	switch {
 	case v > tol:
 		return 1
@@ -80,8 +103,8 @@ func Orientation(a, b, c Point) int {
 // onSegmentCollinear reports whether point p, known collinear with s, lies
 // within s's bounding box.
 func onSegmentCollinear(p Point, s Segment) bool {
-	return p.X <= math.Max(s.A.X, s.B.X)+Eps && p.X >= math.Min(s.A.X, s.B.X)-Eps &&
-		p.Y <= math.Max(s.A.Y, s.B.Y)+Eps && p.Y >= math.Min(s.A.Y, s.B.Y)-Eps
+	return p.X <= max(s.A.X, s.B.X)+Eps && p.X >= min(s.A.X, s.B.X)-Eps &&
+		p.Y <= max(s.A.Y, s.B.Y)+Eps && p.Y >= min(s.A.Y, s.B.Y)-Eps
 }
 
 // IntersectKind classifies how two segments meet.
@@ -135,14 +158,16 @@ func Intersect(s, t Segment) (IntersectKind, Point) {
 	// Collinearity / touching cases.
 	collinear := o1 == 0 && o2 == 0 && o3 == 0 && o4 == 0
 	if collinear {
-		// Project on the dominant axis to test overlap extent.
-		pts := []Point{}
-		for _, p := range []Point{t.A, t.B} {
+		// Collect the endpoints lying on the other segment; at most four,
+		// so they fit in a stack array.
+		var buf [4]Point
+		pts := buf[:0]
+		for _, p := range [2]Point{t.A, t.B} {
 			if onSegmentCollinear(p, s) {
 				pts = append(pts, p)
 			}
 		}
-		for _, p := range []Point{s.A, s.B} {
+		for _, p := range [2]Point{s.A, s.B} {
 			if onSegmentCollinear(p, t) {
 				pts = append(pts, p)
 			}

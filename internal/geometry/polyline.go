@@ -137,7 +137,9 @@ func IntersectionCount(a, b Polyline, countTouches bool) int {
 // that both pass through a common point (the golden origin in the
 // fault-trajectory plane), excluding meetings that happen within tol of
 // that shared point — those are structural, not diagnostic ambiguity.
-// It allocates nothing.
+// It allocates nothing. Coordinates, origin and tol are expected to be
+// finite: with NaN or ±Inf the count is still defined but may differ from
+// SharedOriginIntersectionsBoxed's.
 func SharedOriginIntersections(a, b Polyline, origin Point, tol float64) int {
 	count := 0
 	for i := 0; i+1 < len(a); i++ {
@@ -156,12 +158,12 @@ func offOriginCount(s, t Segment, origin Point, tol float64) int {
 	k, p := Intersect(s, t)
 	switch k {
 	case ProperCrossing, EndpointTouch:
-		if p.Dist(origin) > tol {
+		if fartherThan(p, origin, tol) {
 			return 1
 		}
 	case CollinearOverlap:
 		// Overlap away from the origin is a common pathway.
-		if furthestFromOrigin(s, t, origin) > tol {
+		if endpointFartherThan(s, t, origin, tol) {
 			return 1
 		}
 	}
@@ -189,8 +191,16 @@ func (pl Polyline) SegmentBoxes(dst []BoundingBox) []BoundingBox {
 // tol of the origin — trajectories leaving the origin into different
 // regions of the plane — every point intersection is structural by
 // construction, so only collinear overlaps (counted by their farthest
-// segment endpoint) are still tested. Counts are identical to
-// SharedOriginIntersections; nothing is allocated.
+// segment endpoint) are still tested. Nothing is allocated.
+//
+// For finite coordinates, origin and tol the count equals
+// SharedOriginIntersections', with one exception: the Eps padding of the
+// boxes is lost to rounding once coordinates reach about 1e4, and a
+// proper crossing at the far corner of the boxes' overlap can then round
+// to a point outside it. If that overlap lies within tol of origin, this
+// count drops the crossing and SharedOriginIntersections keeps it. With
+// NaN or ±Inf the counts may differ further: a box with a NaN bound
+// overlaps nothing, while the plain count still tests the segments.
 func SharedOriginIntersectionsBoxed(a, b Polyline, aSeg, bSeg []BoundingBox, aBox, bBox BoundingBox, origin Point, tol float64) int {
 	if !aBox.Overlaps(bBox) {
 		return 0
@@ -201,9 +211,9 @@ func SharedOriginIntersectionsBoxed(a, b Polyline, aSeg, bSeg []BoundingBox, aBo
 	// structural — only CollinearOverlap can still count, because its
 	// counting criterion looks at segment endpoints, which may lie
 	// outside the overlap region.
-	lo := Point{math.Max(aBox.Min.X, bBox.Min.X), math.Max(aBox.Min.Y, bBox.Min.Y)}
-	hi := Point{math.Min(aBox.Max.X, bBox.Max.X), math.Min(aBox.Max.Y, bBox.Max.Y)}
-	collinearOnly := maxCornerDist(lo, hi, origin) <= tol
+	lo := Point{max(aBox.Min.X, bBox.Min.X), max(aBox.Min.Y, bBox.Min.Y)}
+	hi := Point{min(aBox.Max.X, bBox.Max.X), min(aBox.Max.Y, bBox.Max.Y)}
+	collinearOnly := !cornerFartherThan(lo, hi, origin, tol)
 
 	count := 0
 	for i := range aSeg {
@@ -217,7 +227,7 @@ func SharedOriginIntersectionsBoxed(a, b Polyline, aSeg, bSeg []BoundingBox, aBo
 			}
 			t := Segment{b[j], b[j+1]}
 			if collinearOnly {
-				if k, _ := Intersect(s, t); k == CollinearOverlap && furthestFromOrigin(s, t, origin) > tol {
+				if k, _ := Intersect(s, t); k == CollinearOverlap && endpointFartherThan(s, t, origin, tol) {
 					count++
 				}
 				continue
@@ -228,34 +238,41 @@ func SharedOriginIntersectionsBoxed(a, b Polyline, aSeg, bSeg []BoundingBox, aBo
 	return count
 }
 
-// maxCornerDist returns the largest distance from origin to the rectangle
-// [lo, hi] — attained at one of its corners.
-func maxCornerDist(lo, hi, origin Point) float64 {
-	d := origin.Dist(lo)
-	if v := origin.Dist(hi); v > d {
-		d = v
-	}
-	if v := origin.Dist(Point{lo.X, hi.Y}); v > d {
-		d = v
-	}
-	if v := origin.Dist(Point{hi.X, lo.Y}); v > d {
-		d = v
-	}
-	return d
+// cornerFartherThan reports whether any corner of the rectangle [lo, hi]
+// is farther than r from origin. The farthest point of a rectangle is
+// one of its corners, so this is whether the rectangle leaves the disc.
+func cornerFartherThan(lo, hi, origin Point, r float64) bool {
+	return fartherThan(lo, origin, r) || fartherThan(hi, origin, r) ||
+		fartherThan(Point{lo.X, hi.Y}, origin, r) || fartherThan(Point{hi.X, lo.Y}, origin, r)
 }
 
-func furthestFromOrigin(s, t Segment, origin Point) float64 {
-	d := s.A.Dist(origin)
-	if v := s.B.Dist(origin); v > d {
-		d = v
+// endpointFartherThan reports whether any endpoint of s or t is farther
+// than r from origin.
+func endpointFartherThan(s, t Segment, origin Point, r float64) bool {
+	return fartherThan(s.A, origin, r) || fartherThan(s.B, origin, r) ||
+		fartherThan(t.A, origin, r) || fartherThan(t.B, origin, r)
+}
+
+// fartherThan reports whether p.Dist(q) > r, for every input. When r² is
+// a normal float, r > 0 and the squared distance d² = dx²+dy² is finite,
+// it decides by d² against r²·(1±1e-9) without the Hypot: d², r² and
+// Hypot are each within a few ulps of exact (underflowed terms of d² add
+// under 2⁻¹⁰⁷³, negligible next to a normal r²), so d² beyond the margin
+// puts the exact distance, and its computed Hypot, on the same side of r.
+// The 1e-9 margin covers that rounding, FMA contraction included. Inside
+// the margin, and for NaN, ±Inf, overflow or a tiny or non-positive r, it
+// computes p.Dist(q) > r as written.
+func fartherThan(p, q Point, r float64) bool {
+	dx, dy := p.X-q.X, p.Y-q.Y
+	if d2, r2 := dx*dx+dy*dy, r*r; r > 0 && r2 >= 0x1p-1022 && r2 <= math.MaxFloat64 && d2 <= math.MaxFloat64 {
+		if d2 > r2*(1+1e-9) {
+			return true
+		}
+		if d2 < r2*(1-1e-9) {
+			return false
+		}
 	}
-	if v := t.A.Dist(origin); v > d {
-		d = v
-	}
-	if v := t.B.Dist(origin); v > d {
-		d = v
-	}
-	return d
+	return math.Hypot(dx, dy) > r
 }
 
 // SelfIntersections counts proper self-crossings of a polyline, ignoring

@@ -196,9 +196,10 @@ func (c *intersectCache) build(m *Map) {
 	}
 }
 
-// count runs the paper's intersection count off the cache. The counts
-// are identical to the uncached path: the same projections feed the same
-// predicates, the boxes only skip pairs that cannot contribute.
+// count runs the paper's intersection count off the cache. Maps without
+// a cache build the same one per call, so the counts are identical; how
+// the boxed count relates to PairIntersections' unboxed one is
+// documented at geometry.SharedOriginIntersectionsBoxed.
 func (c *intersectCache) count(m *Map) int {
 	nt := len(m.Trajectories)
 	np := len(c.pairs)

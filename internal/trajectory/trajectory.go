@@ -165,6 +165,9 @@ func (m *Map) originTolerance() float64 {
 // Builder-produced maps count off a precomputed cache (tolerance,
 // projections, segment bounding boxes) and allocate nothing; other maps
 // compute the same cache on the fly. Counts are identical either way.
+// The count runs geometry.SharedOriginIntersectionsBoxed, so it equals
+// the sum of PairIntersections over all pairs only for finite point
+// coordinates, and then up to the rounding exception documented there.
 func (m *Map) Intersections() int {
 	if m.cache != nil {
 		return m.cache.count(m)
@@ -175,7 +178,10 @@ func (m *Map) Intersections() int {
 }
 
 // PairIntersections counts off-origin intersections between the named
-// pair of components.
+// pair of components. It runs the unboxed
+// geometry.SharedOriginIntersections, so its counts sum to Intersections
+// only for finite point coordinates, and then up to the rounding
+// exception documented at geometry.SharedOriginIntersectionsBoxed.
 func (m *Map) PairIntersections(a, b string) (int, error) {
 	ta, err := m.ByComponent(a)
 	if err != nil {

@@ -11,7 +11,7 @@ import (
 	"repro/internal/geometry"
 )
 
-func paperDict(t *testing.T) *dictionary.Dictionary {
+func paperDict(t testing.TB) *dictionary.Dictionary {
 	t.Helper()
 	cut := circuits.NFLowpass7()
 	u, err := fault.PaperUniverse(cut.Passives)

@@ -16,7 +16,10 @@ import (
 // intersections must not allocate. A regression here silently multiplies
 // back into hundreds of thousands of allocations per GA run (128
 // individuals × 15 generations), which is exactly what the
-// engine/dictionary/trajectory reuse APIs exist to prevent.
+// engine/dictionary/trajectory reuse APIs exist to prevent. It runs at
+// vectors near (0.5, 2) and at seeded vectors drawn as the GA draws them,
+// log-uniform over PaperOptimizeConfig's band, where degenerate and
+// collinear segment pairs reach every branch of the intersection count.
 func TestFitnessPathAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are meaningless")
@@ -26,31 +29,53 @@ func TestFitnessPathAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := trajectory.NewBuilder(s.Dictionary())
+	cfg := PaperOptimizeConfig(s.CUT().Omega0)
+	lo, hi := math.Log10(cfg.BandLo), math.Log10(cfg.BandHi)
+	rng := rand.New(rand.NewSource(1))
 	omegas := []float64{0.5, 2}
-	eval := func() {
-		m, err := b.Build(nil, omegas)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n := m.Intersections(); n < 0 {
-			t.Fatal("negative intersection count")
-		}
-	}
-	// Warm up the builder's scratch, then vary the test vector per run so
-	// nothing can hide behind value-keyed caching.
-	eval()
-	i := 0
-	avg := testing.AllocsPerRun(100, func() {
-		i++
-		omegas[0] = 0.5 + float64(i%100)*1e-5
-		omegas[1] = 2 + float64(i%100)*1e-5
-		eval()
-	})
-	// A strict 0 would flake when the GC empties the engine's workspace
-	// pool mid-measurement; anything under one allocation per evaluation
-	// still proves the steady state reuses its storage.
-	if avg >= 1 {
-		t.Fatalf("fitness path allocates %.2f objects/run in steady state, want < 1", avg)
+	for _, tc := range []struct {
+		name string
+		runs int
+		next func(i int) // sets omegas for run i
+	}{
+		{"near-0.5-2", 100, func(i int) {
+			omegas[0] = 0.5 + float64(i%100)*1e-5
+			omegas[1] = 2 + float64(i%100)*1e-5
+		}},
+		{"ga-band", 500, func(int) {
+			for j := range omegas {
+				omegas[j] = math.Pow(10, lo+(hi-lo)*rng.Float64())
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eval := func() {
+				m, err := b.Build(nil, omegas)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := m.Intersections(); n < 0 {
+					t.Fatal("negative intersection count")
+				}
+			}
+			// Warm up the builder's scratch, then vary the test vector
+			// per run so nothing can hide behind value-keyed caching.
+			tc.next(0)
+			eval()
+			i := 0
+			avg := testing.AllocsPerRun(tc.runs, func() {
+				i++
+				tc.next(i)
+				eval()
+			})
+			// A strict 0 would flake when the GC empties the engine's
+			// workspace pool mid-measurement; anything under one
+			// allocation per evaluation still proves the steady state
+			// reuses its storage.
+			if avg >= 1 {
+				t.Fatalf("fitness path allocates %.2f objects/run in steady state, want < 1", avg)
+			}
+		})
 	}
 }
 
