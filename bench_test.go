@@ -1,7 +1,8 @@
 // Benchmark harness: one testing.B benchmark per reproduced figure /
-// experiment (see DESIGN.md's experiment index and EXPERIMENTS.md for
-// the recorded results). `go test -bench=. -benchmem` regenerates the
-// core quantities; `go run ./cmd/ftbench` prints the full tables.
+// experiment (ftbench's -e flag lists the experiments, and each opens
+// with a header line naming what it reproduces). `go test -bench=.
+// -benchmem` regenerates the core quantities; `go run ./cmd/ftbench`
+// prints the full tables.
 package repro
 
 import (

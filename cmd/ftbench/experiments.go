@@ -16,18 +16,14 @@ import (
 // long-running stage, so Ctrl-C during a slow experiment aborts within
 // one GA generation / frequency batch.
 type runner struct {
-	ctx           context.Context
-	seed          int64
-	full          bool
-	out           io.Writer
-	hotpathOut    string  // destination of the HOTPATH report
-	multifaultOut string  // destination of the MULTIFAULT report
-	toleranceOut  string  // destination of the TOLERANCE report
-	sparseOut     string  // destination of the SPARSE report
-	date          string  // report date stamp; empty = today (UTC)
-	gate          string  // baseline report to gate HOTPATH against ("" = off)
-	sparseGate    string  // baseline report to gate SPARSE against ("" = off)
-	gateTol       float64 // allowed fractional ns/op regression before the gate fails
+	ctx     context.Context
+	seed    int64
+	full    bool
+	out     io.Writer
+	report  string  // destination of the report; empty = BENCH_<experiment>.json
+	date    string  // report date stamp; empty = today (UTC)
+	gate    string  // baseline report to gate HOTPATH or SPARSE against ("" = off)
+	gateTol float64 // allowed fractional regression before the gate fails
 
 	session  *repro.Session // lazily built paper-CUT session
 	gaVector *repro.TestVector

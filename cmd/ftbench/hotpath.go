@@ -1,10 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"strings"
 	"testing"
 
 	"repro"
@@ -30,10 +27,38 @@ type hotpathEntry struct {
 // of the GA fitness hot path, regenerated per change so the perf
 // trajectory of the repository is tracked in-tree alongside the code.
 // The envelope fields identify the machine and configuration the numbers
-// were measured on — see newBenchReport.
+// were measured on — see newBenchEnvelope.
 type hotpathReport struct {
 	benchEnvelope
 	Entries []hotpathEntry `json:"entries"`
+}
+
+// entry returns the named entry, or nil.
+func (rep *hotpathReport) entry(name string) *hotpathEntry {
+	for i := range rep.Entries {
+		if rep.Entries[i].Name == name {
+			return &rep.Entries[i]
+		}
+	}
+	return nil
+}
+
+// check holds the report's machine-independent invariants: all three
+// measurements are present and timed, and the steady-state fitness
+// evaluation allocates nothing.
+func (rep *hotpathReport) check() error {
+	var v violations
+	for _, name := range []string{"fitness_eval", "trajectory_build", "ga_paper_params"} {
+		if e := rep.entry(name); e == nil {
+			v.add("entry %s missing", name)
+		} else if e.NsPerOp <= 0 {
+			v.add("%s has no timing (%g ns/op)", name, e.NsPerOp)
+		}
+	}
+	if e := rep.entry("fitness_eval"); e != nil && e.AllocsPerOp != 0 {
+		v.add("fitness_eval allocates %d allocs/op, want 0", e.AllocsPerOp)
+	}
+	return v.err("hotpath report")
 }
 
 // hotpath measures the GA fitness hot path with the testing.Benchmark
@@ -47,38 +72,16 @@ type hotpathReport struct {
 //   - ga_paper_params: the paper's full GA (128 individuals × 15
 //     generations) through Session.Optimize.
 func (r *runner) hotpath() error {
-	r.header("HOTPATH", "GA fitness hot-path benchmarks → BENCH_hotpath.json")
+	path := r.reportPath("hotpath")
+	r.header("HOTPATH", "GA fitness hot-path benchmarks → "+path)
 	s, err := repro.NewSession(repro.PaperCUT())
 	if err != nil {
 		return err
 	}
 	d := s.Dictionary()
 
-	rep := newBenchReport(r.date)
-	record := func(name string, res testing.BenchmarkResult) error {
-		// testing.Benchmark reports a zero result when the body aborts
-		// (b.Fatal, or a Ctrl-C canceling r.ctx mid-run); 0/0 ns/op is
-		// NaN, which would only surface later as a JSON marshal failure.
-		if err := r.ctx.Err(); err != nil {
-			return fmt.Errorf("hotpath: %s: %w", name, err)
-		}
-		if res.N == 0 {
-			return fmt.Errorf("hotpath: %s: benchmark failed (see log above)", name)
-		}
-		e := hotpathEntry{
-			Name:        name,
-			NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N),
-			AllocsPerOp: res.AllocsPerOp(),
-			BytesPerOp:  res.AllocedBytesPerOp(),
-			N:           res.N,
-		}
-		rep.Entries = append(rep.Entries, e)
-		r.printf("  %-18s %14.0f ns/op %8d allocs/op %10d B/op  (n=%d)\n",
-			e.Name, e.NsPerOp, e.AllocsPerOp, e.BytesPerOp, e.N)
-		return nil
-	}
-
-	err = record("fitness_eval", testing.Benchmark(func(b *testing.B) {
+	rep := &hotpathReport{benchEnvelope: newBenchEnvelope(r.date)}
+	err = r.record(rep, "fitness_eval", testing.Benchmark(func(b *testing.B) {
 		bu := trajectory.NewBuilder(d)
 		omegas := []float64{0.5, 2}
 		b.ReportAllocs()
@@ -96,10 +99,10 @@ func (r *runner) hotpath() error {
 		}
 	}))
 	if err != nil {
-		return err
+		return fmt.Errorf("hotpath: %w", err)
 	}
 
-	err = record("trajectory_build", testing.Benchmark(func(b *testing.B) {
+	err = r.record(rep, "trajectory_build", testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			w1 := 0.5 + float64(i%100)*1e-5
@@ -110,10 +113,10 @@ func (r *runner) hotpath() error {
 		}
 	}))
 	if err != nil {
-		return err
+		return fmt.Errorf("hotpath: %w", err)
 	}
 
-	err = record("ga_paper_params", testing.Benchmark(func(b *testing.B) {
+	err = r.record(rep, "ga_paper_params", testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			cfg := repro.PaperOptimizeConfig(s.CUT().Omega0)
@@ -128,54 +131,33 @@ func (r *runner) hotpath() error {
 		}
 	}))
 	if err != nil {
-		return err
-	}
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(r.hotpathOut, data, 0o644); err != nil {
 		return fmt.Errorf("hotpath: %w", err)
 	}
-	r.printf("  wrote %s\n", r.hotpathOut)
 
+	if err := r.writeReport(path, rep); err != nil {
+		return fmt.Errorf("hotpath: %w", err)
+	}
 	if r.gate != "" {
-		if err := r.gateHotpath(rep); err != nil {
-			return err
-		}
+		return r.gateHotpath(rep)
 	}
 	return nil
 }
 
-// gateHotpath compares the freshly measured report against the baseline
-// named by -gate and fails on regressions: fitness_eval or
-// trajectory_build slower than baseline by more than -gate-tol
-// (fractional, default 0.10), or the fitness path allocating at all.
-// ga_paper_params is informational only — the full GA's variance across
-// machines is too high to gate on.
+// gateHotpath holds the freshly measured report to its invariants
+// (check) and to the baseline named by -gate: fitness_eval and
+// trajectory_build may not be slower than baseline by more than
+// -gate-tol (fractional, default 0.10). ga_paper_params is
+// informational only — the full GA's variance across machines is too
+// high to gate on.
 func (r *runner) gateHotpath(rep *hotpathReport) error {
-	data, err := os.ReadFile(r.gate)
-	if err != nil {
+	var base hotpathReport
+	if err := readReport(r.gate, &base); err != nil {
 		return fmt.Errorf("hotpath gate: %w", err)
 	}
-	var base hotpathReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("hotpath gate: %s: %w", r.gate, err)
-	}
-	find := func(rep *hotpathReport, name string) *hotpathEntry {
-		for i := range rep.Entries {
-			if rep.Entries[i].Name == name {
-				return &rep.Entries[i]
-			}
-		}
-		return nil
-	}
 	tol := r.gateTol
-	var failures []string
+	var v violations
 	for _, name := range []string{"fitness_eval", "trajectory_build"} {
-		b, n := find(&base, name), find(rep, name)
+		b, n := base.entry(name), rep.entry(name)
 		if b == nil || n == nil {
 			return fmt.Errorf("hotpath gate: entry %q missing (baseline %v, new %v)", name, b != nil, n != nil)
 		}
@@ -183,17 +165,17 @@ func (r *runner) gateHotpath(rep *hotpathReport) error {
 		status := "ok"
 		if ratio > 1+tol {
 			status = "FAIL"
-			failures = append(failures, fmt.Sprintf("%s regressed %.1f%% (%.0f → %.0f ns/op, tol %.0f%%)",
-				name, (ratio-1)*100, b.NsPerOp, n.NsPerOp, tol*100))
+			v.add("%s regressed %.1f%% (%.0f → %.0f ns/op, tol %.0f%%)",
+				name, (ratio-1)*100, b.NsPerOp, n.NsPerOp, tol*100)
 		}
 		r.printf("  gate %-18s %8.0f → %8.0f ns/op  (%+.1f%%, tol %.0f%%)  %s\n",
 			name, b.NsPerOp, n.NsPerOp, (ratio-1)*100, tol*100, status)
 	}
-	if fe := find(rep, "fitness_eval"); fe != nil && fe.AllocsPerOp > 0 {
-		failures = append(failures, fmt.Sprintf("fitness_eval allocates (%d allocs/op, want 0)", fe.AllocsPerOp))
+	if err := rep.check(); err != nil {
+		v.add("%v", err)
 	}
-	if len(failures) > 0 {
-		return fmt.Errorf("hotpath gate: %s", strings.Join(failures, "; "))
+	if err := v.err("hotpath gate"); err != nil {
+		return err
 	}
 	r.printf("  gate passed against %s\n", r.gate)
 	return nil

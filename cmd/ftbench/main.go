@@ -1,6 +1,7 @@
 // Command ftbench regenerates every figure and experiment of the
-// reproduced paper (see DESIGN.md for the experiment index) and prints
-// the results as text tables. Typical use:
+// reproduced paper and prints the results as text tables. The -e flag
+// lists the experiments, and each one opens with a header line naming
+// the figure or question it reproduces. Typical use:
 //
 //	ftbench                  # run everything (quick GA settings)
 //	ftbench -e E4 -full      # one experiment with the paper's full GA
@@ -20,19 +21,15 @@ import (
 
 func main() {
 	var (
-		exp           = flag.String("e", "all", "experiment to run: E1..E15, HOTPATH, MULTIFAULT, TOLERANCE, SPARSE, or 'all'")
-		seed          = flag.Int64("seed", 1, "random seed for GA and noise draws")
-		full          = flag.Bool("full", false, "use the paper's full GA (128x15) everywhere (slower)")
-		hotpathOut    = flag.String("hotpath-out", "BENCH_hotpath.json", "output path for the HOTPATH benchmark report")
-		multifaultOut = flag.String("multifault-out", "BENCH_multifault.json", "output path for the MULTIFAULT benchmark report")
-		toleranceOut  = flag.String("tolerance-out", "BENCH_tolerance.json", "output path for the TOLERANCE experiment report")
-		sparseOut     = flag.String("sparse-out", "BENCH_sparse.json", "output path for the SPARSE benchmark report")
-		date          = flag.String("date", "", "date stamp for benchmark reports (YYYY-MM-DD; empty = today UTC)")
-		gate          = flag.String("gate", "", "baseline BENCH_hotpath.json to gate the HOTPATH run against (empty = no gate)")
-		sparseGate    = flag.String("sparse-gate", "", "baseline BENCH_sparse.json to gate the SPARSE run against (empty = no gate)")
-		gateTol       = flag.Float64("gate-tol", 0.10, "fractional ns/op regression the HOTPATH and SPARSE gates tolerate")
-		trace         = flag.String("trace", "", "write a JSON timing trace with one span per experiment to this file on exit")
-		version       = flag.Bool("version", false, "print version and exit")
+		exp     = flag.String("e", "all", "experiment to run: E1..E15, HOTPATH, MULTIFAULT, TOLERANCE, SPARSE, or 'all'")
+		seed    = flag.Int64("seed", 1, "random seed for GA and noise draws")
+		full    = flag.Bool("full", false, "use the paper's full GA (128x15) everywhere (slower)")
+		report  = flag.String("report", "", "output path for the HOTPATH, MULTIFAULT, TOLERANCE or SPARSE report (empty = BENCH_<experiment>.json)")
+		date    = flag.String("date", "", "date stamp for benchmark reports (YYYY-MM-DD; empty = today UTC)")
+		gate    = flag.String("gate", "", "baseline report to gate the HOTPATH or SPARSE run against (empty = no gate)")
+		gateTol = flag.Float64("gate-tol", 0.10, "fractional regression the gates tolerate: HOTPATH compares fitness_eval and trajectory_build ns/op, SPARSE the dense/sparse and blocked/scalar speedup ratios")
+		trace   = flag.String("trace", "", "write a JSON timing trace with one span per experiment to this file on exit")
+		version = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Parse()
 	if *version {
@@ -45,12 +42,12 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	runner := &runner{ctx: ctx, seed: *seed, full: *full, out: os.Stdout, hotpathOut: *hotpathOut, multifaultOut: *multifaultOut,
-		toleranceOut: *toleranceOut, sparseOut: *sparseOut, date: *date, gate: *gate, sparseGate: *sparseGate, gateTol: *gateTol}
+	runner := &runner{ctx: ctx, seed: *seed, full: *full, out: os.Stdout, report: *report, date: *date, gate: *gate, gateTol: *gateTol}
 	experiments := map[string]func() error{
 		// HOTPATH, MULTIFAULT, TOLERANCE, and SPARSE are opt-in (not part
-		// of 'all'): they write BENCH_hotpath.json / BENCH_multifault.json
-		// / BENCH_tolerance.json / BENCH_sparse.json respectively.
+		// of 'all'): each writes its report to -report, by default
+		// BENCH_hotpath.json, BENCH_multifault.json, BENCH_tolerance.json
+		// or BENCH_sparse.json.
 		"HOTPATH":    runner.hotpath,
 		"MULTIFAULT": runner.multifault,
 		"TOLERANCE":  runner.tolerance,

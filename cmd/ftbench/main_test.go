@@ -112,11 +112,11 @@ func TestHotpathWritesReport(t *testing.T) {
 		t.Skip("runs real benchmarks; skipped in -short mode")
 	}
 	r, buf := newTestRunner()
-	r.hotpathOut = filepath.Join(t.TempDir(), "BENCH_hotpath.json")
+	r.report = filepath.Join(t.TempDir(), "BENCH_hotpath.json")
 	if err := r.hotpath(); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(r.hotpathOut)
+	data, err := os.ReadFile(r.report)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/cmplx"
-	"os"
 	"testing"
 
 	"repro/internal/analysis"
@@ -30,7 +28,8 @@ import (
 // Before timing, the two paths are cross-checked to 1e-9 relative
 // agreement, so the recorded speedup is between verified-equal answers.
 func (r *runner) multifault() error {
-	r.header("MULTIFAULT", "batched rank-k vs full-LU clones on the double-fault universe → "+r.multifaultOut)
+	path := r.reportPath("multifault")
+	r.header("MULTIFAULT", "batched rank-k vs full-LU clones on the double-fault universe → "+path)
 	cut := circuits.NFLowpass7()
 	u, err := fault.PaperUniverse(cut.Passives)
 	if err != nil {
@@ -102,28 +101,8 @@ func (r *runner) multifault() error {
 	}
 	r.printf("  cross-check: batched == clones to 1e-9 on all %d×%d responses\n", len(pairs), len(omegas))
 
-	rep := newBenchReport(r.date)
-	record := func(name string, res testing.BenchmarkResult) error {
-		if err := r.ctx.Err(); err != nil {
-			return fmt.Errorf("multifault: %s: %w", name, err)
-		}
-		if res.N == 0 {
-			return fmt.Errorf("multifault: %s: benchmark failed (see log above)", name)
-		}
-		e := hotpathEntry{
-			Name:        name,
-			NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N),
-			AllocsPerOp: res.AllocsPerOp(),
-			BytesPerOp:  res.AllocedBytesPerOp(),
-			N:           res.N,
-		}
-		rep.Entries = append(rep.Entries, e)
-		r.printf("  %-20s %14.0f ns/op %8d allocs/op %12d B/op  (n=%d)\n",
-			e.Name, e.NsPerOp, e.AllocsPerOp, e.BytesPerOp, e.N)
-		return nil
-	}
-
-	err = record("multifault_batched", testing.Benchmark(func(b *testing.B) {
+	rep := &hotpathReport{benchEnvelope: newBenchEnvelope(r.date)}
+	err = r.record(rep, "multifault_batched", testing.Benchmark(func(b *testing.B) {
 		var out engine.Batch
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -133,9 +112,9 @@ func (r *runner) multifault() error {
 		}
 	}))
 	if err != nil {
-		return err
+		return fmt.Errorf("multifault: %w", err)
 	}
-	err = record("multifault_clones", testing.Benchmark(func(b *testing.B) {
+	err = r.record(rep, "multifault_clones", testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := cloneGrid(); err != nil {
@@ -144,21 +123,15 @@ func (r *runner) multifault() error {
 		}
 	}))
 	if err != nil {
-		return err
+		return fmt.Errorf("multifault: %w", err)
 	}
 	if len(rep.Entries) == 2 && rep.Entries[0].NsPerOp > 0 {
 		r.printf("  speedup: %.1f× (batched rank-k over per-pair clones)\n",
 			rep.Entries[1].NsPerOp/rep.Entries[0].NsPerOp)
 	}
 
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(r.multifaultOut, data, 0o644); err != nil {
+	if err := r.writeReport(path, rep); err != nil {
 		return fmt.Errorf("multifault: %w", err)
 	}
-	r.printf("  wrote %s\n", r.multifaultOut)
 	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"os"
 	"strings"
 	"testing"
 
@@ -33,6 +32,17 @@ var sparseSizes = []string{
 // whole benchmark run, so those entries carry numeric-phase measurements
 // only (DenseNsPerOp = 0, Speedup = 0).
 const denseTimeableNodes = 600
+
+// The two size tiers the sparse engine's claims are held at.
+const (
+	// bigNodes is where sparse must win: from 256 unknowns the auto
+	// heuristic picks sparse, sparse beats dense ≥5× wherever dense was
+	// timed, and the measured crossover lies at or below it.
+	bigNodes = 256
+	// hugeNodes is the thousand-node tier of the frequency-blocked
+	// numeric phase.
+	hugeNodes = 2000
+)
 
 // sparseEntry is one CUT's sparse-engine measurement: the dense-vs-
 // sparse grid build (small CUTs), plus the numeric-phase split —
@@ -70,7 +80,7 @@ type sparseEntry struct {
 	// numeric phase out of the grid build: one golden refactorization per
 	// frequency on the scalar up-looking walk vs the frequency-blocked
 	// walk (one RefactorBlock / FreqBlock). NumericSpeedup is their
-	// ratio — the tentpole quantity the ≥3× gate floors at 2000+
+	// ratio, the quantity the numeric-phase floors hold at hugeNodes+
 	// unknowns.
 	ScalarRefactorNsPerFreq  float64 `json:"scalar_refactor_ns_per_freq"`
 	BlockedRefactorNsPerFreq float64 `json:"blocked_refactor_ns_per_freq"`
@@ -78,6 +88,29 @@ type sparseEntry struct {
 	// SolveNsPerFreq times the triangular solve pair on the factored
 	// system — the non-refactor half of a frequency column.
 	SolveNsPerFreq float64 `json:"solve_ns_per_freq"`
+
+	// missing lists the sparseEntryKeys a decoded entry lacked.
+	missing []string
+}
+
+// sparseEntryKeys are the keys every BENCH_sparse.json entry must carry.
+var sparseEntryKeys = []string{
+	"cut", "nodes", "nnz", "factor_path", "dense_ns_per_op", "sparse_ns_per_op",
+	"speedup", "supernodes", "max_panel", "scalar_refactor_ns_per_freq",
+	"blocked_refactor_ns_per_freq", "numeric_speedup", "solve_ns_per_freq",
+}
+
+// UnmarshalJSON decodes an entry and records which sparseEntryKeys it
+// lacks: dense_ns_per_op and speedup are legitimately 0 above
+// denseTimeableNodes, so only the raw JSON shows a deleted key.
+func (e *sparseEntry) UnmarshalJSON(data []byte) error {
+	type plain sparseEntry
+	if err := json.Unmarshal(data, (*plain)(e)); err != nil {
+		return err
+	}
+	var err error
+	e.missing, err = missingKeys(data, sparseEntryKeys...)
+	return err
 }
 
 // sparseReport is the BENCH_sparse.json schema.
@@ -89,6 +122,69 @@ type sparseReport struct {
 	Entries        []sparseEntry `json:"entries"`
 }
 
+// entry returns the named CUT's entry, or nil.
+func (rep *sparseReport) entry(cut string) *sparseEntry {
+	for i := range rep.Entries {
+		if rep.Entries[i].CUT == cut {
+			return &rep.Entries[i]
+		}
+	}
+	return nil
+}
+
+// check holds the report's machine-independent invariants: every entry
+// is complete and self-consistent; sparse takes over by bigNodes
+// unknowns and wins there ≥5× wherever dense was timed; the
+// frequency-blocked numeric phase never collapses below 2× over the
+// scalar walk at hugeNodes+ unknowns; and each tier has two CUTs.
+func (rep *sparseReport) check() error {
+	var v violations
+	if rep.CrossoverNodes <= 0 || rep.CrossoverNodes > bigNodes {
+		v.add("crossover at %d unknowns, want within (0, %d]", rep.CrossoverNodes, bigNodes)
+	}
+	var big, huge int
+	for _, e := range rep.Entries {
+		if len(e.missing) > 0 {
+			v.add("%s: missing keys %s", e.CUT, strings.Join(e.missing, ", "))
+		}
+		if e.Nodes <= 0 || e.NNZ <= 0 {
+			v.add("%s: %d unknowns and %d nonzeros, want both > 0", e.CUT, e.Nodes, e.NNZ)
+		}
+		if e.FactorPath != "dense" && e.FactorPath != "sparse" {
+			v.add("%s: factor_path %q, want dense or sparse", e.CUT, e.FactorPath)
+		}
+		if e.Supernodes < 1 || e.Supernodes > e.Nodes {
+			v.add("%s: %d supernodes, want within [1, %d]", e.CUT, e.Supernodes, e.Nodes)
+		}
+		if e.NumericSpeedup <= 0 {
+			v.add("%s: numeric phase not measured", e.CUT)
+		}
+		if e.Nodes >= bigNodes {
+			big++
+			if e.FactorPath != "sparse" {
+				v.add("%s: auto heuristic picked %s at %d unknowns", e.CUT, e.FactorPath, e.Nodes)
+			}
+			if e.DenseNsPerOp > 0 && e.Speedup < 5 {
+				v.add("%s (%d unknowns): sparse speedup %.1f×, want ≥5×", e.CUT, e.Nodes, e.Speedup)
+			}
+		}
+		if e.Nodes >= hugeNodes {
+			huge++
+			if e.NumericSpeedup < 2 {
+				v.add("%s (%d unknowns): blocked numeric phase %.2f× over scalar, below the 2× collapse floor",
+					e.CUT, e.Nodes, e.NumericSpeedup)
+			}
+		}
+	}
+	if big < 2 {
+		v.add("%d CUTs with %d+ unknowns, want at least two", big, bigNodes)
+	}
+	if huge < 2 {
+		v.add("%d CUTs with %d+ unknowns, want at least two", huge, hugeNodes)
+	}
+	return v.err("sparse report")
+}
+
 // sparse measures golden grid builds dense vs sparse over the scaling
 // CUT tier, splits the numeric phase (scalar vs frequency-blocked
 // refactorization, solve cost), and writes BENCH_sparse.json. Every
@@ -96,7 +192,8 @@ type sparseReport struct {
 // anything is timed, so the recorded speedups are between verified-equal
 // answers.
 func (r *runner) sparse() error {
-	r.header("SPARSE", "dense vs sparse golden grid builds → "+r.sparseOut)
+	path := r.reportPath("sparse")
+	r.header("SPARSE", "dense vs sparse golden grid builds → "+path)
 	rep := &sparseReport{benchEnvelope: newBenchEnvelope(r.date)}
 	r.printf("  %-16s %6s %8s %5s %12s %12s %7s %12s %12s %8s\n",
 		"cut", "nodes", "nnz", "sn", "dense ns/op", "sparse ns/op", "spdup",
@@ -124,17 +221,10 @@ func (r *runner) sparse() error {
 		r.printf("  crossover: sparse never won on this machine\n")
 	}
 
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(r.sparseOut, data, 0o644); err != nil {
+	if err := r.writeReport(path, rep); err != nil {
 		return fmt.Errorf("sparse: %w", err)
 	}
-	r.printf("  wrote %s\n", r.sparseOut)
-
-	if r.sparseGate != "" {
+	if r.gate != "" {
 		return r.gateSparse(rep)
 	}
 	return nil
@@ -449,90 +539,64 @@ func (r *runner) sparseNumericPhase(eng *engine.Engine, e *sparseEntry, omega0 f
 	return nil
 }
 
-// gateSparse compares the fresh sparse report against the baseline named
-// by -sparse-gate and fails when:
+// gateSparse holds the fresh report to its invariants (check) and to
+// the baseline named by -gate. Against the baseline it fails when:
 //
-//   - the baseline is malformed or a measured CUT disappeared (schema
-//     drift);
-//   - a 256+-unknown CUT's dense/sparse speedup fell more than
-//     -gate-tol below its baseline speedup — the ratio is what the
-//     sparse engine buys, and unlike absolute ns/op it carries across
-//     runner classes, so the checked-in report works as a cross-machine
-//     baseline. Smaller CUTs are informational only: their sub-ms grid
-//     builds are dominated by fixed batch overhead and runner noise,
-//     and the engine's auto heuristic is what protects them;
-//   - sparse stopped winning ≥5× at 256+ unknowns where dense was
-//     timed — the acceptance floor of the sparse engine;
-//   - the frequency-blocked numeric phase fell more than -gate-tol
-//     below its baseline blocked-vs-scalar ratio at 2000+ unknowns, or
-//     below the hard 2× collapse floor. The ≥3× numeric-phase acceptance
-//     floor is asserted on the checked-in report (CI's
-//     machine-independent invariant step): the committed record must
-//     demonstrate ≥3× at scale on the bench machine, while
-//     regenerations on arbitrary runner classes are held to
-//     tolerance-relative ratios — the honest blocked-vs-scalar ratio
-//     hugs 3× at this tier, so an absolute 3× floor on a fresh noisy
-//     run would be flaky in a way the baseline-relative check is not.
+//   - a CUT of the baseline is missing from the new report;
+//   - a bigNodes+ CUT's dense/sparse speedup fell more than -gate-tol
+//     below its baseline speedup — the ratio is what the sparse engine
+//     buys, and unlike absolute ns/op it carries across runner classes,
+//     so the checked-in report works as a cross-machine baseline.
+//     Smaller CUTs are informational only: their sub-ms grid builds are
+//     dominated by fixed batch overhead and runner noise, and the
+//     engine's auto heuristic is what protects them;
+//   - the frequency-blocked numeric phase fell more than -gate-tol below
+//     its baseline blocked-vs-scalar ratio at hugeNodes+ unknowns. The
+//     ≥3× numeric-phase acceptance floor is held by the checked-in record
+//     only (TestCheckedInReports): the honest blocked-vs-scalar ratio
+//     hugs 3× at this tier, so an absolute 3× floor on a fresh noisy run
+//     would be flaky in a way the baseline-relative check is not.
 func (r *runner) gateSparse(rep *sparseReport) error {
-	data, err := os.ReadFile(r.sparseGate)
-	if err != nil {
+	var base sparseReport
+	if err := readReport(r.gate, &base); err != nil {
 		return fmt.Errorf("sparse gate: %w", err)
 	}
-	var base sparseReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("sparse gate: %s: %w", r.sparseGate, err)
-	}
-	find := func(rep *sparseReport, cut string) *sparseEntry {
-		for i := range rep.Entries {
-			if rep.Entries[i].CUT == cut {
-				return &rep.Entries[i]
-			}
-		}
-		return nil
-	}
-	var failures []string
+	var v violations
 	for i := range base.Entries {
 		b := &base.Entries[i]
-		n := find(rep, b.CUT)
+		n := rep.entry(b.CUT)
 		if n == nil {
-			failures = append(failures, fmt.Sprintf("%s missing from new report", b.CUT))
+			v.add("%s missing from new report", b.CUT)
 			continue
 		}
 		status := "info"
-		if b.Nodes >= 256 && b.DenseNsPerOp > 0 {
+		if b.Nodes >= bigNodes && b.DenseNsPerOp > 0 {
 			status = "ok"
 			if n.Speedup < (1-r.gateTol)*b.Speedup {
 				status = "FAIL"
-				failures = append(failures, fmt.Sprintf("%s speedup collapsed %.1f× → %.1f× (tol %.0f%%)",
-					b.CUT, b.Speedup, n.Speedup, r.gateTol*100))
+				v.add("%s speedup collapsed %.1f× → %.1f× (tol %.0f%%)",
+					b.CUT, b.Speedup, n.Speedup, r.gateTol*100)
 			}
 		}
-		if b.Nodes >= 2000 && b.NumericSpeedup > 0 {
+		if b.Nodes >= hugeNodes && b.NumericSpeedup > 0 {
 			if status == "info" {
 				status = "ok"
 			}
 			if n.NumericSpeedup < (1-r.gateTol)*b.NumericSpeedup {
 				status = "FAIL"
-				failures = append(failures, fmt.Sprintf("%s numeric speedup collapsed %.2f× → %.2f× (tol %.0f%%)",
-					b.CUT, b.NumericSpeedup, n.NumericSpeedup, r.gateTol*100))
+				v.add("%s numeric speedup collapsed %.2f× → %.2f× (tol %.0f%%)",
+					b.CUT, b.NumericSpeedup, n.NumericSpeedup, r.gateTol*100)
 			}
 		}
 		r.printf("  gate %-16s speedup %5.1f× → %5.1f×  numeric %5.2f× → %5.2f×  (tol %.0f%%)  %s\n",
 			b.CUT, b.Speedup, n.Speedup, b.NumericSpeedup, n.NumericSpeedup, r.gateTol*100, status)
 	}
-	for _, e := range rep.Entries {
-		if e.Nodes >= 256 && e.DenseNsPerOp > 0 && e.Speedup < 5 {
-			failures = append(failures, fmt.Sprintf("%s (%d unknowns): sparse speedup %.1f×, want ≥5×",
-				e.CUT, e.Nodes, e.Speedup))
-		}
-		if e.Nodes >= 2000 && e.NumericSpeedup < 2 {
-			failures = append(failures, fmt.Sprintf("%s (%d unknowns): blocked numeric phase %.2f× over scalar, below the 2× collapse floor",
-				e.CUT, e.Nodes, e.NumericSpeedup))
-		}
+	if err := rep.check(); err != nil {
+		v.add("%v", err)
 	}
-	if len(failures) > 0 {
-		return fmt.Errorf("sparse gate: %s", strings.Join(failures, "; "))
+	if err := v.err("sparse gate"); err != nil {
+		return err
 	}
-	r.printf("  gate passed against %s\n", r.sparseGate)
+	r.printf("  gate passed against %s\n", r.gate)
 	return nil
 }

@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
+	"strings"
 
 	"repro/internal/circuits"
 	"repro/internal/diagnosis"
@@ -65,8 +65,8 @@ type toleranceCut struct {
 
 // toleranceReport is the BENCH_tolerance.json schema. Unlike the
 // hotpath report it carries no timings — every field is deterministic
-// given (seed, sigma, noise_frac, sample_counts), which is what the CI
-// gate re-derives and compares.
+// given (seed, sigma, noise_frac, sample_counts), which is what
+// TestToleranceReportReproduces re-derives and compares.
 type toleranceReport struct {
 	Date         string         `json:"date"`
 	Seed         int64          `json:"seed"`
@@ -75,19 +75,82 @@ type toleranceReport struct {
 	HoldOutDevs  []float64      `json:"hold_out_devs"`
 	SampleCounts []int          `json:"sample_counts"`
 	Cuts         []toleranceCut `json:"cuts"`
+
+	// missing lists the toleranceReportKeys a decoded report lacked.
+	missing []string
+}
+
+// toleranceReportKeys are the keys every BENCH_tolerance.json must carry.
+var toleranceReportKeys = []string{"seed", "sigma", "noise_frac", "sample_counts", "cuts"}
+
+// UnmarshalJSON decodes a report and records which toleranceReportKeys
+// it lacks, which a zero seed would otherwise hide.
+func (rep *toleranceReport) UnmarshalJSON(data []byte) error {
+	type plain toleranceReport
+	if err := json.Unmarshal(data, (*plain)(rep)); err != nil {
+		return err
+	}
+	var err error
+	rep.missing, err = missingKeys(data, toleranceReportKeys...)
+	return err
+}
+
+// check holds the report's invariants: the sweep is complete, every
+// count is a share of its CUT's trials, likelihood top-1 never exceeds
+// the group-resolved count, confidences are probabilities, and at the
+// largest sample budget (each CUT's last row) likelihood top-1 is never
+// below the nearest-signature baseline.
+func (rep *toleranceReport) check() error {
+	var v violations
+	if len(rep.missing) > 0 {
+		v.add("missing keys %s", strings.Join(rep.missing, ", "))
+	}
+	if len(rep.SampleCounts) == 0 {
+		v.add("empty sample_counts")
+	}
+	if len(rep.Cuts) == 0 {
+		v.add("no CUT rows")
+	}
+	for _, c := range rep.Cuts {
+		if c.Trials <= 0 {
+			v.add("%s: no trials", c.Name)
+		}
+		if len(c.Samples) != len(rep.SampleCounts) {
+			v.add("%s: %d sample rows for %d sample counts", c.Name, len(c.Samples), len(rep.SampleCounts))
+		}
+		for _, s := range c.Samples {
+			if s.LikelihoodTop1 < 0 || s.LikelihoodTop1 > s.GroupResolved || s.GroupResolved > c.Trials {
+				v.add("%s at %d samples: want 0 ≤ likelihood_top1 %d ≤ group_resolved %d ≤ trials %d",
+					c.Name, s.Samples, s.LikelihoodTop1, s.GroupResolved, c.Trials)
+			}
+			if s.MeanConfidence <= 0 || s.MeanConfidence > 1 {
+				v.add("%s at %d samples: mean_confidence %g outside (0, 1]", c.Name, s.Samples, s.MeanConfidence)
+			}
+		}
+		if len(c.Samples) > 0 {
+			last := c.Samples[len(c.Samples)-1]
+			if last.LikelihoodTop1 < c.NearestTop1 {
+				v.add("%s: likelihood top-1 %d/%d below nearest baseline %d/%d at %d samples",
+					c.Name, last.LikelihoodTop1, c.Trials, c.NearestTop1, c.Trials, last.Samples)
+			}
+		}
+	}
+	return v.err("tolerance report")
 }
 
 // tolerance sweeps the Monte-Carlo budget of the probabilistic
 // diagnosis model over every built-in CUT: simulate a noisy hold-out
 // (component tolerances + measurement noise), diagnose it with the
 // classic nearest-signature rule and with likelihood ranking at each
-// sample count, and write BENCH_tolerance.json. The run fails if, at
-// the largest budget, likelihood top-1 falls below the nearest
-// baseline on any CUT — the tentpole's acceptance bar.
+// sample count, and write BENCH_tolerance.json. The run fails, writing
+// nothing, if the report breaks an invariant (check) — among them, at
+// the largest budget, likelihood top-1 below the nearest baseline on
+// any CUT.
 func (r *runner) tolerance() error {
-	r.header("TOLERANCE", "likelihood vs nearest-signature diagnosis under tolerances → "+r.toleranceOut)
+	path := r.reportPath("tolerance")
+	r.header("TOLERANCE", "likelihood vs nearest-signature diagnosis under tolerances → "+path)
 	rep := toleranceReport{
-		Date:         newBenchReport(r.date).Date,
+		Date:         reportDate(r.date),
 		Seed:         r.seed,
 		Sigma:        tolSigma,
 		NoiseFrac:    tolNoiseFrac,
@@ -107,20 +170,13 @@ func (r *runner) tolerance() error {
 			r.printf(" %3d", sr.LikelihoodTop1)
 		}
 		r.printf("  (groups %d, mean confidence %.2f)\n", last.AmbiguityGroups, last.MeanConfidence)
-		if last.LikelihoodTop1 < row.NearestTop1 {
-			return fmt.Errorf("tolerance: %s: likelihood top-1 %d/%d below nearest baseline %d/%d at %d samples",
-				row.Name, last.LikelihoodTop1, row.Trials, row.NearestTop1, row.Trials, last.Samples)
-		}
 	}
-	data, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
+	if err := rep.check(); err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	if err := os.WriteFile(r.toleranceOut, data, 0o644); err != nil {
+	if err := r.writeReport(path, &rep); err != nil {
 		return fmt.Errorf("tolerance: %w", err)
 	}
-	r.printf("  wrote %s\n", r.toleranceOut)
 	return nil
 }
 

@@ -4,8 +4,9 @@
 // node, the list of passive components eligible for parametric faults,
 // and the nominal characteristic frequency for choosing search bands.
 //
-// NFLowpass7 is the stand-in for the paper's CUT (see DESIGN.md for the
-// substitution rationale); the others feed the generality experiment E9.
+// NFLowpass7 is the stand-in for the paper's CUT (its doc comment gives
+// the rationale: seven passives with separable trajectories); the others
+// feed the generality experiment E9.
 package circuits
 
 import (

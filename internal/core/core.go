@@ -33,7 +33,8 @@ const (
 	PaperFitness FitnessMode = iota
 	// SeparationFitness augments the paper fitness with a small
 	// min-separation bonus, breaking ties among zero-intersection test
-	// vectors (an ablation; see EXPERIMENTS.md E7).
+	// vectors (an ablation the paper does not use;
+	// TestFitnessExplicitVector pins it at or above the paper fitness).
 	SeparationFitness
 )
 

@@ -1,193 +1,18 @@
-// Package montecarlo provides the small statistics engine behind the
-// tolerance/yield experiments: run a stochastic trial function many
-// times, accumulate outcome statistics, and estimate quantiles — plus a
-// diagnosis-yield convenience that ties it to the fault-trajectory
-// pipeline.
+// Package montecarlo is the worker pool that Monte-Carlo sampling runs
+// on: ForEach fans trial indices out to context-aware workers. probdiag
+// builds its signature clouds on it, one seeded RNG and one result slot
+// per sample, so a build is the same at every worker count.
 package montecarlo
 
 import (
 	"context"
 	"fmt"
-	"math"
-	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/diagnosis"
-	"repro/internal/dictionary"
-	"repro/internal/fault"
-	"repro/internal/geometry"
 	"repro/internal/rerr"
 )
-
-// Stats summarizes the outcomes of a Monte-Carlo run.
-type Stats struct {
-	values []float64
-	sorted bool
-}
-
-// Run executes trials sequentially (the trial function owns any RNG; a
-// deterministic seed there makes the whole run reproducible) and
-// collects the outcomes.
-func Run(trials int, f func(trial int) (float64, error)) (*Stats, error) {
-	if trials < 1 {
-		return nil, fmt.Errorf("montecarlo: trials %d < 1", trials)
-	}
-	if f == nil {
-		return nil, fmt.Errorf("montecarlo: nil trial function")
-	}
-	s := &Stats{values: make([]float64, 0, trials)}
-	for i := 0; i < trials; i++ {
-		v, err := f(i)
-		if err != nil {
-			return nil, fmt.Errorf("montecarlo: trial %d: %w", i, err)
-		}
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("montecarlo: trial %d produced non-finite value", i)
-		}
-		s.values = append(s.values, v)
-	}
-	return s, nil
-}
-
-// N returns the number of collected outcomes.
-func (s *Stats) N() int { return len(s.values) }
-
-// Mean returns the sample mean, or NaN when no outcomes were collected
-// (an empty Stats from RunCollect where every trial failed).
-func (s *Stats) Mean() float64 {
-	if len(s.values) == 0 {
-		return math.NaN()
-	}
-	var sum float64
-	for _, v := range s.values {
-		sum += v
-	}
-	return sum / float64(len(s.values))
-}
-
-// Std returns the sample standard deviation (n−1 denominator; 0 for a
-// single sample, NaN when empty).
-func (s *Stats) Std() float64 {
-	n := len(s.values)
-	if n == 0 {
-		return math.NaN()
-	}
-	if n < 2 {
-		return 0
-	}
-	m := s.Mean()
-	var acc float64
-	for _, v := range s.values {
-		d := v - m
-		acc += d * d
-	}
-	return math.Sqrt(acc / float64(n-1))
-}
-
-// Min returns the smallest outcome, or NaN when no outcomes were
-// collected (previously this silently returned +Inf).
-func (s *Stats) Min() float64 {
-	if len(s.values) == 0 {
-		return math.NaN()
-	}
-	mn := math.Inf(1)
-	for _, v := range s.values {
-		mn = math.Min(mn, v)
-	}
-	return mn
-}
-
-// Max returns the largest outcome, or NaN when no outcomes were
-// collected (previously this silently returned −Inf).
-func (s *Stats) Max() float64 {
-	if len(s.values) == 0 {
-		return math.NaN()
-	}
-	mx := math.Inf(-1)
-	for _, v := range s.values {
-		mx = math.Max(mx, v)
-	}
-	return mx
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) by linear interpolation of
-// the order statistics.
-func (s *Stats) Quantile(q float64) float64 {
-	if len(s.values) == 0 {
-		return math.NaN()
-	}
-	if !s.sorted {
-		sort.Float64s(s.values)
-		s.sorted = true
-	}
-	if q <= 0 {
-		return s.values[0]
-	}
-	if q >= 1 {
-		return s.values[len(s.values)-1]
-	}
-	pos := q * float64(len(s.values)-1)
-	i := int(pos)
-	frac := pos - float64(i)
-	if i+1 >= len(s.values) {
-		return s.values[len(s.values)-1]
-	}
-	return s.values[i] + frac*(s.values[i+1]-s.values[i])
-}
-
-// MeanCI95 returns the mean and its ±1.96·σ/√n half-width — the normal
-// 95% confidence interval, adequate for the repository's trial counts.
-// Both are NaN when no outcomes were collected.
-func (s *Stats) MeanCI95() (mean, halfWidth float64) {
-	if len(s.values) == 0 {
-		return math.NaN(), math.NaN()
-	}
-	mean = s.Mean()
-	halfWidth = 1.96 * s.Std() / math.Sqrt(float64(len(s.values)))
-	return mean, halfWidth
-}
-
-// Failure records one failed trial from RunCollect.
-type Failure struct {
-	// Trial is the zero-based trial index that failed.
-	Trial int
-	// Err is the trial's error (a synthesized one for non-finite
-	// outcomes).
-	Err error
-}
-
-// RunCollect executes trials sequentially like Run, but a failed trial
-// (error or non-finite outcome) is recorded instead of aborting the
-// whole run — one singular perturbed matrix no longer kills a
-// 10k-sample build. The returned Stats holds the successful outcomes
-// only; callers deciding whether enough trials survived should inspect
-// len(failures) (an all-failed run returns an empty Stats whose
-// accessors report documented NaN, not an error).
-func RunCollect(trials int, f func(trial int) (float64, error)) (*Stats, []Failure, error) {
-	if trials < 1 {
-		return nil, nil, fmt.Errorf("montecarlo: trials %d < 1", trials)
-	}
-	if f == nil {
-		return nil, nil, fmt.Errorf("montecarlo: nil trial function")
-	}
-	s := &Stats{values: make([]float64, 0, trials)}
-	var failures []Failure
-	for i := 0; i < trials; i++ {
-		v, err := f(i)
-		if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
-			err = fmt.Errorf("montecarlo: trial %d produced non-finite value", i)
-		}
-		if err != nil {
-			failures = append(failures, Failure{Trial: i, Err: err})
-			continue
-		}
-		s.values = append(s.values, v)
-	}
-	return s, failures, nil
-}
 
 // ForEach runs f(trial) for every trial ∈ [0, trials) on a pool of
 // context-aware workers (workers ≤ 0 means NumCPU; the pool never
@@ -265,73 +90,4 @@ func ForEach(ctx context.Context, trials, workers int, f func(trial int) error) 
 	}
 	wg.Wait()
 	return firstErr
-}
-
-// RunParallel is Run with context-aware parallel workers: outcomes land
-// in per-trial slots and are folded into the Stats in trial order, so
-// the result is bit-identical at every worker count. Like Run, the
-// whole run fails on the first trial error or non-finite outcome (the
-// lowest-index offender is reported, independent of scheduling).
-func RunParallel(ctx context.Context, trials, workers int, f func(trial int) (float64, error)) (*Stats, error) {
-	if f == nil {
-		return nil, fmt.Errorf("montecarlo: nil trial function")
-	}
-	vals := make([]float64, trials)
-	errs := make([]error, trials)
-	if err := ForEach(ctx, trials, workers, func(i int) error {
-		vals[i], errs[i] = f(i)
-		return nil // per-trial errors are ranked by index below
-	}); err != nil {
-		return nil, err
-	}
-	s := &Stats{values: make([]float64, 0, trials)}
-	for i, v := range vals {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("montecarlo: trial %d: %w", i, errs[i])
-		}
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("montecarlo: trial %d produced non-finite value", i)
-		}
-		s.values = append(s.values, v)
-	}
-	return s, nil
-}
-
-// DiagnosisYield estimates the probability that a single hard fault is
-// correctly named when every other component carries manufacturing
-// tolerance: one trial perturbs the golden circuit (σ = tol.Sigma),
-// injects a fault with the given deviation on a cyclically chosen
-// component, and scores 1 for a correct top-1 diagnosis. The returned
-// Stats' Mean is the yield.
-func DiagnosisYield(d *dictionary.Dictionary, dg *diagnosis.Diagnoser, tol fault.Tolerance, deviation float64, trials int, rng *rand.Rand) (*Stats, error) {
-	if rng == nil {
-		return nil, fmt.Errorf("montecarlo: nil rng")
-	}
-	if deviation == 0 {
-		return nil, fmt.Errorf("montecarlo: zero fault deviation")
-	}
-	comps := d.Universe().Components
-	omegas := dg.Map().Omegas
-	return Run(trials, func(i int) (float64, error) {
-		comp := comps[i%len(comps)]
-		board, err := tol.Perturb(d.Golden(), rng, comp)
-		if err != nil {
-			return 0, err
-		}
-		if err := board.ScaleValue(comp, 1+deviation); err != nil {
-			return 0, err
-		}
-		sig, err := d.CircuitSignature(board, omegas)
-		if err != nil {
-			return 0, err
-		}
-		res, err := dg.Diagnose(geometry.VecN(sig))
-		if err != nil {
-			return 0, err
-		}
-		if res.Best().Component == comp {
-			return 1, nil
-		}
-		return 0, nil
-	})
 }

@@ -3,182 +3,11 @@ package montecarlo
 import (
 	"context"
 	"errors"
-	"math"
-	"math/rand"
-	"runtime"
-	"strings"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 
-	"repro/internal/circuits"
-	"repro/internal/diagnosis"
-	"repro/internal/dictionary"
-	"repro/internal/fault"
 	"repro/internal/rerr"
-	"repro/internal/trajectory"
 )
-
-func TestRunValidation(t *testing.T) {
-	if _, err := Run(0, func(int) (float64, error) { return 0, nil }); err == nil {
-		t.Fatal("zero trials accepted")
-	}
-	if _, err := Run(1, nil); err == nil {
-		t.Fatal("nil trial function accepted")
-	}
-	boom := errors.New("boom")
-	if _, err := Run(3, func(i int) (float64, error) {
-		if i == 2 {
-			return 0, boom
-		}
-		return 1, nil
-	}); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if _, err := Run(1, func(int) (float64, error) { return math.NaN(), nil }); err == nil {
-		t.Fatal("NaN outcome accepted")
-	}
-}
-
-func TestStatsKnownValues(t *testing.T) {
-	vals := []float64{1, 2, 3, 4, 5}
-	i := 0
-	s, err := Run(5, func(int) (float64, error) {
-		v := vals[i]
-		i++
-		return v, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N() != 5 {
-		t.Fatalf("N = %d", s.N())
-	}
-	if s.Mean() != 3 {
-		t.Fatalf("Mean = %g", s.Mean())
-	}
-	if math.Abs(s.Std()-math.Sqrt(2.5)) > 1e-12 {
-		t.Fatalf("Std = %g, want %g", s.Std(), math.Sqrt(2.5))
-	}
-	if s.Min() != 1 || s.Max() != 5 {
-		t.Fatalf("min/max = %g/%g", s.Min(), s.Max())
-	}
-	if s.Quantile(0.5) != 3 {
-		t.Fatalf("median = %g", s.Quantile(0.5))
-	}
-	if s.Quantile(0) != 1 || s.Quantile(1) != 5 {
-		t.Fatal("extreme quantiles wrong")
-	}
-	if got := s.Quantile(0.25); got != 2 {
-		t.Fatalf("Q1 = %g, want 2", got)
-	}
-	mean, hw := s.MeanCI95()
-	if mean != 3 || hw <= 0 {
-		t.Fatalf("CI = %g ± %g", mean, hw)
-	}
-}
-
-// Empty Stats (every trial failed under RunCollect) must report the
-// documented NaN everywhere instead of the old silent NaN/±Inf mix.
-func TestEmptyStatsDocumentedNaN(t *testing.T) {
-	boom := errors.New("boom")
-	s, failures, err := RunCollect(3, func(int) (float64, error) { return 0, boom })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(failures) != 3 {
-		t.Fatalf("failures = %d, want 3", len(failures))
-	}
-	if s.N() != 0 {
-		t.Fatalf("N = %d, want 0", s.N())
-	}
-	for name, v := range map[string]float64{
-		"Mean": s.Mean(), "Std": s.Std(), "Min": s.Min(),
-		"Max": s.Max(), "Quantile": s.Quantile(0.5),
-	} {
-		if !math.IsNaN(v) {
-			t.Errorf("empty %s = %g, want NaN", name, v)
-		}
-	}
-	mean, hw := s.MeanCI95()
-	if !math.IsNaN(mean) || !math.IsNaN(hw) {
-		t.Errorf("empty MeanCI95 = %g ± %g, want NaN ± NaN", mean, hw)
-	}
-}
-
-func TestRunCollect(t *testing.T) {
-	boom := errors.New("singular")
-	s, failures, err := RunCollect(5, func(i int) (float64, error) {
-		switch i {
-		case 1:
-			return 0, boom
-		case 3:
-			return math.Inf(1), nil
-		}
-		return float64(i), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N() != 3 {
-		t.Fatalf("N = %d, want 3", s.N())
-	}
-	if len(failures) != 2 {
-		t.Fatalf("failures = %v, want 2", failures)
-	}
-	if failures[0].Trial != 1 || !errors.Is(failures[0].Err, boom) {
-		t.Fatalf("failure[0] = %+v", failures[0])
-	}
-	if failures[1].Trial != 3 || failures[1].Err == nil {
-		t.Fatalf("failure[1] = %+v", failures[1])
-	}
-	if got := s.Mean(); got != 2 { // (0+2+4)/3
-		t.Fatalf("Mean = %g, want 2", got)
-	}
-	if _, _, err := RunCollect(0, func(int) (float64, error) { return 0, nil }); err == nil {
-		t.Fatal("zero trials accepted")
-	}
-	if _, _, err := RunCollect(1, nil); err == nil {
-		t.Fatal("nil trial function accepted")
-	}
-}
-
-// RunParallel must produce bit-identical Stats at every worker count,
-// and must report the lowest-index trial error regardless of
-// scheduling.
-func TestRunParallelDeterministic(t *testing.T) {
-	trial := func(i int) (float64, error) {
-		rng := rand.New(rand.NewSource(42 + int64(i)))
-		return rng.NormFloat64(), nil
-	}
-	ref, err := Run(100, trial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, runtime.NumCPU(), 0} {
-		s, err := RunParallel(context.Background(), 100, workers, trial)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if s.N() != ref.N() || s.Mean() != ref.Mean() || s.Std() != ref.Std() {
-			t.Fatalf("workers=%d: stats differ from sequential Run", workers)
-		}
-	}
-	boom := errors.New("boom")
-	_, err = RunParallel(context.Background(), 64, 8, func(i int) (float64, error) {
-		if i == 7 || i == 50 {
-			return 0, boom
-		}
-		return 1, nil
-	})
-	if err == nil || !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	// Lowest-index offender is reported deterministically.
-	if want := "trial 7"; err != nil && !strings.Contains(err.Error(), want) {
-		t.Fatalf("err = %v, want mention of %s", err, want)
-	}
-}
 
 func TestForEachCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -195,6 +24,24 @@ func TestForEachCancellation(t *testing.T) {
 	if n := ran.Load(); n >= 10000 {
 		t.Fatalf("cancellation did not stop dispatch (ran %d)", n)
 	}
+	// The first trial error is returned and stops dispatch, on the
+	// sequential path and on the pool.
+	boom := errors.New("boom")
+	for _, workers := range []int{1, 4} {
+		var ran atomic.Int64
+		err := ForEach(context.Background(), 10000, workers, func(i int) error {
+			if ran.Add(1) == 10 {
+				return boom
+			}
+			return nil
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("workers=%d: err = %v, want boom", workers, err)
+		}
+		if n := ran.Load(); n >= 10000 {
+			t.Fatalf("workers=%d: trial error did not stop dispatch (ran %d)", workers, n)
+		}
+	}
 	if err := ForEach(context.Background(), 0, 1, func(int) error { return nil }); err == nil {
 		t.Fatal("zero trials accepted")
 	}
@@ -208,86 +55,5 @@ func TestForEachCancellation(t *testing.T) {
 	}
 	if hits.Load() != 8 {
 		t.Fatalf("ran %d trials, want 8", hits.Load())
-	}
-}
-
-func TestSingleSampleStd(t *testing.T) {
-	s, err := Run(1, func(int) (float64, error) { return 7, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Std() != 0 {
-		t.Fatalf("single-sample Std = %g", s.Std())
-	}
-}
-
-// Property: quantiles are monotone in q and bracketed by min/max.
-func TestQuickQuantileMonotone(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(50)
-		s, err := Run(n, func(int) (float64, error) { return rng.NormFloat64(), nil })
-		if err != nil {
-			return false
-		}
-		prev := math.Inf(-1)
-		for q := 0.0; q <= 1.0; q += 0.1 {
-			v := s.Quantile(q)
-			if v < prev-1e-12 || v < s.Min()-1e-12 || v > s.Max()+1e-12 {
-				return false
-			}
-			prev = v
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDiagnosisYield(t *testing.T) {
-	cut := circuits.NFLowpass7()
-	u, err := fault.PaperUniverse(cut.Passives)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := dictionary.New(cut.Circuit, cut.Source, cut.Output, u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := trajectory.Build(nil, d, []float64{0.5, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dg, err := diagnosis.New(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(8))
-	// Clean boards (σ = 0): yield must be 1.
-	s, err := DiagnosisYield(d, dg, fault.Tolerance{Sigma: 0}, 0.25, 14, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Mean() != 1 {
-		t.Fatalf("clean yield = %g, want 1", s.Mean())
-	}
-	// Heavy tolerance: yield drops but stays a probability.
-	s2, err := DiagnosisYield(d, dg, fault.Tolerance{Sigma: 0.05}, 0.25, 14, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Mean() < 0 || s2.Mean() > 1 {
-		t.Fatalf("yield = %g", s2.Mean())
-	}
-	if s2.Mean() > s.Mean() {
-		t.Fatalf("5%% tolerance yield %g exceeds clean yield %g", s2.Mean(), s.Mean())
-	}
-	// Validation.
-	if _, err := DiagnosisYield(d, dg, fault.Tolerance{}, 0.25, 5, nil); err == nil {
-		t.Fatal("nil rng accepted")
-	}
-	if _, err := DiagnosisYield(d, dg, fault.Tolerance{}, 0, 5, rng); err == nil {
-		t.Fatal("zero deviation accepted")
 	}
 }

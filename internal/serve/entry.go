@@ -271,16 +271,10 @@ func (e *Entry) finish(omegas []float64, tm *repro.TrajectoryMap, origin string)
 	return nil
 }
 
-// trajectoriesFromGrid is the registry's dictionary-artifact load path,
-// shared with ftdiag -load-dictionary: read the saved grid (validating
-// kind, schema version, and the session's netlist checksum) and rebuild
-// the trajectory map from it, interpolating in log ω off the stored grid
-// — no fault simulation.
-func trajectoriesFromGrid(s *repro.Session, path string, omegas []float64) (*repro.TrajectoryMap, error) {
-	tm, _, err := gridTrajectories(s, path, omegas)
-	return tm, err
-}
-
+// gridTrajectories reads a saved dictionary grid (validating kind,
+// schema version, and the session's netlist checksum) and rebuilds the
+// trajectory map from it, interpolating in log ω off the stored grid —
+// no fault simulation.
 func gridTrajectories(s *repro.Session, path string, omegas []float64) (*repro.TrajectoryMap, *repro.DictionaryExport, error) {
 	ex, err := s.LoadDictionary(path)
 	if err != nil {

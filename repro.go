@@ -123,7 +123,8 @@ type (
 
 // PaperCUT returns the stand-in for the paper's circuit under test: a
 // normalized negative-feedback low-pass filter with exactly seven
-// passive components (see DESIGN.md for the substitution rationale).
+// passive components (circuits.NFLowpass7's doc comment gives the
+// rationale: seven passives with separable trajectories).
 func PaperCUT() CUT { return circuits.NFLowpass7() }
 
 // PaperCUTMacro returns the paper CUT with the opamp replaced by the
