@@ -48,8 +48,8 @@ func main() {
 		doubles  = flag.Bool("double-faults", false, "model double faults: the trajectory map gains pair families and multi-fault injections are named, not rejected")
 		maxDbl   = flag.Int("max-double-faults", 0, "cap the modeled double-fault universe (0 = no cap)")
 		reject   = flag.Float64("reject", 0, "rejection ratio for out-of-model faults (0 disables; try 0.02)")
-		tolSigma = flag.Float64("tolerance", 0, "component tolerance sigma for probabilistic diagnosis (requires -mc-samples)")
-		mcSamp   = flag.Int("mc-samples", 0, "Monte-Carlo samples per fault cloud; > 0 adds a likelihood-ranked probabilistic diagnosis with confidence and ambiguity groups")
+		tolSigma = flag.Float64("tolerance", 0, "component tolerance sigma in (0, 0.3] for probabilistic diagnosis (requires -mc-samples)")
+		mcSamp   = flag.Int("mc-samples", 0, "Monte-Carlo samples per fault cloud; > 0 adds a likelihood-ranked probabilistic diagnosis with confidence and ambiguity groups (requires -tolerance)")
 		export   = flag.String("export", "", "write the fault dictionary grid as a versioned artifact to this file and exit")
 		saveTraj = flag.String("save-trajectories", "", "write the trajectory map as a versioned artifact to this file and exit")
 		loadDict = flag.String("load-dictionary", "", "diagnose against a saved dictionary-grid artifact (requires -freqs; skips grid re-simulation)")
@@ -90,7 +90,7 @@ func main() {
 	if *doubles {
 		opts = append(opts, repro.WithDoubleFaults(*maxDbl))
 	}
-	if *mcSamp > 0 {
+	if *mcSamp != 0 || *tolSigma != 0 {
 		opts = append(opts,
 			repro.WithTolerance(repro.Tolerance{Sigma: *tolSigma}, *mcSamp),
 			repro.WithToleranceSeed(*seed))

@@ -79,8 +79,8 @@ func main() {
 	flag.BoolVar(&o.full, "full", false, "use the paper's full 128x15 GA for optimized test vectors")
 	flag.BoolVar(&o.doubles, "double-faults", false, "model double faults: maps gain pair trajectories and {\"faults\":[...]} injections are named")
 	flag.IntVar(&o.maxDoubles, "max-double-faults", 0, "cap the modeled double-fault universe per CUT (0 = no cap)")
-	flag.Float64Var(&o.tolSigma, "tolerance", 0, "component tolerance sigma for probabilistic diagnosis (requires -mc-samples)")
-	flag.IntVar(&o.mcSamples, "mc-samples", 0, "Monte-Carlo samples per fault cloud; > 0 enables probabilistic diagnosis (confidence, likelihoods, ambiguity groups)")
+	flag.Float64Var(&o.tolSigma, "tolerance", 0, "component tolerance sigma in (0, 0.3] for probabilistic diagnosis (requires -mc-samples)")
+	flag.IntVar(&o.mcSamples, "mc-samples", 0, "Monte-Carlo samples per fault cloud; > 0 enables probabilistic diagnosis (confidence, likelihoods, ambiguity groups; requires -tolerance)")
 	flag.IntVar(&o.workers, "workers", 0, "worker bound per session (0 = one per CPU)")
 	flag.IntVar(&o.lru, "lru", serve.DefaultCapacity, "max CUTs resident in the registry")
 	flag.DurationVar(&o.flush, "flush", 2*time.Millisecond, "micro-batch flush window")

@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// TestParseFrequencies: the -freqs list accepts finite non-negative
-// values (DC included) and rejects everything else with ErrBadConfig,
-// before anything is built.
+// TestParseFrequencies: the -freqs list accepts distinct finite
+// non-negative values (DC included) and rejects everything else with
+// ErrBadConfig, before anything is built.
 func TestParseFrequencies(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
@@ -25,7 +25,7 @@ func TestParseFrequencies(t *testing.T) {
 			t.Errorf("ParseFrequencies(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
 		}
 	}
-	for _, bad := range []string{"", "abc", "1,", "NaN", "nan", "Inf", "+Inf", "-Inf", "-1", "0.5,-1e-9", "1e400", "1,NaN,2"} {
+	for _, bad := range []string{"", "abc", "1,", "NaN", "nan", "Inf", "+Inf", "-Inf", "-1", "0.5,-1e-9", "1e400", "1,NaN,2", "0.5,0.5", "0.5,5e-1"} {
 		got, err := ParseFrequencies(bad)
 		if err == nil {
 			t.Errorf("ParseFrequencies(%q) = %v, want an error", bad, got)
@@ -35,8 +35,9 @@ func TestParseFrequencies(t *testing.T) {
 	}
 }
 
-// FuzzParseFrequencies: ParseFrequencies never panics, every value it
-// accepts is finite and non-negative, and every error wraps ErrBadConfig.
+// FuzzParseFrequencies: ParseFrequencies never panics, the values it
+// accepts are finite, non-negative and pairwise distinct, and every error
+// wraps ErrBadConfig.
 func FuzzParseFrequencies(f *testing.F) {
 	for _, seed := range []string{"0.56,4.55", "0", "1e3, 2", "NaN", "-1", "+Inf", "0x1p-2", "1,,2", " 7 "} {
 		f.Add(seed)
@@ -49,9 +50,14 @@ func FuzzParseFrequencies(f *testing.F) {
 			}
 			return
 		}
-		for _, w := range got {
+		for i, w := range got {
 			if math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
 				t.Fatalf("ParseFrequencies(%q) accepted %g", s, w)
+			}
+			for _, v := range got[:i] {
+				if v == w {
+					t.Fatalf("ParseFrequencies(%q) accepted %g twice", s, w)
+				}
 			}
 		}
 	})

@@ -83,29 +83,6 @@ func (sol *Solution) NodeVoltage(node string) (complex128, error) {
 	return sol.x[i], nil
 }
 
-// BranchCurrent returns the auxiliary branch current of a named element
-// (voltage sources, inductors, VCVS/CCVS, ideal opamps).
-func (sol *Solution) BranchCurrent(elem string) (complex128, error) {
-	i, ok := sol.ac.sys.BranchIndex(elem)
-	if !ok {
-		return 0, fmt.Errorf("analysis: element %q carries no branch-current variable", elem)
-	}
-	return sol.x[i], nil
-}
-
-// VoltageBetween returns V(a) - V(b).
-func (sol *Solution) VoltageBetween(a, b string) (complex128, error) {
-	va, err := sol.NodeVoltage(a)
-	if err != nil {
-		return 0, err
-	}
-	vb, err := sol.NodeVoltage(b)
-	if err != nil {
-		return 0, err
-	}
-	return va - vb, nil
-}
-
 // TransferPoint is one point of a frequency response.
 type TransferPoint struct {
 	// Omega is the angular frequency in rad/s.
@@ -128,29 +105,11 @@ type Response struct {
 	Points []TransferPoint
 }
 
-// Omegas returns the frequency axis.
-func (r Response) Omegas() []float64 {
-	out := make([]float64, len(r.Points))
-	for i, p := range r.Points {
-		out[i] = p.Omega
-	}
-	return out
-}
-
 // Mags returns |H| per point.
 func (r Response) Mags() []float64 {
 	out := make([]float64, len(r.Points))
 	for i, p := range r.Points {
 		out[i] = p.Mag()
-	}
-	return out
-}
-
-// MagsDb returns |H| in dB per point.
-func (r Response) MagsDb() []float64 {
-	out := make([]float64, len(r.Points))
-	for i, p := range r.Points {
-		out[i] = p.MagDb()
 	}
 	return out
 }

@@ -89,14 +89,6 @@ func TestDCBehaviour(t *testing.T) {
 	if cmplx.Abs(v-0.5) > 1e-12 {
 		t.Fatalf("DC out = %v, want 0.5", v)
 	}
-	// Branch current of the source: 1 V over 200 Ω.
-	i, err := sol.BranchCurrent("V1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmplx.Abs(i+0.005) > 1e-12 { // current flows out of + terminal: -5 mA by MNA sign convention
-		t.Fatalf("source current = %v, want -5e-3", i)
-	}
 }
 
 func TestRLCResonance(t *testing.T) {
@@ -246,11 +238,8 @@ func TestSweepAndLogSweep(t *testing.T) {
 			t.Fatalf("mag = %v, want 0.5", p.Mag())
 		}
 	}
-	if got := resp.Omegas(); got[2] != 100 {
-		t.Fatalf("omegas = %v", got)
-	}
-	if got := resp.MagsDb(); math.Abs(got[0]+6.0206) > 0.001 {
-		t.Fatalf("db = %v, want about -6.02", got[0])
+	if got := resp.Points[0].MagDb(); math.Abs(got+6.0206) > 0.001 {
+		t.Fatalf("db = %v, want about -6.02", got)
 	}
 	lr, err := ac.LogSweep("V1", "out", 0.1, 1000, 41)
 	if err != nil {
@@ -372,29 +361,5 @@ func TestResponseAccessors(t *testing.T) {
 	}
 	if ph := r2.Points[0].PhaseDeg(); math.Abs(ph+45) > 1e-6 {
 		t.Fatalf("corner phase = %g, want -45", ph)
-	}
-}
-
-func TestVoltageBetween(t *testing.T) {
-	ac, err := NewAC(divider(1000, 1000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sol, err := ac.SolveAt(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := sol.VoltageBetween("in", "out")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmplx.Abs(v-0.5) > 1e-12 {
-		t.Fatalf("V(in,out) = %v, want 0.5", v)
-	}
-	if _, err := sol.VoltageBetween("in", "ghost"); err == nil {
-		t.Fatal("ghost node accepted")
-	}
-	if _, err := sol.BranchCurrent("R1"); err == nil {
-		t.Fatal("R1 branch current should not exist")
 	}
 }

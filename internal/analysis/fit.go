@@ -96,32 +96,6 @@ func (ac *AC) FitRational(source, outNode string, numDeg, denDeg int, omegas []f
 	return numeric.Rational{Num: num.Trim(), Den: den.Trim()}, nil
 }
 
-// FitQuality returns the worst relative magnitude error of the fit over
-// a validation frequency set.
-func (ac *AC) FitQuality(r numeric.Rational, source, outNode string, omegas []float64) (float64, error) {
-	var worst float64
-	for _, w := range omegas {
-		h, err := ac.Transfer(source, outNode, w)
-		if err != nil {
-			return 0, err
-		}
-		want := mag(h)
-		got := r.Mag(w)
-		var rel float64
-		if want > 1e-15 {
-			rel = math.Abs(got-want) / want
-		} else {
-			rel = math.Abs(got - want)
-		}
-		if rel > worst {
-			worst = rel
-		}
-	}
-	return worst, nil
-}
-
-func mag(h complex128) float64 { return math.Hypot(real(h), imag(h)) }
-
 func geometricMean(x []float64) float64 {
 	var acc float64
 	for _, v := range x {
@@ -131,26 +105,4 @@ func geometricMean(x []float64) float64 {
 		acc += math.Log(v)
 	}
 	return math.Exp(acc / float64(len(x)))
-}
-
-// SecondOrderParams extracts (ω0, Q, DC gain) from a fitted second-order
-// all-pole lowpass D(s) = d0 + d1·s + d2·s²: ω0 = sqrt(d0/d2),
-// Q = sqrt(d0·d2)/d1.
-func SecondOrderParams(r numeric.Rational) (omega0, q, dcGain float64, err error) {
-	den := r.Den.Trim()
-	if den.Degree() != 2 {
-		return 0, 0, 0, fmt.Errorf("analysis: denominator degree %d, want 2", den.Degree())
-	}
-	d0, d1, d2 := den[0], den[1], den[2]
-	if d0 <= 0 || d2 <= 0 || d1 <= 0 {
-		return 0, 0, 0, fmt.Errorf("analysis: non-positive-definite denominator %v", den)
-	}
-	omega0 = math.Sqrt(d0 / d2)
-	q = math.Sqrt(d0*d2) / d1
-	num := r.Num.Trim()
-	if len(num) == 0 {
-		return 0, 0, 0, fmt.Errorf("analysis: zero numerator")
-	}
-	dcGain = num[0] / d0
-	return omega0, q, dcGain, nil
 }

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"math"
 	"math/cmplx"
 
 	"repro/internal/circuit"
@@ -89,79 +88,4 @@ func transferFromCurrentInjection(c *circuit.Circuit, a, b, outNode string, omeg
 		return 0, err
 	}
 	return sol.NodeVoltage(outNode)
-}
-
-// NoiseRMS integrates the output noise PSD over [wLo, wHi] rad/s on a
-// logarithmic grid with n points (trapezoidal in linear frequency) and
-// returns the RMS noise voltage. Note the conversion: PSD is per hertz,
-// the band is given in rad/s.
-func NoiseRMS(c *circuit.Circuit, outNode string, wLo, wHi, tempK float64, n int) (float64, error) {
-	if !(wLo > 0 && wHi > wLo) || n < 2 {
-		return 0, fmt.Errorf("analysis: bad noise band [%g, %g] with %d points", wLo, wHi, n)
-	}
-	// Logarithmic grid in ω.
-	var power float64
-	prevF := wLo / (2 * math.Pi)
-	_, prevPSD, err := OutputNoise(c, outNode, wLo, tempK)
-	if err != nil {
-		return 0, err
-	}
-	for i := 1; i < n; i++ {
-		w := wLo * math.Pow(wHi/wLo, float64(i)/float64(n-1))
-		_, psd, err := OutputNoise(c, outNode, w, tempK)
-		if err != nil {
-			return 0, err
-		}
-		f := w / (2 * math.Pi)
-		power += 0.5 * (psd + prevPSD) * (f - prevF)
-		prevF, prevPSD = f, psd
-	}
-	return math.Sqrt(power), nil
-}
-
-// GroupDelay estimates -dφ/dω of the transfer function at omega by a
-// central difference with relative step h.
-func (ac *AC) GroupDelay(source, outNode string, omega, h float64) (float64, error) {
-	if h <= 0 || omega <= 0 {
-		return 0, fmt.Errorf("analysis: bad group-delay params ω=%g h=%g", omega, h)
-	}
-	up, err := ac.Transfer(source, outNode, omega*(1+h))
-	if err != nil {
-		return 0, err
-	}
-	dn, err := ac.Transfer(source, outNode, omega*(1-h))
-	if err != nil {
-		return 0, err
-	}
-	dphi := cmplx.Phase(up) - cmplx.Phase(dn)
-	// Unwrap the single step.
-	for dphi > math.Pi {
-		dphi -= 2 * math.Pi
-	}
-	for dphi < -math.Pi {
-		dphi += 2 * math.Pi
-	}
-	return -dphi / (2 * h * omega), nil
-}
-
-// UnwrapPhase returns the response's phase in radians with 2π jumps
-// removed, assuming adjacent sweep points differ by less than π.
-func UnwrapPhase(r Response) []float64 {
-	out := make([]float64, len(r.Points))
-	var offset float64
-	for i, p := range r.Points {
-		ph := cmplx.Phase(p.H) + offset
-		if i > 0 {
-			for ph-out[i-1] > math.Pi {
-				ph -= 2 * math.Pi
-				offset -= 2 * math.Pi
-			}
-			for ph-out[i-1] < -math.Pi {
-				ph += 2 * math.Pi
-				offset += 2 * math.Pi
-			}
-		}
-		out[i] = ph
-	}
-	return out
 }

@@ -9,19 +9,16 @@ import (
 	"strings"
 )
 
-// ManifestKind tags a persisted registry manifest.
-const ManifestKind = "repro.artifact-manifest"
-
 // ManifestEntry records one saved artifact: where it lives and the
 // envelope header that identifies it without decoding the payload.
 type ManifestEntry struct {
 	// Path is the artifact file, relative to the manifest's directory.
-	Path string `json:"path"`
+	Path string
 	// Kind is the envelope's payload kind.
-	Kind string `json:"kind"`
+	Kind string
 	// Checksum is the envelope's netlist checksum — the key that groups
 	// artifacts belonging to one circuit under test.
-	Checksum string `json:"checksum,omitempty"`
+	Checksum string
 }
 
 // Manifest lists the saved artifacts under one directory, the registry's
@@ -30,9 +27,9 @@ type ManifestEntry struct {
 // rescan of an unchanged directory is deep-equal.
 type Manifest struct {
 	// Dir is the directory the entry paths are relative to.
-	Dir string `json:"-"`
+	Dir string
 	// Entries holds one record per readable artifact.
-	Entries []ManifestEntry `json:"entries"`
+	Entries []ManifestEntry
 }
 
 // ScanDir indexes every artifact envelope in dir (non-recursive): each
@@ -81,45 +78,4 @@ func (m *Manifest) Find(kind, checksum string) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// Checksums lists the distinct CUT checksums present, sorted.
-func (m *Manifest) Checksums() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, e := range m.Entries {
-		if e.Checksum != "" && !seen[e.Checksum] {
-			seen[e.Checksum] = true
-			out = append(out, e.Checksum)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Save persists the manifest itself as a (CUT-independent) artifact in
-// its directory, so deployments can ship a pinned index instead of
-// rescanning.
-func (m *Manifest) Save(name string) error {
-	data, err := Encode(ManifestKind, "", m)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(m.Dir, name), data, 0o644)
-}
-
-// LoadManifest reads a manifest artifact written by Save. The returned
-// manifest resolves entry paths relative to the manifest file's own
-// directory.
-func LoadManifest(path string) (*Manifest, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var m Manifest
-	if err := DecodeInto(data, ManifestKind, "", &m); err != nil {
-		return nil, err
-	}
-	m.Dir = filepath.Dir(path)
-	return &m, nil
 }

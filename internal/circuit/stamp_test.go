@@ -237,7 +237,11 @@ func TestControlledSourceStampsSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := numeric.Solve(a, b)
+	lu, err := numeric.Factor(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := lu.Solve(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +289,11 @@ func TestInductorACBehaviour(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := numeric.Solve(a, b)
+	lu, err := numeric.Factor(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := lu.Solve(b)
 	if err != nil {
 		t.Fatal(err)
 	}

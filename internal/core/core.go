@@ -25,30 +25,6 @@ import (
 	"repro/internal/trajectory"
 )
 
-// FitnessMode selects the GA's objective.
-type FitnessMode int
-
-const (
-	// PaperFitness is the paper's 1/(1+I), I = trajectory intersections.
-	PaperFitness FitnessMode = iota
-	// SeparationFitness augments the paper fitness with a small
-	// min-separation bonus, breaking ties among zero-intersection test
-	// vectors (an ablation the paper does not use;
-	// TestFitnessExplicitVector pins it at or above the paper fitness).
-	SeparationFitness
-)
-
-func (m FitnessMode) String() string {
-	switch m {
-	case PaperFitness:
-		return "paper"
-	case SeparationFitness:
-		return "separation"
-	default:
-		return fmt.Sprintf("FitnessMode(%d)", int(m))
-	}
-}
-
 // Config drives test-vector optimization.
 type Config struct {
 	// NumFrequencies is k, the test-vector size (paper: 2).
@@ -58,8 +34,6 @@ type Config struct {
 	BandLo, BandHi float64
 	// GA holds the genetic-algorithm hyperparameters.
 	GA ga.Config
-	// Fitness selects the objective (default: PaperFitness).
-	Fitness FitnessMode
 	// Seed makes the run reproducible.
 	Seed int64
 }
@@ -73,7 +47,6 @@ func PaperOptimizeConfig(omega0 float64) Config {
 		BandLo:         omega0 / 100,
 		BandHi:         omega0 * 100,
 		GA:             ga.PaperConfig(),
-		Fitness:        PaperFitness,
 		Seed:           1,
 	}
 }
@@ -124,32 +97,20 @@ func New(golden *circuit.Circuit, source, output string, u *fault.Universe) (*AT
 // Dictionary exposes the underlying fault dictionary.
 func (a *ATPG) Dictionary() *dictionary.Dictionary { return a.dict }
 
-// Fitness evaluates the configured objective for an explicit test vector
-// — the same function the GA maximizes.
-func (a *ATPG) Fitness(ctx context.Context, omegas []float64, mode FitnessMode) (float64, error) {
+// Fitness evaluates the GA objective for an explicit test vector — the
+// same function the GA maximizes.
+func (a *ATPG) Fitness(ctx context.Context, omegas []float64) (float64, error) {
 	m, err := trajectory.Build(ctx, a.dict, omegas)
 	if err != nil {
 		return 0, err
 	}
-	return fitnessOf(m, mode), nil
+	return fitnessOf(m), nil
 }
 
-func fitnessOf(m *trajectory.Map, mode FitnessMode) float64 {
-	base := 1 / (1 + float64(m.Intersections()))
-	if mode != SeparationFitness {
-		return base
-	}
-	ext := m.Extent()
-	if ext == 0 {
-		return base
-	}
-	// Bonus in [0, 0.5): normalized min-separation cannot dominate the
-	// discrete intersection term.
-	sep := m.MinSeparation() / ext
-	if math.IsInf(sep, 0) || math.IsNaN(sep) {
-		sep = 0
-	}
-	return base + 0.5*math.Min(1, sep)
+// fitnessOf is the paper's objective 1/(1+I), I = trajectory
+// intersections.
+func fitnessOf(m *trajectory.Map) float64 {
+	return 1 / (1 + float64(m.Intersections()))
 }
 
 // Optimize searches for the best test vector with the GA. The context
@@ -179,7 +140,7 @@ func (a *ATPG) Optimize(ctx context.Context, cfg Config) (*TestVector, error) {
 	}
 	problem := ga.Problem{
 		Bounds:       bounds,
-		BatchFitness: a.batchFitness(ctx, cfg.Fitness, workers),
+		BatchFitness: a.batchFitness(ctx, workers),
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	res, err := ga.Run(ctx, problem, cfg.GA, rng)
@@ -211,8 +172,8 @@ type fitnessWorker struct {
 }
 
 // eval scores one candidate: genes (log10 ω) → test vector → trajectory
-// map → configured fitness. Unsolvable candidates score zero mass.
-func (w *fitnessWorker) eval(ctx context.Context, genes []float64, mode FitnessMode) float64 {
+// map → fitness. Unsolvable candidates score zero mass.
+func (w *fitnessWorker) eval(ctx context.Context, genes []float64) float64 {
 	w.omegas = w.omegas[:0]
 	for _, g := range genes {
 		w.omegas = append(w.omegas, math.Pow(10, g))
@@ -221,7 +182,7 @@ func (w *fitnessWorker) eval(ctx context.Context, genes []float64, mode FitnessM
 	if err != nil {
 		return 0 // unsolvable candidate: zero mass
 	}
-	return fitnessOf(m, mode)
+	return fitnessOf(m)
 }
 
 // batchFitness returns the generation-batched fitness evaluator: one
@@ -229,7 +190,7 @@ func (w *fitnessWorker) eval(ctx context.Context, genes []float64, mode FitnessM
 // contiguous chunks. Chunking is pure partitioning — every candidate is
 // scored by the same pure function, so results are identical at any
 // worker count and to the per-individual path.
-func (a *ATPG) batchFitness(ctx context.Context, mode FitnessMode, workers int) func([][]float64, []float64) {
+func (a *ATPG) batchFitness(ctx context.Context, workers int) func([][]float64, []float64) {
 	ws := make([]*fitnessWorker, workers)
 	for i := range ws {
 		ws[i] = &fitnessWorker{b: trajectory.NewBuilder(a.dict)}
@@ -244,7 +205,7 @@ func (a *ATPG) batchFitness(ctx context.Context, mode FitnessMode, workers int) 
 			// Inline path: no goroutine or scheduling overhead when the
 			// caller asked for sequential evaluation.
 			for i := range genomes {
-				out[i] = ws[0].eval(ctx, genomes[i], mode)
+				out[i] = ws[0].eval(ctx, genomes[i])
 			}
 			return
 		}
@@ -262,7 +223,7 @@ func (a *ATPG) batchFitness(ctx context.Context, mode FitnessMode, workers int) 
 			go func(st *fitnessWorker, lo, hi int) {
 				defer wg.Done()
 				for i := lo; i < hi; i++ {
-					out[i] = st.eval(ctx, genomes[i], mode)
+					out[i] = st.eval(ctx, genomes[i])
 				}
 			}(ws[k], lo, hi)
 		}
@@ -333,7 +294,7 @@ func (a *ATPG) RandomVector(ctx context.Context, k int, bandLo, bandHi float64, 
 		if err != nil {
 			continue
 		}
-		fit := fitnessOf(m, PaperFitness)
+		fit := fitnessOf(m)
 		if fit > best.Fitness {
 			sort.Float64s(omegas)
 			best = &TestVector{Omegas: omegas, Fitness: fit, Intersections: m.Intersections(), Evaluations: trial + 1}
@@ -374,7 +335,7 @@ func (a *ATPG) GridVector(ctx context.Context, k int, bandLo, bandHi float64, gr
 				return nil // skip unsolvable combos
 			}
 			evals++
-			if fit := fitnessOf(m, PaperFitness); fit > best.Fitness {
+			if fit := fitnessOf(m); fit > best.Fitness {
 				best = &TestVector{Omegas: omegas, Fitness: fit, Intersections: m.Intersections()}
 			}
 			return nil
@@ -459,7 +420,7 @@ func (a *ATPG) SensitivityVector(ctx context.Context, k int, bandLo, bandHi floa
 	}
 	return &TestVector{
 		Omegas:        picked,
-		Fitness:       fitnessOf(m, PaperFitness),
+		Fitness:       fitnessOf(m),
 		Intersections: m.Intersections(),
 		Evaluations:   len(grid),
 	}, nil

@@ -70,32 +70,16 @@ func TestPaperOptimizeConfig(t *testing.T) {
 	}
 }
 
-func TestFitnessModeString(t *testing.T) {
-	if PaperFitness.String() != "paper" || SeparationFitness.String() != "separation" {
-		t.Fatal("mode strings wrong")
-	}
-	if FitnessMode(7).String() == "" {
-		t.Fatal("unknown mode must render")
-	}
-}
-
 func TestFitnessExplicitVector(t *testing.T) {
 	a := paperATPG(t)
-	fit, err := a.Fitness(nil, []float64{0.5, 2}, PaperFitness)
+	fit, err := a.Fitness(nil, []float64{0.5, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fit <= 0 || fit > 1 {
 		t.Fatalf("paper fitness = %g outside (0,1]", fit)
 	}
-	sep, err := a.Fitness(nil, []float64{0.5, 2}, SeparationFitness)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sep < fit {
-		t.Fatalf("separation fitness %g below paper %g", sep, fit)
-	}
-	if _, err := a.Fitness(nil, nil, PaperFitness); err == nil {
+	if _, err := a.Fitness(nil, nil); err == nil {
 		t.Fatal("empty vector accepted")
 	}
 }
@@ -130,7 +114,7 @@ func TestOptimizeFindsGoodVector(t *testing.T) {
 		t.Fatal("no evaluations recorded")
 	}
 	// Fitness agrees with a direct recomputation.
-	direct, err := a.Fitness(nil, tv.Omegas, PaperFitness)
+	direct, err := a.Fitness(nil, tv.Omegas)
 	if err != nil {
 		t.Fatal(err)
 	}

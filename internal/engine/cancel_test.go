@@ -111,7 +111,7 @@ func TestBatchProgressCountsEveryColumn(t *testing.T) {
 // element reports ErrUnknownComponent.
 func TestUnknownComponentIsStructured(t *testing.T) {
 	eng, _ := testEngine(t)
-	_, err := eng.Response(fault.Fault{Component: "R99", Deviation: 0.2}, 1)
+	_, err := eng.ResponseSet(fault.Fault{Component: "R99", Deviation: 0.2}, 1)
 	if !errors.Is(err, rerr.ErrUnknownComponent) {
 		t.Fatalf("err = %v, want ErrUnknownComponent", err)
 	}

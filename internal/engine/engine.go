@@ -57,7 +57,6 @@ const (
 // compiled circuit template.
 type Engine struct {
 	tmpl      *Template
-	source    string
 	output    string
 	outIdx    int // -1 when the output is ground (H ≡ 0)
 	amp       complex128
@@ -165,7 +164,7 @@ func New(c *circuit.Circuit, source, output string) (*Engine, error) {
 		return nil, err
 	}
 	ampAbs := cmplx.Abs(vs.Amplitude)
-	eng := &Engine{tmpl: tmpl, source: source, output: output, outIdx: outIdx, amp: vs.Amplitude, ampAbs: ampAbs, invAmpAbs: 1 / ampAbs}
+	eng := &Engine{tmpl: tmpl, output: output, outIdx: outIdx, amp: vs.Amplitude, ampAbs: ampAbs, invAmpAbs: 1 / ampAbs}
 	eng.sparseAuto = tmpl.sparse != nil && tmpl.n >= sparseMinN && tmpl.sparse.sym.FillRatio() <= sparseMaxFill
 	// One pool serves every batch shape: a workspace's per-batch scratch
 	// grows to the largest batch it has served and keeps that capacity,
@@ -218,9 +217,6 @@ func (e *Engine) NNZ() int {
 // Template exposes the compiled stamp program.
 func (e *Engine) Template() *Template { return e.tmpl }
 
-// Source returns the driving source name.
-func (e *Engine) Source() string { return e.source }
-
 // Output returns the observed node name.
 func (e *Engine) Output() string { return e.output }
 
@@ -249,14 +245,6 @@ func (e *Engine) resolve(f fault.Fault) (int, float64, error) {
 		return 0, 0, fmt.Errorf("engine: fault %s: %w: no parameter slot for element %q", f.ID(), rerr.ErrUnknownComponent, f.Component)
 	}
 	return i, e.tmpl.slots[i].value * f.Scale(), nil
-}
-
-// Response computes |H(jω)| for one fault exactly: the template is
-// patched at the fault's slot and the full system factored — no
-// Sherman–Morrison shortcut. This is the reference the batch path must
-// agree with, and the path Dictionary.Response memoizes behind.
-func (e *Engine) Response(f fault.Fault, omega float64) (float64, error) {
-	return e.ResponseSet(f, omega)
 }
 
 // ResponseSet computes |H(jω)| for one fault set exactly: the template
@@ -311,11 +299,6 @@ func checkDistinct(parts []fault.Fault) error {
 	return nil
 }
 
-// GoldenResponse computes the nominal |H(jω)|.
-func (e *Engine) GoldenResponse(omega float64) (float64, error) {
-	return e.Response(fault.Fault{}, omega)
-}
-
 func (e *Engine) out(x []complex128) complex128 {
 	if e.outIdx < 0 {
 		return 0
@@ -352,20 +335,6 @@ type Batch struct {
 	partVal  []float64 // flattened faulted values
 	distinct []int     // distinct slots present, in first-seen order
 	zSlot    []int     // template slot → z-solve position (-1 absent)
-}
-
-// Signatures returns the fault-space points: Mags − Golden, row-aligned
-// with the batch's faults.
-func (b *Batch) Signatures() [][]float64 {
-	out := make([][]float64, len(b.Mags))
-	for i, row := range b.Mags {
-		sig := make([]float64, len(row))
-		for j, m := range row {
-			sig[j] = m - b.Golden[j]
-		}
-		out[i] = sig
-	}
-	return out
 }
 
 // workspace is one worker's scratch for the column solver (blocked.go).

@@ -193,7 +193,7 @@ func TestResponseMatchesAnalysis(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := eng.Response(f, w)
+				got, err := eng.ResponseSet(f, w)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -230,7 +230,7 @@ func TestBatchAgreesWithResponse(t *testing.T) {
 		t.Fatalf("batch shape %dx%d, want %dx%d", len(batch.Mags), len(batch.Golden), len(faults), len(omegas))
 	}
 	for j, w := range omegas {
-		g, err := eng.GoldenResponse(w)
+		g, err := eng.ResponseSet(fault.Fault{}, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +238,7 @@ func TestBatchAgreesWithResponse(t *testing.T) {
 			t.Fatalf("golden ω=%g: batch %.15g vs exact %.15g (rel %g)", w, batch.Golden[j], g, re)
 		}
 		for i, f := range faults {
-			exact, err := eng.Response(f, w)
+			exact, err := eng.ResponseSet(f, w)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -279,7 +279,7 @@ func TestBatchAllCUTs(t *testing.T) {
 		floor := 1e-3 * peak
 		for i, f := range faults {
 			for j, w := range omegas {
-				exact, err := eng.Response(f, w)
+				exact, err := eng.ResponseSet(f, w)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -288,33 +288,6 @@ func TestBatchAllCUTs(t *testing.T) {
 						cut.Circuit.Name(), f.ID(), w, batch.Mags[i][j], exact, re)
 				}
 			}
-		}
-	}
-}
-
-// TestBatchSignatures checks the signature helper: golden rows vanish and
-// fault rows equal mag − golden.
-func TestBatchSignatures(t *testing.T) {
-	cut := circuits.NFLowpass7()
-	eng, err := New(cut.Circuit, cut.Source, cut.Output)
-	if err != nil {
-		t.Fatal(err)
-	}
-	faults := []fault.Fault{{}, {Component: "R3", Deviation: 0.4}}
-	batch, err := eng.BatchResponses(nil, faults, []float64{0.5, 2}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sigs := batch.Signatures()
-	for _, v := range sigs[0] {
-		if v != 0 {
-			t.Fatalf("golden signature %v, want zeros", sigs[0])
-		}
-	}
-	for j := range sigs[1] {
-		want := batch.Mags[1][j] - batch.Golden[j]
-		if sigs[1][j] != want {
-			t.Fatalf("signature[%d] = %g, want %g", j, sigs[1][j], want)
 		}
 	}
 }
@@ -335,16 +308,16 @@ func TestEngineErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Response(fault.Fault{Component: "R99", Deviation: 0.1}, 1); err == nil {
+	if _, err := eng.ResponseSet(fault.Fault{Component: "R99", Deviation: 0.1}, 1); err == nil {
 		t.Fatal("unknown component accepted")
 	}
-	if _, err := eng.Response(fault.Fault{Component: "U1", Deviation: 0.1}, 1); err == nil {
+	if _, err := eng.ResponseSet(fault.Fault{Component: "U1", Deviation: 0.1}, 1); err == nil {
 		t.Fatal("non-valued component accepted")
 	}
-	if _, err := eng.Response(fault.Fault{Component: "R1", Deviation: -1}, 1); err == nil {
+	if _, err := eng.ResponseSet(fault.Fault{Component: "R1", Deviation: -1}, 1); err == nil {
 		t.Fatal("-100% deviation accepted")
 	}
-	if _, err := eng.GoldenResponse(-1); err == nil {
+	if _, err := eng.ResponseSet(fault.Fault{}, -1); err == nil {
 		t.Fatal("negative frequency accepted")
 	}
 	if _, err := eng.BatchResponses(nil, []fault.Fault{{}}, nil, 1); err == nil {
@@ -365,7 +338,7 @@ func TestEngineErrors(t *testing.T) {
 	}
 }
 
-// TestSlotAccessors covers HasSlot / SlotValue.
+// TestSlotAccessors covers HasSlot.
 func TestSlotAccessors(t *testing.T) {
 	cut := circuits.NFLowpass7()
 	tmpl, err := Compile(cut.Circuit)
@@ -374,12 +347,5 @@ func TestSlotAccessors(t *testing.T) {
 	}
 	if !tmpl.HasSlot("R1") || tmpl.HasSlot("U1") || tmpl.HasSlot("Vin") {
 		t.Fatal("slot membership wrong")
-	}
-	v, ok := tmpl.SlotValue("C2")
-	if !ok || v != 2 {
-		t.Fatalf("SlotValue(C2) = %g, %v", v, ok)
-	}
-	if _, ok := tmpl.SlotValue("nosuch"); ok {
-		t.Fatal("SlotValue for unknown element")
 	}
 }

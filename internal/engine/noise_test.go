@@ -51,44 +51,6 @@ func TestOutputNoisePSDMatchesCloneReference(t *testing.T) {
 	}
 }
 
-// NoiseRMS integrates the same per-frequency PSDs; a trapezoid over the
-// engine's PSD on NoiseRMS's own grid must reproduce it to 1e-9,
-// pinning grid convention (log-ω points, linear-Hz integration) as well
-// as the per-point values.
-func TestNoiseRMSMatchesEnginePSDIntegration(t *testing.T) {
-	const tempK = 300.0
-	const n = 40
-	cut := circuits.NFLowpass7()
-	wLo, wHi := cut.Omega0/100, cut.Omega0*100
-	ref, err := analysis.NoiseRMS(cut.Circuit, cut.Output, wLo, wHi, tempK, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := New(cut.Circuit, cut.Source, cut.Output)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The exact grid NoiseRMS walks: wLo·(wHi/wLo)^(i/(n−1)).
-	omegas := make([]float64, n)
-	for i := range omegas {
-		omegas[i] = wLo * math.Pow(wHi/wLo, float64(i)/float64(n-1))
-	}
-	psd, err := eng.OutputNoisePSD(context.Background(), omegas, tempK)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var power float64
-	for i := 1; i < len(omegas); i++ {
-		fPrev := omegas[i-1] / (2 * math.Pi)
-		fCur := omegas[i] / (2 * math.Pi)
-		power += 0.5 * (psd[i-1] + psd[i]) * (fCur - fPrev)
-	}
-	got := math.Sqrt(power)
-	if rel := math.Abs(got-ref) / ref; rel > 1e-9 {
-		t.Fatalf("NoiseRMS %.15g vs engine integration %.15g (rel %.3g)", ref, got, rel)
-	}
-}
-
 func TestOutputNoisePSDValidation(t *testing.T) {
 	cut := circuits.NFLowpass7()
 	eng, err := New(cut.Circuit, cut.Source, cut.Output)

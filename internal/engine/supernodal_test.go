@@ -72,7 +72,7 @@ func TestSupernodalThreeWayEquivalence(t *testing.T) {
 			exactS := map[int][]float64{}
 			for i := 0; i < len(singles); i += 17 {
 				for _, w := range all {
-					v, err := eng.Response(singles[i], w)
+					v, err := eng.ResponseSet(singles[i], w)
 					if err != nil {
 						t.Fatal(err)
 					}

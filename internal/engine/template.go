@@ -287,15 +287,6 @@ func (t *Template) HasSlot(elem string) bool {
 	return ok
 }
 
-// SlotValue returns the nominal value of a named slot.
-func (t *Template) SlotValue(elem string) (float64, bool) {
-	i, ok := t.byName[elem]
-	if !ok {
-		return 0, false
-	}
-	return t.slots[i].value, true
-}
-
 // stampGolden fills dst (which must be n×n) with the golden A(s): the
 // static entries plus every slot at its nominal value.
 func (t *Template) stampGolden(dst *numeric.Matrix, s complex128) {

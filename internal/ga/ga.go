@@ -86,31 +86,6 @@ func (s SelectionMethod) String() string {
 	}
 }
 
-// CrossoverMethod names a recombination operator.
-type CrossoverMethod int
-
-const (
-	// Arithmetic blends parents gene-wise with a random weight.
-	Arithmetic CrossoverMethod = iota
-	// SinglePoint swaps tails after a random cut.
-	SinglePoint
-	// Uniform swaps each gene with probability 1/2.
-	Uniform
-)
-
-func (c CrossoverMethod) String() string {
-	switch c {
-	case Arithmetic:
-		return "arithmetic"
-	case SinglePoint:
-		return "single-point"
-	case Uniform:
-		return "uniform"
-	default:
-		return fmt.Sprintf("CrossoverMethod(%d)", int(c))
-	}
-}
-
 // Config holds the GA hyperparameters.
 type Config struct {
 	// PopSize is the population size (paper: 128).
@@ -125,8 +100,6 @@ type Config struct {
 	MutationRate float64
 	// Selection picks the parent-selection strategy (paper: Roulette).
 	Selection SelectionMethod
-	// Crossover picks the recombination operator.
-	Crossover CrossoverMethod
 	// Elitism preserves the best n individuals unchanged each
 	// generation.
 	Elitism int
@@ -157,7 +130,6 @@ func PaperConfig() Config {
 		ReproductionRate: 0.5,
 		MutationRate:     0.4,
 		Selection:        Roulette,
-		Crossover:        Arithmetic,
 		Elitism:          1,
 		MutSigma:         0.1,
 	}
@@ -419,7 +391,7 @@ func nextGeneration(pop []individual, p Problem, cfg Config, rng *rand.Rand) []i
 	for len(next) < cfg.Elitism+offspring && len(next) < n {
 		a := sel.pick()
 		b := sel.pick()
-		child := crossover(a.genes, b.genes, cfg.Crossover, rng)
+		child := crossover(a.genes, b.genes, rng)
 		next = append(next, individual{genes: child})
 	}
 	for len(next) < n {
@@ -491,26 +463,13 @@ func (s *selector) pick() individual {
 	}
 }
 
-func crossover(a, b []float64, m CrossoverMethod, rng *rand.Rand) []float64 {
+// crossover blends the parents gene-wise with a random weight
+// (arithmetic crossover).
+func crossover(a, b []float64, rng *rand.Rand) []float64 {
 	child := make([]float64, len(a))
-	switch m {
-	case SinglePoint:
-		cut := rng.Intn(len(a))
-		copy(child, a[:cut])
-		copy(child[cut:], b[cut:])
-	case Uniform:
-		for i := range child {
-			if rng.Float64() < 0.5 {
-				child[i] = a[i]
-			} else {
-				child[i] = b[i]
-			}
-		}
-	default: // Arithmetic
-		for i := range child {
-			w := rng.Float64()
-			child[i] = w*a[i] + (1-w)*b[i]
-		}
+	for i := range child {
+		w := rng.Float64()
+		child[i] = w*a[i] + (1-w)*b[i]
 	}
 	return child
 }

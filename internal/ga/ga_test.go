@@ -181,15 +181,13 @@ func TestCrossoverMethods(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := []float64{0, 0, 0, 0}
 	b := []float64{1, 1, 1, 1}
-	for _, m := range []CrossoverMethod{Arithmetic, SinglePoint, Uniform} {
-		child := crossover(a, b, m, rng)
-		if len(child) != 4 {
-			t.Fatalf("%v: child len %d", m, len(child))
-		}
-		for _, g := range child {
-			if g < 0 || g > 1 {
-				t.Fatalf("%v: child gene %g outside convex hull", m, g)
-			}
+	child := crossover(a, b, rng)
+	if len(child) != 4 {
+		t.Fatalf("child len %d", len(child))
+	}
+	for _, g := range child {
+		if g < 0 || g > 1 {
+			t.Fatalf("child gene %g outside convex hull", g)
 		}
 	}
 }
@@ -273,10 +271,7 @@ func TestMethodStrings(t *testing.T) {
 	if Roulette.String() != "roulette" || Tournament.String() != "tournament" || Rank.String() != "rank" {
 		t.Fatal("selection strings wrong")
 	}
-	if Arithmetic.String() != "arithmetic" || SinglePoint.String() != "single-point" || Uniform.String() != "uniform" {
-		t.Fatal("crossover strings wrong")
-	}
-	if SelectionMethod(9).String() == "" || CrossoverMethod(9).String() == "" {
+	if SelectionMethod(9).String() == "" {
 		t.Fatal("unknown enums must still render")
 	}
 }

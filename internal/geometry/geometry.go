@@ -54,12 +54,6 @@ type Segment struct {
 // Length returns the segment's Euclidean length.
 func (s Segment) Length() float64 { return s.A.Dist(s.B) }
 
-// Midpoint returns the segment's midpoint.
-func (s Segment) Midpoint() Point { return s.A.Add(s.B).Scale(0.5) }
-
-// Degenerate reports whether the segment has (near-)zero length.
-func (s Segment) Degenerate() bool { return s.Length() <= Eps }
-
 // Orientation classifies the turn a→b→c:
 // +1 counter-clockwise, -1 clockwise, 0 collinear (within Eps scaled by
 // the operand magnitudes).
@@ -122,21 +116,6 @@ const (
 	// CollinearOverlap: they are collinear and share more than one point.
 	CollinearOverlap
 )
-
-func (k IntersectKind) String() string {
-	switch k {
-	case NoIntersection:
-		return "none"
-	case ProperCrossing:
-		return "proper"
-	case EndpointTouch:
-		return "touch"
-	case CollinearOverlap:
-		return "overlap"
-	default:
-		return fmt.Sprintf("IntersectKind(%d)", int(k))
-	}
-}
 
 // Intersect classifies the intersection of segments s and t and, for
 // point intersections, returns the intersection point.
@@ -202,12 +181,6 @@ func Intersect(s, t Segment) (IntersectKind, Point) {
 	return NoIntersection, Point{}
 }
 
-// Crosses reports whether segments s and t share at least one point.
-func Crosses(s, t Segment) bool {
-	k, _ := Intersect(s, t)
-	return k != NoIntersection
-}
-
 // Projection is the result of dropping a perpendicular from a point onto
 // the line through a segment.
 type Projection struct {
@@ -241,9 +214,6 @@ func Project(p Point, s Segment) Projection {
 		Interior: t > 0 && t < 1,
 	}
 }
-
-// DistToSegment returns the distance from p to the closed segment s.
-func DistToSegment(p Point, s Segment) float64 { return Project(p, s).Dist }
 
 // BoundingBox is an axis-aligned rectangle.
 type BoundingBox struct {

@@ -106,19 +106,6 @@ func TestIntersectCollinear(t *testing.T) {
 	}
 }
 
-func TestIntersectKindString(t *testing.T) {
-	for k, want := range map[IntersectKind]string{
-		NoIntersection:   "none",
-		ProperCrossing:   "proper",
-		EndpointTouch:    "touch",
-		CollinearOverlap: "overlap",
-	} {
-		if k.String() != want {
-			t.Errorf("String(%d) = %q, want %q", int(k), k.String(), want)
-		}
-	}
-}
-
 func TestProject(t *testing.T) {
 	s := Segment{Point{0, 0}, Point{10, 0}}
 	pr := Project(Point{3, 4}, s)
@@ -144,15 +131,6 @@ func TestSegmentHelpers(t *testing.T) {
 	s := Segment{Point{0, 0}, Point{4, 0}}
 	if s.Length() != 4 {
 		t.Fatalf("Length = %v", s.Length())
-	}
-	if s.Midpoint() != (Point{2, 0}) {
-		t.Fatalf("Midpoint = %v", s.Midpoint())
-	}
-	if s.Degenerate() {
-		t.Fatal("non-degenerate segment flagged")
-	}
-	if !(Segment{Point{1, 1}, Point{1, 1}}).Degenerate() {
-		t.Fatal("degenerate segment not flagged")
 	}
 }
 
@@ -218,7 +196,7 @@ func TestQuickCrossingPointOnBoth(t *testing.T) {
 		if k != ProperCrossing {
 			return true
 		}
-		return DistToSegment(p, s) < 1e-9 && DistToSegment(p, u) < 1e-9
+		return Project(p, s).Dist < 1e-9 && Project(p, u).Dist < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

@@ -86,15 +86,6 @@ func (pl PolylineN) Dim() int {
 	return len(pl[0])
 }
 
-// LengthN returns the total arc length.
-func (pl PolylineN) LengthN() float64 {
-	var l float64
-	for i := 0; i+1 < len(pl); i++ {
-		l += DistN(pl[i], pl[i+1])
-	}
-	return l
-}
-
 // NearestSegmentN finds the closest segment of pl to p.
 func (pl PolylineN) NearestSegmentN(p VecN) (int, ProjectionN, bool) {
 	if len(pl) < 2 {
@@ -128,61 +119,4 @@ func (pl PolylineN) Project2D(i, j int) Polyline {
 		out[k] = Point{p[i], p[j]}
 	}
 	return out
-}
-
-// PairwiseProjectedIntersections sums IntersectionCount over every
-// coordinate-plane projection of two k-D polylines. For k = 2 it reduces
-// to the paper's planar intersection count.
-func PairwiseProjectedIntersections(a, b PolylineN, countTouches bool) int {
-	dim := a.Dim()
-	if bd := b.Dim(); bd != dim {
-		panic(fmt.Sprintf("geometry: projected intersections of dims %d vs %d", dim, bd))
-	}
-	if dim < 2 {
-		// In R^1 trajectories are intervals; count overlap as one
-		// intersection if the intervals overlap.
-		if dim == 0 || len(a) == 0 || len(b) == 0 {
-			return 0
-		}
-		amin, amax := minMax1(a)
-		bmin, bmax := minMax1(b)
-		if amin <= bmax && bmin <= amax {
-			return 1
-		}
-		return 0
-	}
-	total := 0
-	for i := 0; i < dim; i++ {
-		for j := i + 1; j < dim; j++ {
-			total += IntersectionCount(a.Project2D(i, j), b.Project2D(i, j), countTouches)
-		}
-	}
-	return total
-}
-
-func minMax1(pl PolylineN) (float64, float64) {
-	mn, mx := pl[0][0], pl[0][0]
-	for _, p := range pl[1:] {
-		mn = math.Min(mn, p[0])
-		mx = math.Max(mx, p[0])
-	}
-	return mn, mx
-}
-
-// MinDistN returns the smallest distance between any vertex of a and the
-// polyline b — a separation proxy for k-D trajectories, cheaper than true
-// segment-segment distance and adequate for densely sampled trajectories.
-func MinDistN(a, b PolylineN) float64 {
-	best := math.Inf(1)
-	for _, p := range a {
-		if d := b.DistToN(p); d < best {
-			best = d
-		}
-	}
-	for _, p := range b {
-		if d := a.DistToN(p); d < best {
-			best = d
-		}
-	}
-	return best
 }

@@ -52,9 +52,6 @@ func TestPolylineN(t *testing.T) {
 	if pl.Dim() != 3 {
 		t.Fatalf("Dim = %d", pl.Dim())
 	}
-	if pl.LengthN() != 7 {
-		t.Fatalf("LengthN = %v, want 7", pl.LengthN())
-	}
 	i, pr, ok := pl.NearestSegmentN(VecN{1.5, 1, 0})
 	if !ok || i != 0 || pr.Dist != 1 {
 		t.Fatalf("NearestSegmentN = %d %+v", i, pr)
@@ -65,55 +62,10 @@ func TestPolylineN(t *testing.T) {
 }
 
 func TestProject2DAndProjectedIntersections(t *testing.T) {
-	// Two 3D lines crossing in the XY projection only.
 	a := PolylineN{{-1, -1, 0}, {1, 1, 0}}
-	b := PolylineN{{-1, 1, 5}, {1, -1, 5}}
 	xy := a.Project2D(0, 1)
 	if xy[0] != (Point{-1, -1}) {
 		t.Fatalf("Project2D = %v", xy)
-	}
-	// XY plane: cross once. XZ and YZ: a is at z=0, b at z=5 — they
-	// still cross in those projections since projection ignores z...
-	// verify against a direct count.
-	got := PairwiseProjectedIntersections(a, b, false)
-	want := IntersectionCount(a.Project2D(0, 1), b.Project2D(0, 1), false) +
-		IntersectionCount(a.Project2D(0, 2), b.Project2D(0, 2), false) +
-		IntersectionCount(a.Project2D(1, 2), b.Project2D(1, 2), false)
-	if got != want {
-		t.Fatalf("PairwiseProjectedIntersections = %d, want %d", got, want)
-	}
-	if got < 1 {
-		t.Fatalf("expected at least the XY crossing, got %d", got)
-	}
-}
-
-func TestPairwiseProjected2DMatchesPlanar(t *testing.T) {
-	a2 := PolylineN{{-1, -1}, {1, 1}}
-	b2 := PolylineN{{-1, 1}, {1, -1}}
-	got := PairwiseProjectedIntersections(a2, b2, false)
-	want := IntersectionCount(Polyline{{-1, -1}, {1, 1}}, Polyline{{-1, 1}, {1, -1}}, false)
-	if got != want {
-		t.Fatalf("k=2 projected = %d, planar = %d", got, want)
-	}
-}
-
-func TestPairwiseProjected1D(t *testing.T) {
-	a := PolylineN{{0}, {2}}
-	b := PolylineN{{1}, {3}}
-	if got := PairwiseProjectedIntersections(a, b, false); got != 1 {
-		t.Fatalf("1D overlap = %d, want 1", got)
-	}
-	c := PolylineN{{5}, {6}}
-	if got := PairwiseProjectedIntersections(a, c, false); got != 0 {
-		t.Fatalf("1D disjoint = %d, want 0", got)
-	}
-}
-
-func TestMinDistN(t *testing.T) {
-	a := PolylineN{{0, 0}, {1, 0}}
-	b := PolylineN{{0, 2}, {1, 2}}
-	if got := MinDistN(a, b); got != 2 {
-		t.Fatalf("MinDistN = %v, want 2", got)
 	}
 }
 

@@ -1,9 +1,6 @@
 package geometry
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Polyline is an ordered sequence of points; consecutive points define its
 // segments. A fault trajectory is one polyline per circuit component.
@@ -20,31 +17,6 @@ func (pl Polyline) Segments() []Segment {
 		out = append(out, Segment{pl[i], pl[i+1]})
 	}
 	return out
-}
-
-// Length returns the total arc length.
-func (pl Polyline) Length() float64 {
-	var l float64
-	for _, s := range pl.Segments() {
-		l += s.Length()
-	}
-	return l
-}
-
-// Box returns the bounding box of the polyline; the zero box for an empty
-// polyline.
-func (pl Polyline) Box() BoundingBox {
-	if len(pl) == 0 {
-		return BoundingBox{}
-	}
-	b := BoundingBox{Min: pl[0], Max: pl[0]}
-	for _, p := range pl[1:] {
-		b.Min.X = math.Min(b.Min.X, p.X)
-		b.Min.Y = math.Min(b.Min.Y, p.Y)
-		b.Max.X = math.Max(b.Max.X, p.X)
-		b.Max.Y = math.Max(b.Max.Y, p.Y)
-	}
-	return b
 }
 
 // NearestSegment returns the index of the segment nearest to p, the
@@ -72,65 +44,6 @@ func (pl Polyline) DistTo(p Point) float64 {
 		return math.Inf(1)
 	}
 	return pr.Dist
-}
-
-// ArcParam returns the normalized arc-length parameter in [0,1] of the
-// point at segment index i, local parameter t (clamped). It lets the
-// diagnosis stage turn a projection foot into a deviation estimate.
-func (pl Polyline) ArcParam(i int, t float64) float64 {
-	segs := pl.Segments()
-	if len(segs) == 0 {
-		return 0
-	}
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(segs) {
-		i = len(segs) - 1
-	}
-	t = math.Max(0, math.Min(1, t))
-	total := pl.Length()
-	if total == 0 {
-		return 0
-	}
-	var acc float64
-	for j := 0; j < i; j++ {
-		acc += segs[j].Length()
-	}
-	acc += t * segs[i].Length()
-	return acc / total
-}
-
-// IntersectionCount counts intersection points between two polylines.
-// Endpoint touches can be counted or not via countTouches; collinear
-// overlaps always count (a shared pathway is the worst case for
-// distinguishability, per the paper's fitness criterion).
-func IntersectionCount(a, b Polyline, countTouches bool) int {
-	sa, sb := a.Segments(), b.Segments()
-	if len(sa) == 0 || len(sb) == 0 {
-		return 0
-	}
-	if !a.Box().Overlaps(b.Box()) {
-		return 0
-	}
-	count := 0
-	for _, s := range sa {
-		bs := BoxOf(s)
-		for _, t := range sb {
-			if !bs.Overlaps(BoxOf(t)) {
-				continue
-			}
-			switch k, _ := Intersect(s, t); k {
-			case ProperCrossing, CollinearOverlap:
-				count++
-			case EndpointTouch:
-				if countTouches {
-					count++
-				}
-			}
-		}
-	}
-	return count
 }
 
 // SharedOriginIntersections counts intersections between two polylines
@@ -275,22 +188,6 @@ func fartherThan(p, q Point, r float64) bool {
 	return math.Hypot(dx, dy) > r
 }
 
-// SelfIntersections counts proper self-crossings of a polyline, ignoring
-// the inevitable endpoint sharing of consecutive segments.
-func (pl Polyline) SelfIntersections() int {
-	segs := pl.Segments()
-	count := 0
-	for i := 0; i < len(segs); i++ {
-		for j := i + 2; j < len(segs); j++ {
-			k, _ := Intersect(segs[i], segs[j])
-			if k == ProperCrossing || k == CollinearOverlap {
-				count++
-			}
-		}
-	}
-	return count
-}
-
 // OverlapLength estimates the length of a's portion that lies within tol
 // of b, sampled at n points per segment. This is the "common pathway"
 // metric the paper's fitness criterion wants minimized alongside
@@ -313,15 +210,4 @@ func OverlapLength(a, b Polyline, tol float64, n int) float64 {
 		overlap += step * float64(inside)
 	}
 	return overlap
-}
-
-// Validate reports an error for polylines with NaN/Inf coordinates, which
-// would poison the geometric predicates silently.
-func (pl Polyline) Validate() error {
-	for i, p := range pl {
-		if math.IsNaN(p.X) || math.IsNaN(p.Y) || math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) {
-			return fmt.Errorf("geometry: polyline point %d is not finite: %v", i, p)
-		}
-	}
-	return nil
 }

@@ -2,7 +2,6 @@ package numeric
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 )
 
@@ -46,51 +45,5 @@ func TestBlockPlanesFor(t *testing.T) {
 	}
 	if _, _, err := b.PlanesFor(2, 7); err != nil {
 		t.Errorf("fresh shape after Reset: %v", err)
-	}
-}
-
-// TestSolveBlockIntoGuards pins the validate-before-clobber contract of
-// both dense SolveBlockInto implementations: a rhs whose row count does
-// not match the factorization reports ErrDimension and leaves dst
-// untouched — shape and contents.
-func TestSolveBlockIntoGuards(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	n := 6
-	a := randWellConditioned(rng, n)
-
-	lu, err := Factor(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slu, err := FactorSoA(SoAFromMatrix(a))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	wrong := randBlock(rng, n+2, 3)
-	for _, tc := range []struct {
-		name  string
-		solve func(dst, rhs *Block) error
-	}{
-		{"LU", lu.SolveBlockInto},
-		{"SoALU", slu.SolveBlockInto},
-	} {
-		dst := randBlock(rng, n, 2)
-		mark := dst.At(1, 1)
-		if err := tc.solve(dst, wrong); !errors.Is(err, ErrDimension) {
-			t.Errorf("%s.SolveBlockInto wrong rows: err = %v, want ErrDimension", tc.name, err)
-		}
-		if dst.Rows() != n || dst.Cols() != 2 {
-			t.Errorf("%s: dst reshaped to %dx%d by failed solve", tc.name, dst.Rows(), dst.Cols())
-		}
-		if got := dst.At(1, 1); got != mark {
-			t.Errorf("%s: dst contents clobbered by failed solve", tc.name)
-		}
-
-		// A matching rhs still solves, through the same entry point.
-		good := randBlock(rng, n, 2)
-		if err := tc.solve(dst, good); err != nil {
-			t.Errorf("%s.SolveBlockInto matching rhs: %v", tc.name, err)
-		}
 	}
 }

@@ -1,7 +1,6 @@
 package numeric
 
 import (
-	"errors"
 	"fmt"
 	"math/cmplx"
 )
@@ -13,17 +12,13 @@ import (
 // this repository: each frequency point of a Modified Nodal Analysis run
 // factors one complex system and back-substitutes.
 type LU struct {
-	lu    *Matrix
-	piv   []int // row i of the factored matrix came from row piv[i] of A
-	swp   []int // swap sequence: step k exchanged rows k and swp[k]
-	sign  int   // parity of the permutation, ±1
-	n     int
-	normA float64 // infinity norm of A, kept for condition estimation
+	lu  *Matrix
+	piv []int // row i of the factored matrix came from row piv[i] of A
+	n   int
 }
 
 // Factor computes the LU factorization of the square matrix a.
-// It returns ErrSingular if a pivot is exactly zero; near-singular systems
-// succeed but report a large ConditionEstimate.
+// It returns ErrSingular if a pivot is exactly zero.
 func Factor(a *Matrix) (*LU, error) {
 	if a.rows != a.cols {
 		return nil, fmt.Errorf("numeric: factor %dx%d: %w", a.rows, a.cols, ErrDimension)
@@ -67,9 +62,8 @@ func (f *LU) factorStorage(a *Matrix) error {
 	n := a.rows
 	if cap(f.piv) < n {
 		f.piv = make([]int, n)
-		f.swp = make([]int, n)
 	}
-	*f = LU{lu: a, piv: f.piv[:n], swp: f.swp[:n], sign: 1, n: n, normA: a.NormInf()}
+	*f = LU{lu: a, piv: f.piv[:n], n: n}
 	for i := range f.piv {
 		f.piv[i] = i
 	}
@@ -87,13 +81,11 @@ func (f *LU) factorStorage(a *Matrix) error {
 		if mx == 0 {
 			return fmt.Errorf("numeric: zero pivot at column %d: %w", k, ErrSingular)
 		}
-		f.swp[k] = p
 		if p != k {
 			for j := 0; j < n; j++ {
 				d[k*n+j], d[p*n+j] = d[p*n+j], d[k*n+j]
 			}
 			f.piv[k], f.piv[p] = f.piv[p], f.piv[k]
-			f.sign = -f.sign
 		}
 		pivot := d[k*n+k]
 		for i := k + 1; i < n; i++ {
@@ -110,9 +102,6 @@ func (f *LU) factorStorage(a *Matrix) error {
 	return nil
 }
 
-// N returns the order of the factored system.
-func (f *LU) N() int { return f.n }
-
 // Solve solves A*x = b for a single right-hand side. b is not modified.
 func (f *LU) Solve(b []complex128) ([]complex128, error) {
 	if len(b) != f.n {
@@ -127,7 +116,8 @@ func (f *LU) Solve(b []complex128) ([]complex128, error) {
 	return x, nil
 }
 
-// SolveInto is Solve reusing a caller-provided destination of length N.
+// SolveInto is Solve reusing a caller-provided destination, whose length
+// is the system's order.
 // dst and b may not alias.
 func (f *LU) SolveInto(dst, b []complex128) error {
 	if len(b) != f.n || len(dst) != f.n {
@@ -159,209 +149,4 @@ func (f *LU) solveInPlace(x []complex128) {
 		}
 		x[i] = (x[i] - s) / d[i*n+i]
 	}
-}
-
-// SolveBlock solves A·X = B for every column of the SoA block in place:
-// the block's columns are overwritten with the corresponding solutions.
-// The permutation and both triangular sweeps run once across all
-// right-hand sides — the factored matrix is walked once per block, not
-// once per column — with the per-row axpys touching contiguous float64
-// plane runs. Allocation-free.
-func (f *LU) SolveBlock(blk *Block) error {
-	if blk.rows != f.n {
-		return fmt.Errorf("numeric: solve-block with %d rows, want %d: %w", blk.rows, f.n, ErrDimension)
-	}
-	n, nc := f.n, blk.cols
-	if nc == 0 {
-		return nil
-	}
-	for k := 0; k < n; k++ {
-		if p := f.swp[k]; p != k {
-			blk.swapRows(k, p)
-		}
-	}
-	d := f.lu.data
-	bre, bim := blk.re, blk.im
-	// L·Y = P·B (L unit lower triangular).
-	for i := 1; i < n; i++ {
-		xr := bre[i*nc : i*nc+nc]
-		xi := bim[i*nc : i*nc+nc]
-		for j := 0; j < i; j++ {
-			m := d[i*n+j]
-			if m == 0 {
-				continue
-			}
-			mr, mi := real(m), imag(m)
-			yr := bre[j*nc : j*nc+nc]
-			yi := bim[j*nc : j*nc+nc]
-			for c := range xr {
-				r, im := yr[c], yi[c]
-				xr[c] -= mr*r - mi*im
-				xi[c] -= mr*im + mi*r
-			}
-		}
-	}
-	// U·X = Y.
-	for i := n - 1; i >= 0; i-- {
-		xr := bre[i*nc : i*nc+nc]
-		xi := bim[i*nc : i*nc+nc]
-		for j := i + 1; j < n; j++ {
-			m := d[i*n+j]
-			if m == 0 {
-				continue
-			}
-			mr, mi := real(m), imag(m)
-			yr := bre[j*nc : j*nc+nc]
-			yi := bim[j*nc : j*nc+nc]
-			for c := range xr {
-				r, im := yr[c], yi[c]
-				xr[c] -= mr*r - mi*im
-				xi[c] -= mr*im + mi*r
-			}
-		}
-		dr, di := recip(real(d[i*n+i]), imag(d[i*n+i]))
-		for c := range xr {
-			r, im := xr[c], xi[c]
-			xr[c] = dr*r - di*im
-			xi[c] = dr*im + di*r
-		}
-	}
-	return nil
-}
-
-// SolveBlockInto is SolveBlock writing the solutions into dst, leaving
-// rhs untouched. dst is reshaped to rhs's shape, reusing its planes, so
-// a dst held across calls makes the steady state allocation-free. The
-// shape check runs before dst is touched, so a mismatched rhs reports
-// ErrDimension with dst intact.
-func (f *LU) SolveBlockInto(dst, rhs *Block) error {
-	if rhs.rows != f.n {
-		return fmt.Errorf("numeric: solve-block-into with %d rows, want %d: %w", rhs.rows, f.n, ErrDimension)
-	}
-	if dst == rhs {
-		return f.SolveBlock(dst)
-	}
-	dst.CopyFrom(rhs)
-	return f.SolveBlock(dst)
-}
-
-// SolveMatrix solves A*X = B via one blocked multi-RHS solve.
-func (f *LU) SolveMatrix(b *Matrix) (*Matrix, error) {
-	out := NewMatrix(f.n, b.cols)
-	if err := f.SolveMatrixInto(out, b, &Block{}); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SolveMatrixInto is SolveMatrix writing into the caller-owned dst
-// (shape n×B.cols) using the caller-owned scratch block for the solve —
-// allocation-free in steady state once scratch has warmed to the
-// largest shape it has seen.
-func (f *LU) SolveMatrixInto(dst, b *Matrix, scratch *Block) error {
-	if b.rows != f.n {
-		return fmt.Errorf("numeric: solve-matrix with %d rows, want %d: %w", b.rows, f.n, ErrDimension)
-	}
-	if dst.rows != f.n || dst.cols != b.cols {
-		return fmt.Errorf("numeric: solve-matrix into %dx%d, want %dx%d: %w", dst.rows, dst.cols, f.n, b.cols, ErrDimension)
-	}
-	scratch.CopyFromMatrix(b)
-	if err := f.SolveBlock(scratch); err != nil {
-		return err
-	}
-	return scratch.ToMatrix(dst)
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() complex128 {
-	det := complex(float64(f.sign), 0)
-	for i := 0; i < f.n; i++ {
-		det *= f.lu.data[i*f.n+i]
-	}
-	return det
-}
-
-// Inverse returns A^-1 via one blocked solve against the identity.
-func (f *LU) Inverse() (*Matrix, error) {
-	out := NewMatrix(f.n, f.n)
-	if err := f.InverseInto(out, &Block{}); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// InverseInto writes A^-1 into the caller-owned n×n dst using the
-// caller-owned scratch block — allocation-free in steady state.
-func (f *LU) InverseInto(dst *Matrix, scratch *Block) error {
-	if dst.rows != f.n || dst.cols != f.n {
-		return fmt.Errorf("numeric: inverse into %dx%d, want %dx%d: %w", dst.rows, dst.cols, f.n, f.n, ErrDimension)
-	}
-	scratch.Reset(f.n, f.n)
-	scratch.Zero()
-	for i := 0; i < f.n; i++ {
-		scratch.re[i*f.n+i] = 1
-	}
-	if err := f.SolveBlock(scratch); err != nil {
-		return err
-	}
-	return scratch.ToMatrix(dst)
-}
-
-// ConditionEstimate returns a cheap lower-bound estimate of the infinity-
-// norm condition number κ∞(A) ≈ ‖A‖∞ · ‖A⁻¹‖∞, where ‖A⁻¹‖∞ is estimated
-// by one round of Hager-style power iteration on |A⁻¹|. A value above
-// ~1/machine-epsilon means solutions carry no trustworthy digits.
-func (f *LU) ConditionEstimate() float64 {
-	n := f.n
-	if n == 0 {
-		return 0
-	}
-	// Start from the all-ones direction and take the largest row response.
-	x := make([]complex128, n)
-	for i := range x {
-		x[i] = complex(1.0/float64(n), 0)
-	}
-	dst := make([]complex128, n)
-	var invNorm float64
-	for iter := 0; iter < 2; iter++ {
-		if err := f.SolveInto(dst, x); err != nil {
-			return 0
-		}
-		// Infinity norm of the solve response and the maximizing index.
-		var mx float64
-		var at int
-		for i, v := range dst {
-			if a := cmplx.Abs(v); a > mx {
-				mx, at = a, i
-			}
-		}
-		invNorm = mx * float64(n) // undo the 1/n scaling direction-wise
-		for i := range x {
-			x[i] = 0
-		}
-		x[at] = 1
-	}
-	return f.normA * invNorm
-}
-
-// Solve is a convenience that factors a and solves a single system.
-func Solve(a *Matrix, b []complex128) ([]complex128, error) {
-	f, err := Factor(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b)
-}
-
-// Det computes the determinant of a square matrix, returning 0 for a
-// singular input.
-func Det(a *Matrix) (complex128, error) {
-	f, err := Factor(a)
-	if err != nil {
-		if errors.Is(err, ErrSingular) {
-			return 0, nil
-		}
-		return 0, err
-	}
-	return f.Det(), nil
 }

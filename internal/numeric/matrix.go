@@ -11,7 +11,6 @@ package numeric
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/cmplx"
 	"strings"
 )
@@ -39,32 +38,6 @@ func NewMatrix(r, c int) *Matrix {
 		panic(fmt.Sprintf("numeric: negative matrix dimension %dx%d", r, c))
 	}
 	return &Matrix{rows: r, cols: c, data: make([]complex128, r*c)}
-}
-
-// MatrixFromRows builds a matrix from a slice of equal-length rows.
-func MatrixFromRows(rows [][]complex128) (*Matrix, error) {
-	r := len(rows)
-	if r == 0 {
-		return NewMatrix(0, 0), nil
-	}
-	c := len(rows[0])
-	m := NewMatrix(r, c)
-	for i, row := range rows {
-		if len(row) != c {
-			return nil, fmt.Errorf("numeric: ragged row %d: got %d columns, want %d: %w", i, len(row), c, ErrDimension)
-		}
-		copy(m.data[i*c:(i+1)*c], row)
-	}
-	return m, nil
-}
-
-// Identity returns the n-by-n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.data[i*n+i] = 1
-	}
-	return m
 }
 
 // Rows returns the number of rows.
@@ -135,39 +108,6 @@ func (m *Matrix) Equalish(n *Matrix, tol float64) bool {
 	return true
 }
 
-// AddMatrix returns m + n.
-func (m *Matrix) AddMatrix(n *Matrix) (*Matrix, error) {
-	if m.rows != n.rows || m.cols != n.cols {
-		return nil, fmt.Errorf("numeric: add %dx%d with %dx%d: %w", m.rows, m.cols, n.rows, n.cols, ErrDimension)
-	}
-	out := NewMatrix(m.rows, m.cols)
-	for i := range m.data {
-		out.data[i] = m.data[i] + n.data[i]
-	}
-	return out, nil
-}
-
-// SubMatrix returns m - n.
-func (m *Matrix) SubMatrix(n *Matrix) (*Matrix, error) {
-	if m.rows != n.rows || m.cols != n.cols {
-		return nil, fmt.Errorf("numeric: sub %dx%d with %dx%d: %w", m.rows, m.cols, n.rows, n.cols, ErrDimension)
-	}
-	out := NewMatrix(m.rows, m.cols)
-	for i := range m.data {
-		out.data[i] = m.data[i] - n.data[i]
-	}
-	return out, nil
-}
-
-// Scale returns s*m.
-func (m *Matrix) Scale(s complex128) *Matrix {
-	out := NewMatrix(m.rows, m.cols)
-	for i := range m.data {
-		out.data[i] = s * m.data[i]
-	}
-	return out
-}
-
 // Mul returns the matrix product m*n.
 func (m *Matrix) Mul(n *Matrix) (*Matrix, error) {
 	if m.cols != n.rows {
@@ -205,17 +145,6 @@ func (m *Matrix) MulVec(x []complex128) ([]complex128, error) {
 	return out, nil
 }
 
-// Transpose returns the (non-conjugated) transpose of m.
-func (m *Matrix) Transpose() *Matrix {
-	out := NewMatrix(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			out.data[j*m.rows+i] = m.data[i*m.cols+j]
-		}
-	}
-	return out
-}
-
 // ConjTranspose returns the Hermitian transpose of m.
 func (m *Matrix) ConjTranspose() *Matrix {
 	out := NewMatrix(m.cols, m.rows)
@@ -236,67 +165,6 @@ func (m *Matrix) MaxAbs() float64 {
 		}
 	}
 	return mx
-}
-
-// NormInf returns the infinity norm (max absolute row sum).
-func (m *Matrix) NormInf() float64 {
-	var mx float64
-	for i := 0; i < m.rows; i++ {
-		var s float64
-		for j := 0; j < m.cols; j++ {
-			s += cmplx.Abs(m.data[i*m.cols+j])
-		}
-		if s > mx {
-			mx = s
-		}
-	}
-	return mx
-}
-
-// NormOne returns the 1-norm (max absolute column sum).
-func (m *Matrix) NormOne() float64 {
-	var mx float64
-	for j := 0; j < m.cols; j++ {
-		var s float64
-		for i := 0; i < m.rows; i++ {
-			s += cmplx.Abs(m.data[i*m.cols+j])
-		}
-		if s > mx {
-			mx = s
-		}
-	}
-	return mx
-}
-
-// NormFrobenius returns the Frobenius norm.
-func (m *Matrix) NormFrobenius() float64 {
-	var s float64
-	for _, v := range m.data {
-		s += real(v)*real(v) + imag(v)*imag(v)
-	}
-	return math.Sqrt(s)
-}
-
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []complex128 {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("numeric: row %d out of range %dx%d", i, m.rows, m.cols))
-	}
-	out := make([]complex128, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []complex128 {
-	if j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("numeric: col %d out of range %dx%d", j, m.rows, m.cols))
-	}
-	out := make([]complex128, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
 }
 
 // String renders the matrix for debugging.

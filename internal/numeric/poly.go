@@ -46,54 +46,11 @@ func (p Poly) Eval(s complex128) complex128 {
 	return acc
 }
 
-// Add returns p + q.
-func (p Poly) Add(q Poly) Poly {
-	n := len(p)
-	if len(q) > n {
-		n = len(q)
-	}
-	out := make(Poly, n)
-	copy(out, p)
-	for i, v := range q {
-		out[i] += v
-	}
-	return out.Trim()
-}
-
-// MulPoly returns the product p·q.
-func (p Poly) MulPoly(q Poly) Poly {
-	if p.Degree() < 0 || q.Degree() < 0 {
-		return Poly{}
-	}
-	out := make(Poly, len(p)+len(q)-1)
-	for i, a := range p {
-		if a == 0 {
-			continue
-		}
-		for j, b := range q {
-			out[i+j] += a * b
-		}
-	}
-	return out.Trim()
-}
-
 // ScalePoly returns k·p.
 func (p Poly) ScalePoly(k float64) Poly {
 	out := make(Poly, len(p))
 	for i, v := range p {
 		out[i] = k * v
-	}
-	return out.Trim()
-}
-
-// Derivative returns dp/ds.
-func (p Poly) Derivative() Poly {
-	if len(p) <= 1 {
-		return Poly{}
-	}
-	out := make(Poly, len(p)-1)
-	for i := 1; i < len(p); i++ {
-		out[i-1] = float64(i) * p[i]
 	}
 	return out.Trim()
 }
@@ -221,28 +178,3 @@ func (r Rational) Poles() ([]complex128, error) { return r.Den.Roots() }
 
 // Zeros returns the roots of the numerator.
 func (r Rational) Zeros() ([]complex128, error) { return r.Num.Roots() }
-
-// SecondOrderLowpass returns the canonical normalized 2nd-order low-pass
-// K·ω0² / (s² + (ω0/Q)s + ω0²) — the closed form of the paper's CUT family.
-func SecondOrderLowpass(k, omega0, q float64) Rational {
-	return Rational{
-		Num: Poly{k * omega0 * omega0},
-		Den: Poly{omega0 * omega0, omega0 / q, 1},
-	}
-}
-
-// SecondOrderBandpass returns K·(ω0/Q)s / (s² + (ω0/Q)s + ω0²).
-func SecondOrderBandpass(k, omega0, q float64) Rational {
-	return Rational{
-		Num: Poly{0, k * omega0 / q},
-		Den: Poly{omega0 * omega0, omega0 / q, 1},
-	}
-}
-
-// SecondOrderHighpass returns K·s² / (s² + (ω0/Q)s + ω0²).
-func SecondOrderHighpass(k, omega0, q float64) Rational {
-	return Rational{
-		Num: Poly{0, 0, k},
-		Den: Poly{omega0 * omega0, omega0 / q, 1},
-	}
-}

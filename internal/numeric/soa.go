@@ -37,25 +37,6 @@ func NewSoAMatrix(r, c int) *SoAMatrix {
 	return &SoAMatrix{rows: r, cols: c, re: make([]float64, r*c), im: make([]float64, r*c)}
 }
 
-// Rows returns the number of rows.
-func (m *SoAMatrix) Rows() int { return m.rows }
-
-// Cols returns the number of columns.
-func (m *SoAMatrix) Cols() int { return m.cols }
-
-// At returns the element at row i, column j.
-func (m *SoAMatrix) At(i, j int) complex128 {
-	m.check(i, j)
-	return complex(m.re[i*m.cols+j], m.im[i*m.cols+j])
-}
-
-// Set assigns the element at row i, column j.
-func (m *SoAMatrix) Set(i, j int, v complex128) {
-	m.check(i, j)
-	m.re[i*m.cols+j] = real(v)
-	m.im[i*m.cols+j] = imag(v)
-}
-
 // Add accumulates v into the element at row i, column j — the stamping
 // primitive, mirroring Matrix.Add.
 func (m *SoAMatrix) Add(i, j int, v complex128) {
@@ -87,38 +68,6 @@ func (m *SoAMatrix) CopyFrom(src *SoAMatrix) error {
 	}
 	copy(m.re, src.re)
 	copy(m.im, src.im)
-	return nil
-}
-
-// CopyFromMatrix splits the complex128 matrix src into m's planes
-// without reallocating. Shapes must match.
-func (m *SoAMatrix) CopyFromMatrix(src *Matrix) error {
-	if m.rows != src.rows || m.cols != src.cols {
-		return fmt.Errorf("numeric: copy %dx%d into %dx%d: %w", src.rows, src.cols, m.rows, m.cols, ErrDimension)
-	}
-	for i, v := range src.data {
-		m.re[i] = real(v)
-		m.im[i] = imag(v)
-	}
-	return nil
-}
-
-// SoAFromMatrix allocates a new SoAMatrix holding the planes of src.
-func SoAFromMatrix(src *Matrix) *SoAMatrix {
-	out := NewSoAMatrix(src.rows, src.cols)
-	_ = out.CopyFromMatrix(src)
-	return out
-}
-
-// ToMatrix interleaves m's planes into the complex128 matrix dst
-// without reallocating. Shapes must match.
-func (m *SoAMatrix) ToMatrix(dst *Matrix) error {
-	if m.rows != dst.rows || m.cols != dst.cols {
-		return fmt.Errorf("numeric: copy %dx%d into %dx%d: %w", m.rows, m.cols, dst.rows, dst.cols, ErrDimension)
-	}
-	for i := range dst.data {
-		dst.data[i] = complex(m.re[i], m.im[i])
-	}
 	return nil
 }
 
@@ -159,9 +108,6 @@ func (b *Block) Reset(r, c int) {
 	b.rows, b.cols = r, c
 }
 
-// Rows returns the number of rows (system variables).
-func (b *Block) Rows() int { return b.rows }
-
 // Cols returns the number of columns (right-hand sides).
 func (b *Block) Cols() int { return b.cols }
 
@@ -186,12 +132,6 @@ func (b *Block) PlanesFor(rows, cols int) (re, im []float64, err error) {
 		return nil, nil, fmt.Errorf("numeric: block planes hold %d/%d values, want %d: %w", len(b.re), len(b.im), rows*cols, ErrDimension)
 	}
 	return b.re, b.im, nil
-}
-
-// At returns the element at row i, column j.
-func (b *Block) At(i, j int) complex128 {
-	b.check(i, j)
-	return complex(b.re[i*b.cols+j], b.im[i*b.cols+j])
 }
 
 // Set assigns the element at row i, column j.
@@ -240,41 +180,6 @@ func (b *Block) SetColumn(j int, v []complex128) error {
 	return nil
 }
 
-// ColumnInto reads column j into the complex vector dst (length rows).
-func (b *Block) ColumnInto(dst []complex128, j int) error {
-	if len(dst) != b.rows {
-		return fmt.Errorf("numeric: read %d-row block column into len-%d dst: %w", b.rows, len(dst), ErrDimension)
-	}
-	if j < 0 || j >= b.cols {
-		return fmt.Errorf("numeric: column %d out of range %dx%d: %w", j, b.rows, b.cols, ErrDimension)
-	}
-	for i := range dst {
-		dst[i] = complex(b.re[i*b.cols+j], b.im[i*b.cols+j])
-	}
-	return nil
-}
-
-// CopyFromMatrix reshapes b to src's shape and splits src into planes.
-func (b *Block) CopyFromMatrix(src *Matrix) {
-	b.Reset(src.rows, src.cols)
-	for i, v := range src.data {
-		b.re[i] = real(v)
-		b.im[i] = imag(v)
-	}
-}
-
-// ToMatrix interleaves b's planes into the complex128 matrix dst
-// without reallocating. Shapes must match.
-func (b *Block) ToMatrix(dst *Matrix) error {
-	if b.rows != dst.rows || b.cols != dst.cols {
-		return fmt.Errorf("numeric: copy %dx%d into %dx%d: %w", b.rows, b.cols, dst.rows, dst.cols, ErrDimension)
-	}
-	for i := range dst.data {
-		dst.data[i] = complex(b.re[i], b.im[i])
-	}
-	return nil
-}
-
 // swapRows exchanges rows i and p of both planes.
 func (b *Block) swapRows(i, p int) {
 	nc := b.cols
@@ -304,7 +209,7 @@ func recip(a, b float64) (float64, float64) {
 // SoALU is an LU factorization with partial pivoting over SoA planes:
 // the float64-plane counterpart of LU, built for the blocked hot path.
 // Factor with FactorSoAReuse (allocation-free in steady state), then
-// solve whole multi-RHS blocks with SolveBlock/SolveBlockInto.
+// solve whole multi-RHS blocks with SolveBlock.
 //
 // The factorization matches LU up to floating-point rounding: the pivot
 // row chosen at each elimination step is the same (magnitudes are
@@ -315,26 +220,10 @@ func recip(a, b float64) (float64, float64) {
 // path to well within 1e-9 relative on well-conditioned systems — the
 // contract the engine's blocked-vs-scalar tests pin.
 type SoALU struct {
-	lu   *SoAMatrix
-	piv  []int // row i of the factored matrix came from row piv[i] of A
-	swp  []int // swap sequence: step k exchanged rows k and swp[k]
-	sign int
-	n    int
-}
-
-// FactorSoA factors a copy of a, leaving a untouched — the convenience
-// entry point for one-shot callers and tests.
-func FactorSoA(a *SoAMatrix) (*SoALU, error) {
-	if a.rows != a.cols {
-		return nil, fmt.Errorf("numeric: factor %dx%d: %w", a.rows, a.cols, ErrDimension)
-	}
-	work := NewSoAMatrix(a.rows, a.cols)
-	_ = work.CopyFrom(a)
-	f := &SoALU{}
-	if err := FactorSoAReuse(f, work); err != nil {
-		return nil, err
-	}
-	return f, nil
+	lu  *SoAMatrix
+	piv []int // row i of the factored matrix came from row piv[i] of A
+	swp []int // swap sequence: step k exchanged rows k and swp[k]
+	n   int
 }
 
 // FactorSoAReuse factors a in place into the caller-owned f, reusing
@@ -351,7 +240,7 @@ func FactorSoAReuse(f *SoALU, a *SoAMatrix) error {
 		f.piv = make([]int, n)
 		f.swp = make([]int, n)
 	}
-	*f = SoALU{lu: a, piv: f.piv[:n], swp: f.swp[:n], sign: 1, n: n}
+	*f = SoALU{lu: a, piv: f.piv[:n], swp: f.swp[:n], n: n}
 	for i := range f.piv {
 		f.piv[i] = i
 	}
@@ -380,7 +269,6 @@ func FactorSoAReuse(f *SoALU, a *SoAMatrix) error {
 				ik[j], ip[j] = ip[j], ik[j]
 			}
 			f.piv[k], f.piv[p] = f.piv[p], f.piv[k]
-			f.sign = -f.sign
 		}
 		ir, ii := recip(re[k*n+k], im[k*n+k])
 		kr := re[k*n+k+1 : k*n+n]
@@ -404,9 +292,6 @@ func FactorSoAReuse(f *SoALU, a *SoAMatrix) error {
 	}
 	return nil
 }
-
-// N returns the order of the factored system.
-func (f *SoALU) N() int { return f.n }
 
 // SolveBlock solves A·X = B for every column of the block in place: B's
 // columns are overwritten with the corresponding solutions. One forward
@@ -475,23 +360,9 @@ func (f *SoALU) SolveBlock(blk *Block) error {
 	return nil
 }
 
-// SolveBlockInto is SolveBlock writing the solutions into dst, leaving
-// rhs untouched. dst is reshaped to rhs's shape, reusing its planes.
-// The shape check runs before dst is touched, so a mismatched rhs
-// reports ErrDimension with dst intact.
-func (f *SoALU) SolveBlockInto(dst, rhs *Block) error {
-	if rhs.rows != f.n {
-		return fmt.Errorf("numeric: solve-block-into with %d rows, want %d: %w", rhs.rows, f.n, ErrDimension)
-	}
-	if dst == rhs {
-		return f.SolveBlock(dst)
-	}
-	dst.CopyFrom(rhs)
-	return f.SolveBlock(dst)
-}
-
 // SolveInto solves A·x = b for a single complex right-hand side into the
-// caller-provided dst of length N. dst and b may not alias.
+// caller-provided dst, whose length is the system's order. dst and b may
+// not alias.
 func (f *SoALU) SolveInto(dst, b []complex128) error {
 	if len(b) != f.n || len(dst) != f.n {
 		return fmt.Errorf("numeric: solve-into rhs len %d, dst len %d, want %d: %w", len(b), len(dst), f.n, ErrDimension)

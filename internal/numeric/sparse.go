@@ -478,10 +478,6 @@ type SparseLU struct {
 	markGen int   // current stamp generation for markRow
 }
 
-// Sym returns the symbolic pattern of the last refactorization (nil
-// before the first).
-func (f *SparseLU) Sym() *SparseSymbolic { return f.sym }
-
 // RefactorReuse numerically refactors the matrix whose values are given
 // along sym's compiled pattern: are/aim[t] is the value of the permuted
 // entry (row r, column sym.cols[t]) for t in [rowStart[r], rowStart[r+1]),
@@ -598,15 +594,6 @@ func (f *SparseLU) factorRowScalar(i int, are, aim []float64) error {
 	}
 	f.ire[i], f.iim[i] = recip(dr, di)
 	return nil
-}
-
-// N returns the order of the factored system (0 before the first
-// refactorization).
-func (f *SparseLU) N() int {
-	if f.sym == nil {
-		return 0
-	}
-	return f.sym.n
 }
 
 // growPanel sizes the permuted-panel scratch for nc right-hand sides.

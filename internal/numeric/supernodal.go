@@ -88,10 +88,6 @@ func (s *SparseSymbolic) Supernodes() int { return len(s.snStart) - 1 }
 // MaxPanel returns the widest supernode (rows per panel).
 func (s *SparseSymbolic) MaxPanel() int { return s.maxPanel }
 
-// PermutedRow maps an original row index to its permuted position — the
-// coordinate space PartialRefactor's touched-row lists use.
-func (s *SparseSymbolic) PermutedRow(orig int) int { return s.invRow[orig] }
-
 // RowOfIndex returns the permuted row owning value-plane position t
 // (binary search; intended for compile-time program construction).
 func (s *SparseSymbolic) RowOfIndex(t int) int {

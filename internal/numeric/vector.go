@@ -3,7 +3,6 @@ package numeric
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 )
 
 // Linspace returns n evenly spaced values from lo to hi inclusive.
@@ -45,83 +44,7 @@ func Logspace(lo, hi float64, n int) []float64 {
 	return out
 }
 
-// Dot returns the (non-conjugated) dot product of two complex vectors.
-func Dot(a, b []complex128) (complex128, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("numeric: dot len %d with %d: %w", len(a), len(b), ErrDimension)
-	}
-	var s complex128
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s, nil
-}
-
-// Norm2 returns the Euclidean norm of a complex vector.
-func Norm2(a []complex128) float64 {
-	var s float64
-	for _, v := range a {
-		s += real(v)*real(v) + imag(v)*imag(v)
-	}
-	return math.Sqrt(s)
-}
-
-// NormInfVec returns the max modulus of a complex vector.
-func NormInfVec(a []complex128) float64 {
-	var mx float64
-	for _, v := range a {
-		if m := cmplx.Abs(v); m > mx {
-			mx = m
-		}
-	}
-	return mx
-}
-
-// RealNorm2 returns the Euclidean norm of a real vector.
-func RealNorm2(a []float64) float64 {
-	var s float64
-	for _, v := range a {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// Residual returns the infinity norm of A*x - b, a direct check of a
-// linear-solve result.
-func Residual(a *Matrix, x, b []complex128) (float64, error) {
-	ax, err := a.MulVec(x)
-	if err != nil {
-		return 0, err
-	}
-	if len(b) != len(ax) {
-		return 0, fmt.Errorf("numeric: residual rhs len %d, want %d: %w", len(b), len(ax), ErrDimension)
-	}
-	var mx float64
-	for i := range ax {
-		if m := cmplx.Abs(ax[i] - b[i]); m > mx {
-			mx = m
-		}
-	}
-	return mx, nil
-}
-
 // Db converts a linear magnitude to decibels (20·log10). Zero maps to -Inf.
 func Db(mag float64) float64 {
 	return 20 * math.Log10(mag)
-}
-
-// FromDb converts decibels back to linear magnitude.
-func FromDb(db float64) float64 {
-	return math.Pow(10, db/20)
-}
-
-// CloseRel reports whether a and b agree to relative tolerance rel
-// (with an absolute floor abs for values near zero).
-func CloseRel(a, b, rel, abs float64) bool {
-	d := math.Abs(a - b)
-	if d <= abs {
-		return true
-	}
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return d <= rel*scale
 }

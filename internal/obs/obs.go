@@ -139,13 +139,6 @@ func (s Snapshot) Quantile(p float64) float64 {
 	return LatencyBounds[len(LatencyBounds)-1]
 }
 
-// WritePrometheus renders the histogram as a Prometheus histogram
-// family (name_bucket{le=...}, name_sum, name_count) from one
-// snapshot.
-func (h *Histogram) WritePrometheus(w io.Writer, name, help string) {
-	WriteSnapshotPrometheus(w, name, help, h.Snapshot())
-}
-
 // WriteSnapshotPrometheus renders an already-captured snapshot — the
 // path for callers that render several series from one consistent
 // capture.

@@ -75,7 +75,7 @@ func TestHistogramPrometheusRender(t *testing.T) {
 	h.ObserveSeconds(3)
 
 	var buf bytes.Buffer
-	h.WritePrometheus(&buf, "test_seconds", "test latency")
+	WriteSnapshotPrometheus(&buf, "test_seconds", "test latency", h.Snapshot())
 	out := buf.String()
 
 	for _, want := range []string{

@@ -6,7 +6,9 @@
 // percentage deviation of one of those parameters.
 //
 // The macromodel expands into primitive MNA elements (resistors, one
-// capacitor, one VCVS), so the analysis package needs no special cases.
+// capacitor, one VCVS), so the analysis package needs no special cases
+// and an active-device fault is a deviation of one of those elements
+// (circuits.NFLowpass7Macro makes them fault targets).
 package opamp
 
 import (
@@ -25,12 +27,6 @@ type Params struct {
 	Rin float64
 	// Rout is the output resistance in ohms.
 	Rout float64
-}
-
-// Typical741 returns parameters close to the classic µA741:
-// A0 = 2·10⁵, GBW = 2π·1 MHz, Rin = 2 MΩ, Rout = 75 Ω.
-func Typical741() Params {
-	return Params{A0: 2e5, GBW: 6.2832e6, Rin: 2e6, Rout: 75}
 }
 
 // Ideal returns parameters so extreme the macromodel behaves nearly
@@ -59,40 +55,6 @@ func (p Params) Validate() error {
 
 // Pole returns the dominant-pole frequency ω_p = GBW / A0 in rad/s.
 func (p Params) Pole() float64 { return p.GBW / p.A0 }
-
-// FaultParam identifies one macromodel parameter for fault injection.
-type FaultParam string
-
-// Macromodel parameter names usable as fault targets.
-const (
-	ParamA0   FaultParam = "A0"
-	ParamGBW  FaultParam = "GBW"
-	ParamRin  FaultParam = "Rin"
-	ParamRout FaultParam = "Rout"
-)
-
-// AllParams lists every macromodel fault target.
-func AllParams() []FaultParam {
-	return []FaultParam{ParamA0, ParamGBW, ParamRin, ParamRout}
-}
-
-// Scale returns a copy of p with the named parameter multiplied by k.
-func (p Params) Scale(param FaultParam, k float64) (Params, error) {
-	out := p
-	switch param {
-	case ParamA0:
-		out.A0 *= k
-	case ParamGBW:
-		out.GBW *= k
-	case ParamRin:
-		out.Rin *= k
-	case ParamRout:
-		out.Rout *= k
-	default:
-		return Params{}, fmt.Errorf("opamp: unknown parameter %q", param)
-	}
-	return out, out.Validate()
-}
 
 // Expand adds the macromodel's primitive elements to circuit c for an
 // opamp named name with the given input and output nodes. The expansion
@@ -127,39 +89,4 @@ func Expand(c *circuit.Circuit, name, inP, inN, out string, p Params) error {
 		}
 	}
 	return nil
-}
-
-// ElementNames returns the names of the primitive elements Expand creates
-// for an opamp called name, useful for inspecting or faulting them
-// directly.
-func ElementNames(name string) []string {
-	return []string{name + ".Rin", name + ".E", name + ".Rp", name + ".Cp", name + ".Rout"}
-}
-
-// InjectFault rebuilds the macromodel parameter deviation as direct
-// element-value changes on an expanded macromodel inside circuit c.
-// A0 scales the VCVS gain; GBW scales the pole capacitor inversely;
-// Rin and Rout scale their resistors.
-func InjectFault(c *circuit.Circuit, name string, param FaultParam, k float64) error {
-	if k <= 0 {
-		return fmt.Errorf("opamp: fault scale must be positive, got %g", k)
-	}
-	switch param {
-	case ParamA0:
-		// A0 appears in the gain stage and in the pole (ω_p = GBW/A0):
-		// scaling A0 by k scales the pole capacitor by k as well.
-		if err := c.ScaleValue(name+".E", k); err != nil {
-			return err
-		}
-		return c.ScaleValue(name+".Cp", k)
-	case ParamGBW:
-		// ω_p ∝ GBW → Cp ∝ 1/GBW.
-		return c.ScaleValue(name+".Cp", 1/k)
-	case ParamRin:
-		return c.ScaleValue(name+".Rin", k)
-	case ParamRout:
-		return c.ScaleValue(name+".Rout", k)
-	default:
-		return fmt.Errorf("opamp: unknown parameter %q", param)
-	}
 }

@@ -34,26 +34,6 @@ func TestPole(t *testing.T) {
 	}
 }
 
-func TestScale(t *testing.T) {
-	p := Typical741()
-	up, err := p.Scale(ParamA0, 1.4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if up.A0 != p.A0*1.4 || up.GBW != p.GBW {
-		t.Fatalf("Scale(A0) = %+v", up)
-	}
-	if _, err := p.Scale("bogus", 1.1); err == nil {
-		t.Fatal("unknown parameter accepted")
-	}
-	if _, err := p.Scale(ParamRin, -1); err == nil {
-		t.Fatal("negative scale accepted")
-	}
-	if len(AllParams()) != 4 {
-		t.Fatal("AllParams should list 4 parameters")
-	}
-}
-
 // buildInverting returns an inverting amplifier (gain -rf/rin) using the
 // macromodel.
 func buildInverting(p Params, rin, rf float64) *circuit.Circuit {
@@ -137,7 +117,7 @@ func TestExpandElementNamesAndDuplicate(t *testing.T) {
 	if err := Expand(c, "U1", "a", "b", "c", Typical741()); err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range ElementNames("U1") {
+	for _, n := range []string{"U1.Rin", "U1.E", "U1.Rp", "U1.Cp", "U1.Rout"} {
 		if _, ok := c.Element(n); !ok {
 			t.Errorf("missing expanded element %q", n)
 		}
@@ -152,49 +132,8 @@ func TestExpandElementNamesAndDuplicate(t *testing.T) {
 	}
 }
 
-func TestInjectFault(t *testing.T) {
-	base := buildInverting(Typical741(), 1000, 10000)
-
-	// GBW down 40% shifts the closed-loop corner down by 40%.
-	faulty := base.Clone()
-	if err := InjectFault(faulty, "U1", ParamGBW, 0.6); err != nil {
-		t.Fatal(err)
-	}
-	acB, _ := analysis.NewAC(base)
-	acF, _ := analysis.NewAC(faulty)
-	w := Typical741().GBW / 11 // nominal corner
-	hb, _ := acB.Transfer("V1", "out", w)
-	hf, _ := acF.Transfer("V1", "out", w)
-	if !(cmplx.Abs(hf) < cmplx.Abs(hb)) {
-		t.Fatalf("GBW fault did not reduce corner gain: %g vs %g", cmplx.Abs(hf), cmplx.Abs(hb))
-	}
-
-	// A0 fault changes DC loop precision only slightly in closed loop —
-	// check it is applied to the VCVS element value.
-	f2 := base.Clone()
-	if err := InjectFault(f2, "U1", ParamA0, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	v, err := f2.Value("U1.E")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != Typical741().A0*0.5 {
-		t.Fatalf("A0 fault value = %g", v)
-	}
-
-	// Rout / Rin faults scale their resistors.
-	f3 := base.Clone()
-	if err := InjectFault(f3, "U1", ParamRout, 2); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := f3.Value("U1.Rout"); v != Typical741().Rout*2 {
-		t.Fatalf("Rout fault value = %g", v)
-	}
-	if err := InjectFault(base.Clone(), "U1", "bogus", 1.1); err == nil {
-		t.Fatal("unknown param accepted")
-	}
-	if err := InjectFault(base.Clone(), "U1", ParamRin, 0); err == nil {
-		t.Fatal("zero scale accepted")
-	}
+// Typical741 returns parameters close to the classic µA741:
+// A0 = 2·10⁵, GBW = 2π·1 MHz, Rin = 2 MΩ, Rout = 75 Ω.
+func Typical741() Params {
+	return Params{A0: 2e5, GBW: 6.2832e6, Rin: 2e6, Rout: 75}
 }

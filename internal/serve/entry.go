@@ -79,7 +79,8 @@ type BuildConfig struct {
 	// cap); only meaningful with DoubleFaults.
 	MaxDoubleFaults int
 	// ToleranceSigma is the component tolerance (relative σ) of the
-	// probabilistic diagnosis model; only meaningful with MCSamples > 0.
+	// probabilistic diagnosis model. Setting it without MCSamples, or
+	// MCSamples without it, fails every entry build with ErrBadConfig.
 	ToleranceSigma float64
 	// MCSamples, when > 0, builds a Monte-Carlo signature-cloud model
 	// per entry (ToleranceSigma, MCSamples samples, seeded by Seed) and
@@ -127,7 +128,7 @@ func NewEntryBuilder(cfg BuildConfig, m *Metrics) BuildFunc {
 		if cfg.DoubleFaults {
 			opts = append(opts, repro.WithDoubleFaults(cfg.MaxDoubleFaults))
 		}
-		if cfg.MCSamples > 0 {
+		if cfg.MCSamples != 0 || cfg.ToleranceSigma != 0 {
 			opts = append(opts,
 				repro.WithTolerance(repro.Tolerance{Sigma: cfg.ToleranceSigma}, cfg.MCSamples),
 				repro.WithToleranceSeed(cfg.Seed))

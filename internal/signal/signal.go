@@ -162,18 +162,6 @@ func CoherentOmegas(omegas []float64, fs float64, n int) ([]float64, error) {
 	return out, nil
 }
 
-// RMS returns the root-mean-square of x.
-func RMS(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	var p float64
-	for _, v := range x {
-		p += v * v
-	}
-	return math.Sqrt(p / float64(len(x)))
-}
-
 // MeasureConfig configures a simulated two-port measurement.
 type MeasureConfig struct {
 	// SampleRate in samples/s; must exceed every tone's Nyquist need.

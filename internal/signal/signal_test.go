@@ -148,6 +148,18 @@ func TestQuantize(t *testing.T) {
 	}
 }
 
+// RMS returns the root-mean-square of x.
+func RMS(x []float64) float64 {
+	if len(x) == 0 {
+		return 0
+	}
+	var p float64
+	for _, v := range x {
+		p += v * v
+	}
+	return math.Sqrt(p / float64(len(x)))
+}
+
 func TestRMS(t *testing.T) {
 	if RMS(nil) != 0 {
 		t.Fatal("empty RMS")

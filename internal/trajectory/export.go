@@ -125,37 +125,6 @@ func BuildFromExport(ex *dictionary.Export, omegas []float64) (*Map, error) {
 	return m, nil
 }
 
-// GoldenFromExport interpolates the golden magnitude at the given
-// frequencies from a snapshot — what a tester subtracts from raw
-// measurements to form the observed point.
-func GoldenFromExport(ex *dictionary.Export, omegas []float64) ([]float64, error) {
-	if ex == nil || len(ex.Entries) == 0 {
-		return nil, fmt.Errorf("trajectory: empty export")
-	}
-	var golden []float64
-	for _, ent := range ex.Entries {
-		if ent.ID == "golden" {
-			golden = ent.Mags
-			break
-		}
-	}
-	if golden == nil {
-		return nil, fmt.Errorf("trajectory: export has no golden entry")
-	}
-	if len(ex.Omegas) < 2 {
-		return nil, fmt.Errorf("trajectory: export grid needs at least 2 frequencies")
-	}
-	lo, hi := ex.Omegas[0], ex.Omegas[len(ex.Omegas)-1]
-	out := make([]float64, len(omegas))
-	for k, w := range omegas {
-		if w < lo || w > hi {
-			return nil, fmt.Errorf("trajectory: frequency %g outside export grid [%g, %g]", w, lo, hi)
-		}
-		out[k] = interpAt(ex.Omegas, golden, w)
-	}
-	return out, nil
-}
-
 // interpAt interpolates mags over the ascending grid linearly in log ω.
 // The caller guarantees w lies inside [grid[0], grid[len-1]].
 func interpAt(grid, mags []float64, w float64) float64 {

@@ -126,34 +126,6 @@ func TestBuildFromExportValidation(t *testing.T) {
 	}
 }
 
-func TestGoldenFromExport(t *testing.T) {
-	d := paperDict(t)
-	grid := numeric.Logspace(0.01, 100, 81)
-	snap, err := d.Snapshot(grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := GoldenFromExport(snap, []float64{0.5, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, w := range []float64{0.5, 2} {
-		want, err := d.GoldenResponse(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got[i]-want) > 0.01*want {
-			t.Fatalf("ω=%g: interpolated %g vs live %g", w, got[i], want)
-		}
-	}
-	if _, err := GoldenFromExport(snap, []float64{1e6}); err == nil {
-		t.Fatal("out-of-grid accepted")
-	}
-	if _, err := GoldenFromExport(nil, []float64{1}); err == nil {
-		t.Fatal("nil export accepted")
-	}
-}
-
 // TestExportGridPointExact: at exact grid frequencies the interpolation
 // must reproduce the stored values bit-for-bit.
 func TestExportGridPointExact(t *testing.T) {
@@ -163,11 +135,8 @@ func TestExportGridPointExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := GoldenFromExport(snap, []float64{grid[3]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != snap.Entries[0].Mags[3] {
-		t.Fatalf("grid-point value %g vs stored %g", got[0], snap.Entries[0].Mags[3])
+	got := interpAt(snap.Omegas, snap.Entries[0].Mags, grid[3])
+	if got != snap.Entries[0].Mags[3] {
+		t.Fatalf("grid-point value %g vs stored %g", got, snap.Entries[0].Mags[3])
 	}
 }

@@ -109,24 +109,3 @@ func buildPairFamilies(rows []pairRow) []*Trajectory {
 	}
 	return out
 }
-
-// FaultSetAt reconstructs the fault set a point on a multi-fault
-// trajectory corresponds to: the frozen parts at their fixed deviations
-// plus the swept component at the interpolated deviation for segment i,
-// local parameter tloc. Single-fault trajectories yield a single Fault.
-func (t *Trajectory) FaultSetAt(i int, tloc float64) (fault.Set, error) {
-	dev := t.DeviationAt(i, tloc)
-	if !t.IsMulti() {
-		return fault.Fault{Component: t.Component, Deviation: dev}, nil
-	}
-	parts := make([]fault.Fault, 0, len(t.Components))
-	for pi, comp := range t.Components[:len(t.Components)-1] {
-		parts = append(parts, fault.Fault{Component: comp, Deviation: t.FixedDeviations[pi]})
-	}
-	parts = append(parts, fault.Fault{Component: t.Components[len(t.Components)-1], Deviation: dev})
-	m, err := fault.NewMulti(parts...)
-	if err != nil {
-		return nil, fmt.Errorf("trajectory: %s: %w", t.Component, err)
-	}
-	return m, nil
-}

@@ -70,12 +70,12 @@ func TestBuildPairsStructure(t *testing.T) {
 			}
 		}
 		// Points match the dictionary's own signature of the set.
-		set, err := tr.FaultSetAt(0, 0)
+		set, err := fault.NewMulti(
+			fault.Fault{Component: tr.Components[0], Deviation: tr.FixedDeviations[0]},
+			fault.Fault{Component: tr.Components[1], Deviation: tr.Deviations[0]},
+		)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if len(set.Parts()) != 2 {
-			t.Fatalf("%s: FaultSetAt parts = %d", tr.Component, len(set.Parts()))
 		}
 		sig, err := d.SignatureSet(set, omegas)
 		if err != nil {

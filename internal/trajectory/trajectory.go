@@ -57,14 +57,6 @@ func (t *Trajectory) IsMulti() bool { return len(t.Components) > 0 }
 // Dim returns the test-vector dimension k.
 func (t *Trajectory) Dim() int { return t.Points.Dim() }
 
-// Planar returns the 2D polyline for k = 2 trajectories.
-func (t *Trajectory) Planar() (geometry.Polyline, error) {
-	if t.Dim() != 2 {
-		return nil, fmt.Errorf("trajectory: %s has dimension %d, not 2", t.Component, t.Dim())
-	}
-	return t.Points.Project2D(0, 1), nil
-}
-
 // DeviationAt linearly interpolates the deviation corresponding to the
 // point at segment index i, local parameter tloc (clamped to [0,1]) —
 // how the diagnosis stage turns a projection foot into a deviation

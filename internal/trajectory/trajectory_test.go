@@ -99,7 +99,10 @@ func TestTrajectoriesAreSmooth(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tr := range m.Trajectories {
-		total := tr.Points.LengthN()
+		var total float64
+		for i := 0; i+1 < len(tr.Points); i++ {
+			total += geometry.DistN(tr.Points[i], tr.Points[i+1])
+		}
 		if total == 0 {
 			t.Fatalf("%s: zero-length trajectory — component unobservable", tr.Component)
 		}
@@ -108,24 +111,6 @@ func TestTrajectoriesAreSmooth(t *testing.T) {
 				t.Errorf("%s: segment %d dominates the trajectory (%.3g of %.3g)", tr.Component, i, seg, total)
 			}
 		}
-	}
-}
-
-func TestPlanar(t *testing.T) {
-	d := paperDict(t)
-	m, _ := Build(nil, d, []float64{0.5, 2})
-	tr, _ := m.ByComponent("R1")
-	pl, err := tr.Planar()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pl) != 9 {
-		t.Fatalf("planar points = %d", len(pl))
-	}
-	m3, _ := Build(nil, d, []float64{0.5, 1, 2})
-	tr3, _ := m3.ByComponent("R1")
-	if _, err := tr3.Planar(); err == nil {
-		t.Fatal("3D trajectory planarized")
 	}
 }
 

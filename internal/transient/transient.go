@@ -28,16 +28,6 @@ func Sine(amp, omega, phase float64) Waveform {
 	return func(t float64) float64 { return amp * math.Sin(omega*t+phase) }
 }
 
-// Step returns 0 before t0 and level after.
-func Step(level, t0 float64) Waveform {
-	return func(t float64) float64 {
-		if t < t0 {
-			return 0
-		}
-		return level
-	}
-}
-
 // Multitone returns the sum of cosines amp_i·cos(ω_i·t + phase_i).
 func Multitone(amps, omegas, phases []float64) (Waveform, error) {
 	if len(amps) != len(omegas) || len(phases) != len(omegas) {

@@ -8,6 +8,16 @@ import (
 	"repro/internal/circuit"
 )
 
+// Step returns 0 before t0 and level after.
+func Step(level, t0 float64) Waveform {
+	return func(t float64) float64 {
+		if t < t0 {
+			return 0
+		}
+		return level
+	}
+}
+
 func TestWaveformHelpers(t *testing.T) {
 	s := Sine(2, 1, 0)
 	if s(0) != 0 || math.Abs(s(math.Pi/2)-2) > 1e-12 {

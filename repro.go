@@ -39,6 +39,7 @@ package repro
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -195,8 +196,10 @@ func FaultSetKey(set FaultSet) string { return diagnosis.SetKey(set) }
 
 // ParseFrequencies parses a comma-separated list of angular frequencies
 // in rad/s ("0.56, 4.55") — the format the CLI -freqs flags accept.
-// Every value must be finite and non-negative (ω = 0, DC, is valid).
-// Failures wrap ErrBadConfig.
+// Every value must be finite and non-negative (ω = 0, DC, is valid),
+// and no value may repeat: with ω₁ = ω₂ every signature lies on the
+// diagonal and diagnosis cannot separate faults. Failures wrap
+// ErrBadConfig.
 func ParseFrequencies(s string) ([]float64, error) {
 	parts := strings.Split(s, ",")
 	out := make([]float64, 0, len(parts))
@@ -207,6 +210,9 @@ func ParseFrequencies(s string) ([]float64, error) {
 		}
 		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
 			return nil, fmt.Errorf("repro: %w: frequency %q must be finite and non-negative", ErrBadConfig, f)
+		}
+		if slices.Contains(out, v) {
+			return nil, fmt.Errorf("repro: %w: frequency %q repeats an earlier one", ErrBadConfig, f)
 		}
 		out = append(out, v)
 	}

@@ -143,7 +143,8 @@ func WithDoubleFaults(maxSets int) Option {
 // checksum — the point-signature path (Diagnoser, DiagnoseFaultSets,
 // Evaluate, saved dictionaries/trajectories) is bit-identical with or
 // without it, and existing artifacts keep warm-starting the session.
-// Sigma outside [0, 0.3] or samples < 1 are rejected by NewSession.
+// NewSession rejects Sigma outside [0, 0.3], samples < 1, and Sigma 0
+// without WithMeasurementNoise (every cloud would be a point).
 func WithTolerance(tol Tolerance, samples int) Option {
 	return func(o *sessionOptions) {
 		o.tolerance = tol
@@ -277,6 +278,10 @@ func NewSession(cut CUT, opts ...Option) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
+	if (o.noiseTempK != 0 || o.noiseENBW != 0) && (o.noiseTempK <= 0 || o.noiseENBW <= 0) {
+		return nil, fmt.Errorf("repro: %w: measurement noise needs positive temperature and bandwidth, got %g K / %g Hz",
+			ErrBadConfig, o.noiseTempK, o.noiseENBW)
+	}
 	if o.tolSamples != 0 || o.tolerance.Sigma != 0 {
 		if o.tolerance.Sigma < 0 || o.tolerance.Sigma > 0.3 {
 			return nil, fmt.Errorf("repro: %w: tolerance sigma %g outside [0, 0.3]", ErrBadConfig, o.tolerance.Sigma)
@@ -284,10 +289,12 @@ func NewSession(cut CUT, opts ...Option) (*Session, error) {
 		if o.tolSamples < 1 {
 			return nil, fmt.Errorf("repro: %w: %d Monte-Carlo samples < 1", ErrBadConfig, o.tolSamples)
 		}
-	}
-	if (o.noiseTempK != 0 || o.noiseENBW != 0) && (o.noiseTempK <= 0 || o.noiseENBW <= 0) {
-		return nil, fmt.Errorf("repro: %w: measurement noise needs positive temperature and bandwidth, got %g K / %g Hz",
-			ErrBadConfig, o.noiseTempK, o.noiseENBW)
+		// With σ = 0 every sample is the nominal fault set, so each cloud
+		// is a point whose only variance is the floor, and the likelihood
+		// ranking reports full confidence in the nearest cloud.
+		if o.tolerance.Sigma == 0 && o.noiseTempK == 0 {
+			return nil, fmt.Errorf("repro: %w: tolerance sigma 0 needs measurement noise (WithMeasurementNoise)", ErrBadConfig)
+		}
 	}
 	if o.tolSeed == 0 {
 		o.tolSeed = 1
@@ -441,7 +448,7 @@ func (s *Session) Optimize(ctx context.Context, cfg OptimizeConfig) (*TestVector
 
 // Fitness evaluates the paper's fitness for an explicit test vector.
 func (s *Session) Fitness(ctx context.Context, omegas []float64) (float64, error) {
-	return s.atpg.Fitness(ctx, omegas, core.PaperFitness)
+	return s.atpg.Fitness(ctx, omegas)
 }
 
 // buildMap constructs the session's trajectory map for a test vector:

@@ -37,6 +37,12 @@ func TestSessionOptionValidation(t *testing.T) {
 	if _, err := NewSession(PaperCUT(), WithComponents("R99")); !errors.Is(err, ErrUnknownComponent) {
 		t.Fatalf("unknown component: err = %v, want ErrUnknownComponent", err)
 	}
+	if _, err := NewSession(PaperCUT(), WithTolerance(Tolerance{}, 20)); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("zero sigma without noise: err = %v, want ErrBadConfig", err)
+	}
+	if _, err := NewSession(PaperCUT(), WithTolerance(Tolerance{}, 20), WithMeasurementNoise(300, 1e4)); err != nil {
+		t.Fatalf("zero sigma with noise: %v", err)
+	}
 }
 
 // TestOptimizeCanceledReturnsErrCanceled is the acceptance criterion:
