@@ -109,7 +109,9 @@ func (s *Session) SaveTestVector(path string, tv *TestVector) error {
 }
 
 // LoadTestVector reads a test-vector artifact saved by SaveTestVector,
-// with the same kind/version/checksum verification as LoadDictionary.
+// with the same kind/version/checksum verification as LoadDictionary. Its
+// frequencies must pass the checks ParseFrequencies applies to -freqs:
+// a repeated frequency would collapse the trajectory map (ErrArtifact).
 func (s *Session) LoadTestVector(path string) (*TestVector, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -124,6 +126,11 @@ func (s *Session) LoadTestVector(path string) (*TestVector, error) {
 		// corruption surfaces here rather than as a confusing downstream
 		// "empty test vector" failure.
 		return nil, fmt.Errorf("repro: %w: test vector has no frequencies", ErrArtifact)
+	}
+	for i, w := range tv.Omegas {
+		if p := frequencyProblem(w, tv.Omegas[:i]); p != "" {
+			return nil, fmt.Errorf("repro: %w: test vector frequency %g %s", ErrArtifact, w, p)
+		}
 	}
 	return &tv, nil
 }
@@ -217,8 +224,8 @@ func loadTrajectoryMap(path, wantChecksum string) (*TrajectoryMap, error) {
 	if err := artifact.DecodeInto(data, kindTrajectories, wantChecksum, &m); err != nil {
 		return nil, err
 	}
-	if len(m.Trajectories) == 0 {
-		return nil, fmt.Errorf("repro: %w: trajectory map has no trajectories", ErrArtifact)
+	if err := m.Validate(); err != nil {
+		return nil, fmt.Errorf("repro: %w", err)
 	}
 	return &m, nil
 }

@@ -260,3 +260,118 @@ func TestLoadTestVectorRejectsNullPayload(t *testing.T) {
 		t.Fatalf("null payload: err = %v, want ErrArtifact", err)
 	}
 }
+
+// writeMalformedArtifacts saves the two malformed artifacts the loaders
+// must refuse into dir: nf-lowpass-7's map at ω = 0.56, 4.55 with one
+// coordinate of one point deleted, and a test vector that repeats a
+// frequency. It returns their paths.
+func writeMalformedArtifacts(t *testing.T, s *Session, dir string) (mapPath, tvPath string) {
+	t.Helper()
+	tm, err := s.Trajectories(context.Background(), []float64{0.56, 4.55})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapPath = filepath.Join(dir, "map.json")
+	if err := s.SaveTrajectories(mapPath, tm); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(mapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env struct {
+		Kind     string        `json:"kind"`
+		Version  int           `json:"version"`
+		Checksum string        `json:"checksum"`
+		Payload  TrajectoryMap `json:"payload"`
+	}
+	if err := json.Unmarshal(data, &env); err != nil {
+		t.Fatal(err)
+	}
+	pts := env.Payload.Trajectories[2].Points
+	pts[3] = pts[3][:1]
+	if data, err = json.Marshal(&env); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(mapPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tvPath = filepath.Join(dir, "tv.json")
+	if err := s.SaveTestVector(tvPath, &TestVector{Omegas: []float64{0.5, 0.5}, Fitness: 1}); err != nil {
+		t.Fatal(err)
+	}
+	return mapPath, tvPath
+}
+
+// TestLoadersRejectMalformedArtifacts: a trajectory map with a point of
+// the wrong dimension and a test vector with a repeated frequency are
+// refused on load (ErrArtifact). Before, the map loaded and Diagnose
+// panicked in geometry on the short point, and the test vector served a
+// map whose every candidate sat at distance 0.
+func TestLoadersRejectMalformedArtifacts(t *testing.T) {
+	s := testSession(t)
+	mapPath, tvPath := writeMalformedArtifacts(t, s, t.TempDir())
+	if _, err := s.LoadTrajectories(mapPath); !errors.Is(err, ErrArtifact) {
+		t.Fatalf("short point: LoadTrajectories err = %v, want ErrArtifact", err)
+	}
+	if _, err := LoadTrajectoryMap(mapPath); !errors.Is(err, ErrArtifact) {
+		t.Fatalf("short point: LoadTrajectoryMap err = %v, want ErrArtifact", err)
+	}
+	if _, err := s.LoadTestVector(tvPath); !errors.Is(err, ErrArtifact) {
+		t.Fatalf("repeated frequency: LoadTestVector err = %v, want ErrArtifact", err)
+	}
+	// A hand-built map gets the same check from NewDiagnoser.
+	tm, err := s.Trajectories(context.Background(), []float64{0.56, 4.55})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm.Trajectories[0].Points[1] = tm.Trajectories[0].Points[1][:1]
+	if _, err := NewDiagnoser(tm); !errors.Is(err, ErrArtifact) {
+		t.Fatalf("short point: NewDiagnoser err = %v, want ErrArtifact", err)
+	}
+}
+
+// FuzzTrajectoryMapArtifact: whatever LoadTrajectoryMap accepts builds a
+// Diagnoser, and diagnosing a point of the map's dimension returns a
+// ranking without panicking; whatever it refuses is ErrArtifact.
+func FuzzTrajectoryMapArtifact(f *testing.F) {
+	s, err := NewSession(PaperCUT())
+	if err != nil {
+		f.Fatal(err)
+	}
+	tm, err := s.Trajectories(context.Background(), []float64{0.56, 4.55})
+	if err != nil {
+		f.Fatal(err)
+	}
+	seed, err := s.EncodeArtifact(kindTrajectories, tm)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "map.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := LoadTrajectoryMap(path)
+		if err != nil {
+			if !errors.Is(err, ErrArtifact) {
+				t.Fatalf("refusal %v does not wrap ErrArtifact", err)
+			}
+			return
+		}
+		dg, err := NewDiagnoser(m)
+		if err != nil {
+			t.Fatalf("loaded map refused by NewDiagnoser: %v", err)
+		}
+		for _, p := range [][]float64{make([]float64, m.Dim()), m.Trajectories[0].Points[1]} {
+			res, err := dg.Diagnose(p)
+			if err != nil {
+				t.Fatalf("Diagnose(%v): %v", p, err)
+			}
+			if len(res.Candidates) == 0 {
+				t.Fatalf("Diagnose(%v) ranked no candidate", p)
+			}
+		}
+	})
+}

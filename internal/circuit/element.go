@@ -261,12 +261,16 @@ func (l *Inductor) Stamp(st *Stamp) error {
 type VSource struct {
 	twoTerminal
 	Amplitude complex128
+	// Mag and PhaseDeg are the magnitude and phase in degrees a netlist
+	// card gave, kept so the card serializes back to the same numbers.
+	// Sources built in code leave them zero.
+	Mag, PhaseDeg float64
 }
 
 // NewVSource returns a voltage source of the given phasor amplitude with
 // positive terminal a.
 func NewVSource(name, a, b string, amplitude complex128) *VSource {
-	return &VSource{twoTerminal{name, a, b}, amplitude}
+	return &VSource{twoTerminal: twoTerminal{name, a, b}, Amplitude: amplitude}
 }
 
 // NumAux implements Element.
@@ -295,11 +299,13 @@ func (v *VSource) Stamp(st *Stamp) error {
 type ISource struct {
 	twoTerminal
 	Amplitude complex128
+	// Mag and PhaseDeg are as for VSource.
+	Mag, PhaseDeg float64
 }
 
 // NewISource returns a current source of the given phasor amplitude.
 func NewISource(name, a, b string, amplitude complex128) *ISource {
-	return &ISource{twoTerminal{name, a, b}, amplitude}
+	return &ISource{twoTerminal: twoTerminal{name, a, b}, Amplitude: amplitude}
 }
 
 // NumAux implements Element.

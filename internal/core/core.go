@@ -11,14 +11,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/circuit"
 	"repro/internal/diagnosis"
 	"repro/internal/dictionary"
+	"repro/internal/fanout"
 	"repro/internal/fault"
 	"repro/internal/ga"
 	"repro/internal/rerr"
@@ -120,11 +119,11 @@ func fitnessOf(m *trajectory.Map) float64 {
 //
 // Fitness evaluation is generation-batched: each GA generation is scored
 // in one ga.Problem.BatchFitness call that fans the candidates out over
-// cfg.GA.Workers goroutines (0 → one per CPU), each owning a reusable
-// trajectory.Builder, so the steady-state fitness path allocates
-// nothing. With one worker the candidates are evaluated inline, without
-// goroutines. The worker count never affects results: each candidate's
-// fitness is a pure function of its genes.
+// fanout.Run with cfg.GA.Workers goroutines (≤ 0 means one per CPU),
+// each owning a reusable trajectory.Builder, so the steady-state fitness
+// path allocates nothing. With one worker the candidates are evaluated
+// inline, without goroutines. The worker count never affects results:
+// each candidate's fitness is a pure function of its genes.
 func (a *ATPG) Optimize(ctx context.Context, cfg Config) (*TestVector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -134,13 +133,9 @@ func (a *ATPG) Optimize(ctx context.Context, cfg Config) (*TestVector, error) {
 	for i := range bounds {
 		bounds[i] = ga.Interval{Lo: lo, Hi: hi}
 	}
-	workers := cfg.GA.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
 	problem := ga.Problem{
 		Bounds:       bounds,
-		BatchFitness: a.batchFitness(ctx, workers),
+		BatchFitness: a.batchFitness(ctx, fanout.Workers(cfg.GA.PopSize, cfg.GA.Workers)),
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	res, err := ga.Run(ctx, problem, cfg.GA, rng)
@@ -186,48 +181,20 @@ func (w *fitnessWorker) eval(ctx context.Context, genes []float64) float64 {
 }
 
 // batchFitness returns the generation-batched fitness evaluator: one
-// persistent fitnessWorker per worker slot, candidates split into
-// contiguous chunks. Chunking is pure partitioning — every candidate is
-// scored by the same pure function, so results are identical at any
-// worker count and to the per-individual path.
+// persistent fitnessWorker per worker slot, candidates handed out by
+// fanout.Run. Every candidate is scored by the same pure function, so
+// results are identical at any worker count. A canceled context leaves
+// later candidates unscored; ga.Run discards that generation.
 func (a *ATPG) batchFitness(ctx context.Context, workers int) func([][]float64, []float64) {
 	ws := make([]*fitnessWorker, workers)
 	for i := range ws {
 		ws[i] = &fitnessWorker{b: trajectory.NewBuilder(a.dict)}
 	}
 	return func(genomes [][]float64, out []float64) {
-		n := len(genomes)
-		w := workers
-		if w > n {
-			w = n
-		}
-		if w <= 1 {
-			// Inline path: no goroutine or scheduling overhead when the
-			// caller asked for sequential evaluation.
-			for i := range genomes {
-				out[i] = ws[0].eval(ctx, genomes[i])
-			}
-			return
-		}
-		per := (n + w - 1) / w
-		var wg sync.WaitGroup
-		for k := 0; k < w; k++ {
-			lo, hi := k*per, (k+1)*per
-			if hi > n {
-				hi = n
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(st *fitnessWorker, lo, hi int) {
-				defer wg.Done()
-				for i := lo; i < hi; i++ {
-					out[i] = st.eval(ctx, genomes[i])
-				}
-			}(ws[k], lo, hi)
-		}
-		wg.Wait()
+		_ = fanout.Run(ctx, len(genomes), workers, func(w, i int) error {
+			out[i] = ws[w].eval(ctx, genomes[i])
+			return nil
+		})
 	}
 }
 

@@ -165,8 +165,11 @@ func (d *Diagnoser) Extent() float64 { return d.m.Extent() }
 
 // New builds a diagnoser over a trajectory map.
 func New(m *trajectory.Map) (*Diagnoser, error) {
-	if m == nil || len(m.Trajectories) == 0 {
-		return nil, fmt.Errorf("diagnosis: empty trajectory map")
+	if m == nil {
+		return nil, fmt.Errorf("diagnosis: nil trajectory map")
+	}
+	if err := m.Validate(); err != nil {
+		return nil, fmt.Errorf("diagnosis: %w", err)
 	}
 	return &Diagnoser{m: m}, nil
 }

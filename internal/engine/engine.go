@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/circuit"
+	"repro/internal/fanout"
 	"repro/internal/fault"
 	"repro/internal/numeric"
 	"repro/internal/obs"
@@ -465,12 +465,13 @@ func (ws *workspace) ensureSoADense(n int) {
 // frequency the golden system is factored once; every fault is then
 // solved by a rank-1 Sherman–Morrison update against that factorization,
 // with a full refactorization fallback for ill-conditioned updates.
-// Frequencies fan out over workers goroutines (≤0 → runtime.NumCPU()),
-// each with its own pooled workspace grown to the batch's shape.
+// Frequencies fan out over fanout.Run (workers ≤ 0 means one per CPU),
+// each worker with its own pooled workspace grown to the batch's shape.
 //
-// The context is checked before every frequency column, so a canceled
-// context stops the batch within one in-flight column per worker and the
-// call returns an error wrapping rerr.ErrCanceled. A nil context is
+// The context is checked before every frequency group (one column on
+// the dense path), so a canceled context stops the batch within one
+// in-flight group per worker, and the call returns an error wrapping
+// rerr.ErrCanceled unless every column was solved. A nil context is
 // treated as context.Background(). The worker count and cancellation
 // machinery never affect computed values: each column is solved
 // independently in a self-contained workspace.
@@ -658,9 +659,6 @@ func (e *Engine) batchInto(ctx context.Context, faults []fault.Fault, sets []fau
 		}
 	}
 
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
 	// Workers claim whole frequency groups (FreqBlock consecutive
 	// columns refactored in one blocked walk on the sparse path, single
 	// columns otherwise), so the useful worker count is the group count.
@@ -671,9 +669,7 @@ func (e *Engine) batchInto(ctx context.Context, faults []fault.Fault, sets []fau
 		unit = numeric.FreqBlock
 	}
 	groups := (len(omegas) + unit - 1) / unit
-	if workers > groups {
-		workers = groups
-	}
+	workers = fanout.Workers(groups, workers)
 
 	// The progress closure (and the counter it captures) is only built
 	// when a hook is set: the GA fitness path runs without one, and the
@@ -686,8 +682,9 @@ func (e *Engine) batchInto(ctx context.Context, faults []fault.Fault, sets []fau
 	}
 
 	if workers == 1 {
-		// Inline path: no goroutine or channel overhead for the common
-		// small batches (a GA candidate is k=2 frequencies).
+		// Inline path, not fanout.Run: a closure passed to Run escapes
+		// to the heap, and the GA fitness path (a candidate is k=2
+		// frequencies on one worker) must not allocate.
 		ws := e.pool.Get().(*workspace)
 		defer e.pool.Put(ws)
 		ws.fitBatch(len(out.distinct), maxParts)
@@ -714,69 +711,42 @@ func (e *Engine) batchInto(ctx context.Context, faults []fault.Fault, sets []fau
 	return e.batchParallel(ctx, faults, sets, omegas, workers, unit, maxParts, report, out)
 }
 
-// batchParallel is batchInto's worker-pool branch. It lives in its own
-// function so its goroutine closures capture this frame's variables, not
-// batchInto's: escape analysis is flow-insensitive, and keeping the
-// captures here is what lets the single-worker GA path run without ctx
-// or progress state escaping to the heap.
+// batchParallel is batchInto's worker-pool branch: frequency groups run
+// on fanout.Run. Each worker takes its workspace from the pool on its own
+// goroutine at its first group, and every workspace goes back to the pool
+// at the end. It lives in its own function so the closure captures this
+// frame's variables, not batchInto's: escape analysis is
+// flow-insensitive, and keeping the captures here is what lets the
+// single-worker GA path run without ctx or progress state escaping to
+// the heap.
 func (e *Engine) batchParallel(ctx context.Context, faults []fault.Fault, sets []fault.Set, omegas []float64, workers, unit, maxParts int, report func(), out *Batch) error {
-	jobs := make(chan int)
-	errs := make(chan error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ws := e.pool.Get().(*workspace)
-			defer e.pool.Put(ws)
-			ws.fitBatch(len(out.distinct), maxParts)
-			for g := range jobs {
-				if ctx.Err() != nil {
-					continue // drain without solving so the producer never blocks
-				}
-				hi := g + unit
-				if hi > len(omegas) {
-					hi = len(omegas)
-				}
-				e.prepareGroup(ws, omegas, g, hi)
-				for j := g; j < hi; j++ {
-					if err := e.solveColumn(ws, omegas[j], faults, sets, out, j); err != nil {
-						select {
-						case errs <- err:
-						default:
-						}
-						// Keep draining so the producer never blocks.
-						for range jobs {
-						}
-						return
-					}
-					if report != nil {
-						report()
-					}
-				}
+	wss := make([]*workspace, workers)
+	defer func() {
+		for _, ws := range wss {
+			if ws != nil {
+				e.pool.Put(ws)
 			}
-		}()
-	}
-feed:
-	for g := 0; g < len(omegas); g += unit {
-		select {
-		case jobs <- g:
-		case <-ctx.Done():
-			break feed
 		}
-	}
-	close(jobs)
-	wg.Wait()
-	// A genuine solve error outranks cancellation: workers never push
-	// cancellation into errs, so anything there is a deterministic
-	// failure the caller must see (retrying on ErrCanceled would loop).
-	select {
-	case err := <-errs:
-		return err
-	default:
-	}
-	if err := ctx.Err(); err != nil {
-		return rerr.Canceled(err)
-	}
-	return nil
+	}()
+	groups := (len(omegas) + unit - 1) / unit
+	return fanout.Run(ctx, groups, workers, func(w, gi int) error {
+		ws := wss[w]
+		if ws == nil {
+			ws = e.pool.Get().(*workspace)
+			ws.fitBatch(len(out.distinct), maxParts)
+			wss[w] = ws
+		}
+		g := gi * unit
+		hi := min(g+unit, len(omegas))
+		e.prepareGroup(ws, omegas, g, hi)
+		for j := g; j < hi; j++ {
+			if err := e.solveColumn(ws, omegas[j], faults, sets, out, j); err != nil {
+				return err
+			}
+			if report != nil {
+				report()
+			}
+		}
+		return nil
+	})
 }

@@ -5,66 +5,20 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/rerr"
 )
 
-// batchOf wraps a problem's per-genome fitness as a BatchFitness hook.
-func batchOf(p Problem) Problem {
-	fit := p.Fitness
-	p.Fitness = nil
-	p.BatchFitness = func(genomes [][]float64, out []float64) {
-		for i, g := range genomes {
-			out[i] = fit(g)
-		}
-	}
-	return p
-}
-
-// TestBatchFitnessMatchesPerIndividual: for a fixed seed, the
-// generation-batched path must be bit-identical to the per-individual
-// path — same history, same best, same evaluation count — at any worker
-// count (workers only affect the per-individual path's parallelism).
-func TestBatchFitnessMatchesPerIndividual(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		cfg := PaperConfig()
-		cfg.PopSize, cfg.Generations, cfg.Workers = 24, 6, workers
-		ref, err := Run(nil, sphere(1.5), cfg, rand.New(rand.NewSource(11)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Run(nil, batchOf(sphere(1.5)), cfg, rand.New(rand.NewSource(11)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.BestFitness != ref.BestFitness || got.Evaluations != ref.Evaluations {
-			t.Fatalf("workers=%d: batched (%v, %d evals) != per-individual (%v, %d evals)",
-				workers, got.BestFitness, got.Evaluations, ref.BestFitness, ref.Evaluations)
-		}
-		if !reflect.DeepEqual(got.Best, ref.Best) {
-			t.Fatalf("workers=%d: best genes differ: %v vs %v", workers, got.Best, ref.Best)
-		}
-		if !reflect.DeepEqual(got.History, ref.History) {
-			t.Fatalf("workers=%d: histories differ", workers)
-		}
-	}
-}
-
 // TestBatchFitnessCalledOncePerGeneration: the hook must fire exactly
 // Generations times, each call covering only the unscored individuals.
 func TestBatchFitnessCalledOncePerGeneration(t *testing.T) {
-	var calls atomic.Int64
+	calls := 0
 	p := sphere(0)
-	fit := p.Fitness
-	p.Fitness = nil
+	score := p.BatchFitness
 	p.BatchFitness = func(genomes [][]float64, out []float64) {
-		calls.Add(1)
-		for i, g := range genomes {
-			out[i] = fit(g)
-		}
+		calls++
+		score(genomes, out)
 	}
 	cfg := PaperConfig()
 	cfg.PopSize, cfg.Generations = 16, 5
@@ -72,8 +26,8 @@ func TestBatchFitnessCalledOncePerGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := calls.Load(); n != int64(cfg.Generations) {
-		t.Fatalf("BatchFitness fired %d times, want %d", n, cfg.Generations)
+	if calls != cfg.Generations {
+		t.Fatalf("BatchFitness fired %d times, want %d", calls, cfg.Generations)
 	}
 	if res.Evaluations >= cfg.PopSize*cfg.Generations {
 		t.Fatalf("%d evaluations — batching re-scored already-scored individuals", res.Evaluations)
@@ -81,7 +35,7 @@ func TestBatchFitnessCalledOncePerGeneration(t *testing.T) {
 }
 
 // TestBatchFitnessClampsBadValues: NaN and negative batch outputs are
-// clamped to zero mass, exactly like the per-individual path.
+// clamped to zero mass.
 func TestBatchFitnessClampsBadValues(t *testing.T) {
 	p := Problem{
 		Bounds: []Interval{{0, 1}},
@@ -136,24 +90,13 @@ func TestBatchFitnessCanceledContext(t *testing.T) {
 	}
 }
 
-// TestNilFitnessRejectedOnlyWithoutBatch: Fitness may be nil when
-// BatchFitness is provided, but not when both are missing.
-func TestNilFitnessRejectedOnlyWithoutBatch(t *testing.T) {
+// TestNilBatchFitnessRejected: a problem without BatchFitness is a
+// configuration error.
+func TestNilBatchFitnessRejected(t *testing.T) {
 	cfg := PaperConfig()
 	cfg.PopSize, cfg.Generations = 8, 1
 	_, err := Run(nil, Problem{Bounds: []Interval{{0, 1}}}, cfg, rand.New(rand.NewSource(1)))
 	if !errors.Is(err, rerr.ErrBadConfig) {
-		t.Fatalf("nil fitness accepted: %v", err)
-	}
-	p := Problem{
-		Bounds: []Interval{{0, 1}},
-		BatchFitness: func(genomes [][]float64, out []float64) {
-			for i := range out {
-				out[i] = 1
-			}
-		},
-	}
-	if _, err := Run(nil, p, cfg, rand.New(rand.NewSource(1))); err != nil {
-		t.Fatalf("BatchFitness-only problem rejected: %v", err)
+		t.Fatalf("nil BatchFitness: err = %v, want ErrBadConfig", err)
 	}
 }

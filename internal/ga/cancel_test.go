@@ -8,31 +8,35 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fanout"
 	"repro/internal/rerr"
 )
 
-// TestCancelStopsMidGeneration verifies the prompt-cancellation contract:
-// once the context is canceled, each worker finishes at most the fitness
-// evaluation it already has in flight, then the pool drains — it does NOT
-// run the rest of the generation.
+// TestCancelStopsMidGeneration verifies the prompt-cancellation contract
+// of a generation scored on fanout.Run, as core.Optimize scores it: once
+// the context is canceled, each worker finishes at most the fitness
+// evaluation it already has in flight, the rest of the generation is not
+// run, and Run discards the generation.
 func TestCancelStopsMidGeneration(t *testing.T) {
 	const popSize, workers = 64, 2
 	var evals atomic.Int64
 	inFlight := make(chan struct{}, popSize)
 	gate := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
 	p := Problem{
 		Bounds: []Interval{{0, 1}},
-		Fitness: func([]float64) float64 {
-			evals.Add(1)
-			inFlight <- struct{}{}
-			<-gate // slow fitness: blocks until the test releases it
-			return 1
+		BatchFitness: func(genomes [][]float64, out []float64) {
+			_ = fanout.Run(ctx, len(genomes), workers, func(_, i int) error {
+				evals.Add(1)
+				inFlight <- struct{}{}
+				<-gate // slow fitness: blocks until the test releases it
+				out[i] = 1
+				return nil
+			})
 		},
 	}
-	cfg := Config{PopSize: popSize, Generations: 3, ReproductionRate: 0.5,
-		MutationRate: 0.4, Elitism: 1, MutSigma: 0.1, Workers: workers}
+	cfg := Config{PopSize: popSize, Generations: 3, MutationRate: 0.4}
 
-	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		// Wait until both workers hold an evaluation, then cancel and
 		// unblock everything.
@@ -67,19 +71,18 @@ func TestCancelStopsMidGeneration(t *testing.T) {
 func TestDeadlineStopsAtGenerationBoundary(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	var evals atomic.Int64
+	evals := 0
 	p := Problem{
-		Bounds:  []Interval{{0, 1}},
-		Fitness: func([]float64) float64 { evals.Add(1); return 1 },
+		Bounds:       []Interval{{0, 1}},
+		BatchFitness: batchOf(func([]float64) float64 { evals++; return 1 }),
 	}
-	cfg := Config{PopSize: 8, Generations: 5, ReproductionRate: 0.5,
-		MutationRate: 0.4, Elitism: 1, MutSigma: 0.1, Workers: 2}
+	cfg := Config{PopSize: 8, Generations: 5, MutationRate: 0.4}
 	_, err := Run(ctx, p, cfg, rand.New(rand.NewSource(1)))
 	if !errors.Is(err, rerr.ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrCanceled wrapping DeadlineExceeded", err)
 	}
-	if evals.Load() != 0 {
-		t.Fatalf("%d evaluations ran under an expired deadline", evals.Load())
+	if evals != 0 {
+		t.Fatalf("%d evaluations ran under an expired deadline", evals)
 	}
 }
 
@@ -87,8 +90,7 @@ func TestDeadlineStopsAtGenerationBoundary(t *testing.T) {
 // hook fires in order with the generation's statistics.
 func TestProgressCallbackPerGeneration(t *testing.T) {
 	var seen []GenStats
-	cfg := Config{PopSize: 12, Generations: 4, ReproductionRate: 0.5,
-		MutationRate: 0.4, Elitism: 1, MutSigma: 0.1,
+	cfg := Config{PopSize: 12, Generations: 4, MutationRate: 0.4,
 		Progress: func(st GenStats) { seen = append(seen, st) }}
 	res, err := Run(nil, sphere(1), cfg, rand.New(rand.NewSource(8)))
 	if err != nil {

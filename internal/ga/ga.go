@@ -7,7 +7,8 @@
 //
 // The engine is deterministic for a fixed seed: all stochastic decisions
 // draw from one *rand.Rand in a fixed order, while fitness evaluations —
-// which consume no randomness — may fan out over worker goroutines.
+// which consume no randomness — may fan out over worker goroutines inside
+// the caller's batch evaluator.
 package ga
 
 import (
@@ -15,12 +16,22 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/rerr"
+)
+
+// The three GA parameters every program runs with at one value.
+const (
+	// reproductionRate is the fraction of each new generation produced
+	// by crossover (paper: 0.5); the rest are selected survivors.
+	reproductionRate = 0.5
+	// elitism is how many of the best individuals pass unchanged into
+	// each generation, so the reported best never regresses.
+	elitism = 1
+	// mutSigma is the Gaussian mutation step as a fraction of each
+	// gene's interval width (the paper leaves it unspecified).
+	mutSigma = 0.1
 )
 
 // Interval bounds one gene.
@@ -40,23 +51,18 @@ func (iv Interval) Clamp(v float64) float64 {
 type Problem struct {
 	// Bounds gives one interval per gene; its length is the genome size.
 	Bounds []Interval
-	// Fitness scores a genome; it must be finite and >= 0 (roulette
-	// selection interprets fitness as probability mass). Larger is
-	// better. It is called from Config.Workers goroutines concurrently
-	// and must be safe for that. May be nil when BatchFitness is set.
-	Fitness func(genes []float64) float64
-	// BatchFitness, when non-nil, takes precedence over Fitness and
-	// scores a whole generation in one call: it must set out[i] to the
-	// fitness of genomes[i] for every i (same contract as Fitness:
-	// finite, >= 0, larger is better; NaN and negative values are
-	// clamped to 0 either way). It is called once per generation from
-	// the Run goroutine with only the genomes that need scoring; how the
-	// implementation parallelizes internally is its own business — per-
-	// genome results must not depend on evaluation order, which keeps
-	// runs deterministic for a fixed seed at any parallelism. Batching
-	// lets the evaluator amortize per-call setup (scratch buffers,
-	// per-worker solver state) across the generation instead of paying
-	// it per individual.
+	// BatchFitness scores a whole generation in one call: it must set
+	// out[i] to the fitness of genomes[i] for every i. Fitness must be
+	// finite and >= 0 (roulette selection interprets it as probability
+	// mass; NaN and negative values are clamped to 0), and larger is
+	// better. It is called once per generation from the Run goroutine
+	// with only the genomes that need scoring; how the implementation
+	// parallelizes internally is its own business — per-genome results
+	// must not depend on evaluation order, which keeps runs
+	// deterministic for a fixed seed at any parallelism. Batching lets
+	// the evaluator amortize per-call setup (scratch buffers, per-worker
+	// solver state) across the generation instead of paying it per
+	// individual.
 	BatchFitness func(genomes [][]float64, out []float64)
 }
 
@@ -92,25 +98,16 @@ type Config struct {
 	PopSize int
 	// Generations is the stop criterion (paper: 15).
 	Generations int
-	// ReproductionRate is the fraction of each new generation produced
-	// by crossover (paper: 0.5); the rest are selected survivors.
-	ReproductionRate float64
 	// MutationRate is the per-individual mutation probability
 	// (paper: 0.4).
 	MutationRate float64
 	// Selection picks the parent-selection strategy (paper: Roulette).
 	Selection SelectionMethod
-	// Elitism preserves the best n individuals unchanged each
-	// generation.
-	Elitism int
-	// MutSigma is the Gaussian mutation step as a fraction of each
-	// gene's interval width.
-	MutSigma float64
-	// Workers bounds concurrent fitness evaluations; 0 means one worker
-	// per CPU (runtime.NumCPU()). The worker count never affects results:
-	// fitness evaluations consume no randomness and each worker writes
-	// only its own population slot, so runs are deterministic for a fixed
-	// seed at any parallelism.
+	// Workers is the fitness fan-out of the caller's BatchFitness; Run
+	// itself does not read it. core.Optimize sizes its evaluation pool
+	// from it (≤ 0 means one worker per CPU). The worker count never
+	// affects results: fitness evaluations consume no randomness, so
+	// runs are deterministic for a fixed seed at any parallelism.
 	Workers int
 	// Progress, when non-nil, is called once per generation (from the
 	// Run goroutine, after the generation's statistics are computed).
@@ -118,20 +115,17 @@ type Config struct {
 	Progress func(GenStats)
 }
 
-// PaperConfig returns the configuration of the paper's §2.4 (plus
-// single-individual elitism so the reported best never regresses, and a
-// 10% Gaussian mutation step, which the paper leaves unspecified).
-// Workers is left at 0 (one worker per CPU); this cannot perturb results
-// for a fixed seed — see Config.Workers.
+// PaperConfig returns the configuration of the paper's §2.4. Its 50%
+// reproduction rate, the single-individual elitism and the 10% Gaussian
+// mutation step are fixed for every run (reproductionRate, elitism,
+// mutSigma). Workers is left at 0 (one worker per CPU); this cannot
+// perturb results for a fixed seed — see Config.Workers.
 func PaperConfig() Config {
 	return Config{
-		PopSize:          128,
-		Generations:      15,
-		ReproductionRate: 0.5,
-		MutationRate:     0.4,
-		Selection:        Roulette,
-		Elitism:          1,
-		MutSigma:         0.1,
+		PopSize:      128,
+		Generations:  15,
+		MutationRate: 0.4,
+		Selection:    Roulette,
 	}
 }
 
@@ -143,17 +137,8 @@ func (c Config) Validate() error {
 	if c.Generations < 1 {
 		return fmt.Errorf("ga: %w: generations %d < 1", rerr.ErrBadConfig, c.Generations)
 	}
-	if c.ReproductionRate < 0 || c.ReproductionRate > 1 {
-		return fmt.Errorf("ga: %w: reproduction rate %g outside [0,1]", rerr.ErrBadConfig, c.ReproductionRate)
-	}
 	if c.MutationRate < 0 || c.MutationRate > 1 {
 		return fmt.Errorf("ga: %w: mutation rate %g outside [0,1]", rerr.ErrBadConfig, c.MutationRate)
-	}
-	if c.Elitism < 0 || c.Elitism >= c.PopSize {
-		return fmt.Errorf("ga: %w: elitism %d outside [0, popsize)", rerr.ErrBadConfig, c.Elitism)
-	}
-	if c.MutSigma <= 0 {
-		return fmt.Errorf("ga: %w: mutation sigma %g must be positive", rerr.ErrBadConfig, c.MutSigma)
 	}
 	return nil
 }
@@ -190,12 +175,14 @@ type individual struct {
 // Run executes the GA. The rng drives every stochastic choice; pass
 // rand.New(rand.NewSource(seed)) for reproducibility.
 //
-// The context is checked at every generation boundary and, inside a
-// generation, before every fitness evaluation: a canceled context stops
-// the run within one in-flight evaluation per worker. The returned error
-// then wraps both rerr.ErrCanceled and the context's own error. A nil
-// context is treated as context.Background(). Cancellation cannot perturb
-// results: an uncanceled run evaluates exactly what it always did.
+// The context is checked before and after every generation's
+// BatchFitness call; stopping inside the call is the evaluator's
+// business (core.Optimize's stops within one in-flight evaluation per
+// worker). A generation that ends canceled is discarded, and the
+// returned error wraps both rerr.ErrCanceled and the context's own
+// error. A nil context is treated as context.Background(). Cancellation
+// cannot perturb results: an uncanceled run evaluates exactly what it
+// always did.
 func Run(ctx context.Context, p Problem, cfg Config, rng *rand.Rand) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -211,8 +198,8 @@ func Run(ctx context.Context, p Problem, cfg Config, rng *rand.Rand) (*Result, e
 			return nil, fmt.Errorf("ga: %w: bad bounds for gene %d: [%g, %g]", rerr.ErrBadConfig, i, b.Lo, b.Hi)
 		}
 	}
-	if p.Fitness == nil && p.BatchFitness == nil {
-		return nil, fmt.Errorf("ga: %w: nil fitness function", rerr.ErrBadConfig)
+	if p.BatchFitness == nil {
+		return nil, fmt.Errorf("ga: %w: nil BatchFitness", rerr.ErrBadConfig)
 	}
 	if rng == nil {
 		return nil, fmt.Errorf("ga: %w: nil rng", rerr.ErrBadConfig)
@@ -226,7 +213,7 @@ func Run(ctx context.Context, p Problem, cfg Config, rng *rand.Rand) (*Result, e
 	res := &Result{}
 	evals := 0
 	for gen := 0; gen < cfg.Generations; gen++ {
-		n, err := evaluate(ctx, pop, p, cfg.Workers)
+		n, err := evaluate(ctx, pop, p.BatchFitness)
 		evals += n
 		if err != nil {
 			return nil, err
@@ -260,71 +247,13 @@ func randomGenome(bounds []Interval, rng *rand.Rand) []float64 {
 	return g
 }
 
-// evaluate scores all unscored individuals, returning how many fitness
-// evaluations it made. With BatchFitness set, the whole generation goes
-// through one batched call; otherwise Fitness fans out over workers.
-// Worker goroutines preserve determinism because each writes only its
-// own index. Every worker checks the context before each fitness call,
-// so a cancellation mid-generation stops the pool within one in-flight
-// evaluation per worker; evaluate then reports rerr.Canceled after the
-// pool drains.
-func evaluate(ctx context.Context, pop []individual, p Problem, workers int) (int, error) {
-	if p.BatchFitness != nil {
-		return evaluateBatch(ctx, pop, p.BatchFitness)
-	}
-	fit := p.Fitness
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	var count atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if ctx.Err() != nil {
-					continue // drain without scoring so the producer never blocks
-				}
-				f := fit(pop[i].genes)
-				if math.IsNaN(f) || f < 0 {
-					f = 0 // defensive: keep roulette well-defined
-				}
-				pop[i].fitness = f
-				pop[i].scored = true
-				count.Add(1)
-			}
-		}()
-	}
-feed:
-	for i := range pop {
-		if pop[i].scored {
-			continue
-		}
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(idx)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return int(count.Load()), rerr.Canceled(err)
-	}
-	return int(count.Load()), nil
-}
-
-// evaluateBatch scores the generation's unscored individuals with one
-// BatchFitness call. The context is checked before the call and again
-// after it returns: a cancellation mid-batch (observed by the evaluator
-// through the same context) discards the partial scores and reports
-// rerr.Canceled, so a canceled run never commits half-scored
-// generations. An uncanceled run scores exactly the individuals the
-// per-individual path would — the two paths are interchangeable for a
-// fixed seed.
-func evaluateBatch(ctx context.Context, pop []individual, bf func([][]float64, []float64)) (int, error) {
+// evaluate scores the generation's unscored individuals with one
+// BatchFitness call, returning how many fitness evaluations it made. The
+// context is checked before the call and again after it returns: a
+// cancellation mid-batch (observed by the evaluator through the same
+// context) discards the partial scores and reports rerr.Canceled, so a
+// canceled run never commits half-scored generations.
+func evaluate(ctx context.Context, pop []individual, bf func([][]float64, []float64)) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, rerr.Canceled(err)
 	}
@@ -375,20 +304,20 @@ func summarize(pop []individual, gen, evals int) GenStats {
 }
 
 // nextGeneration builds the successor population: elites first, then
-// crossover offspring (ReproductionRate of the population), then selected
+// crossover offspring (reproductionRate of the population), then selected
 // survivors; non-elites face mutation.
 func nextGeneration(pop []individual, p Problem, cfg Config, rng *rand.Rand) []individual {
 	n := len(pop)
 	next := make([]individual, 0, n)
 
-	for i := 0; i < cfg.Elitism; i++ {
+	for i := 0; i < elitism; i++ {
 		elite := individual{genes: append([]float64(nil), pop[i].genes...), fitness: pop[i].fitness, scored: true}
 		next = append(next, elite)
 	}
 
 	sel := newSelector(pop, cfg.Selection, rng)
-	offspring := int(math.Round(cfg.ReproductionRate * float64(n)))
-	for len(next) < cfg.Elitism+offspring && len(next) < n {
+	offspring := int(math.Round(reproductionRate * float64(n)))
+	for len(next) < elitism+offspring && len(next) < n {
 		a := sel.pick()
 		b := sel.pick()
 		child := crossover(a.genes, b.genes, rng)
@@ -399,9 +328,9 @@ func nextGeneration(pop []individual, p Problem, cfg Config, rng *rand.Rand) []i
 		next = append(next, individual{genes: append([]float64(nil), s.genes...), fitness: s.fitness, scored: true})
 	}
 
-	for i := cfg.Elitism; i < n; i++ {
+	for i := elitism; i < n; i++ {
 		if rng.Float64() < cfg.MutationRate {
-			mutate(next[i].genes, p.Bounds, cfg.MutSigma, rng)
+			mutate(next[i].genes, p.Bounds, mutSigma, rng)
 			next[i].scored = false
 		}
 	}

@@ -4,23 +4,31 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
+
+// batchOf turns a per-genome fitness into a serial BatchFitness.
+func batchOf(fit func(genes []float64) float64) func([][]float64, []float64) {
+	return func(genomes [][]float64, out []float64) {
+		for i, g := range genomes {
+			out[i] = fit(g)
+		}
+	}
+}
 
 // sphere is a smooth unimodal test problem: maximize 1/(1+Σ(x-c)²).
 func sphere(center float64) Problem {
 	return Problem{
 		Bounds: []Interval{{-5, 5}, {-5, 5}, {-5, 5}},
-		Fitness: func(g []float64) float64 {
+		BatchFitness: batchOf(func(g []float64) float64 {
 			var s float64
 			for _, v := range g {
 				d := v - center
 				s += d * d
 			}
 			return 1 / (1 + s)
-		},
+		}),
 	}
 }
 
@@ -29,12 +37,10 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := []Config{
-		{PopSize: 1, Generations: 1, MutSigma: 0.1},
-		{PopSize: 4, Generations: 0, MutSigma: 0.1},
-		{PopSize: 4, Generations: 1, ReproductionRate: 1.5, MutSigma: 0.1},
-		{PopSize: 4, Generations: 1, MutationRate: -0.1, MutSigma: 0.1},
-		{PopSize: 4, Generations: 1, Elitism: 4, MutSigma: 0.1},
-		{PopSize: 4, Generations: 1, MutSigma: 0},
+		{PopSize: 1, Generations: 1},
+		{PopSize: 4, Generations: 0},
+		{PopSize: 4, Generations: 1, MutationRate: -0.1},
+		{PopSize: 4, Generations: 1, MutationRate: 1.5},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -45,22 +51,25 @@ func TestConfigValidate(t *testing.T) {
 
 func TestPaperConfigMatchesPaper(t *testing.T) {
 	c := PaperConfig()
-	if c.PopSize != 128 || c.Generations != 15 || c.ReproductionRate != 0.5 ||
-		c.MutationRate != 0.4 || c.Selection != Roulette {
+	if c.PopSize != 128 || c.Generations != 15 || c.MutationRate != 0.4 || c.Selection != Roulette {
 		t.Fatalf("paper config drifted: %+v", c)
+	}
+	if reproductionRate != 0.5 || elitism != 1 || mutSigma != 0.1 {
+		t.Fatalf("fixed GA parameters drifted: reproduction %g, elitism %d, mutation step %g",
+			reproductionRate, elitism, mutSigma)
 	}
 }
 
 func TestRunInputValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	cfg := Config{PopSize: 8, Generations: 2, MutSigma: 0.1}
+	cfg := Config{PopSize: 8, Generations: 2}
 	if _, err := Run(nil, Problem{}, cfg, rng); err == nil {
 		t.Fatal("empty bounds accepted")
 	}
 	p := sphere(0)
-	p.Fitness = nil
+	p.BatchFitness = nil
 	if _, err := Run(nil, p, cfg, rng); err == nil {
-		t.Fatal("nil fitness accepted")
+		t.Fatal("nil BatchFitness accepted")
 	}
 	p2 := sphere(0)
 	p2.Bounds[0] = Interval{3, 3}
@@ -78,10 +87,7 @@ func TestRunInputValidation(t *testing.T) {
 }
 
 func TestConvergesOnSphere(t *testing.T) {
-	cfg := Config{
-		PopSize: 60, Generations: 40, ReproductionRate: 0.5,
-		MutationRate: 0.4, Selection: Roulette, Elitism: 1, MutSigma: 0.1,
-	}
+	cfg := Config{PopSize: 60, Generations: 40, MutationRate: 0.4, Selection: Roulette}
 	res, err := Run(nil, sphere(1.5), cfg, rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)
@@ -124,8 +130,7 @@ func TestDeterministicForSeed(t *testing.T) {
 }
 
 func TestHistoryShape(t *testing.T) {
-	cfg := Config{PopSize: 16, Generations: 8, ReproductionRate: 0.5,
-		MutationRate: 0.3, Elitism: 1, MutSigma: 0.1}
+	cfg := Config{PopSize: 16, Generations: 8, MutationRate: 0.3}
 	res, err := Run(nil, sphere(0), cfg, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
@@ -150,8 +155,7 @@ func TestHistoryShape(t *testing.T) {
 }
 
 func TestElitismMonotoneBest(t *testing.T) {
-	cfg := Config{PopSize: 20, Generations: 15, ReproductionRate: 0.6,
-		MutationRate: 0.8, Elitism: 1, MutSigma: 0.3}
+	cfg := Config{PopSize: 20, Generations: 15, MutationRate: 0.8}
 	res, err := Run(nil, sphere(2), cfg, rand.New(rand.NewSource(11)))
 	if err != nil {
 		t.Fatal(err)
@@ -165,8 +169,7 @@ func TestElitismMonotoneBest(t *testing.T) {
 
 func TestSelectionMethodsAllConverge(t *testing.T) {
 	for _, m := range []SelectionMethod{Roulette, Tournament, Rank} {
-		cfg := Config{PopSize: 40, Generations: 30, ReproductionRate: 0.5,
-			MutationRate: 0.4, Selection: m, Elitism: 1, MutSigma: 0.15}
+		cfg := Config{PopSize: 40, Generations: 30, MutationRate: 0.4, Selection: m}
 		res, err := Run(nil, sphere(0.5), cfg, rand.New(rand.NewSource(5)))
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
@@ -210,11 +213,10 @@ func TestZeroFitnessDegeneracy(t *testing.T) {
 	// All-zero fitness must not panic or loop: roulette degrades to
 	// uniform selection.
 	p := Problem{
-		Bounds:  []Interval{{0, 1}},
-		Fitness: func([]float64) float64 { return 0 },
+		Bounds:       []Interval{{0, 1}},
+		BatchFitness: batchOf(func([]float64) float64 { return 0 }),
 	}
-	cfg := Config{PopSize: 10, Generations: 3, ReproductionRate: 0.5,
-		MutationRate: 0.5, Elitism: 1, MutSigma: 0.1}
+	cfg := Config{PopSize: 10, Generations: 3, MutationRate: 0.5}
 	res, err := Run(nil, p, cfg, rand.New(rand.NewSource(4)))
 	if err != nil {
 		t.Fatal(err)
@@ -225,18 +227,18 @@ func TestZeroFitnessDegeneracy(t *testing.T) {
 }
 
 func TestNegativeAndNaNFitnessSanitized(t *testing.T) {
-	var calls atomic.Int64 // fitness runs on concurrent workers
+	calls := 0
 	p := Problem{
 		Bounds: []Interval{{0, 1}},
-		Fitness: func([]float64) float64 {
-			if calls.Add(1)%2 == 0 {
+		BatchFitness: batchOf(func([]float64) float64 {
+			calls++
+			if calls%2 == 0 {
 				return math.NaN()
 			}
 			return -5
-		},
+		}),
 	}
-	cfg := Config{PopSize: 8, Generations: 2, ReproductionRate: 0.5,
-		MutationRate: 0.5, Elitism: 1, MutSigma: 0.1}
+	cfg := Config{PopSize: 8, Generations: 2, MutationRate: 0.5}
 	res, err := Run(nil, p, cfg, rand.New(rand.NewSource(4)))
 	if err != nil {
 		t.Fatal(err)
@@ -280,8 +282,7 @@ func TestMethodStrings(t *testing.T) {
 func TestQuickBestWithinBounds(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		cfg := Config{PopSize: 10, Generations: 4, ReproductionRate: 0.5,
-			MutationRate: 0.6, Elitism: 1, MutSigma: 0.2}
+		cfg := Config{PopSize: 10, Generations: 4, MutationRate: 0.6}
 		res, err := Run(nil, sphere(0), cfg, rng)
 		if err != nil {
 			return false

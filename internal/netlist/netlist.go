@@ -63,6 +63,7 @@ func errAt(line int, card, format string, args ...any) error {
 
 // ParseValue converts a SPICE number with optional engineering suffix.
 // Examples: "4.7k" → 4700, "100n" → 1e-7, "2meg" → 2e6, "1e-6" → 1e-6.
+// The value must be finite: "infinity", "nank" and "1e308k" are refused.
 func ParseValue(s string) (float64, error) {
 	t := strings.ToLower(strings.TrimSpace(s))
 	if t == "" {
@@ -93,11 +94,16 @@ func ParseValue(s string) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("bad number %q", s)
 	}
-	return v * mult, nil
+	v *= mult
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("value %q is not finite", s)
+	}
+	return v, nil
 }
 
-// FormatValue renders a value with an engineering suffix when it is
-// exactly representable, otherwise in %g form.
+// FormatValue renders a value with an engineering suffix when ParseValue
+// reads that form back to the same float64, and in shortest %g form,
+// which always does, otherwise.
 func FormatValue(v float64) string {
 	type unit struct {
 		mult   float64
@@ -108,13 +114,13 @@ func FormatValue(v float64) string {
 		{1, ""}, {1e-3, "m"}, {1e-6, "u"}, {1e-9, "n"}, {1e-12, "p"},
 	}
 	av := math.Abs(v)
-	if av == 0 {
-		return "0"
-	}
 	for _, u := range units {
 		if av >= u.mult && av < u.mult*1000 {
-			scaled := v / u.mult
-			return strconv.FormatFloat(scaled, 'g', -1, 64) + u.suffix
+			s := strconv.FormatFloat(v/u.mult, 'g', -1, 64) + u.suffix
+			if back, err := ParseValue(s); err == nil && math.Float64bits(back) == math.Float64bits(v) {
+				return s
+			}
+			break
 		}
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
@@ -271,18 +277,21 @@ func parseCard(line int, card string) (circuit.Element, error) {
 		if err != nil {
 			return nil, err
 		}
-		amp := complex(mag, 0)
+		var deg float64
 		if len(args) >= 4 {
-			deg, err := val(args[3])
-			if err != nil {
+			if deg, err = val(args[3]); err != nil {
 				return nil, err
 			}
-			amp = cmplx.Rect(mag, deg*math.Pi/180)
 		}
+		amp := sourceAmplitude(mag, deg)
 		if kind == "v" {
-			return circuit.NewVSource(name, args[0], args[1], amp), nil
+			v := circuit.NewVSource(name, args[0], args[1], amp)
+			v.Mag, v.PhaseDeg = mag, deg
+			return v, nil
 		}
-		return circuit.NewISource(name, args[0], args[1], amp), nil
+		i := circuit.NewISource(name, args[0], args[1], amp)
+		i.Mag, i.PhaseDeg = mag, deg
+		return i, nil
 	case "e", "g":
 		if err := need(5); err != nil {
 			return nil, err
@@ -317,8 +326,30 @@ func parseCard(line int, card string) (circuit.Element, error) {
 	}
 }
 
-// Serialize renders a circuit back into netlist text. Round-tripping
-// through Parse yields an equivalent circuit.
+// sourceAmplitude is the phasor a source card's magnitude and phase in
+// degrees stand for.
+func sourceAmplitude(mag, deg float64) complex128 {
+	if deg == 0 {
+		return complex(mag, 0)
+	}
+	return cmplx.Rect(mag, deg*math.Pi/180)
+}
+
+// sourcePolar returns the magnitude and phase in degrees Serialize writes
+// for a source: the ones its card gave while they still produce amp, and
+// the polar form of amp otherwise (a source built in code).
+func sourcePolar(amp complex128, mag, deg float64) (float64, float64) {
+	if sourceAmplitude(mag, deg) == amp {
+		return mag, deg
+	}
+	r, theta := cmplx.Polar(amp)
+	return r, theta * 180 / math.Pi
+}
+
+// Serialize renders a circuit back into netlist text. Every number is
+// written so that Parse reads back the same float64, and a parsed source
+// keeps the magnitude and phase its card gave, so parse → serialize is a
+// fixed point for netlists without subcircuit instances.
 func Serialize(c *circuit.Circuit) (string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", c.Name())
@@ -331,11 +362,11 @@ func Serialize(c *circuit.Circuit) (string, error) {
 		case *circuit.Inductor:
 			fmt.Fprintf(&b, "%s %s %s %s\n", el.Name(), el.Nodes()[0], el.Nodes()[1], FormatValue(el.Henries))
 		case *circuit.VSource:
-			mag, ph := cmplx.Polar(el.Amplitude)
-			fmt.Fprintf(&b, "%s %s %s %s %g\n", el.Name(), el.Nodes()[0], el.Nodes()[1], FormatValue(mag), ph*180/math.Pi)
+			mag, deg := sourcePolar(el.Amplitude, el.Mag, el.PhaseDeg)
+			fmt.Fprintf(&b, "%s %s %s %s %g\n", el.Name(), el.Nodes()[0], el.Nodes()[1], FormatValue(mag), deg)
 		case *circuit.ISource:
-			mag, ph := cmplx.Polar(el.Amplitude)
-			fmt.Fprintf(&b, "%s %s %s %s %g\n", el.Name(), el.Nodes()[0], el.Nodes()[1], FormatValue(mag), ph*180/math.Pi)
+			mag, deg := sourcePolar(el.Amplitude, el.Mag, el.PhaseDeg)
+			fmt.Fprintf(&b, "%s %s %s %s %g\n", el.Name(), el.Nodes()[0], el.Nodes()[1], FormatValue(mag), deg)
 		case *circuit.VCVS:
 			fmt.Fprintf(&b, "%s %s %s %s %s %g\n", el.Name(), el.OutP, el.OutN, el.CtlP, el.CtlN, el.Gain)
 		case *circuit.VCCS:

@@ -148,8 +148,7 @@ func mustV(t *testing.T, c *circuit.Circuit, name string) *circuit.VSource {
 	return e.(*circuit.VSource)
 }
 
-func TestParseAllKinds(t *testing.T) {
-	nl := `all kinds
+const allKindsNetlist = `all kinds
 V1 in 0 1
 I1 in 0 1m
 R1 in a 1k
@@ -167,7 +166,9 @@ U1 a 0 g
 Rg g a 1k
 .end
 `
-	c, err := netlist.Parse(nl)
+
+func TestParseAllKinds(t *testing.T) {
+	c, err := netlist.Parse(allKindsNetlist)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,9 +146,13 @@ func rewriteElement(e circuit.Element, inst string, mapNode func(string) string)
 	case *circuit.Inductor:
 		return circuit.NewInductor(name, mapNode(el.Nodes()[0]), mapNode(el.Nodes()[1]), el.Henries), nil
 	case *circuit.VSource:
-		return circuit.NewVSource(name, mapNode(el.Nodes()[0]), mapNode(el.Nodes()[1]), el.Amplitude), nil
+		v := circuit.NewVSource(name, mapNode(el.Nodes()[0]), mapNode(el.Nodes()[1]), el.Amplitude)
+		v.Mag, v.PhaseDeg = el.Mag, el.PhaseDeg
+		return v, nil
 	case *circuit.ISource:
-		return circuit.NewISource(name, mapNode(el.Nodes()[0]), mapNode(el.Nodes()[1]), el.Amplitude), nil
+		i := circuit.NewISource(name, mapNode(el.Nodes()[0]), mapNode(el.Nodes()[1]), el.Amplitude)
+		i.Mag, i.PhaseDeg = el.Mag, el.PhaseDeg
+		return i, nil
 	case *circuit.VCVS:
 		return circuit.NewVCVS(name, mapNode(el.OutP), mapNode(el.OutN), mapNode(el.CtlP), mapNode(el.CtlN), el.Gain), nil
 	case *circuit.VCCS:

@@ -12,7 +12,7 @@
 // One MC sample is one rank-k batched engine pass: the sample's
 // tolerance draw plus each hypothesis's fault compose into a k-part
 // fault set per hypothesis, all solved against the shared golden LU.
-// Sampling fans out over montecarlo.ForEach with per-sample RNGs
+// Sampling fans out over fanout.Run with per-sample RNGs
 // (seed + sample index), and the reduction folds samples in index
 // order — the resulting clouds are bit-identical at every worker
 // count.
@@ -25,13 +25,12 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"repro/internal/diagnosis"
 	"repro/internal/dictionary"
 	"repro/internal/engine"
+	"repro/internal/fanout"
 	"repro/internal/fault"
-	"repro/internal/montecarlo"
 	"repro/internal/rerr"
 )
 
@@ -251,19 +250,18 @@ func Build(ctx context.Context, d *dictionary.Dictionary, omegas []float64, extr
 	}
 	sampleErrs := make([]error, samples)
 
-	var pool sync.Pool
-	pool.New = func() any {
-		sc := &buildScratch{
-			psets:   make([]fault.Set, nsets),
-			storage: make([]pset, nsets),
-			factors: make([]float64, len(perturb)),
+	// One scratch per worker, made at the worker's first sample.
+	scratch := make([]*buildScratch, fanout.Workers(samples, cfg.Workers))
+	runSample := func(w, i int) error {
+		sc := scratch[w]
+		if sc == nil {
+			sc = &buildScratch{
+				psets:   make([]fault.Set, nsets),
+				storage: make([]pset, nsets),
+				factors: make([]float64, len(perturb)),
+			}
+			scratch[w] = sc
 		}
-		return sc
-	}
-
-	runSample := func(i int) error {
-		sc := pool.Get().(*buildScratch)
-		defer pool.Put(sc)
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)))
 		for ci := range perturb {
 			g := rng.NormFloat64()
@@ -311,7 +309,7 @@ func Build(ctx context.Context, d *dictionary.Dictionary, omegas []float64, extr
 		}
 		return nil
 	}
-	if err := montecarlo.ForEach(ctx, samples, cfg.Workers, runSample); err != nil {
+	if err := fanout.Run(ctx, samples, cfg.Workers, runSample); err != nil {
 		return nil, err
 	}
 

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -394,6 +395,88 @@ func TestServerDictionaryGridWarmStart(t *testing.T) {
 	}
 	if res[0].Best().Component != "R3" {
 		t.Fatalf("warm-start diagnosis = %v", res[0].Best())
+	}
+}
+
+// TestServerRefusesMalformedArtifacts: a trajectory map with a point of
+// the wrong dimension, or a test vector that repeats a frequency, in the
+// artifact directory fails that CUT's build with an error reply, and the
+// server keeps serving. Before, the map panicked the entry's batcher
+// goroutine (and with it the process) on the first diagnosis, and the
+// test vector served a map whose every candidate sat at distance 0.
+func TestServerRefusesMalformedArtifacts(t *testing.T) {
+	cut, err := repro.BenchmarkByName("nf-lowpass-7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := repro.NewSession(cut, repro.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shortPoint := func(t *testing.T, dir string) {
+		tm, err := sess.Trajectories(context.Background(), []float64{0.56, 4.55})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, "map.json")
+		if err := sess.SaveTrajectories(path, tm); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env map[string]any
+		if err := json.Unmarshal(data, &env); err != nil {
+			t.Fatal(err)
+		}
+		tr := env["payload"].(map[string]any)["trajectories"].([]any)[2].(map[string]any)
+		pts := tr["points"].([]any)
+		pts[3] = pts[3].([]any)[:1]
+		if data, err = json.Marshal(env); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	repeatedFreq := func(t *testing.T, dir string) {
+		tv := &repro.TestVector{Omegas: []float64{0.5, 0.5}, Fitness: 1}
+		if err := sess.SaveTestVector(filepath.Join(dir, "tv.json"), tv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		write func(*testing.T, string)
+	}{{"short point", shortPoint}, {"repeated frequency", repeatedFreq}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			tc.write(t, dir)
+			cfg := Config{}
+			cfg.Build = BuildConfig{Workers: 1, ArtifactDir: dir}
+			s := New(cfg)
+			ts := httptest.NewServer(s.Handler())
+			defer func() {
+				ts.Close()
+				s.Close()
+			}()
+			req := map[string]any{"cut": "nf-lowpass-7", "fault": map[string]any{"component": "R3", "deviation": 0.25}}
+			for i := 0; i < 2; i++ {
+				status, body := postJSON(t, ts.URL+"/v1/diagnose", req)
+				if status != http.StatusInternalServerError || !strings.Contains(string(body), "malformed artifact") {
+					t.Fatalf("request %d: status %d, body %s; want 500 naming the malformed artifact", i, status, body)
+				}
+			}
+			resp, err := http.Get(ts.URL + "/healthz")
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("healthz after the refused build: status %d", resp.StatusCode)
+			}
+		})
 	}
 }
 

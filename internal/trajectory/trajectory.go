@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/dictionary"
@@ -129,6 +130,55 @@ func (m *Map) ByComponent(comp string) (*Trajectory, error) {
 
 // Dim returns the test-vector dimension.
 func (m *Map) Dim() int { return len(m.Omegas) }
+
+// Validate checks the structural invariants a freshly unmarshaled or
+// hand-built map must satisfy before points are projected onto it:
+// distinct finite positive frequencies, at least one trajectory, and on
+// every trajectory at least two points (one segment), one deviation per
+// point, len(Omegas) finite coordinates per point and, for a multi-fault
+// family, one fixed deviation per frozen part. Errors wrap
+// rerr.ErrArtifact.
+func (m *Map) Validate() error {
+	if len(m.Omegas) == 0 {
+		return fmt.Errorf("%w: trajectory: map has no frequencies", rerr.ErrArtifact)
+	}
+	for i, w := range m.Omegas {
+		if !(w > 0) || math.IsInf(w, 0) {
+			return fmt.Errorf("%w: trajectory: frequency %g is not finite and positive", rerr.ErrArtifact, w)
+		}
+		if slices.Contains(m.Omegas[:i], w) {
+			return fmt.Errorf("%w: trajectory: frequency %g repeats an earlier one", rerr.ErrArtifact, w)
+		}
+	}
+	if len(m.Trajectories) == 0 {
+		return fmt.Errorf("%w: trajectory: map has no trajectories", rerr.ErrArtifact)
+	}
+	for ti, t := range m.Trajectories {
+		if t == nil {
+			return fmt.Errorf("%w: trajectory: entry %d is null", rerr.ErrArtifact, ti)
+		}
+		if len(t.Points) < 2 || len(t.Deviations) != len(t.Points) {
+			return fmt.Errorf("%w: trajectory: %s has %d points and %d deviations, want at least 2 of each, aligned",
+				rerr.ErrArtifact, t.Component, len(t.Points), len(t.Deviations))
+		}
+		for pi, p := range t.Points {
+			if len(p) != len(m.Omegas) {
+				return fmt.Errorf("%w: trajectory: %s point %d has %d coordinates, want %d",
+					rerr.ErrArtifact, t.Component, pi, len(p), len(m.Omegas))
+			}
+			for _, x := range p {
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					return fmt.Errorf("%w: trajectory: %s point %d has coordinate %g", rerr.ErrArtifact, t.Component, pi, x)
+				}
+			}
+		}
+		if t.IsMulti() && len(t.FixedDeviations) != len(t.Components)-1 {
+			return fmt.Errorf("%w: trajectory: %s has %d fixed deviations for %d components, want %d",
+				rerr.ErrArtifact, t.Component, len(t.FixedDeviations), len(t.Components), len(t.Components)-1)
+		}
+	}
+	return nil
+}
 
 // originTolerance derives the tolerance for excluding origin-touching
 // intersections: a small fraction of the largest trajectory extent, so

@@ -80,10 +80,11 @@ func TestFitnessPathAllocationFree(t *testing.T) {
 }
 
 // TestOptimizeBatchedMatchesPerIndividualGA: ATPG.Optimize evaluates
-// fitness through the generation-batched hook with per-worker builders;
-// this pins it bit-for-bit against an independently-assembled
-// per-individual GA over the same objective (the paper's 1/(1+I)), for
-// the same seed.
+// fitness through the generation-batched hook with per-worker builders
+// on a worker pool; this pins it bit-for-bit against an
+// independently-assembled GA that scores each individual serially with
+// a fresh trajectory.Build over the same objective (the paper's
+// 1/(1+I)), for the same seed.
 func TestOptimizeBatchedMatchesPerIndividualGA(t *testing.T) {
 	s, err := NewSession(PaperCUT())
 	if err != nil {
@@ -104,16 +105,19 @@ func TestOptimizeBatchedMatchesPerIndividualGA(t *testing.T) {
 	}
 	problem := ga.Problem{
 		Bounds: bounds,
-		Fitness: func(genes []float64) float64 {
-			omegas := make([]float64, len(genes))
-			for i, g := range genes {
-				omegas[i] = math.Pow(10, g)
+		BatchFitness: func(genomes [][]float64, out []float64) {
+			for k, genes := range genomes {
+				omegas := make([]float64, len(genes))
+				for i, g := range genes {
+					omegas[i] = math.Pow(10, g)
+				}
+				m, err := trajectory.Build(nil, s.Dictionary(), omegas)
+				if err != nil {
+					out[k] = 0
+					continue
+				}
+				out[k] = 1 / (1 + float64(m.Intersections()))
 			}
-			m, err := trajectory.Build(nil, s.Dictionary(), omegas)
-			if err != nil {
-				return 0
-			}
-			return 1 / (1 + float64(m.Intersections()))
 		},
 	}
 	res, err := ga.Run(nil, problem, cfg.GA, rand.New(rand.NewSource(cfg.Seed)))

@@ -208,15 +208,24 @@ func ParseFrequencies(s string) ([]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("repro: %w: bad frequency %q", ErrBadConfig, f)
 		}
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			return nil, fmt.Errorf("repro: %w: frequency %q must be finite and non-negative", ErrBadConfig, f)
-		}
-		if slices.Contains(out, v) {
-			return nil, fmt.Errorf("repro: %w: frequency %q repeats an earlier one", ErrBadConfig, f)
+		if p := frequencyProblem(v, out); p != "" {
+			return nil, fmt.Errorf("repro: %w: frequency %q %s", ErrBadConfig, f, p)
 		}
 		out = append(out, v)
 	}
 	return out, nil
+}
+
+// frequencyProblem says what is wrong with v as the next frequency of a
+// list whose earlier entries are prev, or returns "" when nothing is.
+func frequencyProblem(v float64, prev []float64) string {
+	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+		return "must be finite and non-negative"
+	}
+	if slices.Contains(prev, v) {
+		return "repeats an earlier one"
+	}
+	return ""
 }
 
 // NewTracer starts an empty trace for WithTracer. Collected spans are
