@@ -110,8 +110,10 @@ func (s *Session) SaveTestVector(path string, tv *TestVector) error {
 
 // LoadTestVector reads a test-vector artifact saved by SaveTestVector,
 // with the same kind/version/checksum verification as LoadDictionary. Its
-// frequencies must pass the checks ParseFrequencies applies to -freqs:
-// a repeated frequency would collapse the trajectory map (ErrArtifact).
+// frequencies must pass the checks ParseFrequencies applies to -freqs —
+// a repeated frequency would collapse the trajectory map — and be
+// nonzero: a saved test vector only ever feeds trajectories, which need
+// ω > 0 (ErrArtifact).
 func (s *Session) LoadTestVector(path string) (*TestVector, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -128,7 +130,11 @@ func (s *Session) LoadTestVector(path string) (*TestVector, error) {
 		return nil, fmt.Errorf("repro: %w: test vector has no frequencies", ErrArtifact)
 	}
 	for i, w := range tv.Omegas {
-		if p := frequencyProblem(w, tv.Omegas[:i]); p != "" {
+		p := frequencyProblem(w, tv.Omegas[:i])
+		if p == "" && w == 0 {
+			p = "is DC; a test vector needs ω > 0"
+		}
+		if p != "" {
 			return nil, fmt.Errorf("repro: %w: test vector frequency %g %s", ErrArtifact, w, p)
 		}
 	}

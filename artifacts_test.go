@@ -320,6 +320,15 @@ func TestLoadersRejectMalformedArtifacts(t *testing.T) {
 	if _, err := s.LoadTestVector(tvPath); !errors.Is(err, ErrArtifact) {
 		t.Fatalf("repeated frequency: LoadTestVector err = %v, want ErrArtifact", err)
 	}
+	// ParseFrequencies accepts DC for dictionary grids, but a saved test
+	// vector only feeds trajectories, which need ω > 0.
+	dcPath := filepath.Join(t.TempDir(), "tv-dc.json")
+	if err := s.SaveTestVector(dcPath, &TestVector{Omegas: []float64{0, 4.55}, Fitness: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.LoadTestVector(dcPath); !errors.Is(err, ErrArtifact) {
+		t.Fatalf("DC frequency: LoadTestVector err = %v, want ErrArtifact", err)
+	}
 	// A hand-built map gets the same check from NewDiagnoser.
 	tm, err := s.Trajectories(context.Background(), []float64{0.56, 4.55})
 	if err != nil {

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -73,6 +74,13 @@ func main() {
 			fmt.Printf("  %s\n", f)
 		}
 		return
+	}
+
+	// A test vector's -freqs is checked before any session is built.
+	if *freqsArg != "" && *export == "" {
+		if _, err := parseTestFreqs(*freqsArg); err != nil {
+			fail(err)
+		}
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -404,9 +412,23 @@ func buildSession(cutName, nlPath, source, output string, opts ...repro.Option) 
 	return repro.NewSession(cut, opts...)
 }
 
+// parseTestFreqs parses -freqs as a test vector: ParseFrequencies' rules
+// plus ω > 0, since trajectories live on log-ω axes. Only -export's
+// dictionary grid may hold ω = 0 (DC).
+func parseTestFreqs(arg string) ([]float64, error) {
+	freqs, err := repro.ParseFrequencies(arg)
+	if err == nil && slices.Contains(freqs, 0) {
+		err = fmt.Errorf("%w: a test vector needs ω > 0, got 0 (DC)", repro.ErrBadConfig)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("-freqs: %w", err)
+	}
+	return freqs, nil
+}
+
 func chooseFrequencies(ctx context.Context, s *repro.Session, freqsArg string, seed int64, full, quiet bool) ([]float64, error) {
 	if freqsArg != "" {
-		return repro.ParseFrequencies(freqsArg)
+		return parseTestFreqs(freqsArg)
 	}
 	cfg := repro.PaperOptimizeConfig(s.CUT().Omega0)
 	cfg.Seed = seed

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -422,5 +423,33 @@ func TestWriteTrace(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no session.dictionary span in %s", data)
+	}
+}
+
+// TestZeroTestFrequencyRefusedBeforeBuild runs the command with a DC
+// test frequency: it must exit 1 naming -freqs before building the
+// session (which would print the circuit line), and -export, whose
+// dictionary grid may hold DC, must still accept 0 in the parser.
+func TestZeroTestFrequencyRefusedBeforeBuild(t *testing.T) {
+	if os.Getenv("FTDIAG_TEST_MAIN") == "1" {
+		os.Args = []string{"ftdiag", "-cut", "nf-lowpass-7", "-freqs", "0,4.55", "-inject", "R3@+25%"}
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestZeroTestFrequencyRefusedBeforeBuild$")
+	cmd.Env = append(os.Environ(), "FTDIAG_TEST_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 1 {
+		t.Fatalf("ftdiag -freqs 0,4.55: err = %v, want exit 1; output:\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "-freqs") || strings.Contains(string(out), "circuit:") {
+		t.Fatalf("want a -freqs refusal before the session is built; output:\n%s", out)
+	}
+	if _, err := parseTestFreqs("0,4.55"); !errors.Is(err, repro.ErrBadConfig) {
+		t.Fatalf("parseTestFreqs(0,4.55) err = %v, want ErrBadConfig", err)
+	}
+	if _, err := repro.ParseFrequencies("0,4.55"); err != nil {
+		t.Fatalf("ParseFrequencies refused DC for a grid: %v", err)
 	}
 }

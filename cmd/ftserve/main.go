@@ -38,6 +38,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -257,9 +258,18 @@ func preloadNames(cuts string) []string {
 }
 
 // parseFreqs parses the -freqs flag (empty means "GA-optimize per CUT").
+// The list is every CUT's test vector, so on top of ParseFrequencies'
+// rules it needs ω > 0: trajectories live on log-ω axes.
 func parseFreqs(arg string) ([]float64, error) {
 	if strings.TrimSpace(arg) == "" {
 		return nil, nil
 	}
-	return repro.ParseFrequencies(arg)
+	freqs, err := repro.ParseFrequencies(arg)
+	if err == nil && slices.Contains(freqs, 0) {
+		err = fmt.Errorf("%w: a test vector needs ω > 0, got 0 (DC)", repro.ErrBadConfig)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("-freqs: %w", err)
+	}
+	return freqs, nil
 }

@@ -3,15 +3,18 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
 
+	"repro"
 	"repro/internal/serve"
 )
 
@@ -38,6 +41,16 @@ func TestParseFreqs(t *testing.T) {
 	}
 	if got, err := parseFreqs(" "); got != nil || err != nil {
 		t.Fatalf("blank = %v, %v", got, err)
+	}
+}
+
+// TestRunRefusesZeroTestFrequency: -freqs is every CUT's test vector, so
+// a DC entry fails run before anything is built or preloaded, with an
+// error naming the flag.
+func TestRunRefusesZeroTestFrequency(t *testing.T) {
+	err := run(options{addr: "127.0.0.1:0", cuts: "nf-lowpass-7", freqsArg: "0,4.55"}, nil)
+	if !errors.Is(err, repro.ErrBadConfig) || !strings.Contains(err.Error(), "-freqs") {
+		t.Fatalf("run with -freqs 0,4.55: err = %v, want ErrBadConfig naming -freqs", err)
 	}
 }
 

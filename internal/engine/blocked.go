@@ -15,15 +15,20 @@ import (
 // numeric.FactorSoAReuse (no complex division, no hypot in the pivot
 // search); the sparse path stamps FreqBlock frequencies' value planes
 // and refactors them in one numeric.BlockRefactorer walk (prepareGroup).
-// Either way x0's RHS and every distinct slot's u vector are assembled
-// as columns of one numeric.Block and solved by a single multi-RHS
-// SolveBlock: both triangular sweeps walk the factors once per frequency
-// instead of once per RHS, with the inner axpys over contiguous float64
-// plane runs. The Sherman–Morrison(-Woodbury) corrections then read x0
-// and the z vectors straight off the block planes (raw indexing,
-// sqrt-based magnitudes — no hypot or complex-division runtime calls in
-// the per-item loops). Ill-conditioned updates fall back to an exact
-// solve: a partial sparse refactorization, or a dense SoA factorization.
+// The corrections read x0[out], and per distinct slot vᵀx0, vᵀz and
+// z[out] (plus v_aᵀz_b for rank-k items). On dense columns — and sparse
+// columns of batches whose reaches cover most of the pattern — x0's RHS
+// and every distinct slot's u vector are assembled as columns of one
+// numeric.Block and solved by a single multi-RHS SolveBlock (blockReads):
+// both triangular sweeps walk the factors once per frequency instead of
+// once per RHS, with the inner axpys over contiguous float64 plane runs,
+// and the reads come straight off the block planes. Other sparse batches
+// compute only those entries, by reach-limited half-solves over the
+// group's factors (sparsevec.go). The Sherman–Morrison(-Woodbury)
+// corrections use raw indexing and sqrt-based magnitudes — no hypot or
+// complex-division runtime calls in the per-item loops. Ill-conditioned
+// updates fall back to an exact solve: a partial sparse
+// refactorization, or a dense SoA factorization.
 // All storage lives in the pooled workspace, so the path is
 // allocation-free in steady state. Engine.ResponseSet is the independent
 // full-LU reference the tests pin this path against.
@@ -133,8 +138,9 @@ func solveSmall(k int, m, r []complex128) bool {
 // fills its unused planes with copies of its last real column's planes;
 // their factors are never read. Dense engines leave the cache empty.
 // Any error — including a singular plane — is deferred to the column's
-// own solve.
-func (e *Engine) prepareGroup(ws *workspace, omegas []float64, g, hi int) {
+// own solve. When the batch plan picked the sparse-vector kernel, the
+// group's correction reads are computed here too (readGroup).
+func (e *Engine) prepareGroup(ws *workspace, omegas []float64, g, hi int, out *Batch) {
 	ws.grpJ0 = -1
 	if !e.sparseColumn() {
 		return
@@ -150,12 +156,16 @@ func (e *Engine) prepareGroup(ws *workspace, omegas []float64, g, hi int) {
 	}
 	ws.grpErr = ws.bref.RefactorBlock(t.sparse.sym, &ws.slusBlk, &ws.spreBlk, &ws.spimBlk)
 	ws.grpJ0 = g
+	if out.sv.on {
+		e.readGroup(ws, out)
+	}
 }
 
 // solveColumn fills column j of the batch table: one golden
-// factorization, one multi-RHS solve for x0 and every distinct slot's z,
-// then O(k²·n_sparse + k³) work per k-part item (O(1) for the dominant
-// rank-1 case). The item-resolution scratch (off, partSlot, partVal,
+// factorization, the correction reads (the group's half-solves, or one
+// multi-RHS solve for x0 and every distinct slot's z), then
+// O(k²·n_sparse + k³) work per k-part item (O(1) for the dominant rank-1
+// case). The item-resolution scratch (off, partSlot, partVal,
 // distinct, zSlot) is read from out, where batchInto prepared it.
 func (e *Engine) solveColumn(ws *workspace, omega float64, faults []fault.Fault, sets []fault.Set, out *Batch, j int) error {
 	// Path counters accumulate in the workspace for the column and flush
@@ -168,6 +178,7 @@ func (e *Engine) solveColumn(ws *workspace, omega float64, faults []fault.Fault,
 	}
 	ws.cDense, ws.cSparse, ws.cRank1, ws.cRankK, ws.cFallback = 0, 0, 0, 0, 0
 	ws.cSupernodal, ws.cPartial, ws.cPartialCols, ws.cDenseExact, ws.cDenseSingular = 0, 0, 0, 0, 0
+	ws.cSparseVector = 0
 	defer e.stats.flush(ws)
 
 	s := complex(0, omega)
@@ -206,60 +217,31 @@ func (e *Engine) solveColumn(ws *workspace, omega float64, faults []fault.Fault,
 		ws.cDense++
 	}
 
-	// One multi-RHS block per frequency: column 0 carries the source
-	// vector b (→ the golden solution x0), column 1+zi the sparse u
-	// pattern of distinct slot zi (→ its z = A⁻¹u). A single blocked
-	// solve replaces k+1 sequential one-RHS solves.
-	nc := 1 + len(out.distinct)
-	blk := ws.blk
-	blk.Reset(t.n, nc)
-	blk.Zero()
-	bre, bim, err := blk.PlanesFor(t.n, nc)
-	if err != nil {
-		return err
-	}
-	for i, v := range t.b {
-		if v != 0 {
-			bre[i*nc], bim[i*nc] = real(v), imag(v)
+	ws.colSV = ws.colSparse && out.sv.on
+	var x0out complex128
+	if ws.colSV {
+		// The group's half-solves already computed every read; pick this
+		// column's plane.
+		ws.cSparseVector++
+		x0out = ws.svX0[ws.gx]
+		for zi := range out.distinct {
+			ws.vtz[zi] = ws.svVtz[zi][ws.gx]
+			ws.vtx0[zi] = ws.svVtx0[zi][ws.gx]
+			ws.zoutc[zi] = ws.svZout[zi][ws.gx]
 		}
-	}
-	for zi, si := range out.distinct {
-		for _, ue := range t.slots[si].u {
-			at := ue.idx*nc + 1 + zi
-			bre[at], bim[at] = real(ue.w), imag(ue.w)
-		}
-	}
-	if ws.colSparse {
-		if err := ws.slusBlk[ws.gx].SolveBlock(blk); err != nil {
+	} else {
+		var err error
+		if x0out, err = e.blockReads(ws, out); err != nil {
 			return err
 		}
-	} else if err := ws.slu.SolveBlock(blk); err != nil {
-		return err
 	}
-
-	var x0out complex128
-	if e.outIdx >= 0 {
-		x0out = complex(bre[e.outIdx*nc], bim[e.outIdx*nc])
+	// Every deviation of a component shares its slot's golden coefficient.
+	for zi, si := range out.distinct {
+		sl := &t.slots[si]
+		ws.gcoeff[zi] = sl.coeff(sl.value, s)
 	}
 	x0outAbs := absC(x0out)
 	out.Golden[j] = x0outAbs * e.invAmpAbs
-
-	// Hoist the slot-only factors of the rank-1 correction: every
-	// deviation of a component reuses its slot's vᵀz, vᵀx0, z[out], and
-	// golden coefficient, so they are computed once per frequency here
-	// instead of once per item below. Values are bitwise identical to the
-	// per-item computation they replace.
-	for zi, si := range out.distinct {
-		sl := &t.slots[si]
-		ws.vtz[zi] = dotPlanes(sl.v, bre, bim, nc, 1+zi)
-		ws.vtx0[zi] = dotPlanes(sl.v, bre, bim, nc, 0)
-		if e.outIdx >= 0 {
-			ws.zoutc[zi] = complex(bre[e.outIdx*nc+1+zi], bim[e.outIdx*nc+1+zi])
-		} else {
-			ws.zoutc[zi] = 0
-		}
-		ws.gcoeff[zi] = sl.coeff(sl.value, s)
-	}
 
 	for fi := range out.Mags {
 		lo, hi := out.off[fi], out.off[fi+1]
@@ -308,6 +290,62 @@ func (e *Engine) solveColumn(ws *workspace, omega float64, faults []fault.Fault,
 	return nil
 }
 
+// blockReads is the column's block-solve kernel — every dense column,
+// and sparse columns of batches whose plan kept the block: one
+// multi-RHS block per frequency, column 0 carrying the source vector b
+// (→ the golden solution x0), column 1+zi the sparse u pattern of
+// distinct slot zi (→ its z = A⁻¹u). A single blocked solve replaces
+// k+1 sequential one-RHS solves. It returns x0[out] and fills the
+// per-slot reads.
+func (e *Engine) blockReads(ws *workspace, out *Batch) (complex128, error) {
+	t := e.tmpl
+	nc := 1 + len(out.distinct)
+	blk := ws.blk
+	blk.Reset(t.n, nc)
+	blk.Zero()
+	bre, bim, err := blk.PlanesFor(t.n, nc)
+	if err != nil {
+		return 0, err
+	}
+	for i, v := range t.b {
+		if v != 0 {
+			bre[i*nc], bim[i*nc] = real(v), imag(v)
+		}
+	}
+	for zi, si := range out.distinct {
+		for _, ue := range t.slots[si].u {
+			at := ue.idx*nc + 1 + zi
+			bre[at], bim[at] = real(ue.w), imag(ue.w)
+		}
+	}
+	if ws.colSparse {
+		if err := ws.slusBlk[ws.gx].SolveBlock(blk); err != nil {
+			return 0, err
+		}
+	} else if err := ws.slu.SolveBlock(blk); err != nil {
+		return 0, err
+	}
+
+	var x0out complex128
+	if e.outIdx >= 0 {
+		x0out = complex(bre[e.outIdx*nc], bim[e.outIdx*nc])
+	}
+	// Hoist the slot-only factors of the rank-1 correction: every
+	// deviation of a component reuses its slot's vᵀz, vᵀx0 and z[out], so
+	// they are computed once per frequency here instead of once per item.
+	for zi, si := range out.distinct {
+		sl := &t.slots[si]
+		ws.vtz[zi] = dotPlanes(sl.v, bre, bim, nc, 1+zi)
+		ws.vtx0[zi] = dotPlanes(sl.v, bre, bim, nc, 0)
+		if e.outIdx >= 0 {
+			ws.zoutc[zi] = complex(bre[e.outIdx*nc+1+zi], bim[e.outIdx*nc+1+zi])
+		} else {
+			ws.zoutc[zi] = 0
+		}
+	}
+	return x0out, nil
+}
+
 // solveItemK solves one k ≥ 2 part item of column j by the
 // Sherman–Morrison–Woodbury identity. With the update written as
 // Σ_a δ_a u_a v_aᵀ, the corrected solution is
@@ -316,7 +354,8 @@ func (e *Engine) solveColumn(ws *workspace, omega float64, faults []fault.Fault,
 //
 // where column b of Z is the already-solved z_b = A⁻¹ u_b shared with
 // every other item touching slot b; the k×k capacitance system is
-// assembled from sparse dots against the block's x0 and z columns. An
+// assembled from sparse dots against the block's x0 and z columns, or,
+// on sparse-vector columns, from the group's cross-term table. An
 // ill-conditioned capacitance matrix (small pivot) or a catastrophic
 // cancellation in the output falls back to the exact solve — the same
 // guards, and the same fallback, as the rank-1 path.
@@ -326,6 +365,10 @@ func (e *Engine) solveItemK(ws *workspace, s complex128, omega float64, faults [
 	nc := ws.blk.Cols()
 	lo, hi := out.off[fi], out.off[fi+1]
 	k := hi - lo
+	var cross []int32
+	if ws.colSV {
+		cross = out.sv.crossAt[out.sv.crossOff[fi] : out.sv.crossOff[fi]+k*k]
+	}
 	anyDelta := false
 	for a := 0; a < k; a++ {
 		sl := &t.slots[out.partSlot[lo+a]]
@@ -349,9 +392,12 @@ func (e *Engine) solveItemK(ws *workspace, s complex128, omega float64, faults [
 		for b := 0; b < k; b++ {
 			zib := out.zSlot[out.partSlot[lo+b]]
 			var v complex128
-			if zib == zia {
+			switch {
+			case zib == zia:
 				v = ws.delta[a] * ws.vtz[zia]
-			} else {
+			case cross != nil:
+				v = ws.delta[a] * ws.svCross[cross[a*k+b]][ws.gx]
+			default:
 				v = ws.delta[a] * dotPlanes(sl.v, bre, bim, nc, 1+zib)
 			}
 			if a == b {
@@ -364,8 +410,7 @@ func (e *Engine) solveItemK(ws *workspace, s complex128, omega float64, faults [
 	ok := solveSmall(k, cm, w)
 	if ok && e.outIdx >= 0 {
 		for b := 0; b < k; b++ {
-			zc := 1 + out.zSlot[out.partSlot[lo+b]]
-			xout -= w[b] * complex(bre[e.outIdx*nc+zc], bim[e.outIdx*nc+zc])
+			xout -= w[b] * ws.zoutc[out.zSlot[out.partSlot[lo+b]]]
 		}
 	}
 	if !ok || absC(xout) < cancelGuard*x0outAbs {

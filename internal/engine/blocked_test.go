@@ -192,3 +192,83 @@ func BenchmarkColumnKernelsMulti(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkColumnKernelsSparse times sparse-path batches through the
+// column solver, one worker, 4 frequencies (one refactor group): the
+// thousand-node grid's 192 singles (the dict-grid shape), the op-amp
+// cascade's double faults over every 5th passive at ±30 % (the
+// dict-pairs shape, rank-2 cross terms), and the 512-section ladder with
+// every passive faulted, where reaches run to the root of the
+// elimination tree.
+func BenchmarkColumnKernelsSparse(b *testing.B) {
+	grid, err := circuits.RCGrid(32)
+	if err != nil {
+		b.Fatal(err)
+	}
+	casc, err := circuits.OpampCascade(32)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lad, err := circuits.RCLadder(512)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var cascComps []string
+	for i := 0; i < len(casc.Passives); i += 5 {
+		cascComps = append(cascComps, casc.Passives[i])
+	}
+	u, err := fault.NewUniverse(cascComps, []float64{-0.3, 0.3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pairs, err := u.Pairs(nil, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cascSets := make([]fault.Set, len(pairs))
+	for i, p := range pairs {
+		cascSets[i] = p
+	}
+	var ladSingles []fault.Fault
+	for _, c := range lad.Passives {
+		ladSingles = append(ladSingles, fault.Fault{Component: c, Deviation: 0.3})
+	}
+	for _, c := range []struct {
+		name    string
+		cut     circuits.CUT
+		singles []fault.Fault
+		sets    []fault.Set
+	}{
+		{"rc-grid-32", grid, paperSingles(b, grid)[1:], nil},
+		{"opamp-cascade-32-pairs", casc, nil, cascSets},
+		{"rc-ladder-512-all", lad, ladSingles, nil},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			eng, err := New(c.cut.Circuit, c.cut.Source, c.cut.Output)
+			if err != nil {
+				b.Fatal(err)
+			}
+			eng.SetFactorPath(FactorSparse)
+			w0 := c.cut.Omega0
+			omegas := []float64{w0 / 10, w0 / 2, w0 * 2, w0 * 10}
+			var out Batch
+			run := func() {
+				if c.sets != nil {
+					err = eng.BatchResponsesSetsInto(nil, c.sets, omegas, 1, &out)
+				} else {
+					err = eng.BatchResponsesInto(nil, c.singles, omegas, 1, &out)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			run() // sizes the pooled workspace and the batch storage
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				omegas[0] = w0/10 + float64(i%100)*1e-9*w0
+				run()
+			}
+		})
+	}
+}

@@ -335,6 +335,11 @@ type Batch struct {
 	partVal  []float64 // flattened faulted values
 	distinct []int     // distinct slots present, in first-seen order
 	zSlot    []int     // template slot → z-solve position (-1 absent)
+
+	// sv is the batch's sparse column kernel choice and, when it picks
+	// the reach walks, their reach lists and cross-term table
+	// (planSparseVector).
+	sv svPlan
 }
 
 // workspace is one worker's scratch for the column solver (blocked.go).
@@ -343,7 +348,8 @@ type Batch struct {
 // the rank-k capacitance system — is sized by the batches the workspace
 // serves (fitBatch), never by the template's slot count: a worker's
 // memory is O(n·(1 + distinct slots) + k²) plus the factorization
-// storage.
+// storage, and O(n + reach lengths + cross terms + k²) on the
+// sparse-vector kernel.
 type workspace struct {
 	xf    []complex128 // exact-fallback solution
 	delta []complex128 // per-part coefficient deltas of one item (k)
@@ -359,9 +365,10 @@ type workspace struct {
 	slu  numeric.SoALU      // golden SoA LU header, refactored in place
 	slu2 numeric.SoALU      // fallback SoA LU header
 
-	// blk is the per-frequency multi-RHS block on either path: column 0
-	// holds the golden solution x0, column 1+zi the z = A⁻¹u of distinct
-	// slot zi.
+	// blk is the per-frequency multi-RHS block of the block kernel
+	// (blockReads): column 0 holds the golden solution x0, column 1+zi
+	// the z = A⁻¹u of distinct slot zi. Sparse-vector batches never size
+	// it.
 	blk *numeric.Block
 
 	// Sparse path (sized only when the template compiled a sparse
@@ -387,6 +394,19 @@ type workspace struct {
 	denseStamped bool
 	touched      []int // merged per-slot touched rows of one fallback item
 
+	// Sparse-vector reads (sparsevec.go) of the cached group, one lane per
+	// plane: x0[out], and per distinct slot vᵀx0, vᵀz and z[out], and the
+	// batch's cross terms. svY/svW/svYb/svWo are interleaved dense
+	// half-solve vectors (zero between uses), svYPack/svWPack the slots'
+	// half-solves packed along their reaches for the cross terms. colSV
+	// records whether the current column reads them.
+	svX0                 [numeric.FreqBlock]complex128
+	svVtx0, svVtz        [][numeric.FreqBlock]complex128
+	svZout, svCross      [][numeric.FreqBlock]complex128
+	svY, svW, svYb, svWo []float64
+	svYPack, svWPack     []float64
+	colSV                bool
+
 	// Per-column per-distinct-slot precomputes (indexed by z position):
 	// every deviation of a component shares its slot, so the slot-only
 	// factors of the Sherman–Morrison correction are hoisted out of the
@@ -410,6 +430,7 @@ type workspace struct {
 	cPartialCols   int64
 	cDenseExact    int64
 	cDenseSingular int64
+	cSparseVector  int64
 }
 
 func newWorkspace(t *Template) *workspace {
@@ -437,11 +458,15 @@ func newWorkspace(t *Template) *workspace {
 	return ws
 }
 
-// fitBatch grows the per-batch scratch to a batch with nd distinct slots
-// whose largest item has k parts. Capacity stays in the pooled
-// workspace, so a batch no larger than one already served allocates
-// nothing.
-func (ws *workspace) fitBatch(nd, k int) {
+// fitBatch grows the per-batch scratch to out's batch, whose largest
+// item has k parts, on an n-unknown template. Capacity stays in the
+// pooled workspace, so a batch no larger than one already served
+// allocates nothing.
+func (ws *workspace) fitBatch(n, k int, out *Batch) {
+	nd := len(out.distinct)
+	if out.sv.on {
+		ws.fitSparseVector(n, out)
+	}
 	ws.vtz = sliceutil.Grow(ws.vtz, nd)
 	ws.vtx0 = sliceutil.Grow(ws.vtx0, nd)
 	ws.zoutc = sliceutil.Grow(ws.zoutc, nd)
@@ -668,6 +693,7 @@ func (e *Engine) batchInto(ctx context.Context, faults []fault.Fault, sets []fau
 	if e.sparseColumn() {
 		unit = numeric.FreqBlock
 	}
+	e.planSparseVector(out, nitems)
 	groups := (len(omegas) + unit - 1) / unit
 	workers = fanout.Workers(groups, workers)
 
@@ -687,13 +713,13 @@ func (e *Engine) batchInto(ctx context.Context, faults []fault.Fault, sets []fau
 		// frequencies on one worker) must not allocate.
 		ws := e.pool.Get().(*workspace)
 		defer e.pool.Put(ws)
-		ws.fitBatch(len(out.distinct), maxParts)
+		ws.fitBatch(e.tmpl.n, maxParts, out)
 		for g := 0; g < len(omegas); g += unit {
 			hi := g + unit
 			if hi > len(omegas) {
 				hi = len(omegas)
 			}
-			e.prepareGroup(ws, omegas, g, hi)
+			e.prepareGroup(ws, omegas, g, hi, out)
 			for j := g; j < hi; j++ {
 				if err := ctx.Err(); err != nil {
 					return rerr.Canceled(err)
@@ -733,12 +759,12 @@ func (e *Engine) batchParallel(ctx context.Context, faults []fault.Fault, sets [
 		ws := wss[w]
 		if ws == nil {
 			ws = e.pool.Get().(*workspace)
-			ws.fitBatch(len(out.distinct), maxParts)
+			ws.fitBatch(e.tmpl.n, maxParts, out)
 			wss[w] = ws
 		}
 		g := gi * unit
 		hi := min(g+unit, len(omegas))
-		e.prepareGroup(ws, omegas, g, hi)
+		e.prepareGroup(ws, omegas, g, hi, out)
 		for j := g; j < hi; j++ {
 			if err := e.solveColumn(ws, omegas[j], faults, sets, out, j); err != nil {
 				return err

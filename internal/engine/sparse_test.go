@@ -21,8 +21,8 @@ func sparseWorkerCounts() []int {
 // pinSparseAgainstDense runs one CUT's fault load through the forced
 // dense path and the forced sparse path at every worker count and fails
 // on any relative disagreement above 1e-9 (with the usual notch-null
-// noise floor).
-func pinSparseAgainstDense(t *testing.T, cut circuits.CUT, singles []fault.Fault, doubles []fault.Set, omegas []float64) {
+// noise floor). It returns the engine's path counters.
+func pinSparseAgainstDense(t *testing.T, cut circuits.CUT, singles []fault.Fault, doubles []fault.Set, omegas []float64) PathStatsSnapshot {
 	t.Helper()
 	eng, err := New(cut.Circuit, cut.Source, cut.Output)
 	if err != nil {
@@ -63,6 +63,7 @@ func pinSparseAgainstDense(t *testing.T, cut circuits.CUT, singles []fault.Fault
 		}
 		checkBatch(t, tag, gotDoubles, refDoubles, floor)
 	}
+	return eng.Stats()
 }
 
 // TestSparseMatchesDenseAllCUTs is the sparse acceptance pin: on every
@@ -170,14 +171,62 @@ func randomLadderCUT(rng *rand.Rand, n int, lc bool) circuits.CUT {
 	}
 }
 
+// randomMeshCUT builds a k×k RC mesh (rc-grid's shape) with randomized
+// element values, driven at one corner and observed at the opposite one;
+// every element is a fault target.
+func randomMeshCUT(rng *rand.Rand, k int) circuits.CUT {
+	c := circuit.New(fmt.Sprintf("quick-rc-mesh-%d", k))
+	node := func(i, j int) string { return fmt.Sprintf("g%dx%d", i, j) }
+	c.MustAdd(circuit.NewVSource("Vin", node(0, 0), "0", 1))
+	val := func() float64 { return 0.5 + 1.5*rng.Float64() }
+	var passives []string
+	for i := 0; i < k; i++ {
+		for j := 0; j < k; j++ {
+			cur := node(i, j)
+			if j+1 < k {
+				name := fmt.Sprintf("Rh%dx%d", i, j)
+				c.MustAdd(circuit.NewResistor(name, cur, node(i, j+1), val()))
+				passives = append(passives, name)
+			}
+			if i+1 < k {
+				name := fmt.Sprintf("Rv%dx%d", i, j)
+				c.MustAdd(circuit.NewResistor(name, cur, node(i+1, j), val()))
+				passives = append(passives, name)
+			}
+			name := fmt.Sprintf("C%dx%d", i, j)
+			c.MustAdd(circuit.NewCapacitor(name, cur, "0", val()))
+			passives = append(passives, name)
+		}
+	}
+	return circuits.CUT{
+		Circuit:  c,
+		Source:   "Vin",
+		Output:   node(k-1, k-1),
+		Passives: passives,
+		Omega0:   1 / float64(2*(k-1)),
+	}
+}
+
 // TestSparseMatchesDenseQuick is the testing/quick property pin: random
-// RC and LC ladders of random size, random single and double faults,
-// sparse == dense to 1e-9 at worker counts {1, 4, NumCPU}.
+// RC and LC ladders of random size and random 2-D RC meshes (k from 3 to
+// 14, 10–197 unknowns), random single and double faults, sparse == dense
+// to 1e-9 at worker counts {1, 4, NumCPU}. The path counters show the
+// sparse-vector kernel ran, and that the per-batch kernel choice takes
+// both sides across the cases (meshes read from half-solves, ladders,
+// whose reaches run to the root, mostly keep the block solve): two fixed
+// seeds, a ladder and a mesh, run after the random ones so the check
+// does not depend on the draw.
 func TestSparseMatchesDenseQuick(t *testing.T) {
+	var svCols, blockCols int64
 	property := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 4 + rng.Intn(48)
-		cut := randomLadderCUT(rng, n, rng.Intn(2) == 1)
+		var cut circuits.CUT
+		if rng.Intn(3) == 0 {
+			cut = randomMeshCUT(rng, 3+rng.Intn(12))
+		} else {
+			n := 4 + rng.Intn(48)
+			cut = randomLadderCUT(rng, n, rng.Intn(2) == 1)
+		}
 
 		devs := []float64{-0.5, -0.2, 0.3, 0.5}
 		singles := []fault.Fault{{}}
@@ -208,7 +257,9 @@ func TestSparseMatchesDenseQuick(t *testing.T) {
 
 		// Not t.Fatal on mismatch — pinSparseAgainstDense does that, which
 		// reports the failing seed through quick.CheckError's value dump.
-		pinSparseAgainstDense(t, cut, singles, doubles, omegas)
+		st := pinSparseAgainstDense(t, cut, singles, doubles, omegas)
+		svCols += st.SparseVectorColumns
+		blockCols += st.SupernodalRefactors - st.SparseVectorColumns
 		return !t.Failed()
 	}
 	cfg := &quick.Config{MaxCount: 12}
@@ -217,6 +268,14 @@ func TestSparseMatchesDenseQuick(t *testing.T) {
 	}
 	if err := quick.Check(property, cfg); err != nil {
 		t.Fatal(err)
+	}
+	for _, seed := range []int64{1, 5} {
+		if !property(seed) {
+			t.Fatalf("fixed seed %d failed", seed)
+		}
+	}
+	if svCols == 0 || blockCols == 0 {
+		t.Fatalf("sparse columns by kernel: %d sparse-vector, %d block; want both", svCols, blockCols)
 	}
 }
 

@@ -49,6 +49,10 @@ type PathStats struct {
 	// golden sparse refactorization that tripped the static-pivot guard.
 	DenseFallbackExact    atomic.Int64
 	DenseFallbackSingular atomic.Int64
+	// SparseVectorColumns counts sparse golden columns whose corrections
+	// were read from reach-limited half-solves (sparsevec.go) instead of
+	// the multi-RHS block solve. A subset of SupernodalRefactors.
+	SparseVectorColumns atomic.Int64
 }
 
 // PathStatsSnapshot is a plain-value copy of PathStats, JSON-ready for
@@ -67,6 +71,7 @@ type PathStatsSnapshot struct {
 	PartialRefactorColumns int64 `json:"partial_refactor_columns"`
 	DenseFallbackExact     int64 `json:"dense_fallback_exact"`
 	DenseFallbackSingular  int64 `json:"dense_fallback_singular"`
+	SparseVectorColumns    int64 `json:"sparse_vector_columns"`
 }
 
 // Snapshot reads the counters. Each is loaded once; concurrent batches
@@ -87,6 +92,7 @@ func (p *PathStats) Snapshot() PathStatsSnapshot {
 		PartialRefactorColumns: p.PartialRefactorColumns.Load(),
 		DenseFallbackExact:     p.DenseFallbackExact.Load(),
 		DenseFallbackSingular:  p.DenseFallbackSingular.Load(),
+		SparseVectorColumns:    p.SparseVectorColumns.Load(),
 	}
 }
 
@@ -105,6 +111,7 @@ func (s *PathStatsSnapshot) Add(o PathStatsSnapshot) {
 	s.PartialRefactorColumns += o.PartialRefactorColumns
 	s.DenseFallbackExact += o.DenseFallbackExact
 	s.DenseFallbackSingular += o.DenseFallbackSingular
+	s.SparseVectorColumns += o.SparseVectorColumns
 }
 
 // flush moves the workspace-local column counters into the shared
@@ -139,6 +146,9 @@ func (p *PathStats) flush(ws *workspace) {
 	}
 	if ws.cDenseSingular != 0 {
 		p.DenseFallbackSingular.Add(ws.cDenseSingular)
+	}
+	if ws.cSparseVector != 0 {
+		p.SparseVectorColumns.Add(ws.cSparseVector)
 	}
 }
 

@@ -11,7 +11,8 @@ import (
 // TestPathStatsCounting pins the path-counter bookkeeping: golden
 // factorizations per column, one rank-1 solve per non-golden single
 // fault per column, one rank-k solve per multi-fault item per column,
-// and memo hit/miss accounting across repeated single-fault batches.
+// memo hit/miss accounting across repeated single-fault batches, and
+// which sparse column kernel a batch ran.
 func TestPathStatsCounting(t *testing.T) {
 	cut := circuits.NFLowpass7()
 	eng, err := New(cut.Circuit, cut.Source, cut.Output)
@@ -81,15 +82,48 @@ func TestPathStatsCounting(t *testing.T) {
 	if s.MemoHits != before.MemoHits || s.MemoMisses != before.MemoMisses {
 		t.Errorf("set batches must not touch the memo counters")
 	}
+	if s.SparseVectorColumns != 0 {
+		t.Errorf("SparseVectorColumns = %d on a dense CUT", s.SparseVectorColumns)
+	}
 
+	// Sparse columns: an RC mesh batch reads every column's corrections
+	// from the reach-limited half-solves; a ladder batch over every
+	// passive, whose reaches run to the root of the elimination tree,
+	// keeps the block solve and leaves the counter alone.
+	grid, err := circuits.RCGrid(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lad, err := circuits.RCLadder(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		cut  circuits.CUT
+		want int64
+	}{{grid, int64(len(omegas))}, {lad, 0}} {
+		eng, err := New(c.cut.Circuit, c.cut.Source, c.cut.Output)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.SetFactorPath(FactorSparse)
+		if _, err := eng.BatchResponses(nil, paperSingles(t, c.cut), omegas, 1); err != nil {
+			t.Fatal(err)
+		}
+		s := eng.Stats()
+		if s.SupernodalRefactors != int64(len(omegas)) || s.SparseVectorColumns != c.want {
+			t.Errorf("%s: %d sparse columns, %d sparse-vector, want %d and %d",
+				c.cut.Circuit.Name(), s.SupernodalRefactors, s.SparseVectorColumns, len(omegas), c.want)
+		}
+	}
 }
 
 // TestSnapshotAdd pins the aggregation arithmetic the serving layer
 // relies on.
 func TestSnapshotAdd(t *testing.T) {
-	a := PathStatsSnapshot{DenseFactors: 1, Rank1Solves: 2, MemoHits: 3}
-	a.Add(PathStatsSnapshot{DenseFactors: 10, SparseFactors: 5, RankKSolves: 7, MemoMisses: 4})
-	want := PathStatsSnapshot{DenseFactors: 11, SparseFactors: 5, Rank1Solves: 2, RankKSolves: 7, MemoHits: 3, MemoMisses: 4}
+	a := PathStatsSnapshot{DenseFactors: 1, Rank1Solves: 2, MemoHits: 3, SparseVectorColumns: 6}
+	a.Add(PathStatsSnapshot{DenseFactors: 10, SparseFactors: 5, RankKSolves: 7, MemoMisses: 4, SparseVectorColumns: 2})
+	want := PathStatsSnapshot{DenseFactors: 11, SparseFactors: 5, Rank1Solves: 2, RankKSolves: 7, MemoHits: 3, MemoMisses: 4, SparseVectorColumns: 8}
 	if a != want {
 		t.Fatalf("Add = %+v, want %+v", a, want)
 	}

@@ -15,7 +15,9 @@
 // large sparse ones, a numeric refactorization on the pattern compiled
 // here, FreqBlock frequencies per walk (sparse.go) — performs one
 // z-solve per distinct slot in the batch in a single multi-RHS block
-// solve, and then solves every single fault via the Sherman–Morrison
+// solve (on sparse CUTs, reach-limited half-solves that compute only the
+// entries the corrections read, sparsevec.go), and then solves every
+// single fault via the Sherman–Morrison
 // identity and every k-part fault set via the Sherman–Morrison–Woodbury
 // identity (a k×k capacitance system over the shared z vectors), falling
 // back to an exact solve when an update is ill-conditioned (blocked.go).

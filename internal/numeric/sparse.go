@@ -3,6 +3,7 @@ package numeric
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // This file is the sparse counterpart of the SoA kernel layer: a complex
@@ -26,11 +27,15 @@ import (
 //     and no allocation in steady state. SparseLU.RefactorReuse is the
 //     same elimination one plane at a time — the scalar reference the
 //     blocked walk is pinned against, and the row kernel PartialRefactor
-//     reuses; and
+//     reuses;
 //
 //   - SolveBlock / SolveBlockInto / SolveInto — allocation-free
 //     triangular sweeps, over a whole multi-RHS Block panel or a single
-//     vector, mirroring the SoALU solve surface.
+//     vector, mirroring the SoALU solve surface; and
+//
+//   - LowerSolve / UpperTSolve (sparsevec.go) — reach-limited
+//     half-solves over a BlockRefactorer's factors, for callers that
+//     read only a few entries pᵀA⁻¹q.
 //
 // The factorization pivots on the statically chosen diagonal (no
 // numerical pivoting), so a refactorization guards every pivot against
@@ -68,6 +73,11 @@ type SparseSymbolic struct {
 	// AnalyzeSparse, immutable afterwards.
 	snStart  []int32 // supernode s covers permuted rows [snStart[s], snStart[s+1]); len S+1
 	maxPanel int     // widest supernode (≤ maxPanelWidth)
+
+	// L's pattern by columns for sparse-vector solves (sparsevec.go),
+	// built on first use.
+	lowerOnce sync.Once
+	lidx      *lowerIndex
 }
 
 // AnalyzeSparse runs the one-time symbolic analysis for an n×n pattern.

@@ -169,4 +169,5 @@ func WriteEnginePrometheus(w io.Writer, s engine.PathStatsSnapshot) {
 	counter("partial_refactor_columns_total", "matrix columns re-eliminated by partial refactors", s.PartialRefactorColumns)
 	counter("dense_fallback_exact_total", "dense factorizations after a singular partial refactor", s.DenseFallbackExact)
 	counter("dense_fallback_singular_total", "dense golden factorizations after a singular sparse refactor", s.DenseFallbackSingular)
+	counter("sparse_vector_columns_total", "sparse golden columns whose corrections came from reach-limited half-solves instead of the block solve", s.SparseVectorColumns)
 }

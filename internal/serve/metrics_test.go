@@ -183,6 +183,7 @@ type statsPayload struct {
 		PartialRefactorColumns int64 `json:"partial_refactor_columns"`
 		DenseFallbackExact     int64 `json:"dense_fallback_exact"`
 		DenseFallbackSingular  int64 `json:"dense_fallback_singular"`
+		SparseVectorColumns    int64 `json:"sparse_vector_columns"`
 	} `json:"engine"`
 }
 
@@ -217,6 +218,7 @@ func TestServerMetricsAndStats(t *testing.T) {
 		"ftserve_engine_partial_refactor_columns_total",
 		"ftserve_engine_dense_fallback_exact_total",
 		"ftserve_engine_dense_fallback_singular_total",
+		"ftserve_engine_sparse_vector_columns_total",
 	} {
 		if _, ok := p.values[series]; !ok {
 			t.Errorf("missing series %s", series)
@@ -266,6 +268,10 @@ func TestServerMetricsAndStats(t *testing.T) {
 	if e.SupernodalRefactors > e.SparseFactors {
 		t.Errorf("supernodal_refactors %d > sparse_factors %d", e.SupernodalRefactors, e.SparseFactors)
 	}
+	// Every sparse-vector column is a refactored sparse golden column.
+	if e.SparseVectorColumns > e.SupernodalRefactors {
+		t.Errorf("sparse_vector_columns %d > supernodal_refactors %d", e.SparseVectorColumns, e.SupernodalRefactors)
+	}
 	if e.PartialRefactors > e.ExactFallbacks {
 		t.Errorf("partial_refactors %d > exact_fallbacks %d", e.PartialRefactors, e.ExactFallbacks)
 	}
@@ -282,6 +288,7 @@ func TestServerMetricsAndStats(t *testing.T) {
 		"partial_refactor_columns": e.PartialRefactorColumns,
 		"dense_fallback_exact":     e.DenseFallbackExact,
 		"dense_fallback_singular":  e.DenseFallbackSingular,
+		"sparse_vector_columns":    e.SparseVectorColumns,
 	} {
 		if v < 0 {
 			t.Errorf("engine counter %s negative: %d", name, v)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dictionary"
 	"repro/internal/geometry"
+	"repro/internal/rerr"
 	"repro/internal/sliceutil"
 )
 
@@ -67,7 +68,7 @@ func (b *Builder) build(ctx context.Context, omegas []float64) (*Map, error) {
 	}
 	for _, w := range omegas {
 		if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return nil, fmt.Errorf("trajectory: invalid test frequency %g", w)
+			return nil, fmt.Errorf("trajectory: %w: invalid test frequency %g (a test vector needs finite ω > 0)", rerr.ErrBadConfig, w)
 		}
 	}
 	// Signatures are row-aligned with the universe faults:

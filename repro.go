@@ -196,9 +196,12 @@ func FaultSetKey(set FaultSet) string { return diagnosis.SetKey(set) }
 
 // ParseFrequencies parses a comma-separated list of angular frequencies
 // in rad/s ("0.56, 4.55") — the format the CLI -freqs flags accept.
-// Every value must be finite and non-negative (ω = 0, DC, is valid),
-// and no value may repeat: with ω₁ = ω₂ every signature lies on the
-// diagonal and diagnosis cannot separate faults. Failures wrap
+// Every value must be finite and non-negative, and no value may repeat:
+// with ω₁ = ω₂ every signature lies on the diagonal and diagnosis cannot
+// separate faults. ω = 0 (DC) is accepted because dictionary grids may
+// hold it, but a test vector needs ω > 0: trajectories are built on
+// log-ω axes, so callers that use the list as a test vector must refuse
+// 0 themselves (the CLIs do, naming their flag). Failures wrap
 // ErrBadConfig.
 func ParseFrequencies(s string) ([]float64, error) {
 	parts := strings.Split(s, ",")

@@ -227,6 +227,12 @@ func TestStructuredErrorsSurface(t *testing.T) {
 	if _, err := dg.DiagnoseFault(s.Dictionary(), Fault{Component: "R99", Deviation: 0.2}); !errors.Is(err, ErrUnknownComponent) {
 		t.Fatalf("unknown component: err = %v, want ErrUnknownComponent", err)
 	}
+	// A DC test frequency is a caller's configuration error (400), not a
+	// server fault: trajectories need ω > 0.
+	_, err = s.Trajectories(ctx, []float64{0, 4.55})
+	if !errors.Is(err, ErrBadConfig) || HTTPStatus(err) != 400 {
+		t.Fatalf("DC test frequency: err = %v (HTTP %d), want ErrBadConfig and 400", err, HTTPStatus(err))
+	}
 }
 
 func TestWithComponentsReflectedInCUT(t *testing.T) {
