@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -183,23 +184,38 @@ func (d *Diagnoser) Diagnose(point geometry.VecN) (*Result, error) {
 	if len(point) != d.m.Dim() {
 		return nil, fmt.Errorf("diagnosis: point dimension %d, map dimension %d", len(point), d.m.Dim())
 	}
-	res := &Result{Point: append(geometry.VecN(nil), point...)}
+	res := &Result{
+		Candidates: make([]Candidate, 0, len(d.m.Trajectories)),
+		Point:      append(geometry.VecN(nil), point...),
+	}
 	for _, tr := range d.m.Trajectories {
-		seg, proj, ok := tr.Points.NearestSegmentN(point)
-		if !ok {
+		pts := tr.Points
+		if len(pts) < 2 {
 			continue
 		}
-		// The paper prefers projections whose perpendicular exists; scan
-		// all segments for the best interior projection too.
-		bestInterior, hasInterior := bestInteriorProjection(tr, point)
+		// One pass over the segments finds the nearest projection and the
+		// nearest interior one, whose perpendicular foot exists: the
+		// paper prefers the latter.
+		var near, in geometry.ProjectionN
+		nearSeg, inSeg := 0, -1
+		in.Dist = math.Inf(1)
+		for i := 0; i+1 < len(pts); i++ {
+			pr := geometry.ProjectN(point, pts[i], pts[i+1])
+			if i == 0 || pr.Dist < near.Dist {
+				near, nearSeg = pr, i
+			}
+			if pr.Interior && pr.Dist < in.Dist {
+				in, inSeg = pr, i
+			}
+		}
 		cand := Candidate{Component: tr.Component}
-		if hasInterior {
-			cand.Distance = bestInterior.dist
-			cand.Deviation = tr.DeviationAt(bestInterior.seg, bestInterior.t)
+		if inSeg >= 0 {
+			cand.Distance = in.Dist
+			cand.Deviation = tr.DeviationAt(inSeg, in.T)
 			cand.Perpendicular = true
 		} else {
-			cand.Distance = proj.Dist
-			cand.Deviation = tr.DeviationAt(seg, proj.T)
+			cand.Distance = near.Dist
+			cand.Deviation = tr.DeviationAt(nearSeg, near.T)
 		}
 		if tr.IsMulti() {
 			cand.Components = append([]string(nil), tr.Components...)
@@ -207,14 +223,22 @@ func (d *Diagnoser) Diagnose(point geometry.VecN) (*Result, error) {
 		}
 		res.Candidates = append(res.Candidates, cand)
 	}
-	sort.SliceStable(res.Candidates, func(i, j int) bool {
-		a, b := res.Candidates[i], res.Candidates[j]
+	slices.SortStableFunc(res.Candidates, func(a, b Candidate) int {
 		// Perpendicular evidence wins when distances are comparable
 		// (within 1%); otherwise plain distance decides.
 		if a.Perpendicular != b.Perpendicular && math.Abs(a.Distance-b.Distance) <= 0.01*math.Max(a.Distance, b.Distance) {
-			return a.Perpendicular
+			if a.Perpendicular {
+				return -1
+			}
+			return 1
 		}
-		return a.Distance < b.Distance
+		switch {
+		case a.Distance < b.Distance:
+			return -1
+		case a.Distance > b.Distance:
+			return 1
+		}
+		return 0
 	})
 	// A pair's sweep families all claim the same component set; keep only
 	// the best-ranked claim per Key so the ranking reads as distinct
@@ -230,25 +254,6 @@ func (d *Diagnoser) Diagnose(point geometry.VecN) (*Result, error) {
 	}
 	res.Candidates = kept
 	return res, nil
-}
-
-type interiorProj struct {
-	seg  int
-	t    float64
-	dist float64
-}
-
-func bestInteriorProjection(tr *trajectory.Trajectory, p geometry.VecN) (interiorProj, bool) {
-	best := interiorProj{dist: math.Inf(1)}
-	found := false
-	for i := 0; i+1 < len(tr.Points); i++ {
-		pr := geometry.ProjectN(p, tr.Points[i], tr.Points[i+1])
-		if pr.Interior && pr.Dist < best.dist {
-			best = interiorProj{seg: i, t: pr.T, dist: pr.Dist}
-			found = true
-		}
-	}
-	return best, found
 }
 
 // DiagnoseFault is a convenience that computes the fault's signature from

@@ -587,8 +587,19 @@ func (e *Engine) resolveBatch(faults []fault.Fault, sets []fault.Set, out *Batch
 	} else {
 		out.partSlot = out.partSlot[:0]
 		out.partVal = out.partVal[:0]
+		// A single fault is its only part. Reading it into one, not through
+		// Fault.Parts (a fresh slice per call), keeps single-fault items
+		// allocation-free; a golden fault resolves to no slot, as its empty
+		// Parts would.
+		var one [1]fault.Fault
 		for i, set := range sets {
-			parts := set.Parts()
+			var parts []fault.Fault
+			if f, ok := set.(fault.Fault); ok {
+				one[0] = f
+				parts = one[:]
+			} else {
+				parts = set.Parts()
+			}
 			if err := checkDistinct(parts); err != nil {
 				return fmt.Errorf("engine: fault %s: %w", set.ID(), err)
 			}

@@ -302,3 +302,38 @@ func TestSolveSmallAgainstLU(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchSetsSingleFaultsAllocationFree: a warm BatchResponsesSetsInto
+// over nf-lowpass-7's 56 single-fault sets allocates nothing. A single
+// fault resolves as its own part, not through Fault.Parts, which
+// allocates a one-element slice per item.
+func TestBatchSetsSingleFaultsAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation drops pooled workspaces; counts are meaningless")
+	}
+	cut := circuits.NFLowpass7()
+	eng, err := New(cut.Circuit, cut.Source, cut.Output)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sets []fault.Set
+	for _, f := range paperSingles(t, cut)[1:] { // the golden row aside
+		sets = append(sets, f)
+	}
+	if len(sets) != 56 {
+		t.Fatalf("%d single-fault sets, want 56", len(sets))
+	}
+	omegas := []float64{0.56, 4.55}
+	var out Batch
+	run := func() {
+		if err := eng.BatchResponsesSetsInto(nil, sets, omegas, 1, &out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm-up: sizes the pooled workspace and the batch storage
+	// < 1 rather than 0: a GC pass mid-measurement can empty the
+	// engine's workspace pool.
+	if avg := testing.AllocsPerRun(30, run); avg >= 1 {
+		t.Fatalf("56 single-fault sets allocate %.2f objects per batch, want < 1", avg)
+	}
+}

@@ -24,18 +24,6 @@ func DistN(a, b VecN) float64 {
 	return math.Sqrt(s)
 }
 
-// SubN returns a - b.
-func SubN(a, b VecN) VecN {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("geometry: SubN dims %d vs %d", len(a), len(b)))
-	}
-	out := make(VecN, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
 // DotN returns the dot product.
 func DotN(a, b VecN) float64 {
 	if len(a) != len(b) {
@@ -51,28 +39,43 @@ func DotN(a, b VecN) float64 {
 // NormN returns the Euclidean norm.
 func NormN(a VecN) float64 { return math.Sqrt(DotN(a, a)) }
 
-// ProjectionN is the k-dimensional analogue of Projection.
+// ProjectionN is the k-dimensional analogue of Projection, without the
+// foot point: T places the foot on the line through the segment (0 at
+// its start, 1 at its end) and Dist is p's distance to the foot clamped
+// onto the segment.
 type ProjectionN struct {
-	Foot     VecN
 	T        float64
 	Dist     float64
 	Interior bool
 }
 
-// ProjectN drops a perpendicular from p onto the segment a→b in R^k.
+// ProjectN drops a perpendicular from p onto the segment a→b in R^k. It
+// allocates nothing: the direction b − a and the clamped foot
+// a + clamp(T)·(b − a) are formed one coordinate at a time.
 func ProjectN(p, a, b VecN) ProjectionN {
-	d := SubN(b, a)
-	l2 := DotN(d, d)
+	if len(a) != len(b) || len(p) != len(a) {
+		panic(fmt.Sprintf("geometry: ProjectN dims %d, %d, %d", len(p), len(a), len(b)))
+	}
+	var l2 float64
+	for i := range a {
+		d := b[i] - a[i]
+		l2 += d * d
+	}
 	if l2 <= Eps*Eps {
-		return ProjectionN{Foot: append(VecN(nil), a...), T: 0, Dist: DistN(p, a)}
+		return ProjectionN{T: 0, Dist: DistN(p, a)}
 	}
-	t := DotN(SubN(p, a), d) / l2
+	var dot float64
+	for i := range a {
+		dot += (p[i] - a[i]) * (b[i] - a[i])
+	}
+	t := dot / l2
 	tc := math.Max(0, math.Min(1, t))
-	foot := make(VecN, len(a))
-	for i := range foot {
-		foot[i] = a[i] + tc*d[i]
+	var s float64
+	for i := range a {
+		e := p[i] - (a[i] + tc*(b[i]-a[i]))
+		s += e * e
 	}
-	return ProjectionN{Foot: foot, T: t, Dist: DistN(p, foot), Interior: t > 0 && t < 1}
+	return ProjectionN{T: t, Dist: math.Sqrt(s), Interior: t > 0 && t < 1}
 }
 
 // PolylineN is an ordered point sequence in R^k.

@@ -19,10 +19,6 @@ func TestVecNBasics(t *testing.T) {
 	if got := DotN(a, VecN{1, 1, 1}); got != 5 {
 		t.Fatalf("DotN = %v, want 5", got)
 	}
-	s := SubN(a, VecN{1, 1, 1})
-	if s[0] != 0 || s[1] != 1 || s[2] != 1 {
-		t.Fatalf("SubN = %v", s)
-	}
 }
 
 func TestVecNDimPanics(t *testing.T) {

@@ -24,7 +24,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/diagnosis"
 	"repro/internal/dictionary"
@@ -485,7 +487,9 @@ func (cs *CloudSet) Score(point []float64) (*diagnosis.ProbResult, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("%w: probdiag: empty cloud set", rerr.ErrBadConfig)
 	}
-	ll := make([]float64, n)
+	// One allocation holds the log-likelihoods and the posteriors.
+	buf := make([]float64, 2*n)
+	ll, post := buf[:n:n], buf[n:]
 	best := 0
 	for i := range cs.Clouds {
 		c := &cs.Clouds[i]
@@ -503,56 +507,65 @@ func (cs *CloudSet) Score(point []float64) (*diagnosis.ProbResult, error) {
 	// Softmax over all clouds (equal priors), shifted by the max for
 	// stability; then aggregate per component-set key in cloud order.
 	var norm float64
-	post := make([]float64, n)
 	for i := range ll {
 		post[i] = math.Exp(ll[i] - ll[best])
 		norm += post[i]
 	}
+	// aggs holds one aggregate per key in first-seen order; index maps a
+	// key to its aggregate.
 	type agg struct {
+		key     string
 		prob    float64
 		bestIdx int
 	}
-	order := make([]string, 0, n)
-	byKey := make(map[string]*agg, n)
+	var aggs []agg
+	index := make(map[string]int)
 	for i := range cs.Clouds {
 		post[i] /= norm
 		k := cs.Clouds[i].Key
-		a, ok := byKey[k]
+		ai, ok := index[k]
 		if !ok {
-			a = &agg{bestIdx: i}
-			byKey[k] = a
-			order = append(order, k)
+			ai = len(aggs)
+			index[k] = ai
+			aggs = append(aggs, agg{key: k, bestIdx: i})
 		}
+		a := &aggs[ai]
 		a.prob += post[i]
 		if ll[i] > ll[a.bestIdx] {
 			a.bestIdx = i
 		}
 	}
 	res := &diagnosis.ProbResult{
-		Candidates: make([]diagnosis.ProbCandidate, 0, len(order)),
+		Candidates: make([]diagnosis.ProbCandidate, len(aggs)),
 		Point:      append([]float64(nil), point...),
 	}
-	for _, k := range order {
-		a := byKey[k]
+	for ai, a := range aggs {
 		c := &cs.Clouds[a.bestIdx]
-		res.Candidates = append(res.Candidates, diagnosis.ProbCandidate{
-			Key:           k,
+		res.Candidates[ai] = diagnosis.ProbCandidate{
+			Key:           a.key,
 			Components:    c.Components,
 			ID:            c.ID,
 			Deviations:    c.Deviations,
 			LogLikelihood: ll[a.bestIdx],
 			Probability:   a.prob,
-		})
+		}
 	}
-	sort.SliceStable(res.Candidates, func(i, j int) bool {
-		a, b := &res.Candidates[i], &res.Candidates[j]
+	slices.SortStableFunc(res.Candidates, func(a, b diagnosis.ProbCandidate) int {
+		// Unequal is not ordered when a value is NaN: the first unequal
+		// field decides, and a NaN never sorts first.
 		if a.Probability != b.Probability {
-			return a.Probability > b.Probability
+			if a.Probability > b.Probability {
+				return -1
+			}
+			return 1
 		}
 		if a.LogLikelihood != b.LogLikelihood {
-			return a.LogLikelihood > b.LogLikelihood
+			if a.LogLikelihood > b.LogLikelihood {
+				return -1
+			}
+			return 1
 		}
-		return a.Key < b.Key
+		return strings.Compare(a.Key, b.Key)
 	})
 	res.Confidence = res.Candidates[0].Probability
 	if g := cs.Clouds[best].Group; g >= 0 {

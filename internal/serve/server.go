@@ -363,10 +363,10 @@ func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]any{"error": err.Error(), "status": status})
 }
 
+// writeJSON writes v as one line of compact JSON: replies are read by
+// programs, and re-indenting one costs a second pass over it.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // the connection owns delivery
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // the connection owns delivery
 }
