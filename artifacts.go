@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/dictionary"
+	"repro/internal/fault"
 )
 
 // DictionaryExport is the serializable snapshot of a dictionary grid:
@@ -54,12 +55,8 @@ func (s *Session) SaveDictionary(ctx context.Context, path string, omegas []floa
 	if err := s.Precompute(ctx, omegas); err != nil {
 		return err
 	}
-	var sets []FaultSet
-	if len(s.pairs) > 0 {
-		sets = make([]FaultSet, len(s.pairs))
-		for i, p := range s.pairs {
-			sets[i] = p
-		}
+	sets := fault.Sets(s.pairs)
+	if len(sets) > 0 {
 		if err := s.Dictionary().BuildGridSets(ctx, sets, omegas, s.workers); err != nil {
 			return err
 		}

@@ -128,11 +128,11 @@ func TestLoadedDictionaryDiagnosesIdentically(t *testing.T) {
 	for _, comp := range s.Dictionary().Universe().Components {
 		for _, dev := range []float64{-0.35, -0.15, 0.15, 0.35} {
 			f := Fault{Component: comp, Deviation: dev}
-			a, err := dgLive.DiagnoseFault(s.Dictionary(), f)
+			a, err := dgLive.DiagnoseSet(s.Dictionary(), f)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := dgLoaded.DiagnoseFault(s.Dictionary(), f)
+			b, err := dgLoaded.DiagnoseSet(s.Dictionary(), f)
 			if err != nil {
 				t.Fatal(err)
 			}

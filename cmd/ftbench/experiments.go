@@ -214,7 +214,7 @@ func (r *runner) e3Trajectory() error {
 	if err != nil {
 		return err
 	}
-	res, err := dg.DiagnoseFault(p.Dictionary(), unknown)
+	res, err := dg.DiagnoseSet(p.Dictionary(), unknown)
 	if err != nil {
 		return err
 	}

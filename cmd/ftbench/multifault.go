@@ -39,10 +39,7 @@ func (r *runner) multifault() error {
 	if err != nil {
 		return err
 	}
-	sets := make([]fault.Set, len(pairs))
-	for i, p := range pairs {
-		sets[i] = p
-	}
+	sets := fault.Sets(pairs)
 	eng, err := engine.New(cut.Circuit, cut.Source, cut.Output)
 	if err != nil {
 		return err

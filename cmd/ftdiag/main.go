@@ -21,6 +21,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"slices"
@@ -156,14 +157,7 @@ func main() {
 		fail(err)
 	}
 
-	if *loadDict != "" {
-		if err := runFromArtifact(ctx, s, *loadDict, omegas, *inject, *reject, *jsonOut, *doubles, status); err != nil {
-			fail(err)
-		}
-		return
-	}
-
-	if *saveTraj != "" {
+	if *saveTraj != "" && *loadDict == "" {
 		m, err := s.Trajectories(ctx, omegas)
 		if err != nil {
 			fail(err)
@@ -175,71 +169,92 @@ func main() {
 		return
 	}
 
-	fit, err := s.Fitness(ctx, omegas)
+	dg, fit, err := diagnoser(ctx, s, *loadDict, omegas, status)
 	if err != nil {
 		fail(err)
 	}
-	if !*jsonOut {
+	if *loadDict == "" && !*jsonOut {
 		fmt.Printf("test vector: ω = %s rad/s (fitness %.4f)\n", joinFloats(omegas), fit)
 	}
+	if err := report(ctx, s, dg, omegas, fit, *inject, *reject, *doubles, *jsonOut); err != nil {
+		fail(err)
+	}
+}
 
-	if *inject != "" {
-		set, err := fault.ParseSetID(*inject)
-		if err != nil {
-			fail(err)
-		}
-		if *jsonOut {
-			data, err := diagnoseJSON(ctx, s, nil, omegas, fit, set, *reject)
-			if err != nil {
-				fail(err)
-			}
-			os.Stdout.Write(data)
-			fmt.Println()
-			return
-		}
+// diagnoser returns the diagnosis stage for the test vector and its paper
+// fitness, built live from the session or, given a -load-dictionary
+// path, from that grid artifact (checksum-validated against the
+// session's CUT, pair rows included) through the ftserve registry's warm
+// start, without re-simulating; status lines go to status.
+func diagnoser(ctx context.Context, s *repro.Session, grid string, omegas []float64, status io.Writer) (*repro.Diagnoser, float64, error) {
+	if grid == "" {
 		dg, err := s.Diagnoser(ctx, omegas)
 		if err != nil {
-			fail(err)
+			return nil, 0, err
 		}
-		if err := printInjected(ctx, s, dg, omegas, set, *reject); err != nil {
-			fail(err)
-		}
-		return
+		return dg, fitness(dg.Map()), nil
 	}
+	dg, ex, err := serve.DiagnoserFromGrid(s, grid, omegas)
+	if err != nil {
+		return nil, 0, err
+	}
+	fmt.Fprintf(status, "dictionary artifact %s loaded (grid re-simulation skipped)\n", grid)
+	if off := serve.OffGridFrequencies(ex, omegas); len(off) > 0 {
+		fmt.Fprintf(status, "warning: ω = %s not stored in the grid; trajectories are log-ω interpolated and may misrank close faults (re-export with -export -freqs to pin them)\n", joinFloats(off))
+	}
+	return dg, fitness(dg.Map()), nil
+}
 
-	if *jsonOut {
-		data, err := evaluateJSON(ctx, s, nil, omegas, fit, *doubles)
-		if err != nil {
-			fail(err)
+// fitness is the paper's 1/(1+I) for a diagnosis map, with I counted
+// over its single-fault trajectories as Session.Fitness counts it: the
+// GA's objective never sees the pair families a double-fault map adds
+// for diagnosis.
+func fitness(m *repro.TrajectoryMap) float64 {
+	singles := &repro.TrajectoryMap{Omegas: m.Omegas}
+	for _, t := range m.Trajectories {
+		if !t.IsMulti() {
+			singles.Trajectories = append(singles.Trajectories, t)
 		}
-		os.Stdout.Write(data)
-		fmt.Println()
-		return
 	}
-	if !*doubles {
-		ev, err := s.Evaluate(ctx, omegas, nil)
+	return 1 / (1 + float64(singles.Intersections()))
+}
+
+// report is the tail both flows share: the injected fault set's
+// diagnosis with -inject, else the hold-out evaluation (plus the
+// double-fault one with -double-faults), as text or as the -json
+// envelope.
+func report(ctx context.Context, s *repro.Session, dg *repro.Diagnoser, omegas []float64, fit float64, inject string, reject float64, doubles, jsonOut bool) error {
+	var data []byte
+	var err error
+	switch {
+	case inject != "":
+		var set repro.FaultSet
+		if set, err = fault.ParseSetID(inject); err != nil {
+			return err
+		}
+		if !jsonOut {
+			return printInjected(ctx, s, dg, omegas, set, reject)
+		}
+		data, err = diagnoseJSON(ctx, s, dg, omegas, fit, set, reject)
+	case jsonOut:
+		data, err = evaluateJSON(ctx, s, dg, omegas, fit, doubles)
+	default:
+		ev, dev, err := evaluate(ctx, s, dg, doubles)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		printEvaluation(ev)
-		return
+		if dev != nil {
+			printDoubleEvaluation(dev)
+		}
+		return nil
 	}
-	// Double-fault flow: build the (expensive) pair map once and run
-	// both evaluations against it.
-	dg, err := s.Diagnoser(ctx, omegas)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	ev, err := dg.Evaluate(ctx, s.Dictionary(), diagnosis.HoldOutTrials(s.Universe(), diagnosis.DefaultHoldOutDeviations()))
-	if err != nil {
-		fail(err)
-	}
-	printEvaluation(ev)
-	dev, err := evaluateDoubles(ctx, s, dg)
-	if err != nil {
-		fail(err)
-	}
-	printDoubleEvaluation(dev)
+	os.Stdout.Write(data)
+	fmt.Println()
+	return nil
 }
 
 // doubleHoldOutCap bounds the double-fault hold-out trial count: the
@@ -247,15 +262,20 @@ func main() {
 // already measures naming accuracy.
 const doubleHoldOutCap = 210
 
-// evaluateDoubles runs the double-fault hold-out evaluation — off-grid
-// pair injections diagnosed against dg's map (built once by the caller
-// and shared with the single-fault evaluation).
-func evaluateDoubles(ctx context.Context, s *repro.Session, dg *repro.Diagnoser) (*repro.Evaluation, error) {
+// evaluate runs the hold-out evaluation against dg and, when doubles is
+// set, the double-fault one (off-grid pair injections) against the same
+// map; dev is nil otherwise.
+func evaluate(ctx context.Context, s *repro.Session, dg *repro.Diagnoser, doubles bool) (ev, dev *repro.Evaluation, err error) {
+	ev, err = s.EvaluateSets(ctx, dg, fault.Sets(diagnosis.HoldOutTrials(s.Universe(), diagnosis.DefaultHoldOutDeviations())))
+	if err != nil || !doubles {
+		return ev, nil, err
+	}
 	trials, err := s.HoldOutDoubleFaults([]float64{-0.25, 0.25}, doubleHoldOutCap)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return s.EvaluateSets(ctx, dg, trials)
+	dev, err = s.EvaluateSets(ctx, dg, trials)
+	return ev, dev, err
 }
 
 // printInjected diagnoses one injected fault set against dg and prints
@@ -338,65 +358,6 @@ func printDoubleEvaluation(ev *repro.Evaluation) {
 		100*ev.Accuracy(), 100*ev.TopTwoAccuracy(), 100*ev.MeanDevError)
 }
 
-// runFromArtifact is the -load-dictionary flow: rebuild the diagnosis
-// stage from a saved dictionary-grid artifact (checksum-validated against
-// this session's CUT) through the same load path the ftserve registry
-// warm-starts from, skipping grid re-simulation entirely. With doubles
-// set (the artifact then stores pair rows — checksums only match
-// between double-fault sessions and double-fault artifacts), the
-// rebuilt map carries the pair families and the evaluation flow appends
-// the double-fault hold-out pass.
-func runFromArtifact(ctx context.Context, s *repro.Session, path string, omegas []float64, inject string, reject float64, jsonOut, doubles bool, status *os.File) error {
-	dg, tm, ex, err := serve.DiagnoserFromGrid(s, path, omegas)
-	if err != nil {
-		return err
-	}
-	// The paper fitness 1/(1+I) is recoverable from the loaded map.
-	fit := 1 / (1 + float64(tm.Intersections()))
-	fmt.Fprintf(status, "dictionary artifact %s loaded (grid re-simulation skipped)\n", path)
-	if off := serve.OffGridFrequencies(ex, omegas); len(off) > 0 {
-		fmt.Fprintf(status, "warning: ω = %s not stored in the grid; trajectories are log-ω interpolated and may misrank close faults (re-export with -export -freqs to pin them)\n", joinFloats(off))
-	}
-	if inject != "" {
-		set, err := fault.ParseSetID(inject)
-		if err != nil {
-			return err
-		}
-		if jsonOut {
-			data, err := diagnoseJSON(ctx, s, dg, omegas, fit, set, reject)
-			if err != nil {
-				return err
-			}
-			os.Stdout.Write(data)
-			fmt.Println()
-			return nil
-		}
-		return printInjected(ctx, s, dg, omegas, set, reject)
-	}
-	if jsonOut {
-		data, err := evaluateJSON(ctx, s, dg, omegas, fit, doubles)
-		if err != nil {
-			return err
-		}
-		os.Stdout.Write(data)
-		fmt.Println()
-		return nil
-	}
-	ev, err := dg.Evaluate(ctx, s.Dictionary(), diagnosis.HoldOutTrials(s.Dictionary().Universe(), diagnosis.DefaultHoldOutDeviations()))
-	if err != nil {
-		return err
-	}
-	printEvaluation(ev)
-	if doubles {
-		dev, err := evaluateDoubles(ctx, s, dg)
-		if err != nil {
-			return err
-		}
-		printDoubleEvaluation(dev)
-	}
-	return nil
-}
-
 func buildSession(cutName, nlPath, source, output string, opts ...repro.Option) (*repro.Session, error) {
 	if nlPath != "" {
 		text, err := os.ReadFile(nlPath)
@@ -465,16 +426,8 @@ type diagReport struct {
 }
 
 // diagnoseJSON runs the injected-fault diagnosis (single or multiple)
-// and renders the envelope. A nil dg is built live from the session; a
-// non-nil one (the -load-dictionary path) is used as-is.
+// against dg and renders the envelope.
 func diagnoseJSON(ctx context.Context, s *repro.Session, dg *repro.Diagnoser, omegas []float64, fit float64, set repro.FaultSet, rejectRatio float64) ([]byte, error) {
-	if dg == nil {
-		var err error
-		dg, err = s.Diagnoser(ctx, omegas)
-		if err != nil {
-			return nil, err
-		}
-	}
 	res, err := dg.DiagnoseSet(s.Dictionary(), set)
 	if err != nil {
 		return nil, err
@@ -504,34 +457,19 @@ func diagnoseJSON(ctx context.Context, s *repro.Session, dg *repro.Diagnoser, om
 }
 
 // evaluateJSON runs the hold-out evaluation (plus the double-fault one
-// when requested) and renders the envelope. A nil dg is built live from
-// the session; a non-nil one (the -load-dictionary path) evaluates
-// against the loaded map. Either way one map serves both evaluations.
+// when requested) against dg and renders the envelope.
 func evaluateJSON(ctx context.Context, s *repro.Session, dg *repro.Diagnoser, omegas []float64, fit float64, doubles bool) ([]byte, error) {
-	if dg == nil {
-		var err error
-		dg, err = s.Diagnoser(ctx, omegas)
-		if err != nil {
-			return nil, err
-		}
-	}
-	ev, err := dg.Evaluate(ctx, s.Dictionary(), diagnosis.HoldOutTrials(s.Dictionary().Universe(), diagnosis.DefaultHoldOutDeviations()))
+	ev, dev, err := evaluate(ctx, s, dg, doubles)
 	if err != nil {
 		return nil, err
 	}
-	rep := diagReport{
-		Circuit: s.CUT().Circuit.Name(),
-		Omegas:  omegas,
-		Fitness: fit,
-		Eval:    ev,
-	}
-	if doubles {
-		rep.DoubleEval, err = evaluateDoubles(ctx, s, dg)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return s.EncodeArtifact(repro.KindDiagnosisReport, rep)
+	return s.EncodeArtifact(repro.KindDiagnosisReport, diagReport{
+		Circuit:    s.CUT().Circuit.Name(),
+		Omegas:     omegas,
+		Fitness:    fit,
+		Eval:       ev,
+		DoubleEval: dev,
+	})
 }
 
 func joinFloats(x []float64) string {

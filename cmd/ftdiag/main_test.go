@@ -6,6 +6,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"os/exec"
@@ -124,11 +125,11 @@ func TestDiagnoseJSONGolden(t *testing.T) {
 	}
 	ctx := context.Background()
 	omegas := []float64{0.56, 4.55} // known zero-intersection vector
-	fit, err := s.Fitness(ctx, omegas)
+	dg, fit, err := diagnoser(ctx, s, "", omegas, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := diagnoseJSON(ctx, s, nil, omegas, fit, repro.Fault{Component: "R3", Deviation: 0.25}, 0.02)
+	data, err := diagnoseJSON(ctx, s, dg, omegas, fit, repro.Fault{Component: "R3", Deviation: 0.25}, 0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,18 +248,18 @@ func TestLoadDictionaryFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dg, tm, ex, err := serve.DiagnoserFromGrid(s, path, omegas)
+	dg, ex, err := serve.DiagnoserFromGrid(s, path, omegas)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if off := serve.OffGridFrequencies(ex, omegas); off != nil {
 		t.Fatalf("off-grid frequencies %v on an exact-grid artifact", off)
 	}
-	if tm.Intersections() != 0 {
-		t.Fatalf("loaded map intersections = %d, want 0 on the known-good vector", tm.Intersections())
+	if n := dg.Map().Intersections(); n != 0 {
+		t.Fatalf("loaded map intersections = %d, want 0 on the known-good vector", n)
 	}
 	f := repro.Fault{Component: "R3", Deviation: 0.25}
-	got, err := dg.DiagnoseFault(s.Dictionary(), f)
+	got, err := dg.DiagnoseSet(s.Dictionary(), f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +267,7 @@ func TestLoadDictionaryFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := liveDG.DiagnoseFault(s.Dictionary(), f)
+	want, err := liveDG.DiagnoseSet(s.Dictionary(), f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,9 +277,9 @@ func TestLoadDictionaryFlow(t *testing.T) {
 		t.Fatalf("artifact-loaded diagnosis drifted from live:\n got: %s\nwant: %s", gj, wj)
 	}
 
-	// The full flow helper renders the same verdict without error, and a
-	// stale artifact (different CUT) is rejected. Its stdout chatter goes
-	// to /dev/null, not the test log.
+	// The artifact step feeds the shared report without error, and a
+	// stale artifact (different CUT) is rejected. The report's stdout
+	// goes to /dev/null, not the test log.
 	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -287,15 +288,61 @@ func TestLoadDictionaryFlow(t *testing.T) {
 	realStdout := os.Stdout
 	os.Stdout = devnull
 	defer func() { os.Stdout = realStdout }()
-	if err := runFromArtifact(ctx, s, path, omegas, "R3@+25%", 0.02, true, false, devnull); err != nil {
+	dg, fit, err := diagnoser(ctx, s, path, omegas, devnull)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := report(ctx, s, dg, omegas, fit, "R3@+25%", 0.02, false, true); err != nil {
 		t.Fatal(err)
 	}
 	other, err := buildSession("sallen-key-lp", "", "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := runFromArtifact(ctx, other, path, omegas, "", 0, true, false, devnull); !errors.Is(err, repro.ErrStaleArtifact) {
+	if _, _, err := diagnoser(ctx, other, path, omegas, devnull); !errors.Is(err, repro.ErrStaleArtifact) {
 		t.Fatalf("stale artifact err = %v, want ErrStaleArtifact", err)
+	}
+}
+
+// TestArtifactFitnessMatchesLive: the -load-dictionary step reports the
+// fitness Session.Fitness and the live step report, also from a
+// double-fault artifact, whose map carries pair families the GA's
+// intersection count never sees.
+func TestArtifactFitnessMatchesLive(t *testing.T) {
+	ctx := context.Background()
+	for _, doubles := range []bool{false, true} {
+		var opts []repro.Option
+		if doubles {
+			opts = append(opts, repro.WithDoubleFaults(0))
+		}
+		s, err := buildSession("nf-lowpass-7", "", "", "", opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The first vector's single-fault map has no intersection, the
+		// second's has some.
+		for _, omegas := range [][]float64{{0.56, 4.55}, {2, 3}} {
+			path := filepath.Join(t.TempDir(), "grid.json")
+			if err := s.SaveDictionary(ctx, path, omegas); err != nil {
+				t.Fatal(err)
+			}
+			want, err := s.Fitness(ctx, omegas)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, grid := range []string{"", path} {
+				dg, fit, err := diagnoser(ctx, s, grid, omegas, io.Discard)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fit != want {
+					t.Errorf("doubles=%v ω=%v grid=%q: fitness %g, Session.Fitness %g", doubles, omegas, grid, fit, want)
+				}
+				if pairs := len(dg.Map().Trajectories) > len(s.Universe().Components); pairs != doubles {
+					t.Errorf("doubles=%v grid=%q: map has %d trajectories", doubles, grid, len(dg.Map().Trajectories))
+				}
+			}
+		}
 	}
 }
 
@@ -306,7 +353,12 @@ func TestEvaluateJSONShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	data, err := evaluateJSON(ctx, s, nil, []float64{0.56, 4.55}, 1, false)
+	omegas := []float64{0.56, 4.55}
+	dg, fit, err := diagnoser(ctx, s, "", omegas, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := evaluateJSON(ctx, s, dg, omegas, fit, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,11 +393,11 @@ func TestDiagnoseProbJSONGolden(t *testing.T) {
 	}
 	ctx := context.Background()
 	omegas := []float64{0.56, 4.55}
-	fit, err := s.Fitness(ctx, omegas)
+	dg, fit, err := diagnoser(ctx, s, "", omegas, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := diagnoseJSON(ctx, s, nil, omegas, fit, repro.Fault{Component: "R3", Deviation: 0.25}, 0.02)
+	data, err := diagnoseJSON(ctx, s, dg, omegas, fit, repro.Fault{Component: "R3", Deviation: 0.25}, 0.02)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func TestDiagnoserConcurrentReadOnlyUse(t *testing.T) {
 					}
 				case 1: // per-fault diagnosis through the memoized path
 					f := faults[(g+round)%len(faults)]
-					res, err := dg.DiagnoseFault(s.Dictionary(), f)
+					res, err := dg.DiagnoseSet(s.Dictionary(), f)
 					if err != nil {
 						errs[g] = err
 						return

@@ -21,7 +21,7 @@ func ExampleNewSession() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := diagnoser.DiagnoseFault(session.Dictionary(),
+	res, err := diagnoser.DiagnoseSet(session.Dictionary(),
 		repro.Fault{Component: "R3", Deviation: 0.25})
 	if err != nil {
 		log.Fatal(err)

@@ -49,7 +49,7 @@ func main() {
 		{Component: "U1.Cp", Deviation: 0.35}, // GBW down 26% → pole cap up 35%
 		{Component: "U1.E", Deviation: -0.25}, // open-loop gain down 25%
 	} {
-		res, err := diagnoser.DiagnoseFault(session.Dictionary(), hidden)
+		res, err := diagnoser.DiagnoseSet(session.Dictionary(), hidden)
 		if err != nil {
 			log.Fatal(err)
 		}

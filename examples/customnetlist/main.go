@@ -69,7 +69,7 @@ func main() {
 	for _, comp := range targets {
 		for _, dev := range []float64{-0.25, 0.25} {
 			f := repro.Fault{Component: comp, Deviation: dev}
-			res, err := diagnoser.DiagnoseFault(session.Dictionary(), f)
+			res, err := diagnoser.DiagnoseSet(session.Dictionary(), f)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -58,7 +58,7 @@ func main() {
 		log.Fatal(err)
 	}
 	unknown := repro.Fault{Component: "C2", Deviation: 0.25}
-	res, err := diagnoser.DiagnoseFault(session.Dictionary(), unknown)
+	res, err := diagnoser.DiagnoseSet(session.Dictionary(), unknown)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -45,7 +45,7 @@ U1 p out out
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := dg.DiagnoseFault(s.Dictionary(), Fault{Component: "C1", Deviation: -0.25})
+	res, err := dg.DiagnoseSet(s.Dictionary(), Fault{Component: "C1", Deviation: -0.25})
 	if err != nil {
 		t.Fatal(err)
 	}

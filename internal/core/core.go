@@ -1,9 +1,10 @@
 // Package core assembles the paper's contribution: the fault-trajectory
 // ATPG for analog fault diagnosis. It wires the fault-simulation
-// dictionary, the trajectory transformation, the GA test-vector
-// optimizer (fitness = 1/(1+I)), and the perpendicular-projection
-// diagnoser into one pipeline, plus the baseline frequency-selection
-// strategies the evaluation compares against.
+// dictionary, the trajectory transformation and the GA test-vector
+// optimizer (fitness = 1/(1+I)) into one pipeline, plus the baseline
+// frequency-selection strategies the evaluation compares against. The
+// perpendicular-projection diagnoser over the chosen vector's map lives
+// in package diagnosis.
 package core
 
 import (
@@ -15,7 +16,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/circuit"
-	"repro/internal/diagnosis"
 	"repro/internal/dictionary"
 	"repro/internal/fanout"
 	"repro/internal/fault"
@@ -204,29 +204,6 @@ func genesToOmegas(genes []float64) []float64 {
 		out[i] = math.Pow(10, g)
 	}
 	return out
-}
-
-// BuildDiagnoser constructs the diagnosis stage for a chosen test
-// vector.
-func (a *ATPG) BuildDiagnoser(ctx context.Context, omegas []float64) (*diagnosis.Diagnoser, error) {
-	m, err := trajectory.Build(ctx, a.dict, omegas)
-	if err != nil {
-		return nil, err
-	}
-	return diagnosis.New(m)
-}
-
-// EvaluateVector runs the standard hold-out evaluation for a test
-// vector: off-grid deviations on every universe component. A canceled
-// context returns an error wrapping rerr.ErrCanceled within one
-// frequency batch.
-func (a *ATPG) EvaluateVector(ctx context.Context, omegas []float64, holdOut []float64) (*diagnosis.Evaluation, error) {
-	dg, err := a.BuildDiagnoser(ctx, omegas)
-	if err != nil {
-		return nil, err
-	}
-	trials := diagnosis.HoldOutTrials(a.dict.Universe(), holdOut)
-	return dg.Evaluate(ctx, a.dict, trials)
 }
 
 // --- Baseline frequency-selection strategies -------------------------

@@ -151,27 +151,6 @@ func TestOptimizeRejectsBadConfig(t *testing.T) {
 	}
 }
 
-func TestBuildDiagnoserAndEvaluate(t *testing.T) {
-	a := paperATPG(t)
-	dg, err := a.BuildDiagnoser(nil, []float64{0.5, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dg.Map().Dim() != 2 {
-		t.Fatal("wrong dimension")
-	}
-	ev, err := a.EvaluateVector(nil, []float64{0.5, 2}, []float64{-0.25, 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ev.Total != 14 {
-		t.Fatalf("trials = %d, want 14", ev.Total)
-	}
-	if ev.Accuracy() <= 0.3 {
-		t.Fatalf("accuracy = %g", ev.Accuracy())
-	}
-}
-
 func TestRandomVectorBaseline(t *testing.T) {
 	a := paperATPG(t)
 	rng := rand.New(rand.NewSource(5))

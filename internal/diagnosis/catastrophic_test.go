@@ -64,7 +64,7 @@ func TestCatastrophicPointsAndDiagnosis(t *testing.T) {
 	}
 
 	// A parametric fault must still win over the catastrophic points.
-	pres, err := dg.DiagnoseFault(d, fault.Fault{Component: "C1", Deviation: 0.25})
+	pres, err := dg.DiagnoseSet(d, fault.Fault{Component: "C1", Deviation: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}

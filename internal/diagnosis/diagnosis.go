@@ -256,48 +256,10 @@ func (d *Diagnoser) Diagnose(point geometry.VecN) (*Result, error) {
 	return res, nil
 }
 
-// DiagnoseFault is a convenience that computes the fault's signature from
-// the dictionary at the map's test vector and diagnoses it — the
-// closed-loop "simulate an unknown fault, then find it" experiment.
-func (d *Diagnoser) DiagnoseFault(dict *dictionary.Dictionary, f fault.Fault) (*Result, error) {
-	sig, err := dict.Signature(f, d.m.Omegas)
-	if err != nil {
-		return nil, err
-	}
-	return d.Diagnose(geometry.VecN(sig))
-}
-
-// DiagnoseFaults computes the signatures of every given fault in one
-// batched solve at the map's test vector and diagnoses each, returning
-// results aligned with the input. It is the bulk shared-read entry point
-// a serving layer coalesces concurrent requests onto: the signature solve
-// bypasses the dictionary's memo into call-local scratch and the
-// projection pass only reads the map, so any number of goroutines may
-// call it on one Diagnoser/Dictionary pair concurrently. Per-fault
-// results are computed independently, so a batched call is bit-identical
-// to the same faults diagnosed one at a time.
-func (d *Diagnoser) DiagnoseFaults(ctx context.Context, dict *dictionary.Dictionary, faults []fault.Fault) ([]*Result, error) {
-	if len(faults) == 0 {
-		return nil, fmt.Errorf("diagnosis: no faults")
-	}
-	sigs, err := dict.Signatures(ctx, faults, d.m.Omegas)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Result, len(faults))
-	for i := range faults {
-		res, err := d.Diagnose(geometry.VecN(sigs[i]))
-		if err != nil {
-			return nil, err
-		}
-		out[i] = res
-	}
-	return out, nil
-}
-
-// DiagnoseSet computes the fault set's signature from the dictionary at
-// the map's test vector and diagnoses it — DiagnoseFault generalized to
-// golden, single, or multiple faults.
+// DiagnoseSet computes the fault set's signature (golden, single or
+// multiple fault) from the dictionary at the map's test vector and
+// diagnoses it — the closed-loop "simulate an unknown fault, then find
+// it" experiment.
 func (d *Diagnoser) DiagnoseSet(dict *dictionary.Dictionary, set fault.Set) (*Result, error) {
 	sig, err := dict.SignatureSet(set, d.m.Omegas)
 	if err != nil {
@@ -306,11 +268,15 @@ func (d *Diagnoser) DiagnoseSet(dict *dictionary.Dictionary, set fault.Set) (*Re
 	return d.Diagnose(geometry.VecN(sig))
 }
 
-// DiagnoseSets computes the signatures of every given fault set in one
-// batched rank-k solve at the map's test vector and diagnoses each,
-// returning results aligned with the input — DiagnoseFaults generalized
-// to mixed single and multiple faults, with the same shared-read
-// concurrency contract and batched-equals-one-at-a-time guarantee.
+// DiagnoseSets computes the signatures of every given fault set (single
+// and multiple faults freely mixed) in one batched rank-k solve at the
+// map's test vector and diagnoses each, returning results aligned with
+// the input. It is the bulk shared-read entry point: the signature solve
+// bypasses the dictionary's memo into call-local scratch and the
+// projection pass only reads the map, so any number of goroutines may
+// call it on one Diagnoser/Dictionary pair concurrently. Per-set results
+// are computed independently, so a batched call is bit-identical to the
+// same sets diagnosed one at a time.
 func (d *Diagnoser) DiagnoseSets(ctx context.Context, dict *dictionary.Dictionary, sets []fault.Set) ([]*Result, error) {
 	if len(sets) == 0 {
 		return nil, fmt.Errorf("diagnosis: no faults")
@@ -335,17 +301,17 @@ type Evaluation struct {
 	// Total is the number of trials.
 	Total int `json:"total"`
 	// Correct counts trials whose top candidate named the right
-	// component.
+	// component set.
 	Correct int `json:"correct"`
-	// TopTwo counts trials where the right component ranked first or
+	// TopTwo counts trials where the right component set ranked first or
 	// second.
 	TopTwo int `json:"top_two"`
 	// MeanDevError is the average |estimated − true| deviation among the
 	// correctly named trials.
 	MeanDevError float64 `json:"mean_dev_error"`
-	// Confusion[actual][predicted] counts outcomes.
+	// Confusion[actual][predicted] counts outcomes by component-set key.
 	Confusion map[string]map[string]int `json:"confusion"`
-	// PerComponent maps component → correct/total for that component.
+	// PerComponent maps component-set key → correct/total for it.
 	PerComponent map[string]*ComponentScore `json:"per_component"`
 }
 
@@ -371,75 +337,18 @@ func (e *Evaluation) TopTwoAccuracy() float64 {
 	return float64(e.TopTwo) / float64(e.Total)
 }
 
-// Evaluate runs the diagnoser over every trial fault, computing all
-// trial signatures from the dictionary in one batched solve. Trial
-// faults may sit off the dictionary's deviation grid (the realistic
-// case). A canceled context stops the batched solve within one
-// frequency; the error wraps rerr.ErrCanceled.
-func (d *Diagnoser) Evaluate(ctx context.Context, dict *dictionary.Dictionary, trials []fault.Fault) (*Evaluation, error) {
-	if len(trials) == 0 {
-		return nil, fmt.Errorf("diagnosis: no trial faults")
-	}
-	sigs, err := dict.Signatures(ctx, trials, d.m.Omegas)
-	if err != nil {
-		return nil, err
-	}
-	ev := &Evaluation{
-		Confusion:    make(map[string]map[string]int),
-		PerComponent: make(map[string]*ComponentScore),
-	}
-	var devErrSum float64
-	for ti, f := range trials {
-		res, err := d.Diagnose(geometry.VecN(sigs[ti]))
-		if err != nil {
-			return nil, err
-		}
-		best := res.Best()
-		ev.Total++
-		if ev.Confusion[f.Component] == nil {
-			ev.Confusion[f.Component] = make(map[string]int)
-		}
-		ev.Confusion[f.Component][best.Component]++
-		cs := ev.PerComponent[f.Component]
-		if cs == nil {
-			cs = &ComponentScore{}
-			ev.PerComponent[f.Component] = cs
-		}
-		cs.Total++
-		if best.Component == f.Component {
-			ev.Correct++
-			cs.Correct++
-			devErrSum += math.Abs(best.Deviation - f.Deviation)
-		}
-		for i, c := range res.Candidates {
-			if i > 1 {
-				break
-			}
-			if c.Component == f.Component {
-				ev.TopTwo++
-				break
-			}
-		}
-	}
-	if ev.Correct > 0 {
-		ev.MeanDevError = devErrSum / float64(ev.Correct)
-	}
-	return ev, nil
-}
-
-// EvaluateSets is Evaluate over arbitrary fault-set trials — the way a
-// double-fault trajectory map's top-1 accuracy is measured. A trial
-// counts as correct when the top candidate's Key names exactly the
-// trial's faulted component set (SetKey); Confusion and PerComponent are
-// keyed by those set keys ("C1+R3"). MeanDevError averages the per-part
-// |estimated − true| deviation over the correctly named trials. Trial
-// signatures are computed in one batched rank-k solve; cancellation
-// semantics match Evaluate.
-func (d *Diagnoser) EvaluateSets(ctx context.Context, dict *dictionary.Dictionary, trials []fault.Set) (*Evaluation, error) {
-	if len(trials) == 0 {
-		return nil, fmt.Errorf("diagnosis: no trial faults")
-	}
-	sigs, err := dict.SignaturesSets(ctx, trials, d.m.Omegas)
+// Evaluate runs the diagnoser over every trial fault set, computing all
+// trial signatures from the dictionary in one batched rank-k solve.
+// Trials may sit off the dictionary's deviation grid (the realistic
+// case); single faults enter through fault.Sets. A trial counts as
+// correct when the top candidate's Key names exactly the trial's faulted
+// component set (SetKey); Confusion and PerComponent are keyed by those
+// set keys ("R3", "C1+R3"). MeanDevError averages the per-part
+// |estimated − true| deviation over the correctly named trials. A
+// canceled context stops the batched solve within one frequency; the
+// error wraps rerr.ErrCanceled.
+func (d *Diagnoser) Evaluate(ctx context.Context, dict *dictionary.Dictionary, trials []fault.Set) (*Evaluation, error) {
+	results, err := d.DiagnoseSets(ctx, dict, trials)
 	if err != nil {
 		return nil, err
 	}
@@ -449,10 +358,7 @@ func (d *Diagnoser) EvaluateSets(ctx context.Context, dict *dictionary.Dictionar
 	}
 	var devErrSum float64
 	for ti, set := range trials {
-		res, err := d.Diagnose(geometry.VecN(sigs[ti]))
-		if err != nil {
-			return nil, err
-		}
+		res := results[ti]
 		best := res.Best()
 		want := SetKey(set)
 		ev.Total++
@@ -583,9 +489,5 @@ func HoldOutPairTrials(u *fault.Universe, deviations []float64, max int) ([]faul
 	if err != nil {
 		return nil, err
 	}
-	out := make([]fault.Set, len(pairs))
-	for i, p := range pairs {
-		out[i] = p
-	}
-	return out, nil
+	return fault.Sets(pairs), nil
 }

@@ -55,7 +55,7 @@ func TestDiagnoseGridFaultExact(t *testing.T) {
 	// component at (near) zero distance and the right deviation.
 	d, dg := setup(t, []float64{0.5, 2})
 	f := fault.Fault{Component: "R2", Deviation: 0.3}
-	res, err := dg.DiagnoseFault(d, f)
+	res, err := dg.DiagnoseSet(d, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestDiagnoseGridFaultExact(t *testing.T) {
 func TestDiagnoseOffGridFault(t *testing.T) {
 	d, dg := setup(t, []float64{0.5, 2})
 	f := fault.Fault{Component: "C1", Deviation: 0.25}
-	res, err := dg.DiagnoseFault(d, f)
+	res, err := dg.DiagnoseSet(d, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestDiagnoseOffGridFault(t *testing.T) {
 
 func TestCandidatesSortedAndComplete(t *testing.T) {
 	d, dg := setup(t, []float64{0.5, 2})
-	res, err := dg.DiagnoseFault(d, fault.Fault{Component: "R1", Deviation: -0.2})
+	res, err := dg.DiagnoseSet(d, fault.Fault{Component: "R1", Deviation: -0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestCandidatesSortedAndComplete(t *testing.T) {
 
 func TestAmbiguitySet(t *testing.T) {
 	d, dg := setup(t, []float64{0.5, 2})
-	res, err := dg.DiagnoseFault(d, fault.Fault{Component: "R3", Deviation: 0.35})
+	res, err := dg.DiagnoseSet(d, fault.Fault{Component: "R3", Deviation: 0.35})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestAmbiguitySet(t *testing.T) {
 		t.Fatal("ratio 1 must include the best candidate")
 	}
 	// Degenerate zero-distance case: grid fault.
-	resGrid, _ := dg.DiagnoseFault(d, fault.Fault{Component: "R3", Deviation: 0.3})
+	resGrid, _ := dg.DiagnoseSet(d, fault.Fault{Component: "R3", Deviation: 0.3})
 	if z := resGrid.AmbiguitySet(2); len(z) < 1 {
 		t.Fatal("zero-distance ambiguity set empty")
 	}
@@ -140,7 +140,7 @@ func TestEvaluateAllComponentsHoldOut(t *testing.T) {
 	if len(trials) != 7*6 {
 		t.Fatalf("trials = %d, want 42", len(trials))
 	}
-	ev, err := dg.Evaluate(nil, d, trials)
+	ev, err := dg.Evaluate(nil, d, fault.Sets(trials))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestEvaluateEmptyTrials(t *testing.T) {
 
 func TestConfusionTableRenders(t *testing.T) {
 	d, dg := setup(t, []float64{0.5, 2})
-	ev, err := dg.Evaluate(nil, d, HoldOutTrials(d.Universe(), []float64{0.25, -0.25}))
+	ev, err := dg.Evaluate(nil, d, fault.Sets(HoldOutTrials(d.Universe(), []float64{0.25, -0.25})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestConfusionTableRenders(t *testing.T) {
 
 func TestResultString(t *testing.T) {
 	d, dg := setup(t, []float64{0.5, 2})
-	res, err := dg.DiagnoseFault(d, fault.Fault{Component: "C2", Deviation: 0.2})
+	res, err := dg.DiagnoseSet(d, fault.Fault{Component: "C2", Deviation: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestMapAccessor(t *testing.T) {
 
 func TestDiagnose3D(t *testing.T) {
 	d, dg := setup(t, []float64{0.4, 1, 2.5})
-	res, err := dg.DiagnoseFault(d, fault.Fault{Component: "R4", Deviation: -0.25})
+	res, err := dg.DiagnoseSet(d, fault.Fault{Component: "R4", Deviation: -0.25})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,9 @@
 package diagnosis
 
 import (
+	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/circuits"
@@ -56,7 +59,7 @@ func TestDoubleFaultTopOneAccuracy(t *testing.T) {
 	for i := 0; i < len(pairs); i += 7 {
 		trials = append(trials, pairs[i])
 	}
-	ev, err := pairDg.EvaluateSets(nil, d, trials)
+	ev, err := pairDg.Evaluate(nil, d, trials)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,14 +165,14 @@ func TestSinglesStillResolveOnPairMap(t *testing.T) {
 			singles = append(singles, fault.Fault{Component: c, Deviation: dv})
 		}
 	}
-	evPair, err := pairDg.EvaluateSets(nil, d, singles)
+	evPair, err := pairDg.Evaluate(nil, d, singles)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if evPair.TopTwoAccuracy() < 0.9 {
 		t.Fatalf("singles on pair map: top-2 %.3f, want >= 0.9", evPair.TopTwoAccuracy())
 	}
-	evSingle, err := singleDg.EvaluateSets(nil, d, singles)
+	evSingle, err := singleDg.Evaluate(nil, d, singles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,24 +181,67 @@ func TestSinglesStillResolveOnPairMap(t *testing.T) {
 	}
 }
 
-// TestEvaluateSetsMatchesEvaluateOnSingles: over single-fault trials on
-// a single-fault map the two evaluators agree on every aggregate.
+// TestEvaluateSetsMatchesEvaluateOnSingles: Evaluate's tallies equal a
+// direct tally of DiagnoseSets over the same trials — hold-out single
+// faults carried onto the set path by fault.Sets, modeled pairs, and
+// off-grid pairs, some of which rank the right set second or lower — on
+// the single-fault map and on the pair map.
 func TestEvaluateSetsMatchesEvaluateOnSingles(t *testing.T) {
-	d, u, _, _, singleDg := doubleFixture(t)
-	faults := HoldOutTrials(u, []float64{-0.15, 0.25})
-	sets := make([]fault.Set, len(faults))
-	for i, f := range faults {
-		sets[i] = f
+	d, u, pairs, pairDg, singleDg := doubleFixture(t)
+	trials := fault.Sets(HoldOutTrials(u, []float64{-0.15, 0.25}))
+	for i := 0; i < len(pairs); i += 97 {
+		trials = append(trials, pairs[i])
 	}
-	evA, err := singleDg.Evaluate(nil, d, faults)
+	offGrid, err := HoldOutPairTrials(u, []float64{-0.25, 0.25}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	evB, err := singleDg.EvaluateSets(nil, d, sets)
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < len(offGrid); i += 5 {
+		trials = append(trials, offGrid[i])
 	}
-	if evA.Total != evB.Total || evA.Correct != evB.Correct || evA.TopTwo != evB.TopTwo || evA.MeanDevError != evB.MeanDevError {
-		t.Fatalf("Evaluate %+v vs EvaluateSets %+v", evA, evB)
+	for name, dg := range map[string]*Diagnoser{"single": singleDg, "pair": pairDg} {
+		ev, err := dg.Evaluate(nil, d, trials)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, err := dg.DiagnoseSets(nil, d, trials)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := Evaluation{Total: len(trials), Confusion: map[string]map[string]int{}, PerComponent: map[string]*ComponentScore{}}
+		var devErrSum float64
+		for i, set := range trials {
+			actual, cands := SetKey(set), results[i].Candidates
+			if want.Confusion[actual] == nil {
+				want.Confusion[actual] = map[string]int{}
+				want.PerComponent[actual] = &ComponentScore{}
+			}
+			want.Confusion[actual][cands[0].Key()]++
+			want.PerComponent[actual].Total++
+			if cands[0].Key() == actual {
+				want.Correct++
+				want.PerComponent[actual].Correct++
+				// Per-part |estimate − truth|, the estimate read from the
+				// candidate's aligned Deviations for a pair.
+				var sum float64
+				for _, p := range set.Parts() {
+					est := cands[0].Deviation
+					if j := slices.Index(cands[0].Components, p.Component); j >= 0 {
+						est = cands[0].Deviations[j]
+					}
+					sum += math.Abs(est - p.Deviation)
+				}
+				devErrSum += sum / float64(len(set.Parts()))
+			}
+			if cands[0].Key() == actual || len(cands) > 1 && cands[1].Key() == actual {
+				want.TopTwo++
+			}
+		}
+		if want.Correct > 0 {
+			want.MeanDevError = devErrSum / float64(want.Correct)
+		}
+		if !reflect.DeepEqual(*ev, want) {
+			t.Fatalf("%s map: Evaluate %+v, direct tally %+v", name, *ev, want)
+		}
 	}
 }

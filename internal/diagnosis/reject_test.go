@@ -33,7 +33,7 @@ func TestSingleFaultsNotRejected(t *testing.T) {
 	trials := HoldOutTrials(d.Universe(), DefaultHoldOutDeviations())
 	rejected := 0
 	for _, f := range trials {
-		res, err := dg.DiagnoseFault(d, f)
+		res, err := dg.DiagnoseSet(d, f)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -337,3 +337,74 @@ func TestBatchSetsSingleFaultsAllocationFree(t *testing.T) {
 		t.Fatalf("56 single-fault sets allocate %.2f objects per batch, want < 1", avg)
 	}
 }
+
+// TestSinglesAndSetsBitIdentical pins the premise every layer above the
+// engine rests on: single faults carried onto the fault-set path answer
+// bit for bit what the single-fault entry point answers. BatchResponses
+// and BatchResponsesSets run over the same paper universe (golden row
+// included) at 1, 2 and 3 workers on every fixed and scaling CUT, with
+// the default factorization path, plus rc-grid-16 and rc-ladder-64
+// forced sparse, where the mesh takes the sparse-vector kernel and the
+// ladder the block solve. The repeated single-fault calls also hit the
+// engine's resolution memo.
+func TestSinglesAndSetsBitIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scaling CUTs are slow under -short")
+	}
+	type run struct {
+		cut          circuits.CUT
+		path         FactorPath
+		sparseVector bool
+	}
+	var runs []run
+	for _, cut := range append(circuits.All(), circuits.Scaling()...) {
+		runs = append(runs, run{cut: cut, path: FactorAuto})
+	}
+	grid, err := circuits.RCGrid(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lad, err := circuits.RCLadder(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs = append(runs, run{grid, FactorSparse, true}, run{lad, FactorSparse, false})
+	for _, r := range runs {
+		name := r.cut.Circuit.Name()
+		e, err := New(r.cut.Circuit, r.cut.Source, r.cut.Output)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		e.SetFactorPath(r.path)
+		faults := paperSingles(t, r.cut)
+		sets := fault.Sets(faults)
+		omegas := []float64{r.cut.Omega0 / 3, r.cut.Omega0, r.cut.Omega0 * 3}
+		for _, workers := range []int{1, 2, 3} {
+			singles, err := e.BatchResponses(nil, faults, omegas, workers)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			viaSets, err := e.BatchResponsesSets(nil, sets, omegas, workers)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for j := range omegas {
+				if math.Float64bits(singles.Golden[j]) != math.Float64bits(viaSets.Golden[j]) {
+					t.Fatalf("%s workers=%d ω=%g: golden %v (singles) vs %v (sets)", name, workers, omegas[j], singles.Golden[j], viaSets.Golden[j])
+				}
+				for i, f := range faults {
+					if a, b := singles.Mags[i][j], viaSets.Mags[i][j]; math.Float64bits(a) != math.Float64bits(b) {
+						t.Fatalf("%s workers=%d ω=%g %s: %v (singles) vs %v (sets)", name, workers, omegas[j], f.ID(), a, b)
+					}
+				}
+			}
+		}
+		if r.path == FactorSparse {
+			s := e.Stats()
+			if s.SupernodalRefactors == 0 || (s.SparseVectorColumns > 0) != r.sparseVector {
+				t.Fatalf("%s: %d sparse columns, %d through the sparse-vector kernel; want sparse columns, sparse-vector %v",
+					name, s.SupernodalRefactors, s.SparseVectorColumns, r.sparseVector)
+			}
+		}
+	}
+}

@@ -30,6 +30,16 @@ type Set interface {
 	Parts() []Fault
 }
 
+// Sets carries a slice of one concrete hypothesis type (single Faults,
+// Multis) onto the fault-set path, element for element.
+func Sets[S Set](xs []S) []Set {
+	out := make([]Set, len(xs))
+	for i, x := range xs {
+		out[i] = x
+	}
+	return out
+}
+
 // Fault is a single parametric deviation of one component.
 type Fault struct {
 	// Component is the element name, e.g. "R3".

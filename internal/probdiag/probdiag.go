@@ -233,11 +233,7 @@ func Build(ctx context.Context, d *dictionary.Dictionary, omegas []float64, extr
 		return nil, fmt.Errorf("%w: probdiag: circuit has no perturbable components", rerr.ErrBadConfig)
 	}
 
-	var sets []fault.Set
-	for _, f := range d.Universe().Faults() {
-		sets = append(sets, f)
-	}
-	sets = append(sets, extra...)
+	sets := append(fault.Sets(d.Universe().Faults()), extra...)
 	if len(sets) == 0 {
 		return nil, fmt.Errorf("%w: probdiag: empty fault universe", rerr.ErrBadConfig)
 	}

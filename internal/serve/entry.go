@@ -295,16 +295,16 @@ func gridTrajectories(s *repro.Session, path string, omegas []float64) (*repro.T
 // export lets callers check grid coverage (see OffGridFrequencies):
 // responses at stored grid frequencies are bit-exact, anything else is
 // log-ω interpolated and may blur closely spaced trajectories.
-func DiagnoserFromGrid(s *repro.Session, path string, omegas []float64) (*repro.Diagnoser, *repro.TrajectoryMap, *repro.DictionaryExport, error) {
+func DiagnoserFromGrid(s *repro.Session, path string, omegas []float64) (*repro.Diagnoser, *repro.DictionaryExport, error) {
 	tm, ex, err := gridTrajectories(s, path, omegas)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	dg, err := repro.NewDiagnoser(tm)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return dg, tm, ex, nil
+	return dg, ex, nil
 }
 
 // OffGridFrequencies returns the requested test frequencies that are not

@@ -61,8 +61,10 @@ type Metrics struct {
 	// (filtering, shared solve, response scoring), one observation per
 	// batch.
 	BatchFlushSeconds obs.Histogram
-	// EngineSolveSeconds times each batched DiagnoseFaultSets engine
-	// pass, including per-fault retries after a poisoned shared solve.
+	// EngineSolveSeconds times each batched signature solve of a flush's
+	// fault requests (the engine pass alone, without projecting the
+	// points onto the map), including per-fault retries after a poisoned
+	// shared solve.
 	EngineSolveSeconds obs.Histogram
 	// BuildSeconds times registry entry builds, failures included.
 	BuildSeconds obs.Histogram
@@ -146,7 +148,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	hist("request_seconds", "end-to-end request latency (accept to response)", s.RequestSeconds)
 	hist("queue_wait_seconds", "time queued before a flush", s.QueueWaitSeconds)
 	hist("batch_flush_seconds", "duration of one batch flush", s.BatchFlushSeconds)
-	hist("engine_solve_seconds", "batched engine diagnose pass duration", s.EngineSolveSeconds)
+	hist("engine_solve_seconds", "batched engine signature solve duration, projection excluded", s.EngineSolveSeconds)
 	hist("build_seconds", "registry entry build duration", s.BuildSeconds)
 }
 

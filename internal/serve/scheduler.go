@@ -361,7 +361,8 @@ func (b *batcher) collectNoWait(first *Request) []*Request {
 
 // process serves one flushed batch: requests whose context already died
 // are answered ErrCanceled without work; every live fault request shares
-// one batched signature solve; point requests are projected directly.
+// one batched signature solve; every point, observed or solved, is
+// projected as its request is answered.
 func (b *batcher) process(batch []*Request) {
 	flushStart := time.Now()
 	b.metrics.Batches.Add(1)
@@ -398,7 +399,7 @@ func (b *batcher) process(batch []*Request) {
 			sets = append(sets, req.set)
 			faultReqs = append(faultReqs, req)
 		} else {
-			b.respond(req, b.diagnosePoint(req), n)
+			b.respond(req, b.project(req.Point), n)
 		}
 	}
 	if len(sets) == 0 {
@@ -407,13 +408,12 @@ func (b *batcher) process(batch []*Request) {
 
 	// One engine pass for the whole flush — the micro-batching payoff.
 	// Single and multi-fault injections share it: the rank-k batch path
-	// keeps rank-1 items on their fast path.
-	solveStart := time.Now()
-	results, err := b.entry.Session.DiagnoseFaultSets(b.ctx, b.entry.Diagnoser, sets)
-	b.metrics.EngineSolveSeconds.Observe(time.Since(solveStart))
+	// keeps rank-1 items on their fast path. Only the signature solve is
+	// timed as the engine's; each item is projected as it is answered.
+	sigs, err := b.signatures(sets)
 	if err == nil {
 		for i, req := range faultReqs {
-			b.respond(req, Response{Result: results[i]}, n)
+			b.respond(req, b.project(sigs[i]), n)
 		}
 		return
 	}
@@ -425,20 +425,27 @@ func (b *batcher) process(batch []*Request) {
 	// singular). Retry each fault alone so one poisonous request cannot
 	// fail its neighbors.
 	for _, req := range faultReqs {
-		retryStart := time.Now()
-		res, rerr1 := b.entry.Session.DiagnoseFaultSets(b.ctx, b.entry.Diagnoser, []repro.FaultSet{req.set})
-		b.metrics.EngineSolveSeconds.Observe(time.Since(retryStart))
-		if rerr1 != nil {
-			b.respond(req, Response{Err: rerr1}, n)
+		sig, err := b.signatures([]repro.FaultSet{req.set})
+		if err != nil {
+			b.respond(req, Response{Err: err}, n)
 			continue
 		}
-		b.respond(req, Response{Result: res[0]}, n)
+		b.respond(req, b.project(sig[0]), n)
 	}
 }
 
-// diagnosePoint projects an observed signature point — no simulation.
-func (b *batcher) diagnosePoint(req *Request) Response {
-	res, err := b.entry.Diagnoser.Diagnose(geometry.VecN(req.Point))
+// signatures solves the fault sets' signature points at the map's test
+// vector in one batched engine pass, observed as engine solve time.
+func (b *batcher) signatures(sets []repro.FaultSet) ([][]float64, error) {
+	start := time.Now()
+	sigs, err := b.entry.Session.Dictionary().SignaturesSets(b.ctx, sets, b.entry.Diagnoser.Map().Omegas)
+	b.metrics.EngineSolveSeconds.Observe(time.Since(start))
+	return sigs, err
+}
+
+// project diagnoses a signature point against the map — no simulation.
+func (b *batcher) project(point []float64) Response {
+	res, err := b.entry.Diagnoser.Diagnose(geometry.VecN(point))
 	if err != nil {
 		return Response{Err: err}
 	}

@@ -239,7 +239,7 @@ func (s *Server) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		Result:    resp.Result,
 	}
 	rep.withProb(resp.Prob)
-	writeJSON(w, http.StatusOK, rep)
+	s.writeJSON(w, rep)
 }
 
 // batchRequest is the wire form of a multi-diagnose call: one CUT, many
@@ -298,7 +298,19 @@ func (s *Server) handleDiagnoseBatch(w http.ResponseWriter, r *http.Request) {
 		}(i)
 	}
 	wg.Wait()
-	writeJSON(w, http.StatusOK, batchReply{CUT: entry.Name, Omegas: entry.Omegas, Results: replies})
+	rep := batchReply{CUT: entry.Name, Omegas: entry.Omegas, Results: replies}
+	if encodeJSON(w, rep) == nil {
+		return
+	}
+	// Some item holds a value JSON cannot carry: answer those items 422
+	// and the others as they are.
+	for i := range replies {
+		if _, err := json.Marshal(replies[i]); err != nil {
+			replies[i] = diagnoseReply{CUT: entry.Name, BatchSize: replies[i].BatchSize,
+				Error: unencodable(err).Error(), Status: http.StatusUnprocessableEntity}
+		}
+	}
+	s.writeJSON(w, rep)
 }
 
 func (s *Server) handleCuts(w http.ResponseWriter, r *http.Request) {
@@ -306,11 +318,11 @@ func (s *Server) handleCuts(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusMethodNotAllowed, errors.New("GET required"))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"cuts": Catalog(s.reg)})
+	s.writeJSON(w, map[string]any{"cuts": Catalog(s.reg)})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	s.writeJSON(w, map[string]any{
 		"status":         "ok",
 		"version":        s.cfg.Version,
 		"cuts_loaded":    len(s.reg.Resident()),
@@ -338,7 +350,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusMethodNotAllowed, errors.New("GET required"))
 		return
 	}
-	writeJSON(w, http.StatusOK, statsReply{
+	s.writeJSON(w, statsReply{
 		UptimeSeconds: int64(time.Since(s.start).Seconds()),
 		Metrics:       s.metrics.Snapshot(),
 		Engine:        s.reg.EngineStats(),
@@ -358,15 +370,39 @@ func statusOf(err error) int {
 	}
 }
 
+// writeError answers status with a JSON error object (always encodable).
 func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 	s.metrics.Errors.Add(1)
-	writeJSON(w, status, map[string]any{"error": err.Error(), "status": status})
-}
-
-// writeJSON writes v as one line of compact JSON: replies are read by
-// programs, and re-indenting one costs a second pass over it.
-func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v) //nolint:errcheck // the connection owns delivery
+	json.NewEncoder(w).Encode(map[string]any{"error": err.Error(), "status": status}) //nolint:errcheck // the connection owns delivery
+}
+
+// writeJSON answers 200 with v, or 422 with a JSON error when v holds a
+// value JSON cannot carry.
+func (s *Server) writeJSON(w http.ResponseWriter, v any) {
+	if err := encodeJSON(w, v); err != nil {
+		s.writeError(w, http.StatusUnprocessableEntity, unencodable(err))
+	}
+}
+
+// encodeJSON writes v as one line of compact JSON (replies are read by
+// programs) under the implicit status 200. Encode writes nothing when v
+// holds a value JSON cannot carry (±Inf or NaN, as from a point so far
+// out that every distance overflows), so that failure is returned with
+// the status unsent; a failed write is not: the connection owns delivery.
+func encodeJSON(w http.ResponseWriter, v any) error {
+	w.Header().Set("Content-Type", "application/json")
+	if err := json.NewEncoder(w).Encode(v); err != nil {
+		var uv *json.UnsupportedValueError
+		if errors.As(err, &uv) {
+			return err
+		}
+	}
+	return nil
+}
+
+// unencodable names a reply that JSON cannot carry.
+func unencodable(err error) error {
+	return fmt.Errorf("reply is not representable as JSON: %v", err)
 }

@@ -582,3 +582,43 @@ func TestServerShutdownDrain(t *testing.T) {
 		}
 	}
 }
+
+// TestNonFiniteReplyIs422: a point so far out that every distance
+// overflows to +Inf (and, with a cloud model, every probability to NaN)
+// is answered 422 with a JSON error on /v1/diagnose; on
+// /v1/diagnose/batch only that item is, and its neighbor is answered
+// normally.
+func TestNonFiniteReplyIs422(t *testing.T) {
+	far := map[string]any{"point": []float64{1e200, 1e200}}
+	r3 := map[string]any{"fault": map[string]any{"component": "R3", "deviation": 0.25}}
+	for name, build := range map[string]BuildConfig{
+		"plain":  {Workers: 1, Freqs: []float64{0.56, 4.55}},
+		"clouds": {Workers: 1, Freqs: []float64{0.56, 4.55}, ToleranceSigma: 0.05, MCSamples: 8, Seed: 1},
+	} {
+		_, ts := testServer(t, Config{Build: build})
+		status, body := postJSON(t, ts.URL+"/v1/diagnose", map[string]any{"cut": "nf-lowpass-7", "point": far["point"]})
+		var e struct {
+			Error  string `json:"error"`
+			Status int    `json:"status"`
+		}
+		if err := json.Unmarshal(body, &e); err != nil || status != http.StatusUnprocessableEntity || e.Status != status || e.Error == "" {
+			t.Fatalf("%s: /v1/diagnose far point: status %d, body %q", name, status, body)
+		}
+		status, body = postJSON(t, ts.URL+"/v1/diagnose/batch", map[string]any{
+			"cut": "nf-lowpass-7", "requests": []any{far, r3},
+		})
+		var br batchReply
+		if err := json.Unmarshal(body, &br); err != nil || status != http.StatusOK || len(br.Results) != 2 {
+			t.Fatalf("%s: batch: status %d, body %q", name, status, body)
+		}
+		if got := br.Results[0]; got.Status != http.StatusUnprocessableEntity || got.Error == "" || got.Result != nil {
+			t.Fatalf("%s: batch far item = %+v, want a 422 error", name, got)
+		}
+		if got := br.Results[1]; got.Error != "" || got.Result == nil || got.Result.Best().Component != "R3" {
+			t.Fatalf("%s: batch R3 item = %+v, want a normal diagnosis", name, got)
+		}
+		if name == "clouds" && br.Results[1].Confidence == nil {
+			t.Fatalf("clouds: batch R3 item lost its probabilistic fields: %s", body)
+		}
+	}
+}

@@ -35,14 +35,12 @@ func BuildPairs(ctx context.Context, d *dictionary.Dictionary, omegas []float64,
 	if len(pairs) == 0 {
 		return m, nil
 	}
-	sets := make([]fault.Set, len(pairs))
-	for i, p := range pairs {
+	for _, p := range pairs {
 		if len(p) != 2 {
 			return nil, fmt.Errorf("trajectory: fault set %s has %d parts, want 2", p.ID(), len(p))
 		}
-		sets[i] = p
 	}
-	sigs, err := d.SignaturesSets(ctx, sets, omegas)
+	sigs, err := d.SignaturesSets(ctx, fault.Sets(pairs), omegas)
 	if err != nil {
 		return nil, err
 	}

@@ -23,7 +23,7 @@
 //	s, err := repro.NewSession(cut)
 //	tv, err := s.Optimize(ctx, repro.PaperOptimizeConfig(cut.Omega0))
 //	diag, err := s.Diagnoser(ctx, tv.Omegas)
-//	res, err := diag.DiagnoseFault(s.Dictionary(), repro.Fault{Component: "R3", Deviation: 0.25})
+//	res, err := diag.DiagnoseSet(s.Dictionary(), repro.Fault{Component: "R3", Deviation: 0.25})
 //
 // Every long-running stage takes a context.Context and stops within one
 // GA generation / frequency batch of cancellation, returning an error

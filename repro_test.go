@@ -84,7 +84,7 @@ func TestSessionEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := dg.DiagnoseFault(s.Dictionary(), Fault{Component: "R2", Deviation: 0.25})
+	res, err := dg.DiagnoseSet(s.Dictionary(), Fault{Component: "R2", Deviation: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}

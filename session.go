@@ -482,9 +482,9 @@ func (s *Session) Trajectories(ctx context.Context, omegas []float64) (*Trajecto
 // session models them).
 //
 // A built Diagnoser is immutable and safe for concurrent read-only use:
-// Diagnose, DiagnoseFault, DiagnoseFaults, DiagnoseSets, Extent and Map
-// only read the trajectory map they were built over. Build one Diagnoser
-// per test vector and share it across request-serving goroutines.
+// Diagnose, DiagnoseSet, DiagnoseSets, Evaluate, Extent and Map only read
+// the trajectory map they were built over. Build one Diagnoser per test
+// vector and share it across request-serving goroutines.
 func (s *Session) Diagnoser(ctx context.Context, omegas []float64) (*Diagnoser, error) {
 	defer s.tracer.StartSpan("session.diagnoser").End()
 	m, err := s.buildMap(ctx, omegas)
@@ -494,23 +494,21 @@ func (s *Session) Diagnoser(ctx context.Context, omegas []float64) (*Diagnoser, 
 	return diagnosis.New(m)
 }
 
-// DiagnoseFaults computes the signatures of every given fault in one
-// batched solve at the diagnoser's test vector and diagnoses each,
-// returning results aligned with the input — the bulk, shared-read
-// diagnose entry point a serving layer coalesces concurrent requests
-// onto. It is safe to call from any number of goroutines sharing one
-// Session and Diagnoser, and a batched call is bit-identical to the same
-// faults diagnosed one at a time. A canceled context returns an error
-// wrapping ErrCanceled within one frequency.
+// DiagnoseFaults is DiagnoseFaultSets over single faults.
 func (s *Session) DiagnoseFaults(ctx context.Context, dg *Diagnoser, faults []Fault) ([]*DiagnosisResult, error) {
-	return dg.DiagnoseFaults(ctx, s.Dictionary(), faults)
+	return dg.DiagnoseSets(ctx, s.Dictionary(), fault.Sets(faults))
 }
 
-// DiagnoseFaultSets is DiagnoseFaults over arbitrary fault sets —
-// golden, single, and multiple faults freely mixed in one batched rank-k
-// solve. The concurrency and batched-equals-serial contracts of
-// DiagnoseFaults apply unchanged; this is the entry point the serving
-// layer routes {"faults": [...]} injections through.
+// DiagnoseFaultSets computes the signatures of every given fault set —
+// golden, single, and multiple faults freely mixed — in one batched
+// rank-k solve at the diagnoser's test vector and diagnoses each,
+// returning results aligned with the input: the bulk, shared-read
+// diagnose entry point for concurrent requests (ftserve's micro-batcher
+// runs its two steps, the batched signature solve and the projection,
+// itself, to time the solve alone). It is safe to call from any number
+// of goroutines sharing one Session and Diagnoser, and a batched call is
+// bit-identical to the same sets diagnosed one at a time. A canceled
+// context returns an error wrapping ErrCanceled within one frequency.
 func (s *Session) DiagnoseFaultSets(ctx context.Context, dg *Diagnoser, sets []FaultSet) ([]*DiagnosisResult, error) {
 	return dg.DiagnoseSets(ctx, s.Dictionary(), sets)
 }
@@ -527,18 +525,11 @@ func (s *Session) Evaluate(ctx context.Context, omegas []float64, holdOut []floa
 	s.emit(Progress{Stage: StageEvaluate, Completed: 0, Total: 1})
 	start := time.Now()
 	defer s.tracer.StartSpan("session.evaluate").End()
-	var ev *Evaluation
-	var err error
-	if s.pairs == nil {
-		ev, err = s.atpg.EvaluateVector(ctx, omegas, holdOut)
-	} else {
-		var dg *Diagnoser
-		dg, err = s.Diagnoser(ctx, omegas)
-		if err != nil {
-			return nil, err
-		}
-		ev, err = dg.Evaluate(ctx, s.Dictionary(), diagnosis.HoldOutTrials(s.Universe(), holdOut))
+	dg, err := s.Diagnoser(ctx, omegas)
+	if err != nil {
+		return nil, err
 	}
+	ev, err := dg.Evaluate(ctx, s.Dictionary(), fault.Sets(diagnosis.HoldOutTrials(s.Universe(), holdOut)))
 	if err != nil {
 		return nil, err
 	}
@@ -547,7 +538,7 @@ func (s *Session) Evaluate(ctx context.Context, omegas []float64, holdOut []floa
 }
 
 // EvaluateSets runs a hold-out evaluation over explicit fault-set
-// trials (see Diagnoser.EvaluateSets for the scoring contract) against
+// trials (see Diagnoser.Evaluate for the scoring contract) against
 // an already-built Diagnoser — build one with Diagnoser and share it
 // across evaluations and serving, so the trajectory map (expensive for
 // double-fault sessions) is constructed once. Combined with
@@ -557,7 +548,7 @@ func (s *Session) EvaluateSets(ctx context.Context, dg *Diagnoser, trials []Faul
 	s.emit(Progress{Stage: StageEvaluate, Completed: 0, Total: 1})
 	start := time.Now()
 	defer s.tracer.StartSpan("session.evaluate").End()
-	ev, err := dg.EvaluateSets(ctx, s.Dictionary(), trials)
+	ev, err := dg.Evaluate(ctx, s.Dictionary(), trials)
 	if err != nil {
 		return nil, err
 	}
@@ -667,11 +658,7 @@ func (s *Session) Clouds(ctx context.Context, omegas []float64) (*SignatureCloud
 		}
 		cfg.NoiseSigma = sigmas
 	}
-	var extra []fault.Set
-	for _, p := range s.pairs {
-		extra = append(extra, p)
-	}
-	cs, err := probdiag.Build(ctx, s.Dictionary(), omegas, extra, cfg)
+	cs, err := probdiag.Build(ctx, s.Dictionary(), omegas, fault.Sets(s.pairs), cfg)
 	if err != nil {
 		return nil, err
 	}

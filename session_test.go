@@ -98,6 +98,32 @@ func TestEvaluateCanceledReturnsErrCanceled(t *testing.T) {
 	}
 }
 
+// TestSessionDiagnoserAndEvaluate: the diagnosis stage a session builds
+// for a test vector spans that vector, and the hold-out evaluation runs
+// every component at every hold-out deviation against it.
+func TestSessionDiagnoserAndEvaluate(t *testing.T) {
+	s := testSession(t)
+	ctx := context.Background()
+	omegas := []float64{0.5, 2}
+	dg, err := s.Diagnoser(ctx, omegas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dg.Map().Dim() != 2 {
+		t.Fatal("wrong dimension")
+	}
+	ev, err := s.Evaluate(ctx, omegas, []float64{-0.25, 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev.Total != 14 {
+		t.Fatalf("trials = %d, want 14", ev.Total)
+	}
+	if ev.Accuracy() <= 0.3 {
+		t.Fatalf("accuracy = %g", ev.Accuracy())
+	}
+}
+
 func TestProgressStreamShape(t *testing.T) {
 	var events []Progress
 	s, err := NewSession(PaperCUT(), WithProgress(func(p Progress) { events = append(events, p) }))
@@ -224,7 +250,7 @@ func TestStructuredErrorsSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dg.DiagnoseFault(s.Dictionary(), Fault{Component: "R99", Deviation: 0.2}); !errors.Is(err, ErrUnknownComponent) {
+	if _, err := dg.DiagnoseSet(s.Dictionary(), Fault{Component: "R99", Deviation: 0.2}); !errors.Is(err, ErrUnknownComponent) {
 		t.Fatalf("unknown component: err = %v, want ErrUnknownComponent", err)
 	}
 	// A DC test frequency is a caller's configuration error (400), not a

@@ -91,11 +91,11 @@ func TestWithToleranceKeepsPointPathAndChecksum(t *testing.T) {
 		{Component: "R3", Deviation: 0.25},
 		{Component: "C2", Deviation: -0.3},
 	} {
-		a, err := dgPlain.DiagnoseFault(plain.Dictionary(), f)
+		a, err := dgPlain.DiagnoseSet(plain.Dictionary(), f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := dgTol.DiagnoseFault(tolerant.Dictionary(), f)
+		b, err := dgTol.DiagnoseSet(tolerant.Dictionary(), f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func TestConcurrentProbabilisticDiagnoses(t *testing.T) {
 		wantProb[i] = string(data)
 	}
 	fault := repro.Fault{Component: "R3", Deviation: 0.25}
-	wantPoint, err := dg.DiagnoseFault(s.Dictionary(), fault)
+	wantPoint, err := dg.DiagnoseSet(s.Dictionary(), fault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestConcurrentProbabilisticDiagnoses(t *testing.T) {
 						return
 					}
 				}
-				got, err := dg.DiagnoseFault(s.Dictionary(), fault)
+				got, err := dg.DiagnoseSet(s.Dictionary(), fault)
 				if err != nil {
 					errs[g] = err
 					return
