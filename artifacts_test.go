@@ -384,3 +384,59 @@ func FuzzTrajectoryMapArtifact(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDictionaryGridArtifact: any input may be refused, but one that
+// Session.LoadDictionary, TrajectoriesFromExport and NewDiagnoser all
+// accept must diagnose a point of the map's dimension without
+// panicking. The seeds are nf-lowpass-7 grid exports of a plain and of
+// a double-fault session; an input is offered to both sessions, since
+// the artifact checksum binds it to one.
+func FuzzDictionaryGridArtifact(f *testing.F) {
+	omegas := []float64{0.56, 4.55}
+	var sessions []*Session
+	for _, opts := range [][]Option{nil, {WithDoubleFaults(16)}} {
+		s, err := NewSession(PaperCUT(), opts...)
+		if err != nil {
+			f.Fatal(err)
+		}
+		path := filepath.Join(f.TempDir(), "grid.json")
+		if err := s.SaveDictionary(context.Background(), path, omegas); err != nil {
+			f.Fatal(err)
+		}
+		seed, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+		sessions = append(sessions, s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "grid.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range sessions {
+			ex, err := s.LoadDictionary(path)
+			if err != nil {
+				continue
+			}
+			m, err := TrajectoriesFromExport(ex, omegas)
+			if err != nil {
+				continue
+			}
+			dg, err := NewDiagnoser(m)
+			if err != nil {
+				continue
+			}
+			for _, p := range [][]float64{make([]float64, m.Dim()), m.Trajectories[0].Points[1]} {
+				res, err := dg.Diagnose(p)
+				if err != nil {
+					t.Fatalf("Diagnose(%v): %v", p, err)
+				}
+				if len(res.Candidates) == 0 {
+					t.Fatalf("Diagnose(%v) ranked no candidate", p)
+				}
+			}
+		}
+	})
+}

@@ -12,7 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/diagnosis"
-	"repro/internal/dictionary"
+	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/numeric"
 	"repro/internal/signal"
@@ -210,8 +210,9 @@ func BenchmarkE7GA(b *testing.B) {
 // BenchmarkFitnessEval: one steady-state GA fitness evaluation — a
 // trajectory.Builder rebuild plus the cached intersection count, the
 // unit of work Optimize performs PopSize×Generations times. This is the
-// path the reuse APIs (engine.BatchResponsesInto,
-// dictionary.SignaturesInto, trajectory.Builder) keep allocation-free;
+// path the reuse APIs (engine.SolveInto over the dictionary's universe
+// plan, dictionary.UniverseSignaturesInto, trajectory.Builder) keep
+// allocation-free;
 // TestFitnessPathAllocationFree guards the allocs/op reported here.
 func BenchmarkFitnessEval(b *testing.B) {
 	s := mustSession(b)
@@ -492,8 +493,9 @@ func BenchmarkFitRational(b *testing.B) {
 // per-pair full-LU clones on the paper CUT's double-fault universe
 // (every component pair × paper deviations, 1344 pairs) across a
 // 9-point grid. "clones" applies each pair to a circuit clone and fully
-// solves per (pair, ω); "batch" is one BatchResponsesSetsInto pass —
-// per frequency one golden LU, shared z-solves, and a 2×2 Woodbury
+// solves per (pair, ω); "batch" is one engine.SolveInto pass over the
+// pairs' resolved plan — per frequency one golden LU, shared z-solves,
+// and a 2×2 Woodbury
 // capacitance solve per pair. `ftbench -e multifault` records the same
 // comparison (cross-checked to 1e-9) into BENCH_multifault.json.
 func BenchmarkMultiFaultBatchVsClones(b *testing.B) {
@@ -505,9 +507,10 @@ func BenchmarkMultiFaultBatchVsClones(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sets := make([]FaultSet, len(pairs))
-	for i, p := range pairs {
-		sets[i] = p
+	eng := s.Dictionary().Engine()
+	var plan engine.Plan
+	if err := engine.Resolve(eng, pairs, &plan); err != nil {
+		b.Fatal(err)
 	}
 	grid := numeric.Logspace(0.01, 100, 9)
 	b.Run("clones", func(b *testing.B) {
@@ -531,11 +534,11 @@ func BenchmarkMultiFaultBatchVsClones(b *testing.B) {
 		}
 	})
 	b.Run("batch", func(b *testing.B) {
-		var scratch dictionary.SignatureScratch
+		var out engine.Batch
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := s.Dictionary().SignaturesSetsInto(nil, sets, grid, &scratch); err != nil {
+			if err := eng.SolveInto(nil, &plan, grid, 1, nil, &out); err != nil {
 				b.Fatal(err)
 			}
 		}

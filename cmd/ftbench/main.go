@@ -19,6 +19,39 @@ import (
 	"repro"
 )
 
+// allExperiments is the order -e all runs the paper's experiments in;
+// testdata/all.golden pins that run's output.
+var allExperiments = []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15"}
+
+// experiments maps every -e name to its experiment on r.
+func (r *runner) experiments() map[string]func() error {
+	return map[string]func() error{
+		// HOTPATH, MULTIFAULT, TOLERANCE, and SPARSE are opt-in (not part
+		// of 'all'): each writes its report to -report, by default
+		// BENCH_hotpath.json, BENCH_multifault.json, BENCH_tolerance.json
+		// or BENCH_sparse.json.
+		"HOTPATH":    r.hotpath,
+		"MULTIFAULT": r.multifault,
+		"TOLERANCE":  r.tolerance,
+		"SPARSE":     r.sparse,
+		"E1":         r.e1Dictionary,
+		"E2":         r.e2Transform,
+		"E3":         r.e3Trajectory,
+		"E4":         r.e4GA,
+		"E5":         r.e5Baselines,
+		"E6":         r.e6Frequencies,
+		"E7":         r.e7GAAblation,
+		"E8":         r.e8Noise,
+		"E9":         r.e9Circuits,
+		"E10":        r.e10Reject,
+		"E11":        r.e11Tolerance,
+		"E12":        r.e12Active,
+		"E13":        r.e13Grid,
+		"E14":        r.e14Deployed,
+		"E15":        r.e15Catastrophic,
+	}
+}
+
 func main() {
 	var (
 		exp     = flag.String("e", "all", "experiment to run: E1..E15, HOTPATH, MULTIFAULT, TOLERANCE, SPARSE, or 'all'")
@@ -43,32 +76,7 @@ func main() {
 	defer stop()
 
 	runner := &runner{ctx: ctx, seed: *seed, full: *full, out: os.Stdout, report: *report, date: *date, gate: *gate, gateTol: *gateTol}
-	experiments := map[string]func() error{
-		// HOTPATH, MULTIFAULT, TOLERANCE, and SPARSE are opt-in (not part
-		// of 'all'): each writes its report to -report, by default
-		// BENCH_hotpath.json, BENCH_multifault.json, BENCH_tolerance.json
-		// or BENCH_sparse.json.
-		"HOTPATH":    runner.hotpath,
-		"MULTIFAULT": runner.multifault,
-		"TOLERANCE":  runner.tolerance,
-		"SPARSE":     runner.sparse,
-		"E1":         runner.e1Dictionary,
-		"E2":         runner.e2Transform,
-		"E3":         runner.e3Trajectory,
-		"E4":         runner.e4GA,
-		"E5":         runner.e5Baselines,
-		"E6":         runner.e6Frequencies,
-		"E7":         runner.e7GAAblation,
-		"E8":         runner.e8Noise,
-		"E9":         runner.e9Circuits,
-		"E10":        runner.e10Reject,
-		"E11":        runner.e11Tolerance,
-		"E12":        runner.e12Active,
-		"E13":        runner.e13Grid,
-		"E14":        runner.e14Deployed,
-		"E15":        runner.e15Catastrophic,
-	}
-	order := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15"}
+	experiments := runner.experiments()
 
 	// -trace wraps every experiment in a span; the dump is written on
 	// successful exit (os.Exit on a failed experiment skips it).
@@ -97,7 +105,7 @@ func main() {
 
 	which := strings.ToUpper(*exp)
 	if which == "ALL" {
-		for _, name := range order {
+		for _, name := range allExperiments {
 			if err := runExperiment(name, experiments[name]); err != nil {
 				fmt.Fprintf(os.Stderr, "ftbench: %s: %v\n", name, err)
 				os.Exit(1)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -138,5 +139,36 @@ func TestHotpathWritesReport(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "wrote") {
 		t.Error("hotpath did not report its output path")
+	}
+}
+
+// TestAllGolden pins `ftbench -e all` byte for byte: E1–E15 run in
+// allExperiments order through one runner, as main runs them, and the
+// output must equal testdata/all.golden. Other architectures may fuse
+// multiply-adds and move a printed digit, so the pin holds on amd64
+// only.
+func TestAllGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("output is pinned on amd64, not %s", runtime.GOARCH)
+	}
+	r, buf := newTestRunner()
+	experiments := r.experiments()
+	for _, name := range allExperiments {
+		if err := experiments[name](); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "all.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.Bytes(); !bytes.Equal(got, want) {
+		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("output differs from testdata/all.golden at line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("output has %d lines, testdata/all.golden %d", len(gl), len(wl))
 	}
 }

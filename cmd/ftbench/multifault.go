@@ -18,7 +18,7 @@ import (
 // universe (every component pair × paper deviations), and writes
 // BENCH_multifault.json:
 //
-//   - multifault_batched: one engine.BatchResponsesSets pass over the
+//   - multifault_batched: one engine.SolveInto pass over the
 //     whole (pair × frequency) grid — per frequency one golden LU, one
 //     z-solve per distinct slot, and a k×k Woodbury solve per pair;
 //   - multifault_clones: the same grid the pre-rank-k way — clone the
@@ -39,9 +39,12 @@ func (r *runner) multifault() error {
 	if err != nil {
 		return err
 	}
-	sets := fault.Sets(pairs)
 	eng, err := engine.New(cut.Circuit, cut.Source, cut.Output)
 	if err != nil {
+		return err
+	}
+	var plan engine.Plan
+	if err := engine.Resolve(eng, pairs, &plan); err != nil {
 		return err
 	}
 	omegas := numeric.Logspace(cut.Omega0/100, cut.Omega0*100, 9)
@@ -74,8 +77,8 @@ func (r *runner) multifault() error {
 	}
 
 	// Cross-check once before timing anything.
-	batch, err := eng.BatchResponsesSets(r.ctx, sets, omegas, 0)
-	if err != nil {
+	batch := &engine.Batch{}
+	if err := eng.SolveInto(r.ctx, &plan, omegas, 0, nil, batch); err != nil {
 		return err
 	}
 	ref, err := cloneGrid()
@@ -103,7 +106,7 @@ func (r *runner) multifault() error {
 		var out engine.Batch
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := eng.BatchResponsesSetsInto(r.ctx, sets, omegas, 1, &out); err != nil {
+			if err := eng.SolveInto(r.ctx, &plan, omegas, 1, nil, &out); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -60,9 +60,9 @@ type sparseEntry struct {
 	// Faults and Omegas describe the timed grid.
 	Faults int `json:"faults"`
 	Omegas int `json:"omegas"`
-	// DenseNsPerOp / SparseNsPerOp time one full grid build
-	// (BatchResponsesSetsInto over the fault × frequency grid) with the
-	// factor path forced each way. Dense is 0 above denseTimeableNodes.
+	// DenseNsPerOp / SparseNsPerOp time one full grid build (SolveInto
+	// of the resolved fault × frequency grid) with the factor path
+	// forced each way. Dense is 0 above denseTimeableNodes.
 	DenseNsPerOp  float64 `json:"dense_ns_per_op"`
 	SparseNsPerOp float64 `json:"sparse_ns_per_op"`
 	// DenseAllocsPerOp / SparseAllocsPerOp are heap allocations per grid
@@ -333,10 +333,15 @@ func (r *runner) sparseOne(name string) (*sparseEntry, error) {
 
 	// Cross-check before timing: the sparse golden row vs the scalar
 	// sparse walk always; the whole grid vs the dense path when dense is
-	// tractable.
+	// tractable. The grid is resolved once; every build below solves it.
+	var plan engine.Plan
+	if err := engine.Resolve(eng, sets, &plan); err != nil {
+		return nil, err
+	}
+	solve := func(out *engine.Batch) error { return eng.SolveInto(r.ctx, &plan, omegas, 1, nil, out) }
 	eng.SetFactorPath(engine.FactorSparse)
-	got, err := eng.BatchResponsesSets(r.ctx, sets, omegas, 1)
-	if err != nil {
+	got := &engine.Batch{}
+	if err := solve(got); err != nil {
 		return nil, err
 	}
 	var peak float64
@@ -357,8 +362,8 @@ func (r *runner) sparseOne(name string) (*sparseEntry, error) {
 	}
 	if e.Nodes <= denseTimeableNodes {
 		eng.SetFactorPath(engine.FactorDense)
-		refDense, err := eng.BatchResponsesSets(r.ctx, sets, omegas, 1)
-		if err != nil {
+		refDense := &engine.Batch{}
+		if err := solve(refDense); err != nil {
 			return nil, err
 		}
 		if err := check(got, refDense, peak, "sparse vs dense"); err != nil {
@@ -370,7 +375,7 @@ func (r *runner) sparseOne(name string) (*sparseEntry, error) {
 	gridBuild := func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := eng.BatchResponsesSetsInto(r.ctx, sets, omegas, 1, &out); err != nil {
+			if err := solve(&out); err != nil {
 				b.Fatal(err)
 			}
 		}

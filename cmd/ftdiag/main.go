@@ -151,13 +151,16 @@ func main() {
 	if *loadDict != "" && *freqsArg == "" {
 		fail(fmt.Errorf("-load-dictionary requires -freqs: the saved grid replaces simulation, so the GA cannot search for a test vector"))
 	}
+	if *loadDict != "" && *saveTraj != "" {
+		fail(fmt.Errorf("-load-dictionary and -save-trajectories cannot be combined: save the trajectory map from a run without -load-dictionary"))
+	}
 
 	omegas, err := chooseFrequencies(ctx, s, *freqsArg, *seed, *full, *jsonOut)
 	if err != nil {
 		fail(err)
 	}
 
-	if *saveTraj != "" && *loadDict == "" {
+	if *saveTraj != "" {
 		m, err := s.Trajectories(ctx, omegas)
 		if err != nil {
 			fail(err)
@@ -279,32 +282,32 @@ func evaluate(ctx context.Context, s *repro.Session, dg *repro.Diagnoser, double
 }
 
 // printInjected diagnoses one injected fault set against dg and prints
-// the human-readable verdict, followed by the probabilistic ranking
-// when the session carries a tolerance model.
+// the human-readable verdict — rejected, a double fault or a single
+// one — followed in every case by the probabilistic ranking when the
+// session carries a tolerance model, as the -json report carries it.
 func printInjected(ctx context.Context, s *repro.Session, dg *repro.Diagnoser, omegas []float64, set repro.FaultSet, reject float64) error {
 	res, err := dg.DiagnoseSet(s.Dictionary(), set)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("injected: %s\n%s", set.ID(), res)
-	if reject > 0 && res.Rejected(dg.Extent(), reject) {
-		fmt.Printf("=> REJECTED as out-of-model at ratio %.3g (no modeled fault explains the point)\n", reject)
-		return nil
-	}
 	best := res.Best()
 	status := "MISDIAGNOSED"
 	if best.Key() == repro.FaultSetKey(set) {
 		status = "correctly diagnosed"
 	}
-	if best.IsMulti() {
+	switch {
+	case reject > 0 && res.Rejected(dg.Extent(), reject):
+		fmt.Printf("=> REJECTED as out-of-model at ratio %.3g (no modeled fault explains the point)\n", reject)
+	case best.IsMulti():
 		parts := make([]string, len(best.Components))
 		for i, c := range best.Components {
 			parts[i] = fmt.Sprintf("%s%+.0f%%", c, best.Deviations[i]*100)
 		}
 		fmt.Printf("=> %s as double fault %s\n", status, strings.Join(parts, " + "))
-		return nil
+	default:
+		fmt.Printf("=> %s as %s (estimated deviation %+.0f%%)\n", status, best.Component, best.Deviation*100)
 	}
-	fmt.Printf("=> %s as %s (estimated deviation %+.0f%%)\n", status, best.Component, best.Deviation*100)
 	return printProb(ctx, s, dg, omegas, res)
 }
 

@@ -505,3 +505,101 @@ func TestZeroTestFrequencyRefusedBeforeBuild(t *testing.T) {
 		t.Fatalf("ParseFrequencies refused DC for a grid: %v", err)
 	}
 }
+
+// TestLoadDictionaryRefusesSaveTrajectories runs the command with
+// -load-dictionary and -save-trajectories together: it must exit 1
+// naming both flags before loading the grid (the grid path does not
+// exist), and write no trajectory-map file.
+func TestLoadDictionaryRefusesSaveTrajectories(t *testing.T) {
+	if dir := os.Getenv("FTDIAG_TEST_DIR"); dir != "" {
+		os.Args = []string{"ftdiag", "-cut", "nf-lowpass-7", "-freqs", "0.56,4.55",
+			"-load-dictionary", filepath.Join(dir, "grid.json"),
+			"-save-trajectories", filepath.Join(dir, "map2.json"), "-inject", "R3@+25%"}
+		main()
+		return
+	}
+	dir := t.TempDir()
+	cmd := exec.Command(os.Args[0], "-test.run=^TestLoadDictionaryRefusesSaveTrajectories$")
+	cmd.Env = append(os.Environ(), "FTDIAG_TEST_DIR="+dir)
+	out, err := cmd.CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 1 {
+		t.Fatalf("err = %v, want exit 1; output:\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "-load-dictionary and -save-trajectories") {
+		t.Fatalf("want a refusal naming both flags; output:\n%s", out)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "map2.json")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("map2.json: stat err = %v, want no file", err)
+	}
+}
+
+// TestInjectedTextCarriesProbabilisticRanking: the text -inject report
+// prints the probabilistic ranking the -json report carries, also when
+// the top candidate is a double fault and when the point is rejected.
+func TestInjectedTextCarriesProbabilisticRanking(t *testing.T) {
+	ctx := context.Background()
+	omegas := []float64{0.56, 4.55}
+	for _, c := range []struct {
+		name    string
+		opts    []repro.Option
+		inject  repro.FaultSet
+		reject  float64
+		verdict string
+	}{
+		{"double-fault top", []repro.Option{repro.WithDoubleFaults(0)}, repro.Fault{Component: "R3", Deviation: 0.25}, 0, "as double fault"},
+		{"rejected point", nil, repro.Fault{Component: "R3", Deviation: 3}, 0.02, "REJECTED"},
+	} {
+		opts := append(c.opts, repro.WithTolerance(repro.Tolerance{Sigma: 0.05}, 40), repro.WithToleranceSeed(1))
+		s, err := repro.NewSession(repro.PaperCUT(), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dg, fit, err := diagnoser(ctx, s, "", omegas, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := diagnoseJSON(ctx, s, dg, omegas, fit, c.inject, c.reject)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env struct {
+			Payload diagReport `json:"payload"`
+		}
+		if err := json.Unmarshal(data, &env); err != nil {
+			t.Fatal(err)
+		}
+		if env.Payload.Confidence == nil {
+			t.Fatalf("%s: -json report carries no confidence", c.name)
+		}
+		text := captureStdout(t, func() error {
+			return printInjected(ctx, s, dg, omegas, c.inject, c.reject)
+		})
+		want := fmt.Sprintf("confidence %.1f%%", 100**env.Payload.Confidence)
+		if !strings.Contains(text, c.verdict) || !strings.Contains(text, want) {
+			t.Fatalf("%s: text report lacks %q or %q:\n%s", c.name, c.verdict, want, text)
+		}
+	}
+}
+
+// captureStdout returns what fn prints to os.Stdout.
+func captureStdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	stdout := os.Stdout
+	os.Stdout = f
+	err = fn()
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}

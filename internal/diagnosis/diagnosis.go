@@ -261,7 +261,7 @@ func (d *Diagnoser) Diagnose(point geometry.VecN) (*Result, error) {
 // diagnoses it — the closed-loop "simulate an unknown fault, then find
 // it" experiment.
 func (d *Diagnoser) DiagnoseSet(dict *dictionary.Dictionary, set fault.Set) (*Result, error) {
-	sig, err := dict.SignatureSet(set, d.m.Omegas)
+	sig, err := dict.Signature(set, d.m.Omegas)
 	if err != nil {
 		return nil, err
 	}

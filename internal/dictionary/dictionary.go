@@ -41,8 +41,8 @@ import (
 // holds. Grid builds (tens of faults × hundreds of frequencies) fit
 // comfortably; what the bound prevents is a long-running probe workload
 // growing the memo without limit. The GA fitness path bypasses the memo
-// entirely (see SignaturesInto), so it neither grows it nor contends on
-// its mutex.
+// entirely (see UniverseSignaturesInto), so it neither grows it nor
+// contends on its mutex.
 const MemoLimit = 1 << 16
 
 // Dictionary serves golden and faulty magnitude responses.
@@ -53,6 +53,10 @@ type Dictionary struct {
 	universe *fault.Universe
 	faults   []fault.Fault // universe.Faults(), computed once; treated immutable
 	eng      *engine.Engine
+
+	// plan returns d.faults resolved onto eng, once, on first use; the
+	// GA's fitness evaluations and BuildGrid share it read-only.
+	plan func() (*engine.Plan, error)
 
 	mu        sync.Mutex
 	analyzers map[fault.Fault]*analysis.AC // scalar reference path only
@@ -110,6 +114,15 @@ func New(golden *circuit.Circuit, source, output string, u *fault.Universe) (*Di
 		return nil, fmt.Errorf("dictionary: %w", err)
 	}
 	d.eng = eng
+	// Resolved on first use, not here: New stays a template compile, and
+	// a dictionary that only ever solves fault sets never resolves it.
+	d.plan = sync.OnceValues(func() (*engine.Plan, error) {
+		p := &engine.Plan{}
+		if err := engine.Resolve(eng, d.faults, p); err != nil {
+			return nil, fmt.Errorf("dictionary: %w", err)
+		}
+		return p, nil
+	})
 	return d, nil
 }
 
@@ -348,16 +361,12 @@ func (d *Dictionary) GoldenResponse(omega float64) (float64, error) {
 	return d.Response(fault.Fault{}, omega)
 }
 
-// Signature maps a fault to its point in the test-vector space: the
-// vector of |H_fault(ωi)| − |H_golden(ωi)| over the test frequencies.
-// Per the paper's simplification, the golden response sits at the origin.
-func (d *Dictionary) Signature(f fault.Fault, omegas []float64) ([]float64, error) {
-	return d.SignatureSet(f, omegas)
-}
-
-// SignatureSet is Signature over an arbitrary fault set (memoized, like
-// ResponseSet).
-func (d *Dictionary) SignatureSet(set fault.Set, omegas []float64) ([]float64, error) {
+// Signature maps a fault set — golden, single or multiple fault — to
+// its point in the test-vector space: the vector of |H_set(ωi)| −
+// |H_golden(ωi)| over the test frequencies, memoized like ResponseSet.
+// Per the paper's simplification, the golden response sits at the
+// origin.
+func (d *Dictionary) Signature(set fault.Set, omegas []float64) ([]float64, error) {
 	if len(omegas) == 0 {
 		return nil, fmt.Errorf("dictionary: empty test vector")
 	}
@@ -418,10 +427,14 @@ func (d *Dictionary) BuildGrid(ctx context.Context, omegas []float64, workers in
 }
 
 // BuildGridProgress is BuildGrid with a per-frequency progress hook (see
-// engine.BatchResponsesProgress for the hook's concurrency contract).
+// engine.SolveInto for the hook's concurrency contract).
 func (d *Dictionary) BuildGridProgress(ctx context.Context, omegas []float64, workers int, progress func(done, total int)) error {
-	batch, err := d.eng.BatchResponsesProgress(ctx, d.faults, omegas, workers, progress)
+	p, err := d.plan()
 	if err != nil {
+		return err
+	}
+	batch := &engine.Batch{}
+	if err := d.eng.SolveInto(ctx, p, omegas, workers, progress, batch); err != nil {
 		return fmt.Errorf("dictionary: %w", err)
 	}
 	g := newGrid(batch, d.faults, nil) // d.faults never changes
@@ -441,8 +454,12 @@ func (d *Dictionary) BuildGridProgress(ctx context.Context, omegas []float64, wo
 // caller changes a set afterwards. Lookups, cell counting and
 // cancellation match BuildGrid.
 func (d *Dictionary) BuildGridSets(ctx context.Context, sets []fault.Set, omegas []float64, workers int) error {
-	batch, err := d.eng.BatchResponsesSets(ctx, sets, omegas, workers)
-	if err != nil {
+	var p engine.Plan
+	if err := engine.Resolve(d.eng, sets, &p); err != nil {
+		return fmt.Errorf("dictionary: %w", err)
+	}
+	batch := &engine.Batch{}
+	if err := d.eng.SolveInto(ctx, &p, omegas, workers, nil, batch); err != nil {
 		return fmt.Errorf("dictionary: %w", err)
 	}
 	n := 0
@@ -459,10 +476,10 @@ func (d *Dictionary) BuildGridSets(ctx context.Context, sets []fault.Set, omegas
 	return nil
 }
 
-// SignatureScratch owns the reusable storage behind the memo-bypassing
-// SignaturesInto/UniverseSignaturesInto paths: the engine batch and the
-// signature rows (headers resliced over one flat backing array). The zero
-// value is ready to use. A scratch is single-use at a time — callers that
+// SignatureScratch owns the reusable storage behind
+// UniverseSignaturesInto: the engine batch and the signature rows
+// (headers resliced over one flat backing array). The zero value is
+// ready to use. A scratch is single-use at a time — callers that
 // evaluate concurrently hold one scratch per goroutine.
 type SignatureScratch struct {
 	batch engine.Batch
@@ -470,26 +487,14 @@ type SignatureScratch struct {
 	flat  []float64
 }
 
-// Signatures computes the signature points of an arbitrary fault list at
-// the given test frequencies in one batched solve — the bulk analogue of
-// Signature. Row i is |H_fault[i](ω)| − |H_golden(ω)| over omegas.
-// Unlike Signature it does not touch the memo: bulk probe grids (GA
-// candidates, hold-out trials) are one-off and would only bloat it.
-func (d *Dictionary) Signatures(ctx context.Context, faults []fault.Fault, omegas []float64) ([][]float64, error) {
-	var s SignatureScratch
-	rows, err := d.SignaturesInto(ctx, faults, omegas, &s)
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil // the scratch is fresh, so the rows are not shared
-}
-
-// SignaturesInto is Signatures writing into caller-owned scratch: the
-// returned rows alias the scratch and stay valid until its next use, so a
-// scratch held across calls makes the steady state allocation-free. This
-// is the GA fitness path, which probes one-shot frequency vectors per
-// candidate and must neither grow the response memo nor contend on its
-// mutex — the memo is bypassed entirely.
+// UniverseSignaturesInto computes the signature of every fault in the
+// universe at the given test frequencies, row-aligned with
+// Universe().Faults(), into caller-owned scratch: the returned rows
+// alias the scratch and stay valid until its next use, so a scratch held
+// across calls makes the steady state allocation-free. This is the GA
+// fitness path, trajectory.Builder's: every candidate test vector solves
+// the universe plan the dictionary resolved once, and neither grows the
+// response memo nor contends on its mutex.
 //
 // The solve runs inline on the calling goroutine: test vectors are a
 // handful of frequencies, and the heavy caller — the GA's fitness
@@ -497,20 +502,49 @@ func (d *Dictionary) Signatures(ctx context.Context, faults []fault.Fault, omega
 // per-call worker pool would only oversubscribe the CPUs. The context is
 // checked before each frequency; cancellation errors wrap
 // rerr.ErrCanceled.
-func (d *Dictionary) SignaturesInto(ctx context.Context, faults []fault.Fault, omegas []float64, s *SignatureScratch) ([][]float64, error) {
+func (d *Dictionary) UniverseSignaturesInto(ctx context.Context, omegas []float64, s *SignatureScratch) ([][]float64, error) {
+	p, err := d.plan()
+	if err != nil {
+		return nil, err
+	}
+	return d.solveRows(ctx, p, omegas, s)
+}
+
+// SignaturesSets computes the signature points of arbitrary fault sets —
+// golden, single, or multiple faults, freely mixed — in one batched
+// rank-k solve, inline like UniverseSignaturesInto. Row i is
+// |H_sets[i](ω)| − |H_golden(ω)| over omegas. It bypasses the memo:
+// bulk probe grids (hold-out trials, served points) are one-off and
+// would only bloat it.
+func (d *Dictionary) SignaturesSets(ctx context.Context, sets []fault.Set, omegas []float64) ([][]float64, error) {
+	return signatures(ctx, d, sets, omegas)
+}
+
+// Signatures is SignaturesSets over single faults.
+func (d *Dictionary) Signatures(ctx context.Context, faults []fault.Fault, omegas []float64) ([][]float64, error) {
+	return signatures(ctx, d, faults, omegas)
+}
+
+// signatures resolves items into a call-local plan and solves it into
+// fresh scratch, so the returned rows are not shared.
+func signatures[S fault.Set](ctx context.Context, d *Dictionary, items []S, omegas []float64) ([][]float64, error) {
+	var p engine.Plan
+	if err := engine.Resolve(d.eng, items, &p); err != nil {
+		return nil, fmt.Errorf("dictionary: %w", err)
+	}
+	return d.solveRows(ctx, &p, omegas, &SignatureScratch{})
+}
+
+// solveRows solves plan p inline into s's batch and turns the table into
+// signature rows (mag − golden), reusing the scratch's flat backing.
+func (d *Dictionary) solveRows(ctx context.Context, p *engine.Plan, omegas []float64, s *SignatureScratch) ([][]float64, error) {
 	if len(omegas) == 0 {
 		return nil, fmt.Errorf("dictionary: empty test vector")
 	}
-	if err := d.eng.BatchResponsesInto(ctx, faults, omegas, 1, &s.batch); err != nil {
+	if err := d.eng.SolveInto(ctx, p, omegas, 1, nil, &s.batch); err != nil {
 		return nil, fmt.Errorf("dictionary: %w", err)
 	}
-	return s.finishRows(len(faults), omegas), nil
-}
-
-// finishRows turns the scratch's filled batch into signature rows
-// (mag − golden), reusing the scratch's flat backing.
-func (s *SignatureScratch) finishRows(n int, omegas []float64) [][]float64 {
-	nw := len(omegas)
+	n, nw := len(s.batch.Mags), len(omegas)
 	s.flat = sliceutil.Grow(s.flat, n*nw)
 	s.rows = sliceutil.Grow(s.rows, n)
 	golden := s.batch.Golden
@@ -522,47 +556,7 @@ func (s *SignatureScratch) finishRows(n int, omegas []float64) [][]float64 {
 		}
 		s.rows[i] = row
 	}
-	return s.rows
-}
-
-// UniverseSignatures computes the signature of every fault in the
-// universe at the given test frequencies, row-aligned with
-// Universe().Faults() — the one-call path trajectory building rides on.
-func (d *Dictionary) UniverseSignatures(ctx context.Context, omegas []float64) ([][]float64, error) {
-	return d.Signatures(ctx, d.faults, omegas)
-}
-
-// UniverseSignaturesInto is UniverseSignatures writing into caller-owned
-// scratch (see SignaturesInto for the aliasing and memo contract) — the
-// reuse path trajectory.Builder rides on.
-func (d *Dictionary) UniverseSignaturesInto(ctx context.Context, omegas []float64, s *SignatureScratch) ([][]float64, error) {
-	return d.SignaturesInto(ctx, d.faults, omegas, s)
-}
-
-// SignaturesSets computes the signature points of arbitrary fault sets —
-// golden, single, or multiple faults, freely mixed — in one batched
-// rank-k solve. Row i is |H_sets[i](ω)| − |H_golden(ω)| over omegas.
-// Like Signatures it bypasses the memo.
-func (d *Dictionary) SignaturesSets(ctx context.Context, sets []fault.Set, omegas []float64) ([][]float64, error) {
-	var s SignatureScratch
-	rows, err := d.SignaturesSetsInto(ctx, sets, omegas, &s)
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil // the scratch is fresh, so the rows are not shared
-}
-
-// SignaturesSetsInto is SignaturesSets writing into caller-owned scratch
-// (see SignaturesInto for the aliasing, memo, and inline-solve
-// contract).
-func (d *Dictionary) SignaturesSetsInto(ctx context.Context, sets []fault.Set, omegas []float64, s *SignatureScratch) ([][]float64, error) {
-	if len(omegas) == 0 {
-		return nil, fmt.Errorf("dictionary: empty test vector")
-	}
-	if err := d.eng.BatchResponsesSetsInto(ctx, sets, omegas, 1, &s.batch); err != nil {
-		return nil, fmt.Errorf("dictionary: %w", err)
-	}
-	return s.finishRows(len(sets), omegas), nil
+	return s.rows, nil
 }
 
 // Entry is one exported dictionary row.

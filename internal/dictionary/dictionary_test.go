@@ -123,7 +123,7 @@ func TestUniverseSignaturesAlignment(t *testing.T) {
 	// agree with the per-point Signature path.
 	d := paperDict(t)
 	omegas := []float64{0.5, 2}
-	sigs, err := d.UniverseSignatures(nil, omegas)
+	sigs, err := d.UniverseSignaturesInto(nil, omegas, &SignatureScratch{})
 	if err != nil {
 		t.Fatal(err)
 	}

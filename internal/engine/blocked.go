@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/fault"
 	"repro/internal/numeric"
 )
 
@@ -138,9 +137,9 @@ func solveSmall(k int, m, r []complex128) bool {
 // fills its unused planes with copies of its last real column's planes;
 // their factors are never read. Dense engines leave the cache empty.
 // Any error — including a singular plane — is deferred to the column's
-// own solve. When the batch plan picked the sparse-vector kernel, the
+// own solve. When the solve picked the sparse-vector kernel, the
 // group's correction reads are computed here too (readGroup).
-func (e *Engine) prepareGroup(ws *workspace, omegas []float64, g, hi int, out *Batch) {
+func (e *Engine) prepareGroup(ws *workspace, omegas []float64, g, hi int, p *Plan, out *Batch) {
 	ws.grpJ0 = -1
 	if !e.sparseColumn() {
 		return
@@ -157,7 +156,7 @@ func (e *Engine) prepareGroup(ws *workspace, omegas []float64, g, hi int, out *B
 	ws.grpErr = ws.bref.RefactorBlock(t.sparse.sym, &ws.slusBlk, &ws.spreBlk, &ws.spimBlk)
 	ws.grpJ0 = g
 	if out.sv.on {
-		e.readGroup(ws, out)
+		e.readGroup(ws, p, out)
 	}
 }
 
@@ -165,15 +164,15 @@ func (e *Engine) prepareGroup(ws *workspace, omegas []float64, g, hi int, out *B
 // factorization, the correction reads (the group's half-solves, or one
 // multi-RHS solve for x0 and every distinct slot's z), then
 // O(k²·n_sparse + k³) work per k-part item (O(1) for the dominant rank-1
-// case). The item-resolution scratch (off, partSlot, partVal,
-// distinct, zSlot) is read from out, where batchInto prepared it.
-func (e *Engine) solveColumn(ws *workspace, omega float64, faults []fault.Fault, sets []fault.Set, out *Batch, j int) error {
+// case). The items' parts and distinct slots are read from the
+// resolved plan p.
+func (e *Engine) solveColumn(ws *workspace, omega float64, p *Plan, out *Batch, j int) error {
 	// Path counters accumulate in the workspace for the column and flush
 	// to the shared atomics once at the end — including error returns, so
 	// partially solved columns are still attributed. Spans are recorded
-	// on the fault-set path only (see SetTracer); the single-fault GA
-	// fitness path pays one nil check here and nothing else.
-	if tr := e.tracer; tr != nil && sets != nil {
+	// for fault-set plans only (see SetTracer); the GA fitness path's
+	// single-fault plan pays one nil check here and nothing else.
+	if tr := e.tracer; tr != nil && p.spans {
 		defer tr.StartSpan("engine.column").End()
 	}
 	ws.cDense, ws.cSparse, ws.cRank1, ws.cRankK, ws.cFallback = 0, 0, 0, 0, 0
@@ -224,19 +223,19 @@ func (e *Engine) solveColumn(ws *workspace, omega float64, faults []fault.Fault,
 		// column's plane.
 		ws.cSparseVector++
 		x0out = ws.svX0[ws.gx]
-		for zi := range out.distinct {
+		for zi := range p.distinct {
 			ws.vtz[zi] = ws.svVtz[zi][ws.gx]
 			ws.vtx0[zi] = ws.svVtx0[zi][ws.gx]
 			ws.zoutc[zi] = ws.svZout[zi][ws.gx]
 		}
 	} else {
 		var err error
-		if x0out, err = e.blockReads(ws, out); err != nil {
+		if x0out, err = e.blockReads(ws, p); err != nil {
 			return err
 		}
 	}
 	// Every deviation of a component shares its slot's golden coefficient.
-	for zi, si := range out.distinct {
+	for zi, si := range p.distinct {
 		sl := &t.slots[si]
 		ws.gcoeff[zi] = sl.coeff(sl.value, s)
 	}
@@ -244,21 +243,21 @@ func (e *Engine) solveColumn(ws *workspace, omega float64, faults []fault.Fault,
 	out.Golden[j] = x0outAbs * e.invAmpAbs
 
 	for fi := range out.Mags {
-		lo, hi := out.off[fi], out.off[fi+1]
+		lo, hi := p.off[fi], p.off[fi+1]
 		if lo == hi {
 			out.Mags[fi][j] = out.Golden[j]
 			continue
 		}
 		if hi-lo > 1 {
-			if err := e.solveItemK(ws, s, omega, faults, sets, out, fi, j, x0out, x0outAbs); err != nil {
+			if err := e.solveItemK(ws, s, omega, p, out, fi, j, x0out, x0outAbs); err != nil {
 				return err
 			}
 			continue
 		}
-		si := out.partSlot[lo]
+		si := p.partSlot[lo]
 		sl := &t.slots[si]
-		zi := out.zSlot[si]
-		delta := sl.coeff(out.partVal[lo], s) - ws.gcoeff[zi]
+		zi := p.zSlot[si]
+		delta := sl.coeff(p.partVal[lo], s) - ws.gcoeff[zi]
 		if delta == 0 {
 			out.Mags[fi][j] = out.Golden[j]
 			continue
@@ -279,7 +278,7 @@ func (e *Engine) solveColumn(ws *workspace, omega float64, faults []fault.Fault,
 			// Ill-conditioned update or catastrophic cancellation: solve
 			// the faulted system exactly.
 			ws.delta[0] = delta
-			xf, err := e.exactFallback(ws, s, omega, faults, sets, fi, out.partSlot[lo:hi], ws.delta[:1])
+			xf, err := e.exactFallback(ws, s, omega, p, fi, ws.delta[:1])
 			if err != nil {
 				return err
 			}
@@ -291,15 +290,15 @@ func (e *Engine) solveColumn(ws *workspace, omega float64, faults []fault.Fault,
 }
 
 // blockReads is the column's block-solve kernel — every dense column,
-// and sparse columns of batches whose plan kept the block: one
+// and sparse columns of solves that kept the block: one
 // multi-RHS block per frequency, column 0 carrying the source vector b
 // (→ the golden solution x0), column 1+zi the sparse u pattern of
 // distinct slot zi (→ its z = A⁻¹u). A single blocked solve replaces
 // k+1 sequential one-RHS solves. It returns x0[out] and fills the
 // per-slot reads.
-func (e *Engine) blockReads(ws *workspace, out *Batch) (complex128, error) {
+func (e *Engine) blockReads(ws *workspace, p *Plan) (complex128, error) {
 	t := e.tmpl
-	nc := 1 + len(out.distinct)
+	nc := 1 + len(p.distinct)
 	blk := ws.blk
 	blk.Reset(t.n, nc)
 	blk.Zero()
@@ -312,7 +311,7 @@ func (e *Engine) blockReads(ws *workspace, out *Batch) (complex128, error) {
 			bre[i*nc], bim[i*nc] = real(v), imag(v)
 		}
 	}
-	for zi, si := range out.distinct {
+	for zi, si := range p.distinct {
 		for _, ue := range t.slots[si].u {
 			at := ue.idx*nc + 1 + zi
 			bre[at], bim[at] = real(ue.w), imag(ue.w)
@@ -333,7 +332,7 @@ func (e *Engine) blockReads(ws *workspace, out *Batch) (complex128, error) {
 	// Hoist the slot-only factors of the rank-1 correction: every
 	// deviation of a component reuses its slot's vᵀz, vᵀx0 and z[out], so
 	// they are computed once per frequency here instead of once per item.
-	for zi, si := range out.distinct {
+	for zi, si := range p.distinct {
 		sl := &t.slots[si]
 		ws.vtz[zi] = dotPlanes(sl.v, bre, bim, nc, 1+zi)
 		ws.vtx0[zi] = dotPlanes(sl.v, bre, bim, nc, 0)
@@ -359,11 +358,11 @@ func (e *Engine) blockReads(ws *workspace, out *Batch) (complex128, error) {
 // ill-conditioned capacitance matrix (small pivot) or a catastrophic
 // cancellation in the output falls back to the exact solve — the same
 // guards, and the same fallback, as the rank-1 path.
-func (e *Engine) solveItemK(ws *workspace, s complex128, omega float64, faults []fault.Fault, sets []fault.Set, out *Batch, fi, j int, x0out complex128, x0outAbs float64) error {
+func (e *Engine) solveItemK(ws *workspace, s complex128, omega float64, p *Plan, out *Batch, fi, j int, x0out complex128, x0outAbs float64) error {
 	t := e.tmpl
 	bre, bim := ws.blk.Planes()
 	nc := ws.blk.Cols()
-	lo, hi := out.off[fi], out.off[fi+1]
+	lo, hi := p.off[fi], p.off[fi+1]
 	k := hi - lo
 	var cross []int32
 	if ws.colSV {
@@ -371,8 +370,8 @@ func (e *Engine) solveItemK(ws *workspace, s complex128, omega float64, faults [
 	}
 	anyDelta := false
 	for a := 0; a < k; a++ {
-		sl := &t.slots[out.partSlot[lo+a]]
-		d := sl.coeff(out.partVal[lo+a], s) - ws.gcoeff[out.zSlot[out.partSlot[lo+a]]]
+		sl := &t.slots[p.partSlot[lo+a]]
+		d := sl.coeff(p.partVal[lo+a], s) - ws.gcoeff[p.zSlot[p.partSlot[lo+a]]]
 		ws.delta[a] = d
 		if d != 0 {
 			anyDelta = true
@@ -386,11 +385,11 @@ func (e *Engine) solveItemK(ws *workspace, s complex128, omega float64, faults [
 	cm := ws.cmat[:k*k]
 	w := ws.wvec[:k]
 	for a := 0; a < k; a++ {
-		sl := &t.slots[out.partSlot[lo+a]]
-		zia := out.zSlot[out.partSlot[lo+a]]
+		sl := &t.slots[p.partSlot[lo+a]]
+		zia := p.zSlot[p.partSlot[lo+a]]
 		w[a] = ws.delta[a] * ws.vtx0[zia]
 		for b := 0; b < k; b++ {
-			zib := out.zSlot[out.partSlot[lo+b]]
+			zib := p.zSlot[p.partSlot[lo+b]]
 			var v complex128
 			switch {
 			case zib == zia:
@@ -410,11 +409,11 @@ func (e *Engine) solveItemK(ws *workspace, s complex128, omega float64, faults [
 	ok := solveSmall(k, cm, w)
 	if ok && e.outIdx >= 0 {
 		for b := 0; b < k; b++ {
-			xout -= w[b] * ws.zoutc[out.zSlot[out.partSlot[lo+b]]]
+			xout -= w[b] * ws.zoutc[p.zSlot[p.partSlot[lo+b]]]
 		}
 	}
 	if !ok || absC(xout) < cancelGuard*x0outAbs {
-		xf, err := e.exactFallback(ws, s, omega, faults, sets, fi, out.partSlot[lo:hi], ws.delta[:k])
+		xf, err := e.exactFallback(ws, s, omega, p, fi, ws.delta[:k])
 		if err != nil {
 			return err
 		}
@@ -424,8 +423,9 @@ func (e *Engine) solveItemK(ws *workspace, s complex128, omega float64, faults [
 	return nil
 }
 
-// exactFallback solves one item's patched system A(s) + Σ δ_a u_a v_aᵀ
-// exactly into ws.xf and returns its output component — the escape hatch
+// exactFallback solves item fi's patched system A(s) + Σ δ_a u_a v_aᵀ
+// (deltas[a] on the item's part a) exactly into ws.xf and returns its
+// output component — the escape hatch
 // both blocked per-item paths take on an ill-conditioned update or
 // catastrophic cancellation. On a sparse golden column the patched
 // refactorization is a partial refactorization from the column's golden
@@ -436,8 +436,9 @@ func (e *Engine) solveItemK(ws *workspace, s complex128, omega float64, faults [
 // then falls back to the dense partial-pivoting factorization, stamping
 // the dense golden planes on demand. On a dense column this is the
 // original dense fallback unchanged.
-func (e *Engine) exactFallback(ws *workspace, s complex128, omega float64, faults []fault.Fault, sets []fault.Set, fi int, slots []int, deltas []complex128) (complex128, error) {
+func (e *Engine) exactFallback(ws *workspace, s complex128, omega float64, p *Plan, fi int, deltas []complex128) (complex128, error) {
 	t := e.tmpl
+	slots := p.partSlot[p.off[fi]:p.off[fi+1]]
 	ws.cFallback++
 	if ws.colSparse {
 		copy(ws.spre2, ws.spreBlk[ws.gx])
@@ -459,7 +460,7 @@ func (e *Engine) exactFallback(ws *workspace, s complex128, omega float64, fault
 			return e.out(ws.xf), nil
 		}
 		if !errors.Is(err, numeric.ErrSingular) {
-			return 0, fmt.Errorf("engine: fault %s at ω=%g: %w", itemID(faults, sets, fi), omega, err)
+			return 0, fmt.Errorf("engine: fault %s at ω=%g: %w", p.id(fi), omega, err)
 		}
 		ws.cDenseExact++
 	}
@@ -475,7 +476,7 @@ func (e *Engine) exactFallback(ws *workspace, s complex128, omega float64, fault
 		t.addRank1SoA(ws.f2s, &t.slots[si], deltas[a])
 	}
 	if err := numeric.FactorSoAReuse(&ws.slu2, ws.f2s); err != nil {
-		return 0, fmt.Errorf("engine: fault %s at ω=%g: %w", itemID(faults, sets, fi), omega, err)
+		return 0, fmt.Errorf("engine: fault %s at ω=%g: %w", p.id(fi), omega, err)
 	}
 	ws.cDense++
 	if err := ws.slu2.SolveInto(ws.xf, t.b); err != nil {

@@ -152,23 +152,23 @@ func TestBlockedWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// BenchmarkColumnKernels times one full single-fault universe batch
-// (paper CUT, 2 frequencies — the GA fitness shape) through the column
-// solver.
+// BenchmarkColumnKernels times one solve of the single-fault universe
+// plan (paper CUT, 2 frequencies — the GA fitness shape) through the
+// column solver.
 func BenchmarkColumnKernels(b *testing.B) {
 	cut := circuits.NFLowpass7()
 	eng, err := New(cut.Circuit, cut.Source, cut.Output)
 	if err != nil {
 		b.Fatal(err)
 	}
-	singles := paperSingles(b, cut)
+	plan := testPlan(b, eng, paperSingles(b, cut))
 	omegas := []float64{0.5, 2}
 	var out Batch
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		omegas[0] = 0.5 + float64(i%100)*1e-5
 		omegas[1] = 2 + float64(i%100)*1e-5
-		if err := eng.BatchResponsesInto(nil, singles, omegas, 1, &out); err != nil {
+		if err := eng.SolveInto(nil, plan, omegas, 1, nil, &out); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -182,19 +182,20 @@ func BenchmarkColumnKernelsMulti(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	doubles := doublePairs(b, cut)
+	plan := testPlan(b, eng, doublePairs(b, cut))
 	omegas := []float64{0.5, 2}
 	var out Batch
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := eng.BatchResponsesSetsInto(nil, doubles, omegas, 1, &out); err != nil {
+		if err := eng.SolveInto(nil, plan, omegas, 1, nil, &out); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkColumnKernelsSparse times sparse-path batches through the
-// column solver, one worker, 4 frequencies (one refactor group): the
+// column solver, one worker, 4 frequencies (one refactor group), each
+// over a plan resolved once: the
 // thousand-node grid's 192 singles (the dict-grid shape), the op-amp
 // cascade's double faults over every 5th passive at ±30 % (the
 // dict-pairs shape, rank-2 cross terms), and the 512-section ladder with
@@ -251,14 +252,13 @@ func BenchmarkColumnKernelsSparse(b *testing.B) {
 			eng.SetFactorPath(FactorSparse)
 			w0 := c.cut.Omega0
 			omegas := []float64{w0 / 10, w0 / 2, w0 * 2, w0 * 10}
+			plan := testPlan(b, eng, c.singles)
+			if c.sets != nil {
+				plan = testPlan(b, eng, c.sets)
+			}
 			var out Batch
 			run := func() {
-				if c.sets != nil {
-					err = eng.BatchResponsesSetsInto(nil, c.sets, omegas, 1, &out)
-				} else {
-					err = eng.BatchResponsesInto(nil, c.singles, omegas, 1, &out)
-				}
-				if err != nil {
+				if err := eng.SolveInto(nil, plan, omegas, 1, nil, &out); err != nil {
 					b.Fatal(err)
 				}
 			}

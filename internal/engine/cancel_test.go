@@ -12,7 +12,7 @@ import (
 	"repro/internal/rerr"
 )
 
-func testEngine(t *testing.T) (*Engine, []fault.Fault) {
+func testEngine(t testing.TB) (*Engine, []fault.Fault) {
 	t.Helper()
 	cut := circuits.NFLowpass7()
 	eng, err := New(cut.Circuit, cut.Source, cut.Output)
@@ -43,24 +43,35 @@ func TestBatchCanceledBeforeStart(t *testing.T) {
 	}
 }
 
+// testPlan resolves items onto eng.
+func testPlan[S fault.Set](t testing.TB, eng *Engine, items []S) *Plan {
+	t.Helper()
+	var p Plan
+	if err := Resolve(eng, items, &p); err != nil {
+		t.Fatal(err)
+	}
+	return &p
+}
+
 // TestBatchCanceledMidway: cancellation from inside a progress callback
-// stops the batch within one in-flight column per worker.
+// stops the solve within one in-flight column per worker.
 func TestBatchCanceledMidway(t *testing.T) {
 	eng, faults := testEngine(t)
+	plan := testPlan(t, eng, faults)
 	grid := numeric.Logspace(0.01, 100, 64)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var mu sync.Mutex
 	solved := 0
 	const workers = 2
-	_, err := eng.BatchResponsesProgress(ctx, faults, grid, workers, func(done, total int) {
+	err := eng.SolveInto(ctx, plan, grid, workers, func(done, total int) {
 		mu.Lock()
 		defer mu.Unlock()
 		solved++
 		if solved == 2 {
 			cancel()
 		}
-	})
+	}, &Batch{})
 	if !errors.Is(err, rerr.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -76,18 +87,20 @@ func TestBatchCanceledMidway(t *testing.T) {
 // and ends at total, at any worker count.
 func TestBatchProgressCountsEveryColumn(t *testing.T) {
 	eng, faults := testEngine(t)
+	plan := testPlan(t, eng, faults)
 	grid := numeric.Logspace(0.1, 10, 9)
 	for _, workers := range []int{1, 3} {
 		var mu sync.Mutex
 		var dones []int
-		batch, err := eng.BatchResponsesProgress(nil, faults, grid, workers, func(done, total int) {
+		batch := &Batch{}
+		err := eng.SolveInto(nil, plan, grid, workers, func(done, total int) {
 			mu.Lock()
 			defer mu.Unlock()
 			if total != len(grid) {
 				t.Errorf("total = %d, want %d", total, len(grid))
 			}
 			dones = append(dones, done)
-		})
+		}, batch)
 		if err != nil {
 			t.Fatal(err)
 		}

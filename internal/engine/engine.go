@@ -62,7 +62,7 @@ type Engine struct {
 	amp       complex128
 	ampAbs    float64   // |amp|, precomputed for the blocked path's magnitudes
 	invAmpAbs float64   // 1/|amp|: the per-item divide becomes a multiply
-	pool      sync.Pool // *workspace, shared across BatchResponses calls
+	pool      sync.Pool // *workspace, shared across SolveInto calls
 
 	// factorPath is the golden-factorization override (FactorAuto by
 	// default); sparseAuto is the heuristic verdict computed once at New.
@@ -70,75 +70,11 @@ type Engine struct {
 	factorPath FactorPath
 	sparseAuto bool
 
-	// memo caches the flattened resolution of the last single-fault list
-	// batched through this engine. Batch callers in tight loops (the GA
-	// fitness path, per-candidate trajectory builds) pass the identical
-	// fault universe on every call; a hit replaces the per-fault map
-	// lookups and append churn with a handful of struct compares and flat
-	// copies. Guarded by its own mutex — batches may run concurrently.
-	memo resolutionMemo
-
 	// stats counts the numeric paths batch solves take (see stats.go);
 	// tracer, when installed via SetTracer, records per-frequency spans
-	// on the fault-set batch path.
+	// of fault-set plans.
 	stats  PathStats
 	tracer *obs.Tracer
-}
-
-// resolutionMemo is the engine's cached fault resolution: the key is the
-// fault list itself (value compare — fault.Fault is two words), the
-// payload the flattened part groups batchInto would recompute.
-type resolutionMemo struct {
-	mu       sync.Mutex
-	valid    bool
-	faults   []fault.Fault
-	off      []int
-	partSlot []int
-	partVal  []float64
-	distinct []int
-	zSlot    []int
-}
-
-// lookup copies the cached resolution into out if faults matches the
-// cached list element-for-element. Equal component names are usually
-// pointer-equal strings (the same universe slice every call), so the
-// compare is two word compares per fault — far cheaper than the map
-// lookups it replaces.
-func (m *resolutionMemo) lookup(faults []fault.Fault, out *Batch) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.valid || len(m.faults) != len(faults) {
-		return false
-	}
-	for i := range faults {
-		if faults[i] != m.faults[i] {
-			return false
-		}
-	}
-	out.off = sliceutil.Grow(out.off, len(m.off))
-	copy(out.off, m.off)
-	out.partSlot = sliceutil.Grow(out.partSlot, len(m.partSlot))
-	copy(out.partSlot, m.partSlot)
-	out.partVal = sliceutil.Grow(out.partVal, len(m.partVal))
-	copy(out.partVal, m.partVal)
-	out.distinct = sliceutil.Grow(out.distinct, len(m.distinct))
-	copy(out.distinct, m.distinct)
-	out.zSlot = sliceutil.Grow(out.zSlot, len(m.zSlot))
-	copy(out.zSlot, m.zSlot)
-	return true
-}
-
-// store records out's freshly computed resolution under the faults key.
-func (m *resolutionMemo) store(faults []fault.Fault, out *Batch) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.faults = append(m.faults[:0], faults...)
-	m.off = append(m.off[:0], out.off...)
-	m.partSlot = append(m.partSlot[:0], out.partSlot...)
-	m.partVal = append(m.partVal[:0], out.partVal...)
-	m.distinct = append(m.distinct[:0], out.distinct...)
-	m.zSlot = append(m.zSlot[:0], out.zSlot...)
-	m.valid = true
 }
 
 // New compiles the circuit and binds the measurement: the named driving
@@ -306,40 +242,54 @@ func (e *Engine) out(x []complex128) complex128 {
 	return x[e.outIdx]
 }
 
-// Batch is a dense response table: Mags[i][j] is |H(jω_j)| under
-// faults[i], and Golden[j] is the nominal |H(jω_j)|.
+// Batch is a dense response table: Mags[i][j] is |H(jω_j)| under item
+// i of the solved plan, and Golden[j] is the nominal |H(jω_j)|.
 //
-// A Batch owns its storage and can be reused across BatchResponsesInto
-// calls: the magnitude rows share one flat backing array (row headers are
-// resliced, not reallocated), and the per-call fault-resolution scratch
-// lives alongside it. The zero Batch is ready to use. Rows returned from
-// one fill are overwritten by the next, so callers that keep results
-// across fills must copy them out.
+// A Batch owns its storage and can be reused across SolveInto calls:
+// the magnitude rows share one flat backing array (row headers are
+// resliced, not reallocated), and the per-solve sparse-vector plan lives
+// alongside it. The zero Batch is ready to use. Rows returned from one
+// fill are overwritten by the next, so callers that keep results across
+// fills must copy them out.
 type Batch struct {
 	// Omegas is the frequency axis the table was evaluated on.
 	Omegas []float64
 	// Golden holds the nominal magnitudes per frequency.
 	Golden []float64
-	// Mags holds one row per requested fault, aligned with the input.
+	// Mags holds one row per plan item, aligned with the resolved items.
 	Mags [][]float64
 
 	// magsFlat is the contiguous backing store behind the Mags rows: row i
 	// is magsFlat[i*len(Omegas) : (i+1)*len(Omegas)].
 	magsFlat []float64
-	// Per-call fault-resolution scratch, reused across fills. A batch
-	// item is a fault *set* of k ≥ 0 (slot, value) parts: item i's parts
-	// are partSlot/partVal[off[i]:off[i+1]] (0 parts ⇒ golden, 1 ⇒ the
-	// rank-1 fast path, k ≥ 2 ⇒ the Woodbury path).
-	off      []int     // item index → first part; len(items)+1 entries
-	partSlot []int     // flattened part slots
-	partVal  []float64 // flattened faulted values
-	distinct []int     // distinct slots present, in first-seen order
-	zSlot    []int     // template slot → z-solve position (-1 absent)
 
-	// sv is the batch's sparse column kernel choice and, when it picks
+	// sv is the solve's sparse column kernel choice and, when it picks
 	// the reach walks, their reach lists and cross-term table
-	// (planSparseVector).
+	// (planSparseVector). It depends on the factor path as well as the
+	// plan, and is written on every solve, so it lives here and not in
+	// the shared, read-only Plan.
 	sv svPlan
+}
+
+// Plan is a list of fault items resolved onto an engine's template:
+// item i is a fault set of k ≥ 0 (slot, value) parts,
+// partSlot/partVal[off[i]:off[i+1]] (0 parts ⇒ golden, 1 ⇒ the rank-1
+// fast path, k ≥ 2 ⇒ the Woodbury path), and every distinct slot the
+// items touch gets one z-solve per frequency. Resolve fills a plan
+// once; SolveInto then solves it at any number of frequency vectors. A
+// resolved plan is read-only, so concurrent solves may share it. The
+// zero Plan is ready to resolve into, and resolving again reuses its
+// storage.
+type Plan struct {
+	eng      *Engine          // the engine resolved for; nil until Resolve succeeds
+	off      []int            // item index → first part; len(items)+1 entries
+	partSlot []int            // flattened part slots
+	partVal  []float64        // flattened faulted values
+	distinct []int            // distinct slots present, in first-seen order
+	zSlot    []int            // template slot → z-solve position (-1 absent)
+	maxParts int              // the largest item's part count
+	spans    bool             // record engine.column spans (see SetTracer)
+	id       func(int) string // item i's ID, for error messages
 }
 
 // workspace is one worker's scratch for the column solver (blocked.go).
@@ -458,15 +408,15 @@ func newWorkspace(t *Template) *workspace {
 	return ws
 }
 
-// fitBatch grows the per-batch scratch to out's batch, whose largest
-// item has k parts, on an n-unknown template. Capacity stays in the
-// pooled workspace, so a batch no larger than one already served
-// allocates nothing.
-func (ws *workspace) fitBatch(n, k int, out *Batch) {
-	nd := len(out.distinct)
+// fitBatch grows the per-batch scratch to plan p, solved into out, on
+// an n-unknown template. Capacity stays in the pooled workspace, so a
+// plan no larger than one already served allocates nothing.
+func (ws *workspace) fitBatch(n int, p *Plan, out *Batch) {
+	nd := len(p.distinct)
 	if out.sv.on {
-		ws.fitSparseVector(n, out)
+		ws.fitSparseVector(n, nd, out)
 	}
+	k := p.maxParts
 	ws.vtz = sliceutil.Grow(ws.vtz, nd)
 	ws.vtx0 = sliceutil.Grow(ws.vtx0, nd)
 	ws.zoutc = sliceutil.Grow(ws.zoutc, nd)
@@ -486,156 +436,94 @@ func (ws *workspace) ensureSoADense(n int) {
 	}
 }
 
-// BatchResponses fills the dense [fault][omega] response table. Per
-// frequency the golden system is factored once; every fault is then
-// solved by a rank-1 Sherman–Morrison update against that factorization,
-// with a full refactorization fallback for ill-conditioned updates.
-// Frequencies fan out over fanout.Run (workers ≤ 0 means one per CPU),
-// each worker with its own pooled workspace grown to the batch's shape.
-//
-// The context is checked before every frequency group (one column on
-// the dense path), so a canceled context stops the batch within one
-// in-flight group per worker, and the call returns an error wrapping
-// rerr.ErrCanceled unless every column was solved. A nil context is
-// treated as context.Background(). The worker count and cancellation
-// machinery never affect computed values: each column is solved
-// independently in a self-contained workspace.
-func (e *Engine) BatchResponses(ctx context.Context, faults []fault.Fault, omegas []float64, workers int) (*Batch, error) {
-	return e.BatchResponsesProgress(ctx, faults, omegas, workers, nil)
-}
-
-// BatchResponsesProgress is BatchResponses with a per-frequency progress
-// hook: progress(done, total) is called after each solved column. With
-// multiple workers the hook runs concurrently from worker goroutines and
-// must be safe for that; done is a cumulative count, not a column index.
-func (e *Engine) BatchResponsesProgress(ctx context.Context, faults []fault.Fault, omegas []float64, workers int, progress func(done, total int)) (*Batch, error) {
-	out := &Batch{}
-	if err := e.batchInto(ctx, faults, nil, omegas, workers, progress, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// BatchResponsesInto is BatchResponses writing into a caller-owned Batch:
-// out's storage is reused when large enough, so a Batch held across calls
-// makes the steady state allocation-free. This is the GA fitness path,
-// where every candidate test vector fills the same table shape thousands
-// of times. Results are identical to BatchResponses.
-func (e *Engine) BatchResponsesInto(ctx context.Context, faults []fault.Fault, omegas []float64, workers int, out *Batch) error {
-	return e.batchInto(ctx, faults, nil, omegas, workers, nil, out)
-}
-
-// BatchResponsesSets is the rank-k generalization of BatchResponses: row
-// i of the table holds |H(jω)| under every part of sets[i] applied
-// simultaneously. Per frequency the golden system is still factored
-// once and one z-solve performed per distinct slot; a k-part item then
-// costs one k×k Sherman–Morrison–Woodbury capacitance solve against
-// those shared vectors, with the same full-refactorization fallback the
-// rank-1 path uses when the update is ill-conditioned. Single-part items
-// take the rank-1 fast path unchanged, so mixing single and multiple
-// faults in one batch costs nothing extra. Concurrency and cancellation
-// semantics match BatchResponses.
-func (e *Engine) BatchResponsesSets(ctx context.Context, sets []fault.Set, omegas []float64, workers int) (*Batch, error) {
-	out := &Batch{}
-	if err := e.batchInto(ctx, nil, sets, omegas, workers, nil, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// BatchResponsesSetsInto is BatchResponsesSets writing into a
-// caller-owned Batch (see BatchResponsesInto for the reuse contract).
-func (e *Engine) BatchResponsesSetsInto(ctx context.Context, sets []fault.Set, omegas []float64, workers int, out *Batch) error {
-	return e.batchInto(ctx, nil, sets, omegas, workers, nil, out)
-}
-
-// itemID names batch item i for error reporting; exactly one of faults
-// and sets is non-nil.
-func itemID(faults []fault.Fault, sets []fault.Set, i int) string {
-	if sets != nil {
-		return sets[i].ID()
-	}
-	return faults[i].ID()
-}
-
-// resolveBatch fills out's flattened fault-resolution scratch for the
-// batch items: part groups (off/partSlot/partVal) and the distinct-slot
-// index (distinct/zSlot). The single-fault form presizes its append
-// targets so a cold Batch takes one allocation per array instead of
-// doubling growth churn.
-func (e *Engine) resolveBatch(faults []fault.Fault, sets []fault.Set, out *Batch) error {
-	nitems := len(faults)
-	if sets != nil {
-		nitems = len(sets)
-	}
-	out.off = sliceutil.Grow(out.off, nitems+1)
-	out.off[0] = 0
-	if sets == nil {
-		out.partSlot = sliceutil.Grow(out.partSlot, len(faults))[:0]
-		out.partVal = sliceutil.Grow(out.partVal, len(faults))[:0]
-		for i, f := range faults {
-			si, fv, err := e.resolve(f)
+// Resolve resolves items — single faults or fault sets, golden
+// included — onto e's template into p, reusing p's storage. Each item's
+// parts are checked (a known component, a positive faulted value, no
+// component twice) and mapped to template slots once, so the solves
+// that follow do no lookups. A plan resolved from a []fault.Fault
+// records no engine.column spans (see SetTracer). Errors name a failing
+// item by items[i].ID(), so items must stay unchanged while p is in use.
+func Resolve[S fault.Set](e *Engine, items []S, p *Plan) error {
+	p.eng = nil
+	p.off = sliceutil.Grow(p.off, len(items)+1)
+	p.off[0] = 0
+	p.partSlot = sliceutil.Grow(p.partSlot, len(items))[:0]
+	p.partVal = sliceutil.Grow(p.partVal, len(items))[:0]
+	p.maxParts = 0
+	// A single fault is its only part. Reading it into one, not through
+	// Fault.Parts (a fresh slice per call), keeps single-fault items
+	// allocation-free; a golden fault resolves to no slot, as its empty
+	// Parts would.
+	var one [1]fault.Fault
+	for i, item := range items {
+		var parts []fault.Fault
+		if f, ok := any(item).(fault.Fault); ok {
+			one[0] = f
+			parts = one[:]
+		} else {
+			parts = item.Parts()
+		}
+		if err := checkDistinct(parts); err != nil {
+			return fmt.Errorf("engine: fault %s: %w", item.ID(), err)
+		}
+		for _, part := range parts {
+			si, fv, err := e.resolve(part)
 			if err != nil {
 				return err
 			}
 			if si >= 0 {
-				out.partSlot = append(out.partSlot, si)
-				out.partVal = append(out.partVal, fv)
+				p.partSlot = append(p.partSlot, si)
+				p.partVal = append(p.partVal, fv)
 			}
-			out.off[i+1] = len(out.partSlot)
 		}
-	} else {
-		out.partSlot = out.partSlot[:0]
-		out.partVal = out.partVal[:0]
-		// A single fault is its only part. Reading it into one, not through
-		// Fault.Parts (a fresh slice per call), keeps single-fault items
-		// allocation-free; a golden fault resolves to no slot, as its empty
-		// Parts would.
-		var one [1]fault.Fault
-		for i, set := range sets {
-			var parts []fault.Fault
-			if f, ok := set.(fault.Fault); ok {
-				one[0] = f
-				parts = one[:]
-			} else {
-				parts = set.Parts()
-			}
-			if err := checkDistinct(parts); err != nil {
-				return fmt.Errorf("engine: fault %s: %w", set.ID(), err)
-			}
-			for _, p := range parts {
-				si, fv, err := e.resolve(p)
-				if err != nil {
-					return err
-				}
-				if si >= 0 {
-					out.partSlot = append(out.partSlot, si)
-					out.partVal = append(out.partVal, fv)
-				}
-			}
-			out.off[i+1] = len(out.partSlot)
+		p.off[i+1] = len(p.partSlot)
+		p.maxParts = max(p.maxParts, p.off[i+1]-p.off[i])
+	}
+	// Distinct slots present in the plan get one z-solve per frequency.
+	p.zSlot = sliceutil.Grow(p.zSlot, len(e.tmpl.slots))
+	for i := range p.zSlot {
+		p.zSlot[i] = -1
+	}
+	p.distinct = sliceutil.Grow(p.distinct, len(e.tmpl.slots))[:0]
+	for _, si := range p.partSlot {
+		if p.zSlot[si] < 0 {
+			p.zSlot[si] = len(p.distinct)
+			p.distinct = append(p.distinct, si)
 		}
 	}
-	// Distinct slots present in the batch get one z-solve per frequency.
-	out.zSlot = sliceutil.Grow(out.zSlot, len(e.tmpl.slots))
-	for i := range out.zSlot {
-		out.zSlot[i] = -1
-	}
-	out.distinct = sliceutil.Grow(out.distinct, len(e.tmpl.slots))[:0]
-	for _, si := range out.partSlot {
-		if out.zSlot[si] < 0 {
-			out.zSlot[si] = len(out.distinct)
-			out.distinct = append(out.distinct, si)
-		}
-	}
+	_, singles := any(items).([]fault.Fault)
+	p.spans = !singles
+	p.id = func(i int) string { return items[i].ID() }
+	p.eng = e
 	return nil
 }
 
-// batchInto fills out with the dense response table, reusing its
-// storage. Exactly one of faults and sets is non-nil; the single-fault
-// form resolves without touching the Set interface (no boxing), which
-// keeps the GA fitness path allocation-free.
-func (e *Engine) batchInto(ctx context.Context, faults []fault.Fault, sets []fault.Set, omegas []float64, workers int, progress func(done, total int), out *Batch) error {
+// SolveInto fills out with plan p's response table at omegas, reusing
+// out's storage. Per frequency the golden system is factored once and
+// one z-solve performed per distinct slot; a single-fault item is then
+// solved by a rank-1 Sherman–Morrison update against that
+// factorization, and a k-part item by one k×k Sherman–Morrison–Woodbury
+// capacitance solve against the shared z vectors, with a full
+// refactorization fallback for ill-conditioned updates. Frequencies fan
+// out over fanout.Run (workers ≤ 0 means one per CPU), each worker with
+// its own pooled workspace grown to the plan's shape; a Batch held
+// across calls makes the steady state allocation-free, the GA fitness
+// path's property.
+//
+// progress, when non-nil, is called as progress(done, total) after each
+// solved column; with multiple workers it runs concurrently from worker
+// goroutines and must be safe for that, and done is a cumulative count,
+// not a column index. The context is checked before every frequency
+// group (one column on the dense path), so a canceled context stops the
+// solve within one in-flight group per worker, and the call returns an
+// error wrapping rerr.ErrCanceled unless every column was solved. A nil
+// context is treated as context.Background(). The worker count and
+// cancellation machinery never affect computed values: each column is
+// solved independently in a self-contained workspace.
+func (e *Engine) SolveInto(ctx context.Context, p *Plan, omegas []float64, workers int, progress func(done, total int), out *Batch) error {
+	if p.eng != e {
+		return fmt.Errorf("engine: plan not resolved for this engine")
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -647,33 +535,7 @@ func (e *Engine) batchInto(ctx context.Context, faults []fault.Fault, sets []fau
 			return err
 		}
 	}
-	nitems := len(faults)
-	if sets != nil {
-		nitems = len(sets)
-	}
-	// Resolve every item up front into flattened (slot, value) part
-	// groups: item i owns parts off[i]..off[i+1]. Single-fault lists hit
-	// the engine's resolution memo when they repeat — the GA fitness loop
-	// and per-candidate trajectory builds pass the identical universe on
-	// every call.
-	memoHit := false
-	if sets == nil {
-		memoHit = e.memo.lookup(faults, out)
-		if memoHit {
-			e.stats.MemoHits.Add(1)
-		} else {
-			e.stats.MemoMisses.Add(1)
-		}
-	}
-	if !memoHit {
-		if err := e.resolveBatch(faults, sets, out); err != nil {
-			return err
-		}
-		if sets == nil {
-			e.memo.store(faults, out)
-		}
-	}
-
+	nitems := len(p.off) - 1
 	out.Omegas = append(out.Omegas[:0], omegas...)
 	out.Golden = sliceutil.Grow(out.Golden, len(omegas))
 	nw := len(omegas)
@@ -681,18 +543,6 @@ func (e *Engine) batchInto(ctx context.Context, faults []fault.Fault, sets []fau
 	out.Mags = sliceutil.Grow(out.Mags, nitems)
 	for i := range out.Mags {
 		out.Mags[i] = out.magsFlat[i*nw : (i+1)*nw : (i+1)*nw]
-	}
-
-	// The largest part count sizes every worker's capacitance scratch. A
-	// single-fault item has at most one part, so only fault-set batches
-	// (never memoized) need the scan.
-	maxParts := min(1, len(out.partSlot))
-	if sets != nil {
-		for i := 0; i < nitems; i++ {
-			if k := out.off[i+1] - out.off[i]; k > maxParts {
-				maxParts = k
-			}
-		}
 	}
 
 	// Workers claim whole frequency groups (FreqBlock consecutive
@@ -704,7 +554,7 @@ func (e *Engine) batchInto(ctx context.Context, faults []fault.Fault, sets []fau
 	if e.sparseColumn() {
 		unit = numeric.FreqBlock
 	}
-	e.planSparseVector(out, nitems)
+	e.planSparseVector(p, out)
 	groups := (len(omegas) + unit - 1) / unit
 	workers = fanout.Workers(groups, workers)
 
@@ -724,18 +574,15 @@ func (e *Engine) batchInto(ctx context.Context, faults []fault.Fault, sets []fau
 		// frequencies on one worker) must not allocate.
 		ws := e.pool.Get().(*workspace)
 		defer e.pool.Put(ws)
-		ws.fitBatch(e.tmpl.n, maxParts, out)
+		ws.fitBatch(e.tmpl.n, p, out)
 		for g := 0; g < len(omegas); g += unit {
-			hi := g + unit
-			if hi > len(omegas) {
-				hi = len(omegas)
-			}
-			e.prepareGroup(ws, omegas, g, hi, out)
+			hi := min(g+unit, len(omegas))
+			e.prepareGroup(ws, omegas, g, hi, p, out)
 			for j := g; j < hi; j++ {
 				if err := ctx.Err(); err != nil {
 					return rerr.Canceled(err)
 				}
-				if err := e.solveColumn(ws, omegas[j], faults, sets, out, j); err != nil {
+				if err := e.solveColumn(ws, omegas[j], p, out, j); err != nil {
 					return err
 				}
 				if report != nil {
@@ -745,18 +592,51 @@ func (e *Engine) batchInto(ctx context.Context, faults []fault.Fault, sets []fau
 		}
 		return nil
 	}
-	return e.batchParallel(ctx, faults, sets, omegas, workers, unit, maxParts, report, out)
+	return e.solveParallel(ctx, p, omegas, workers, unit, report, out)
 }
 
-// batchParallel is batchInto's worker-pool branch: frequency groups run
-// on fanout.Run. Each worker takes its workspace from the pool on its own
-// goroutine at its first group, and every workspace goes back to the pool
-// at the end. It lives in its own function so the closure captures this
-// frame's variables, not batchInto's: escape analysis is
+// batch resolves items into a call-local plan and solves it into out:
+// the body of the one-shot entry points below.
+func batch[S fault.Set](ctx context.Context, e *Engine, items []S, omegas []float64, workers int, out *Batch) (*Batch, error) {
+	var p Plan
+	if err := Resolve(e, items, &p); err != nil {
+		return nil, err
+	}
+	if err := e.SolveInto(ctx, &p, omegas, workers, nil, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// BatchResponses is Resolve plus SolveInto for a single-fault list,
+// into a fresh Batch. Callers that solve one list repeatedly hold a
+// Plan instead of resolving on every call.
+func (e *Engine) BatchResponses(ctx context.Context, faults []fault.Fault, omegas []float64, workers int) (*Batch, error) {
+	return batch(ctx, e, faults, omegas, workers, &Batch{})
+}
+
+// BatchResponsesInto is BatchResponses writing into a caller-owned
+// Batch (see SolveInto for the reuse contract).
+func (e *Engine) BatchResponsesInto(ctx context.Context, faults []fault.Fault, omegas []float64, workers int, out *Batch) error {
+	_, err := batch(ctx, e, faults, omegas, workers, out)
+	return err
+}
+
+// BatchResponsesSets is BatchResponses over fault sets: row i holds
+// |H(jω)| under every part of sets[i] applied simultaneously.
+func (e *Engine) BatchResponsesSets(ctx context.Context, sets []fault.Set, omegas []float64, workers int) (*Batch, error) {
+	return batch(ctx, e, sets, omegas, workers, &Batch{})
+}
+
+// solveParallel is SolveInto's worker-pool branch: frequency groups
+// run on fanout.Run. Each worker takes its workspace from the pool on
+// its own goroutine at its first group, and every workspace goes back to
+// the pool at the end. It lives in its own function so the closure
+// captures this frame's variables, not SolveInto's: escape analysis is
 // flow-insensitive, and keeping the captures here is what lets the
 // single-worker GA path run without ctx or progress state escaping to
 // the heap.
-func (e *Engine) batchParallel(ctx context.Context, faults []fault.Fault, sets []fault.Set, omegas []float64, workers, unit, maxParts int, report func(), out *Batch) error {
+func (e *Engine) solveParallel(ctx context.Context, p *Plan, omegas []float64, workers, unit int, report func(), out *Batch) error {
 	wss := make([]*workspace, workers)
 	defer func() {
 		for _, ws := range wss {
@@ -770,14 +650,14 @@ func (e *Engine) batchParallel(ctx context.Context, faults []fault.Fault, sets [
 		ws := wss[w]
 		if ws == nil {
 			ws = e.pool.Get().(*workspace)
-			ws.fitBatch(e.tmpl.n, maxParts, out)
+			ws.fitBatch(e.tmpl.n, p, out)
 			wss[w] = ws
 		}
 		g := gi * unit
 		hi := min(g+unit, len(omegas))
-		e.prepareGroup(ws, omegas, g, hi, out)
+		e.prepareGroup(ws, omegas, g, hi, p, out)
 		for j := g; j < hi; j++ {
-			if err := e.solveColumn(ws, omegas[j], faults, sets, out, j); err != nil {
+			if err := e.solveColumn(ws, omegas[j], p, out, j); err != nil {
 				return err
 			}
 			if report != nil {

@@ -329,6 +329,17 @@ func TestEngineErrors(t *testing.T) {
 	if _, err := eng.BatchResponses(nil, []fault.Fault{{Component: "R99", Deviation: 0.1}}, []float64{1}, 1); err == nil {
 		t.Fatal("unknown batch component accepted")
 	}
+	// A plan is solved only by the engine that resolved it.
+	if err := eng.SolveInto(nil, &Plan{}, []float64{1}, 1, nil, &Batch{}); err == nil {
+		t.Fatal("unresolved plan accepted")
+	}
+	other, err := New(cut.Circuit, cut.Source, cut.Output)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := other.SolveInto(nil, testPlan(t, eng, []fault.Fault{{}}), []float64{1}, 1, nil, &Batch{}); err == nil {
+		t.Fatal("plan of another engine accepted")
+	}
 	// A circuit with a zero-amplitude source is rejected at New.
 	c := circuit.New("zero-amp")
 	c.MustAdd(circuit.NewVSource("V1", "a", "0", 0))

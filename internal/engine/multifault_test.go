@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -303,10 +304,8 @@ func TestSolveSmallAgainstLU(t *testing.T) {
 	}
 }
 
-// TestBatchSetsSingleFaultsAllocationFree: a warm BatchResponsesSetsInto
-// over nf-lowpass-7's 56 single-fault sets allocates nothing. A single
-// fault resolves as its own part, not through Fault.Parts, which
-// allocates a one-element slice per item.
+// TestBatchSetsSingleFaultsAllocationFree: a warm SolveInto of the plan
+// resolved from nf-lowpass-7's 56 single-fault sets allocates nothing.
 func TestBatchSetsSingleFaultsAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation drops pooled workspaces; counts are meaningless")
@@ -323,10 +322,11 @@ func TestBatchSetsSingleFaultsAllocationFree(t *testing.T) {
 	if len(sets) != 56 {
 		t.Fatalf("%d single-fault sets, want 56", len(sets))
 	}
+	plan := testPlan(t, eng, sets)
 	omegas := []float64{0.56, 4.55}
 	var out Batch
 	run := func() {
-		if err := eng.BatchResponsesSetsInto(nil, sets, omegas, 1, &out); err != nil {
+		if err := eng.SolveInto(nil, plan, omegas, 1, nil, &out); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -345,8 +345,7 @@ func TestBatchSetsSingleFaultsAllocationFree(t *testing.T) {
 // included) at 1, 2 and 3 workers on every fixed and scaling CUT, with
 // the default factorization path, plus rc-grid-16 and rc-ladder-64
 // forced sparse, where the mesh takes the sparse-vector kernel and the
-// ladder the block solve. The repeated single-fault calls also hit the
-// engine's resolution memo.
+// ladder the block solve.
 func TestSinglesAndSetsBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scaling CUTs are slow under -short")
@@ -405,6 +404,88 @@ func TestSinglesAndSetsBitIdentical(t *testing.T) {
 				t.Fatalf("%s: %d sparse columns, %d through the sparse-vector kernel; want sparse columns, sparse-vector %v",
 					name, s.SupernodalRefactors, s.SparseVectorColumns, r.sparseVector)
 			}
+		}
+	}
+}
+
+// TestPlanSharedAcrossSolves pins the read-only contract of a resolved
+// plan, which the GA's per-worker trajectory builders rely on when they
+// solve the dictionary's universe plan at once: one plan, resolved from
+// the paper universe, is solved by four goroutines together, each with
+// its own frequencies and its own Batch, on every column kernel —
+// nf-lowpass-7 dense, rc-grid-16 forced sparse (the sparse-vector
+// kernel) and rc-ladder-64 forced sparse (the block kernel). Every table
+// equals BatchResponses on a fresh resolve bit for bit, and under -race
+// any write to the shared plan is reported.
+func TestPlanSharedAcrossSolves(t *testing.T) {
+	grid, err := circuits.RCGrid(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lad, err := circuits.RCLadder(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		cut          circuits.CUT
+		path         FactorPath
+		sparseVector bool
+	}{
+		{circuits.NFLowpass7(), FactorDense, false},
+		{grid, FactorSparse, true},
+		{lad, FactorSparse, false},
+	} {
+		name := c.cut.Circuit.Name()
+		eng, err := New(c.cut.Circuit, c.cut.Source, c.cut.Output)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		eng.SetFactorPath(c.path)
+		faults := paperSingles(t, c.cut)
+		plan := testPlan(t, eng, faults)
+		const solvers = 4
+		omegas := make([][]float64, solvers)
+		got := make([]Batch, solvers)
+		errs := make([]error, solvers)
+		var wg sync.WaitGroup
+		for g := range omegas {
+			w0 := c.cut.Omega0 * (1 + 0.1*float64(g))
+			omegas[g] = []float64{w0 / 3, w0, w0 * 3}
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				// Repeated solves keep the goroutines overlapping.
+				for r := 0; r < 3 && errs[g] == nil; r++ {
+					errs[g] = eng.SolveInto(nil, plan, omegas[g], 1, nil, &got[g])
+				}
+			}(g)
+		}
+		wg.Wait()
+		for g := range omegas {
+			if errs[g] != nil {
+				t.Fatalf("%s solver %d: %v", name, g, errs[g])
+			}
+			want, err := eng.BatchResponses(nil, faults, omegas[g], 1)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if len(got[g].Mags) != len(want.Mags) {
+				t.Fatalf("%s solver %d: %d rows, want %d", name, g, len(got[g].Mags), len(want.Mags))
+			}
+			for j, w := range omegas[g] {
+				if math.Float64bits(got[g].Golden[j]) != math.Float64bits(want.Golden[j]) {
+					t.Fatalf("%s solver %d ω=%g: golden %v, fresh resolve %v", name, g, w, got[g].Golden[j], want.Golden[j])
+				}
+				for i, f := range faults {
+					if a, b := got[g].Mags[i][j], want.Mags[i][j]; math.Float64bits(a) != math.Float64bits(b) {
+						t.Fatalf("%s solver %d ω=%g %s: %v, fresh resolve %v", name, g, w, f.ID(), a, b)
+					}
+				}
+			}
+		}
+		if s := eng.Stats(); c.path == FactorSparse && (s.SupernodalRefactors == 0 || (s.SparseVectorColumns > 0) != c.sparseVector) {
+			t.Fatalf("%s: %d sparse columns, %d through the sparse-vector kernel; want sparse columns, sparse-vector %v",
+				name, s.SupernodalRefactors, s.SparseVectorColumns, c.sparseVector)
 		}
 	}
 }

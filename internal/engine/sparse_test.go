@@ -349,8 +349,9 @@ func TestSparseFactorPathSelection(t *testing.T) {
 
 // TestSparseBatchAllocationFree proves the per-frequency sparse
 // refactor+solve steady state does not allocate: after one warm-up
-// batch, repeated batches over fresh frequencies reuse every workspace
-// buffer. Batches of 1, 2 and 3 frequencies all run one padded group.
+// solve, repeated solves of a held plan over fresh frequencies reuse
+// every workspace buffer. Solves of 1, 2 and 3 frequencies all run one
+// padded group.
 func TestSparseBatchAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation drops pooled workspaces; counts are meaningless")
@@ -364,11 +365,11 @@ func TestSparseBatchAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.SetFactorPath(FactorSparse)
-	singles := paperSingles(t, lad)[:25]
+	plan := testPlan(t, eng, paperSingles(t, lad)[:25])
 	for _, omegas := range [][]float64{{0.005}, {0.005, 0.0125}, {0.005, 0.0125, 0.05}} {
 		var out Batch
 		run := func() {
-			if err := eng.BatchResponsesInto(nil, singles, omegas, 1, &out); err != nil {
+			if err := eng.SolveInto(nil, plan, omegas, 1, nil, &out); err != nil {
 				t.Fatal(err)
 			}
 		}

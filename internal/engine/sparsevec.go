@@ -14,7 +14,7 @@ import (
 // & Chan's sparse-vector method with Alsaç, Stott & Tinney's
 // compensation). Pivots are static, so each half-solve visits only the
 // fixed reach of its seeds; planSparseVector computes those reaches once
-// per batch, for the batch's distinct slots, and readGroup runs the
+// per solve, for the plan's distinct slots, and readGroup runs the
 // half-solves for all FreqBlock planes of a frequency group in one walk
 // over the blocked refactorization's interleaved factors.
 
@@ -45,15 +45,15 @@ const svEntryCost = 2
 // of BenchmarkColumnKernelsSparse 14 % slower than the block solve alone.
 const svSample = 8
 
-// svPlan is a batch's sparse-vector plan. on reports whether the
-// batch's sparse columns read their corrections from reach-limited
+// svPlan is a solve's sparse-vector plan. on reports whether the
+// solve's sparse columns read their corrections from reach-limited
 // half-solves instead of the multi-RHS block solve. Distinct slot zi's L
 // reach (from u) is lReach[lOff[zi]:lOff[zi+1]] and its U reach (from v)
 // uReach[uOff[zi]:uOff[zi+1]]; position len(distinct) holds b's L reach
 // and the output's U reach. pairs lists the cross terms v_aᵀz_b the
 // rank-k items read, as z_a<<32 | z_b grouped by z_a; item i's part pair
 // (a, b) reads pairs entry crossAt[crossOff[i] + a·k + b] (-1 on the
-// diagonal). Every slice grows and is reused across batches.
+// diagonal). Every slice grows and is reused across solves.
 type svPlan struct {
 	on         bool
 	lOff, uOff []int
@@ -71,19 +71,20 @@ type svPlan struct {
 	seen, idx []int32
 }
 
-// planSparseVector chooses the batch's sparse column kernel and, when it
-// picks the reach walks, fills out.sv's reach lists and cross-term
-// table. The choice depends only on the template and the batch's slots,
-// never on the worker count or on timing, so results stay bit-identical
-// at every worker count. Dense engines skip it.
-func (e *Engine) planSparseVector(out *Batch, nitems int) {
+// planSparseVector chooses the sparse column kernel for solving plan pl
+// into out and, when it picks the reach walks, fills out.sv's reach
+// lists and cross-term table. The choice depends only on the template
+// and the plan's slots, never on the worker count or on timing, so
+// results stay bit-identical at every worker count. Dense engines skip
+// it.
+func (e *Engine) planSparseVector(pl *Plan, out *Batch) {
 	p := &out.sv
 	p.on = false
 	if !e.sparseColumn() {
 		return
 	}
 	sym := e.tmpl.sparse.sym
-	nd := len(out.distinct)
+	nd := len(pl.distinct)
 	budget := sym.LUNNZ() * (1 + nd)
 	// A stride sample of svSample slots first estimates the count, so a
 	// batch it already rules out keeps the block solve having built
@@ -94,7 +95,7 @@ func (e *Engine) planSparseVector(out *Batch, nitems int) {
 		est := 0
 		for k := 0; k < svSample; k++ {
 			var c int
-			p.lReach, p.uReach, c = e.reaches(p, out, k*nd/svSample, p.lReach[:0], p.uReach[:0])
+			p.lReach, p.uReach, c = e.reaches(p, pl, k*nd/svSample, p.lReach[:0], p.uReach[:0])
 			est += c
 		}
 		if est*nd/svSample*svEntryCost > budget {
@@ -108,7 +109,7 @@ func (e *Engine) planSparseVector(out *Batch, nitems int) {
 	for zi := 0; zi <= nd; zi++ {
 		p.lOff[zi], p.uOff[zi] = len(lr), len(ur)
 		var c int
-		lr, ur, c = e.reaches(p, out, zi, lr, ur)
+		lr, ur, c = e.reaches(p, pl, zi, lr, ur)
 		p.lReach, p.uReach = lr, ur
 		cost += c
 		if cost*svEntryCost > budget {
@@ -116,21 +117,21 @@ func (e *Engine) planSparseVector(out *Batch, nitems int) {
 		}
 	}
 	p.lOff[nd+1], p.uOff[nd+1] = len(lr), len(ur)
-	p.planCross(out, nitems)
+	p.planCross(pl)
 	p.on = true
 }
 
 // reaches appends position zi's L and U reaches — distinct slot zi's,
-// from its u and v, or at zi == len(out.distinct) b's and the output's —
+// from its u and v, or at zi == len(pl.distinct) b's and the output's —
 // to lr and ur, and returns them with the visits walks over both make:
 // factor entries plus reach rows.
-func (e *Engine) reaches(p *svPlan, out *Batch, zi int, lr, ur []int32) ([]int32, []int32, int) {
+func (e *Engine) reaches(p *svPlan, pl *Plan, zi int, lr, ur []int32) ([]int32, []int32, int) {
 	t := e.tmpl
 	sym := t.sparse.sym
 	l0, u0 := len(lr), len(ur)
 	seeds := p.seeds[:0]
-	if zi < len(out.distinct) {
-		for _, ue := range t.slots[out.distinct[zi]].u {
+	if zi < len(pl.distinct) {
+		for _, ue := range t.slots[pl.distinct[zi]].u {
 			seeds = append(seeds, int32(sym.PermRow(ue.idx)))
 		}
 	} else {
@@ -142,8 +143,8 @@ func (e *Engine) reaches(p *svPlan, out *Batch, zi int, lr, ur []int32) ([]int32
 	}
 	lr, cl := p.reacher.LowerReach(sym, lr, seeds)
 	seeds = seeds[:0]
-	if zi < len(out.distinct) {
-		for _, ve := range t.slots[out.distinct[zi]].v {
+	if zi < len(pl.distinct) {
+		for _, ve := range t.slots[pl.distinct[zi]].v {
 			seeds = append(seeds, int32(sym.PermCol(ve.idx)))
 		}
 	} else if e.outIdx >= 0 {
@@ -154,12 +155,13 @@ func (e *Engine) reaches(p *svPlan, out *Batch, zi int, lr, ur []int32) ([]int32
 	return lr, ur, cl + cu + len(lr) - l0 + len(ur) - u0
 }
 
-// planCross maps every ordered part pair (a, b) of the batch's rank-k
-// items to an entry of the cross-term table p.pairs, once per batch and
+// planCross maps every ordered part pair (a, b) of the plan's rank-k
+// items to an entry of the cross-term table p.pairs, once per solve and
 // in time linear in the pairs: the pairs are bucketed by z_a, and each
 // bucket numbers its first sight of every z_b.
-func (p *svPlan) planCross(out *Batch, nitems int) {
-	nd := len(out.distinct)
+func (p *svPlan) planCross(pl *Plan) {
+	nd := len(pl.distinct)
+	nitems := len(pl.off) - 1
 	p.pairs = p.pairs[:0]
 	p.crossOff = sliceutil.Grow(p.crossOff, nitems+1)
 	bucket := sliceutil.Grow(p.bucket, nd+1)
@@ -167,12 +169,12 @@ func (p *svPlan) planCross(out *Batch, nitems int) {
 	at := p.crossAt[:0]
 	for fi := 0; fi < nitems; fi++ {
 		p.crossOff[fi] = len(at)
-		lo, hi := out.off[fi], out.off[fi+1]
+		lo, hi := pl.off[fi], pl.off[fi+1]
 		if hi-lo < 2 {
 			continue
 		}
 		for a := lo; a < hi; a++ {
-			bucket[out.zSlot[out.partSlot[a]]+1] += hi - lo - 1
+			bucket[pl.zSlot[pl.partSlot[a]]+1] += hi - lo - 1
 			for b := lo; b < hi; b++ {
 				at = append(at, -1)
 			}
@@ -191,15 +193,15 @@ func (p *svPlan) planCross(out *Batch, nitems int) {
 	// next bucket's start.
 	ent := sliceutil.Grow(p.ent, 2*bucket[nd])
 	for fi := 0; fi < nitems; fi++ {
-		lo, hi := out.off[fi], out.off[fi+1]
+		lo, hi := pl.off[fi], pl.off[fi+1]
 		if k := hi - lo; k >= 2 {
 			for a := 0; a < k; a++ {
-				za := out.zSlot[out.partSlot[lo+a]]
+				za := pl.zSlot[pl.partSlot[lo+a]]
 				for b := 0; b < k; b++ {
 					if b != a {
 						e := 2 * bucket[za]
 						ent[e] = int32(p.crossOff[fi] + a*k + b)
-						ent[e+1] = int32(out.zSlot[out.partSlot[lo+b]])
+						ent[e+1] = int32(pl.zSlot[pl.partSlot[lo+b]])
 						bucket[za]++
 					}
 				}
@@ -227,11 +229,11 @@ func (p *svPlan) planCross(out *Batch, nitems int) {
 	p.ent, p.seen, p.idx = ent, seen, idx
 }
 
-// fitSparseVector grows a worker's sparse-vector scratch to the batch's
-// plan. The dense half-solve vectors are zero between uses (every walk
-// clears what it touched), so they are only ever allocated zeroed.
-func (ws *workspace) fitSparseVector(n int, out *Batch) {
-	nd := len(out.distinct)
+// fitSparseVector grows a worker's sparse-vector scratch to out's
+// plan over nd distinct slots. The dense half-solve vectors are zero
+// between uses (every walk clears what it touched), so they are only
+// ever allocated zeroed.
+func (ws *workspace) fitSparseVector(n, nd int, out *Batch) {
 	ws.svVtx0 = sliceutil.Grow(ws.svVtx0, nd)
 	ws.svVtz = sliceutil.Grow(ws.svVtz, nd)
 	ws.svZout = sliceutil.Grow(ws.svZout, nd)
@@ -251,15 +253,15 @@ func (ws *workspace) fitSparseVector(n int, out *Batch) {
 // readGroup computes every correction read of the cached frequency
 // group, all FreqBlock planes per walk: x0[out] = w_outᵀy_b, and per
 // distinct slot vᵀx0 = w_vᵀy_b, vᵀz = w_vᵀy_u and z[out] = w_outᵀy_u,
-// then the batch's cross terms v_aᵀz_b = w_{v_a}ᵀy_{u_b}. A plane whose
+// then the plan's cross terms v_aᵀz_b = w_{v_a}ᵀy_{u_b}. A plane whose
 // refactorization failed computes garbage in its own lanes only; its
 // column never reads them.
-func (e *Engine) readGroup(ws *workspace, out *Batch) {
+func (e *Engine) readGroup(ws *workspace, pl *Plan, out *Batch) {
 	t := e.tmpl
 	sym := t.sparse.sym
 	br := &ws.bref
 	p := &out.sv
-	nd := len(out.distinct)
+	nd := len(pl.distinct)
 	y, w, yb, wo := ws.svY, ws.svW, ws.svYb, ws.svWo
 	rb := p.lReach[p.lOff[nd]:p.lOff[nd+1]]
 	ro := p.uReach[p.uOff[nd]:p.uOff[nd+1]]
@@ -275,7 +277,7 @@ func (e *Engine) readGroup(ws *workspace, out *Batch) {
 	}
 	numeric.DotBlock(&ws.svX0, wo, yb, ro, false)
 	cross := len(p.pairs) > 0
-	for zi, si := range out.distinct {
+	for zi, si := range pl.distinct {
 		sl := &t.slots[si]
 		rl := p.lReach[p.lOff[zi]:p.lOff[zi+1]]
 		ru := p.uReach[p.uOff[zi]:p.uOff[zi+1]]

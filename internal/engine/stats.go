@@ -26,10 +26,6 @@ type PathStats struct {
 	// (or cancellation-prone) and was re-solved by an exact patched
 	// refactorization.
 	ExactFallbacks atomic.Int64
-	// MemoHits / MemoMisses count single-fault batch calls whose fault
-	// resolution was served from / recomputed into the engine memo.
-	MemoHits   atomic.Int64
-	MemoMisses atomic.Int64
 	// SupernodalRefactors counts sparse golden columns refactored by the
 	// frequency-blocked numeric phase (numeric.BlockRefactorer, the only
 	// sparse golden refactorization), one per successfully refactored
@@ -63,8 +59,6 @@ type PathStatsSnapshot struct {
 	Rank1Solves    int64 `json:"rank1_solves"`
 	RankKSolves    int64 `json:"rankk_solves"`
 	ExactFallbacks int64 `json:"exact_fallbacks"`
-	MemoHits       int64 `json:"memo_hits"`
-	MemoMisses     int64 `json:"memo_misses"`
 
 	SupernodalRefactors    int64 `json:"supernodal_refactors"`
 	PartialRefactors       int64 `json:"partial_refactors"`
@@ -84,8 +78,6 @@ func (p *PathStats) Snapshot() PathStatsSnapshot {
 		Rank1Solves:    p.Rank1Solves.Load(),
 		RankKSolves:    p.RankKSolves.Load(),
 		ExactFallbacks: p.ExactFallbacks.Load(),
-		MemoHits:       p.MemoHits.Load(),
-		MemoMisses:     p.MemoMisses.Load(),
 
 		SupernodalRefactors:    p.SupernodalRefactors.Load(),
 		PartialRefactors:       p.PartialRefactors.Load(),
@@ -104,8 +96,6 @@ func (s *PathStatsSnapshot) Add(o PathStatsSnapshot) {
 	s.Rank1Solves += o.Rank1Solves
 	s.RankKSolves += o.RankKSolves
 	s.ExactFallbacks += o.ExactFallbacks
-	s.MemoHits += o.MemoHits
-	s.MemoMisses += o.MemoMisses
 	s.SupernodalRefactors += o.SupernodalRefactors
 	s.PartialRefactors += o.PartialRefactors
 	s.PartialRefactorColumns += o.PartialRefactorColumns
@@ -156,9 +146,10 @@ func (p *PathStats) flush(ws *workspace) {
 func (e *Engine) Stats() PathStatsSnapshot { return e.stats.Snapshot() }
 
 // SetTracer installs (or, with nil, removes) a span tracer. When set,
-// the engine records one span per frequency column of every fault-set
-// batch (BatchResponsesSets and the diagnosis paths on top of it); the
-// single-fault entry points — the GA fitness hot path — never record
-// spans, so a tracer on a session costs the GA nothing per evaluation.
-// Must not be toggled concurrently with a running batch.
+// the engine records one "engine.column" span per frequency column of
+// every solve whose plan was resolved from fault sets (the diagnosis
+// paths, dictionary grids, clouds); a plan resolved from a
+// []fault.Fault — the GA fitness hot path's universe plan — records
+// none, so a tracer on a session costs the GA nothing per evaluation.
+// Must not be toggled concurrently with a running solve.
 func (e *Engine) SetTracer(t *obs.Tracer) { e.tracer = t }

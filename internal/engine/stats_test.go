@@ -11,8 +11,7 @@ import (
 // TestPathStatsCounting pins the path-counter bookkeeping: golden
 // factorizations per column, one rank-1 solve per non-golden single
 // fault per column, one rank-k solve per multi-fault item per column,
-// memo hit/miss accounting across repeated single-fault batches, and
-// which sparse column kernel a batch ran.
+// and which sparse column kernel a batch ran.
 func TestPathStatsCounting(t *testing.T) {
 	cut := circuits.NFLowpass7()
 	eng, err := New(cut.Circuit, cut.Source, cut.Output)
@@ -30,9 +29,6 @@ func TestPathStatsCounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := eng.Stats()
-	if s.MemoMisses != 1 || s.MemoHits != 0 {
-		t.Fatalf("first batch: memo hits/misses = %d/%d, want 0/1", s.MemoHits, s.MemoMisses)
-	}
 	// Every column factors the golden system once; this small CUT stays
 	// on the dense path.
 	if s.DenseFactors < int64(len(omegas)) {
@@ -54,15 +50,6 @@ func TestPathStatsCounting(t *testing.T) {
 			s.DenseFactors, len(omegas), s.ExactFallbacks)
 	}
 
-	// Same fault list again: the resolution memo must hit.
-	if _, err := eng.BatchResponses(nil, faults, omegas, 1); err != nil {
-		t.Fatal(err)
-	}
-	s = eng.Stats()
-	if s.MemoHits != 1 || s.MemoMisses != 1 {
-		t.Fatalf("second batch: memo hits/misses = %d/%d, want 1/1", s.MemoHits, s.MemoMisses)
-	}
-
 	// A multi-fault set routes through the rank-k path once per column.
 	pair, err := fault.NewMulti(
 		fault.Fault{Component: cut.Passives[0], Deviation: 0.3},
@@ -78,9 +65,6 @@ func TestPathStatsCounting(t *testing.T) {
 	s = eng.Stats()
 	if got := s.RankKSolves - before.RankKSolves; got != int64(len(omegas)) {
 		t.Errorf("RankKSolves delta = %d, want %d", got, len(omegas))
-	}
-	if s.MemoHits != before.MemoHits || s.MemoMisses != before.MemoMisses {
-		t.Errorf("set batches must not touch the memo counters")
 	}
 	if s.SparseVectorColumns != 0 {
 		t.Errorf("SparseVectorColumns = %d on a dense CUT", s.SparseVectorColumns)
@@ -121,9 +105,9 @@ func TestPathStatsCounting(t *testing.T) {
 // TestSnapshotAdd pins the aggregation arithmetic the serving layer
 // relies on.
 func TestSnapshotAdd(t *testing.T) {
-	a := PathStatsSnapshot{DenseFactors: 1, Rank1Solves: 2, MemoHits: 3, SparseVectorColumns: 6}
-	a.Add(PathStatsSnapshot{DenseFactors: 10, SparseFactors: 5, RankKSolves: 7, MemoMisses: 4, SparseVectorColumns: 2})
-	want := PathStatsSnapshot{DenseFactors: 11, SparseFactors: 5, Rank1Solves: 2, RankKSolves: 7, MemoHits: 3, MemoMisses: 4, SparseVectorColumns: 8}
+	a := PathStatsSnapshot{DenseFactors: 1, Rank1Solves: 2, ExactFallbacks: 3, SparseVectorColumns: 6}
+	a.Add(PathStatsSnapshot{DenseFactors: 10, SparseFactors: 5, RankKSolves: 7, PartialRefactors: 4, SparseVectorColumns: 2})
+	want := PathStatsSnapshot{DenseFactors: 11, SparseFactors: 5, Rank1Solves: 2, RankKSolves: 7, ExactFallbacks: 3, PartialRefactors: 4, SparseVectorColumns: 8}
 	if a != want {
 		t.Fatalf("Add = %+v, want %+v", a, want)
 	}

@@ -306,7 +306,7 @@ func TestPartialRefactorServesSMWFallback(t *testing.T) {
 
 // TestSupernodalGroupBatchAllocationFree extends the sparse steady-state
 // allocation pin to the frequency-group path: with two full FreqBlock
-// groups per batch, repeated batches allocate nothing.
+// groups per solve, repeated solves of a held plan allocate nothing.
 func TestSupernodalGroupBatchAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation drops pooled workspaces; counts are meaningless")
@@ -320,14 +320,14 @@ func TestSupernodalGroupBatchAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.SetFactorPath(FactorSparse)
-	singles := paperSingles(t, lad)[:25]
+	plan := testPlan(t, eng, paperSingles(t, lad)[:25])
 	omegas := make([]float64, 2*numeric.FreqBlock)
 	for i := range omegas {
 		omegas[i] = 0.004 + 0.004*float64(i)
 	}
 	var out Batch
 	run := func() {
-		if err := eng.BatchResponsesInto(nil, singles, omegas, 1, &out); err != nil {
+		if err := eng.SolveInto(nil, plan, omegas, 1, nil, &out); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -181,8 +181,10 @@ type pset struct {
 func (p pset) ID() string           { return p.id }
 func (p pset) Parts() []fault.Fault { return p.parts }
 
-// buildScratch is one worker's reusable state for Build.
+// buildScratch is one worker's reusable state for Build: each sample's
+// perturbed sets are resolved into plan and solved into batch.
 type buildScratch struct {
+	plan    engine.Plan
 	batch   engine.Batch
 	psets   []fault.Set
 	storage []pset
@@ -290,7 +292,10 @@ func Build(ctx context.Context, d *dictionary.Dictionary, omegas []float64, extr
 			}
 			sc.psets[si] = *ps
 		}
-		err := eng.BatchResponsesSetsInto(ctx, sc.psets, omegas, 1, &sc.batch)
+		err := engine.Resolve(eng, sc.psets, &sc.plan)
+		if err == nil {
+			err = eng.SolveInto(ctx, &sc.plan, omegas, 1, nil, &sc.batch)
+		}
 		if err != nil {
 			if errors.Is(err, rerr.ErrCanceled) {
 				return err

@@ -69,7 +69,7 @@ func TestZeroSigmaCloudsMatchPointSignatures(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sig, err := d.SignatureSet(f, omegas)
+		sig, err := d.Signature(f, omegas)
 		if err != nil {
 			t.Fatal(err)
 		}

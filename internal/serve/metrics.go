@@ -164,8 +164,6 @@ func WriteEnginePrometheus(w io.Writer, s engine.PathStatsSnapshot) {
 	counter("rank1_solves_total", "rank-1 Sherman-Morrison item solves", s.Rank1Solves)
 	counter("rankk_solves_total", "rank-k Woodbury item solves", s.RankKSolves)
 	counter("exact_fallbacks_total", "items re-solved by exact refactorization", s.ExactFallbacks)
-	counter("memo_hits_total", "fault-resolution memo hits", s.MemoHits)
-	counter("memo_misses_total", "fault-resolution memo misses", s.MemoMisses)
 	counter("supernodal_refactors_total", "sparse golden columns refactored by the frequency-blocked numeric phase", s.SupernodalRefactors)
 	counter("partial_refactors_total", "exact fallbacks served by partial refactorization", s.PartialRefactors)
 	counter("partial_refactor_columns_total", "matrix columns re-eliminated by partial refactors", s.PartialRefactorColumns)

@@ -177,7 +177,6 @@ type statsPayload struct {
 		SparseFactors          int64 `json:"sparse_factors"`
 		Rank1Solves            int64 `json:"rank1_solves"`
 		ExactFallbacks         int64 `json:"exact_fallbacks"`
-		MemoMisses             int64 `json:"memo_misses"`
 		SupernodalRefactors    int64 `json:"supernodal_refactors"`
 		PartialRefactors       int64 `json:"partial_refactors"`
 		PartialRefactorColumns int64 `json:"partial_refactor_columns"`
@@ -212,7 +211,6 @@ func TestServerMetricsAndStats(t *testing.T) {
 		"ftserve_build_seconds_count",
 		"ftserve_engine_dense_factors_total",
 		"ftserve_engine_rank1_solves_total",
-		"ftserve_engine_memo_misses_total",
 		"ftserve_engine_supernodal_refactors_total",
 		"ftserve_engine_partial_refactors_total",
 		"ftserve_engine_partial_refactor_columns_total",
@@ -250,7 +248,7 @@ func TestServerMetricsAndStats(t *testing.T) {
 		t.Errorf("/v1/stats builds = %d, build_seconds.count = %d, want 1/1",
 			st.Metrics.Builds, st.Metrics.BuildSeconds.Count)
 	}
-	if st.Engine.DenseFactors < 1 || st.Engine.Rank1Solves < 1 || st.Engine.MemoMisses < 1 {
+	if st.Engine.DenseFactors < 1 || st.Engine.Rank1Solves < 1 {
 		t.Errorf("/v1/stats engine counters empty: %+v", st.Engine)
 	}
 	if st.Metrics.RequestSeconds.P99 < st.Metrics.RequestSeconds.P50 {

@@ -1,5 +1,5 @@
 // Package sliceutil holds the one slice idiom the reuse APIs
-// (engine.BatchResponsesInto, dictionary.SignaturesInto,
+// (engine.Resolve and engine.SolveInto, dictionary.UniverseSignaturesInto,
 // trajectory.Builder) all rely on: reslicing caller-owned backing
 // storage instead of reallocating it.
 package sliceutil

@@ -73,7 +73,8 @@ func (b *Builder) build(ctx context.Context, omegas []float64) (*Map, error) {
 	}
 	// Signatures are row-aligned with the universe faults:
 	// component-major, each component's block sorted ascending by
-	// deviation. The *Into path bypasses the dictionary memo.
+	// deviation. The path solves the dictionary's resolved universe
+	// plan and bypasses its response memo.
 	sigs, err := b.d.UniverseSignaturesInto(ctx, omegas, &b.scratch)
 	if err != nil {
 		return nil, err

@@ -77,7 +77,7 @@ func TestBuildPairsStructure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sig, err := d.SignatureSet(set, omegas)
+		sig, err := d.Signature(set, omegas)
 		if err != nil {
 			t.Fatal(err)
 		}

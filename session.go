@@ -193,11 +193,12 @@ func WithProgress(fn func(Progress)) Option {
 // WithTracer installs a span tracer on the session: every stage call
 // (dictionary build, Optimize, Trajectories, Evaluate, Clouds) records
 // one "session.<stage>" span, and the underlying engine records one
-// "engine.column" span per frequency of every fault-set batch. The GA
-// fitness hot path records no spans (see engine.SetTracer), so a traced
-// session computes bit-identical results at unchanged steady-state
-// allocation cost. A nil tracer is the default: all span sites are
-// no-ops. Dump the collected spans with Tracer.WriteJSON.
+// "engine.column" span per frequency of every solve whose plan was
+// resolved from fault sets. The dictionary's single-fault universe plan
+// — the GA fitness hot path's — records none (see engine.SetTracer), so
+// a traced session computes bit-identical results at unchanged
+// steady-state allocation cost. A nil tracer is the default: all span
+// sites are no-ops. Dump the collected spans with Tracer.WriteJSON.
 func WithTracer(t *Tracer) Option {
 	return func(o *sessionOptions) { o.tracer = t }
 }
@@ -392,11 +393,12 @@ func (s *Session) CUT() CUT { return s.cut }
 //
 // The dictionary is safe for concurrent use: lazy response queries
 // serialize only their memo bookkeeping behind an internal mutex, bulk
-// signature computation (Signatures, UniverseSignatures, and the
-// diagnose paths built on them) bypasses the memo into call-local
-// scratch, and the batched engine draws per-worker workspaces from a
-// sync.Pool. Any number of goroutines may query one dictionary — the
-// contract the ftserve registry and micro-batcher rely on, pinned by the
+// signature computation (SignaturesSets, UniverseSignaturesInto, and
+// the diagnose paths built on them) bypasses the memo into call-local
+// scratch, the universe's resolved engine plan is shared read-only, and
+// the batched engine draws per-worker workspaces from a sync.Pool. Any
+// number of goroutines may query one dictionary — the contract the
+// ftserve registry and micro-batcher rely on, pinned by the
 // repository's -race hammer test.
 func (s *Session) Dictionary() *Dictionary { return s.atpg.Dictionary() }
 
