@@ -440,3 +440,91 @@ func FuzzDictionaryGridArtifact(f *testing.F) {
 		}
 	})
 }
+
+// FuzzTestVectorArtifact: whatever LoadTestVector accepts must build a
+// trajectory map at its frequencies. The seed is nf-lowpass-7's paper
+// test vector.
+func FuzzTestVectorArtifact(f *testing.F) {
+	s, err := NewSession(PaperCUT())
+	if err != nil {
+		f.Fatal(err)
+	}
+	seed, err := s.EncodeArtifact(kindTestVector, &TestVector{Omegas: []float64{0.56345, 4.5524}, Fitness: 1, Evaluations: 1920})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "tv.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		tv, err := s.LoadTestVector(path)
+		if err != nil {
+			return
+		}
+		if _, err := s.Trajectories(context.Background(), tv.Omegas); err != nil {
+			t.Fatalf("loaded test vector %v builds no trajectory map: %v", tv.Omegas, err)
+		}
+	})
+}
+
+// FuzzSignatureCloudsArtifact: every refusal of LoadSignatureClouds
+// wraps ErrArtifact, and a cloud set it accepts scores a point of its
+// dimension: Score must rank it, and so must DiagnoseProbabilistic on a
+// Diagnoser of that dimension (any other dimension is refused with
+// ErrBadConfig). The seeds are nf-lowpass-7 cloud sets, without and
+// with measurement noise.
+func FuzzSignatureCloudsArtifact(f *testing.F) {
+	ctx := context.Background()
+	omegas := []float64{0.56, 4.55}
+	var s *Session
+	for _, opts := range [][]Option{nil, {WithMeasurementNoise(300, 1e4)}} {
+		var err error
+		s, err = NewSession(PaperCUT(), append(opts, WithTolerance(Tolerance{Sigma: 0.05}, 16), WithToleranceSeed(1))...)
+		if err != nil {
+			f.Fatal(err)
+		}
+		cs, err := s.Clouds(ctx, omegas)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seed, err := s.EncodeArtifact(kindClouds, cs)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+	}
+	dg, err := s.Diagnoser(ctx, omegas)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "clouds.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cs, err := LoadSignatureClouds(path)
+		if err != nil {
+			if !errors.Is(err, ErrArtifact) {
+				t.Fatalf("refusal %v does not wrap ErrArtifact", err)
+			}
+			return
+		}
+		for _, p := range [][]float64{make([]float64, cs.Dim()), cs.Clouds[0].Mean} {
+			res, err := cs.Score(p)
+			if err != nil || len(res.Candidates) == 0 {
+				t.Fatalf("Score(%v): %v", p, err)
+			}
+			res, err = s.DiagnoseProbabilistic(dg, cs, p)
+			switch {
+			case cs.Dim() != len(omegas):
+				if !errors.Is(err, ErrBadConfig) {
+					t.Fatalf("DiagnoseProbabilistic of a %d-dimensional cloud set: %v, want ErrBadConfig", cs.Dim(), err)
+				}
+			case err != nil || len(res.Candidates) == 0:
+				t.Fatalf("DiagnoseProbabilistic(%v): %v", p, err)
+			}
+		}
+	})
+}

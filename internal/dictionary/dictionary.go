@@ -63,6 +63,12 @@ type Dictionary struct {
 	grids     []*grid                      // BuildGrid/BuildGridSets tables, oldest first
 	points    map[string]pointRow          // responses computed one at a time, by set ID
 	cells     int                          // cells stored in grids and points (≤ MemoLimit)
+
+	// refOmegas is the test vector CircuitSignature was last called at,
+	// and refGolden the golden circuit's analysis.AC magnitudes there:
+	// callers sweep many variants at one vector, and one row is all
+	// that is kept.
+	refOmegas, refGolden []float64
 }
 
 // grid is one BuildGrid/BuildGridSets result, kept as the engine's
@@ -172,9 +178,10 @@ func (d *Dictionary) analyzer(f fault.Fault) (*analysis.AC, error) {
 
 // ScalarResponse computes |H(jω)| the pre-engine way: clone the golden
 // circuit, inject the fault, assemble and factor a fresh MNA system.
-// It is unmemoized (only the assembled analyzer is cached per fault) and
-// exists as the reference implementation the engine is verified against
-// and benchmarked in BenchmarkBatchVsScalar.
+// It is unmemoized (only the assembled analyzer is cached per fault). It
+// is the per-point reference: CircuitSignature takes its golden term
+// from it, the engine is verified against it, and BenchmarkBatchVsScalar
+// times the engine against it.
 func (d *Dictionary) ScalarResponse(f fault.Fault, omega float64) (float64, error) {
 	ac, err := d.analyzer(f)
 	if err != nil {
@@ -201,13 +208,15 @@ func (d *Dictionary) ScalarResponse(f fault.Fault, omega float64) (float64, erro
 // parts stored in the point memo under an ID keep it; a set whose ID
 // collides with them is computed on every query.
 //
-// Lazy queries solve the faulted system exactly (full factorization of
-// the patched template); BuildGrid fills its grid through the batched
-// Sherman–Morrison path. The two agree to within 1e-9 relative error
-// (enforced by the engine's fallback guards and tests), so a stored
-// response may differ in its last few ulps depending on which path
-// computed it last — callers comparing exports bit-for-bit should
-// produce them through the same call sequence.
+// A miss is solved on the engine's batched path, the one BuildGrid
+// fills its grids through: the set is resolved as a one-item plan and
+// solved at that ω alone, and the column's golden response is stored
+// with the set's unless one is stored already, so GoldenResponse(ω)
+// after a miss at ω is a hit. A miss therefore equals the grid cell at
+// that point bit for bit, unless the engine's sparse kernel rule picks
+// different column kernels for the grid and for the one-item plan (the
+// reach-limited half-solves for one, the multi-RHS block solve for the
+// other), as it does on chains; the two then agree to rounding.
 func (d *Dictionary) Response(f fault.Fault, omega float64) (float64, error) {
 	return d.ResponseSet(f, omega)
 }
@@ -225,15 +234,22 @@ func (d *Dictionary) ResponseSet(set fault.Set, omega float64) (float64, error) 
 		return v, nil
 	}
 
-	mag, err := d.eng.ResponseSet(set, omega)
-	if err != nil {
+	var p engine.Plan
+	if err := engine.Resolve(d.eng, []fault.Set{set}, &p); err != nil {
+		return 0, fmt.Errorf("dictionary: %w", err)
+	}
+	var b engine.Batch
+	if err := d.eng.SolveInto(nil, &p, []float64{omega}, 1, nil, &b); err != nil {
 		return 0, fmt.Errorf("dictionary: %w", err)
 	}
 
 	d.mu.Lock()
-	d.storePoint(id, parts, omega, mag)
+	d.storePoint(id, parts, omega, b.Mags[0][0])
+	if _, ok := d.lookup("golden", nil, omega); !ok {
+		d.storePoint("golden", nil, omega, b.Golden[0])
+	}
 	d.mu.Unlock()
-	return mag, nil
+	return b.Mags[0][0], nil
 }
 
 // lookup returns the stored response of the set with this ID and these
@@ -388,12 +404,20 @@ func (d *Dictionary) Signature(set fault.Set, omegas []float64) ([]float64, erro
 // CircuitSignature computes the signature point of an arbitrary circuit
 // variant — a multiple fault, a tolerance-perturbed board, anything with
 // the same source and output — against this dictionary's golden
-// response. Unlike Signature it is not memoized (variants are one-off).
+// response. Both terms come from the per-point reference, analysis.AC:
+// the variant's response minus ScalarResponse of the golden circuit, so
+// a clone of the golden circuit sits exactly at the origin. Unlike
+// Signature it is not memoized (variants are one-off); only the golden
+// term at the last test vector asked for is kept.
 func (d *Dictionary) CircuitSignature(c *circuit.Circuit, omegas []float64) ([]float64, error) {
 	if len(omegas) == 0 {
 		return nil, fmt.Errorf("dictionary: empty test vector")
 	}
 	ac, err := analysis.NewAC(c)
+	if err != nil {
+		return nil, err
+	}
+	golden, err := d.referenceGolden(omegas)
 	if err != nil {
 		return nil, err
 	}
@@ -403,13 +427,35 @@ func (d *Dictionary) CircuitSignature(c *circuit.Circuit, omegas []float64) ([]f
 		if err != nil {
 			return nil, err
 		}
-		gm, err := d.GoldenResponse(w)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = cmplx.Abs(h) - gm
+		out[i] = cmplx.Abs(h) - golden[i]
 	}
 	return out, nil
+}
+
+// referenceGolden returns ScalarResponse of the golden circuit at each
+// of omegas, CircuitSignature's golden term. The row of the last vector
+// asked for is kept, so a loop over variants at one test vector factors
+// the golden system once per ω, not once per variant. The returned row
+// is shared and must not be modified.
+func (d *Dictionary) referenceGolden(omegas []float64) ([]float64, error) {
+	d.mu.Lock()
+	if slices.Equal(d.refOmegas, omegas) {
+		row := d.refGolden
+		d.mu.Unlock()
+		return row, nil
+	}
+	d.mu.Unlock()
+	row := make([]float64, len(omegas))
+	for i, w := range omegas {
+		var err error
+		if row[i], err = d.ScalarResponse(fault.Fault{}, w); err != nil {
+			return nil, err
+		}
+	}
+	d.mu.Lock()
+	d.refOmegas, d.refGolden = slices.Clone(omegas), row
+	d.mu.Unlock()
+	return row, nil
 }
 
 // BuildGrid precomputes every fault's response (plus the golden one) on a

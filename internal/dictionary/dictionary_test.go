@@ -1,8 +1,10 @@
 package dictionary
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -295,6 +297,47 @@ func TestCircuitSignatureVariants(t *testing.T) {
 	broken.MustAdd(circuitNewDanglingResistor())
 	if _, err := d.CircuitSignature(broken, []float64{1}); err == nil {
 		t.Fatal("broken variant accepted")
+	}
+}
+
+// TestCircuitSignatureGoldenRow: CircuitSignature keeps the golden term
+// of the last test vector only. Callers switching vectors, also from
+// several goroutines at once, get a fresh dictionary's points bit for
+// bit.
+func TestCircuitSignatureGoldenRow(t *testing.T) {
+	d := paperDict(t)
+	variant, err := fault.Fault{Component: "R3", Deviation: 0.25}.Apply(d.Golden())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vectors := [][]float64{{0.5, 2}, {2, 0.5}, {0.5, 2, 7}, {0.5}}
+	want := make([][]float64, len(vectors))
+	for i, omegas := range vectors {
+		if want[i], err = paperDict(t).CircuitSignature(variant, omegas); err != nil {
+			t.Fatal(err)
+		}
+	}
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		go func() {
+			for r := 0; r < 8; r++ {
+				i := (g + r) % len(vectors)
+				got, err := d.CircuitSignature(variant, vectors[i])
+				if err == nil && !slices.Equal(got, want[i]) {
+					err = fmt.Errorf("at %v: %v, fresh dictionary %v", vectors[i], got, want[i])
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for g := 0; g < 4; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -613,5 +656,145 @@ func TestMemoMatchesDeviationExactly(t *testing.T) {
 	}
 	if got, _ := d.ResponseSet(pair, w); got != b.Mags[0][0] {
 		t.Fatalf("%s: %v, grid batch %v", pair.ID(), got, b.Mags[0][0])
+	}
+}
+
+// TestPointMissMatchesGrid pins the one per-point path: a miss solves a
+// one-item plan on the engine path that fills grids. On every built-in
+// CUT, rc-grid-16 and opamp-cascade-16, a fresh dictionary's Response
+// and GoldenResponse misses equal a BuildGrid dictionary's cells bit for
+// bit, Signature equals the SignaturesSets row bit for bit, and after a
+// miss at ω GoldenResponse(ω) is a hit. On rc-ladder-64 the sparse
+// kernel rule picks different column kernels for the grid and for a
+// one-item plan, so there they agree within 1e-12 relative to the
+// response (the golden response, for a signature).
+func TestPointMissMatchesGrid(t *testing.T) {
+	grid, err := circuits.RCGrid(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	casc, err := circuits.OpampCascade(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lad, err := circuits.RCLadder(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type run struct {
+		cut circuits.CUT
+		tol float64 // 0: bit for bit
+	}
+	var runs []run
+	for _, cut := range circuits.All() {
+		runs = append(runs, run{cut, 0})
+	}
+	runs = append(runs, run{grid, 0}, run{casc, 0}, run{lad, 1e-12})
+	for _, r := range runs {
+		cut := r.cut
+		name := cut.Circuit.Name()
+		u, err := fault.PaperUniverse(cut.Passives)
+		if err != nil {
+			t.Fatal(err)
+		}
+		newDict := func() *Dictionary {
+			d, err := New(cut.Circuit, cut.Source, cut.Output, u)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return d
+		}
+		check := func(what string, got, want, scale float64) {
+			t.Helper()
+			if got != want && !(r.tol > 0 && math.Abs(got-want) <= r.tol*scale) {
+				t.Fatalf("%s: %s: miss %.17g, grid %.17g", name, what, got, want)
+			}
+		}
+		omegas := []float64{cut.Omega0 / 3, cut.Omega0, cut.Omega0 * 3}
+		faults := u.Faults()
+		built := newDict()
+		if err := built.BuildGrid(nil, omegas, 2); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		rows, err := built.SignaturesSets(nil, fault.Sets(faults), omegas)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		fresh, points := newDict(), newDict()
+		golden := make([]float64, len(omegas))
+		for j, w := range omegas {
+			got, err := fresh.GoldenResponse(w)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if golden[j], err = built.GoldenResponse(w); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			check(fmt.Sprintf("golden at ω=%g", w), got, golden[j], golden[j])
+		}
+		for i, f := range faults {
+			for _, w := range omegas {
+				got, err := fresh.Response(f, w)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				want, err := built.Response(f, w)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				check(fmt.Sprintf("%s at ω=%g", f.ID(), w), got, want, math.Abs(want))
+			}
+			sig, err := points.Signature(f, omegas)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for j, w := range omegas {
+				check(fmt.Sprintf("signature of %s at ω=%g", f.ID(), w), sig[j], rows[i][j], golden[j])
+			}
+		}
+
+		// A miss stores its column's golden response too, so GoldenResponse
+		// at that ω is a hit.
+		d := newDict()
+		if _, err := d.Response(faults[0], omegas[1]); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if n, ids := d.CachedCount(), d.CachedFaultIDs(); n != 2 || !slices.Equal(ids, []string{faults[0].ID(), "golden"}) {
+			t.Fatalf("%s: after a miss: %d cached, IDs %v; want the miss and its golden", name, n, ids)
+		}
+		if _, err := d.GoldenResponse(omegas[1]); err != nil || d.CachedCount() != 2 {
+			t.Fatalf("%s: GoldenResponse after a miss: %v, %d cached", name, err, d.CachedCount())
+		}
+	}
+}
+
+// TestSignatureMissMemoryBounded: a Signature miss runs on the engine's
+// sparse path, so one fault at two ω on rc-grid-64 (4097 unknowns)
+// allocates far less than one dense 4097² complex matrix (269 MB).
+func TestSignatureMissMemoryBounded(t *testing.T) {
+	cut, err := circuits.RCGrid(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := fault.PaperUniverse(cut.Passives)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := New(cut.Circuit, cut.Source, cut.Output, u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sig, err := d.Signature(fault.Fault{Component: "C3x3", Deviation: 0.25}, []float64{0.5, 2})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6; mb >= 64 {
+		t.Errorf("Signature miss on rc-grid-64 allocated %.1f MB, want < 64", mb)
+	}
+	if len(sig) != 2 || sig[0] == 0 {
+		t.Fatalf("signature %v", sig)
 	}
 }

@@ -29,14 +29,15 @@ import (
 // updates fall back to an exact solve: a partial sparse
 // refactorization, or a dense SoA factorization.
 // All storage lives in the pooled workspace, so the path is
-// allocation-free in steady state. Engine.ResponseSet is the independent
-// full-LU reference the tests pin this path against.
+// allocation-free in steady state. It is the engine's only solver: a
+// single point is a one-item plan, and the tests pin the path against
+// analysis.AC, which clones and assembles the circuit afresh.
 
 // absC is the column solver's magnitude: sqrt(re²+im²) without hypot's
 // overflow guards — a single sqrt instruction instead of a function
 // call. Response magnitudes here are moderate (no squaring overflow),
 // and the ≤1-ulp difference from cmplx.Abs is far inside the 1e-9
-// contract against the full-LU reference.
+// contract against the analysis.AC reference.
 func absC(v complex128) float64 {
 	r, i := real(v), imag(v)
 	return math.Sqrt(r*r + i*i)
@@ -160,9 +161,8 @@ func (e *Engine) prepareGroup(ws *workspace, omegas []float64, g, hi int, p *Pla
 	}
 }
 
-// solveColumn fills column j of the batch table: one golden
-// factorization, the correction reads (the group's half-solves, or one
-// multi-RHS solve for x0 and every distinct slot's z), then
+// solveColumn fills column j of the batch table: the golden
+// factorization and correction reads (factorColumn), then
 // O(k²·n_sparse + k³) work per k-part item (O(1) for the dominant rank-1
 // case). The items' parts and distinct slots are read from the
 // resolved plan p.
@@ -180,60 +180,12 @@ func (e *Engine) solveColumn(ws *workspace, omega float64, p *Plan, out *Batch, 
 	ws.cSparseVector = 0
 	defer e.stats.flush(ws)
 
+	x0out, err := e.factorColumn(ws, omega, p, out, j)
+	if err != nil {
+		return err
+	}
 	s := complex(0, omega)
 	t := e.tmpl
-	// Golden factorization: on the sparse path prepareGroup already
-	// refactored this column's planes numerically on the pattern's static
-	// elimination schedule — O(fill) instead of O(n³). An ill-conditioned
-	// sparse pivot (the sparse factorization does no numerical pivoting)
-	// falls through to the dense partial-pivoting factorization below, so
-	// sparse never changes what is computable.
-	ws.colSparse = false
-	ws.denseStamped = false
-	if ws.grpJ0 >= 0 {
-		ws.gx = j - ws.grpJ0
-		err := ws.grpErr[ws.gx]
-		if err == nil {
-			ws.colSparse = true
-			ws.cSparse++
-			ws.cSupernodal++
-		} else if !errors.Is(err, numeric.ErrSingular) {
-			return fmt.Errorf("engine: golden system at ω=%g: %w", omega, err)
-		} else {
-			ws.cDenseSingular++
-		}
-	}
-	if !ws.colSparse {
-		ws.ensureSoADense(t.n)
-		t.stampGoldenSoA(ws.ms, s)
-		ws.denseStamped = true
-		if err := ws.fs.CopyFrom(ws.ms); err != nil {
-			return err
-		}
-		if err := numeric.FactorSoAReuse(&ws.slu, ws.fs); err != nil {
-			return fmt.Errorf("engine: golden system at ω=%g: %w", omega, err)
-		}
-		ws.cDense++
-	}
-
-	ws.colSV = ws.colSparse && out.sv.on
-	var x0out complex128
-	if ws.colSV {
-		// The group's half-solves already computed every read; pick this
-		// column's plane.
-		ws.cSparseVector++
-		x0out = ws.svX0[ws.gx]
-		for zi := range p.distinct {
-			ws.vtz[zi] = ws.svVtz[zi][ws.gx]
-			ws.vtx0[zi] = ws.svVtx0[zi][ws.gx]
-			ws.zoutc[zi] = ws.svZout[zi][ws.gx]
-		}
-	} else {
-		var err error
-		if x0out, err = e.blockReads(ws, p); err != nil {
-			return err
-		}
-	}
 	// Every deviation of a component shares its slot's golden coefficient.
 	for zi, si := range p.distinct {
 		sl := &t.slots[si]
@@ -287,6 +239,62 @@ func (e *Engine) solveColumn(ws *workspace, omega float64, p *Plan, out *Batch, 
 		out.Mags[fi][j] = ax * e.invAmpAbs
 	}
 	return nil
+}
+
+// factorColumn is solveColumn's first half: column j's golden
+// factorization and its correction reads. It returns x0[out] and leaves
+// vᵀx0, vᵀz and z[out] of every distinct slot of p in ws, read from the
+// group's half-solves or computed by one multi-RHS solve. OutputNoisePSD
+// runs it alone, for the z[out] reads.
+func (e *Engine) factorColumn(ws *workspace, omega float64, p *Plan, out *Batch, j int) (complex128, error) {
+	t := e.tmpl
+	// Golden factorization: on the sparse path prepareGroup already
+	// refactored this column's planes numerically on the pattern's static
+	// elimination schedule — O(fill) instead of O(n³). An ill-conditioned
+	// sparse pivot (the sparse factorization does no numerical pivoting)
+	// falls through to the dense partial-pivoting factorization below, so
+	// sparse never changes what is computable.
+	ws.colSparse = false
+	ws.denseStamped = false
+	if ws.grpJ0 >= 0 {
+		ws.gx = j - ws.grpJ0
+		err := ws.grpErr[ws.gx]
+		if err == nil {
+			ws.colSparse = true
+			ws.cSparse++
+			ws.cSupernodal++
+		} else if !errors.Is(err, numeric.ErrSingular) {
+			return 0, fmt.Errorf("engine: golden system at ω=%g: %w", omega, err)
+		} else {
+			ws.cDenseSingular++
+		}
+	}
+	if !ws.colSparse {
+		ws.ensureSoADense(t.n)
+		t.stampGoldenSoA(ws.ms, complex(0, omega))
+		ws.denseStamped = true
+		if err := ws.fs.CopyFrom(ws.ms); err != nil {
+			return 0, err
+		}
+		if err := numeric.FactorSoAReuse(&ws.slu, ws.fs); err != nil {
+			return 0, fmt.Errorf("engine: golden system at ω=%g: %w", omega, err)
+		}
+		ws.cDense++
+	}
+
+	ws.colSV = ws.colSparse && out.sv.on
+	if !ws.colSV {
+		return e.blockReads(ws, p)
+	}
+	// The group's half-solves already computed every read; pick this
+	// column's plane.
+	ws.cSparseVector++
+	for zi := range p.distinct {
+		ws.vtz[zi] = ws.svVtz[zi][ws.gx]
+		ws.vtx0[zi] = ws.svVtx0[zi][ws.gx]
+		ws.zoutc[zi] = ws.svZout[zi][ws.gx]
+	}
+	return ws.svX0[ws.gx], nil
 }
 
 // blockReads is the column's block-solve kernel — every dense column,

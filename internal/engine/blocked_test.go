@@ -46,12 +46,12 @@ func doublePairs(t testing.TB, cut circuits.CUT) []fault.Set {
 
 // TestBlockedMatchesScalarAllCUTs is the blocked-kernel acceptance pin:
 // on every built-in CUT, the blocked SoA column solver must agree with
-// the scalar complex128 full-LU reference (ResponseSet: patch the
-// template, factor the whole system per point) to within 1e-9 relative
-// error over the golden, the full single-fault paper universe AND the
-// complete double-fault pair universe, at every worker count. Responses
-// far below the CUT's response scale (notch nulls) are compared against
-// a noise floor, exactly like the other engine-vs-reference pins.
+// the per-point reference (analysis.AC of the faulted clone, assembled
+// and factored per point) to within 1e-9 relative error over the golden,
+// the full single-fault paper universe AND the complete double-fault
+// pair universe, at every worker count. Responses far below the CUT's
+// response scale (notch nulls) are compared against a noise floor,
+// exactly like the other engine-vs-reference pins.
 func TestBlockedMatchesScalarAllCUTs(t *testing.T) {
 	for _, cut := range circuits.All() {
 		cut := cut
@@ -63,17 +63,7 @@ func TestBlockedMatchesScalarAllCUTs(t *testing.T) {
 			omegas := testOmegas(cut.Omega0)
 			singles := paperSingles(t, cut)
 			doubles := doublePairs(t, cut)
-			reference := func(set fault.Set) []float64 {
-				row := make([]float64, len(omegas))
-				for j, w := range omegas {
-					v, err := eng.ResponseSet(set, w)
-					if err != nil {
-						t.Fatalf("%s at ω=%g: %v", set.ID(), w, err)
-					}
-					row[j] = v
-				}
-				return row
-			}
+			reference := func(set fault.Set) []float64 { return acResponses(t, cut, set, omegas) }
 			refSingles := make([][]float64, len(singles))
 			for i, f := range singles {
 				refSingles[i] = reference(f)
@@ -99,14 +89,14 @@ func TestBlockedMatchesScalarAllCUTs(t *testing.T) {
 				for i := range singles {
 					for j := range omegas {
 						if re := relErrFloor(gotSingles.Mags[i][j], refSingles[i][j], floor); re > 1e-9 {
-							t.Fatalf("workers=%d fault %s ω=%g: blocked %.15g vs full LU %.15g (rel %.3g)",
+							t.Fatalf("workers=%d fault %s ω=%g: blocked %.15g vs analysis %.15g (rel %.3g)",
 								workers, singles[i].ID(), omegas[j], gotSingles.Mags[i][j], refSingles[i][j], re)
 						}
 					}
 				}
 				for j := range omegas {
 					if re := relErrFloor(gotSingles.Golden[j], refSingles[0][j], floor); re > 1e-9 {
-						t.Fatalf("workers=%d golden ω=%g: blocked %.15g vs full LU %.15g",
+						t.Fatalf("workers=%d golden ω=%g: blocked %.15g vs analysis %.15g",
 							workers, omegas[j], gotSingles.Golden[j], refSingles[0][j])
 					}
 				}
@@ -117,7 +107,7 @@ func TestBlockedMatchesScalarAllCUTs(t *testing.T) {
 				for i := range doubles {
 					for j := range omegas {
 						if re := relErrFloor(gotDoubles.Mags[i][j], refDoubles[i][j], floor); re > 1e-9 {
-							t.Fatalf("workers=%d set %s ω=%g: blocked %.15g vs full LU %.15g (rel %.3g)",
+							t.Fatalf("workers=%d set %s ω=%g: blocked %.15g vs analysis %.15g (rel %.3g)",
 								workers, doubles[i].ID(), omegas[j], gotDoubles.Mags[i][j], refDoubles[i][j], re)
 						}
 					}

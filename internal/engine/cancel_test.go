@@ -124,7 +124,8 @@ func TestBatchProgressCountsEveryColumn(t *testing.T) {
 // element reports ErrUnknownComponent.
 func TestUnknownComponentIsStructured(t *testing.T) {
 	eng, _ := testEngine(t)
-	_, err := eng.ResponseSet(fault.Fault{Component: "R99", Deviation: 0.2}, 1)
+	var p Plan
+	err := Resolve(eng, []fault.Set{fault.Fault{Component: "R99", Deviation: 0.2}}, &p)
 	if !errors.Is(err, rerr.ErrUnknownComponent) {
 		t.Fatalf("err = %v, want ErrUnknownComponent", err)
 	}

@@ -58,10 +58,9 @@ const (
 type Engine struct {
 	tmpl      *Template
 	output    string
-	outIdx    int // -1 when the output is ground (H ≡ 0)
-	amp       complex128
-	ampAbs    float64   // |amp|, precomputed for the blocked path's magnitudes
-	invAmpAbs float64   // 1/|amp|: the per-item divide becomes a multiply
+	outIdx    int       // -1 when the output is ground (H ≡ 0)
+	ampAbs    float64   // |source amplitude|, the magnitudes' normalization
+	invAmpAbs float64   // 1/ampAbs: the per-item divide becomes a multiply
 	pool      sync.Pool // *workspace, shared across SolveInto calls
 
 	// factorPath is the golden-factorization override (FactorAuto by
@@ -100,7 +99,7 @@ func New(c *circuit.Circuit, source, output string) (*Engine, error) {
 		return nil, err
 	}
 	ampAbs := cmplx.Abs(vs.Amplitude)
-	eng := &Engine{tmpl: tmpl, output: output, outIdx: outIdx, amp: vs.Amplitude, ampAbs: ampAbs, invAmpAbs: 1 / ampAbs}
+	eng := &Engine{tmpl: tmpl, output: output, outIdx: outIdx, ampAbs: ampAbs, invAmpAbs: 1 / ampAbs}
 	eng.sparseAuto = tmpl.sparse != nil && tmpl.n >= sparseMinN && tmpl.sparse.sym.FillRatio() <= sparseMaxFill
 	// One pool serves every batch shape: a workspace's per-batch scratch
 	// grows to the largest batch it has served and keeps that capacity,
@@ -183,44 +182,6 @@ func (e *Engine) resolve(f fault.Fault) (int, float64, error) {
 	return i, e.tmpl.slots[i].value * f.Scale(), nil
 }
 
-// ResponseSet computes |H(jω)| for one fault set exactly: the template
-// is patched at every part's slot and the full system factored — no
-// Woodbury shortcut. This is the full-LU reference the batched rank-k
-// path must agree with (≤ 1e-9 relative, pinned by tests on every
-// built-in CUT), and the path Dictionary.ResponseSet memoizes behind.
-func (e *Engine) ResponseSet(set fault.Set, omega float64) (float64, error) {
-	if err := checkOmega(omega); err != nil {
-		return 0, err
-	}
-	parts := set.Parts()
-	if err := checkDistinct(parts); err != nil {
-		return 0, fmt.Errorf("engine: fault %s: %w", set.ID(), err)
-	}
-	s := complex(0, omega)
-	m := numeric.NewMatrix(e.tmpl.n, e.tmpl.n)
-	e.tmpl.stampGolden(m, s)
-	for _, p := range parts {
-		si, fv, err := e.resolve(p)
-		if err != nil {
-			return 0, err
-		}
-		if si < 0 {
-			continue
-		}
-		sl := &e.tmpl.slots[si]
-		e.tmpl.addRank1(m, sl, sl.coeff(fv, s)-sl.coeff(sl.value, s))
-	}
-	lu, err := numeric.FactorInPlace(m)
-	if err != nil {
-		return 0, fmt.Errorf("engine: fault %s at ω=%g: %w", set.ID(), omega, err)
-	}
-	x, err := lu.Solve(e.tmpl.b)
-	if err != nil {
-		return 0, fmt.Errorf("engine: fault %s at ω=%g: %w", set.ID(), omega, err)
-	}
-	return cmplx.Abs(e.out(x) / e.amp), nil
-}
-
 // checkDistinct rejects fault sets touching one component twice: the
 // deviations would silently compose multiplicatively, which no caller
 // means.
@@ -274,12 +235,14 @@ type Batch struct {
 // Plan is a list of fault items resolved onto an engine's template:
 // item i is a fault set of k ≥ 0 (slot, value) parts,
 // partSlot/partVal[off[i]:off[i+1]] (0 parts ⇒ golden, 1 ⇒ the rank-1
-// fast path, k ≥ 2 ⇒ the Woodbury path), and every distinct slot the
-// items touch gets one z-solve per frequency. Resolve fills a plan
-// once; SolveInto then solves it at any number of frequency vectors. A
-// resolved plan is read-only, so concurrent solves may share it. The
-// zero Plan is ready to resolve into, and resolving again reuses its
-// storage.
+// fast path, k ≥ 2 ⇒ the Woodbury path), and every distinct slot gets
+// one z-solve per frequency. Resolve fills a plan whose distinct slots
+// are the ones its items touch, once; SolveInto then solves it at any
+// number of frequency vectors. The one other constructor,
+// conductancePlan, builds OutputNoisePSD's plan: no items, and every
+// conductance slot distinct. A resolved plan is read-only, so
+// concurrent solves may share it. The zero Plan is ready to resolve
+// into, and resolving again reuses its storage.
 type Plan struct {
 	eng      *Engine          // the engine resolved for; nil until Resolve succeeds
 	off      []int            // item index → first part; len(items)+1 entries
@@ -498,6 +461,22 @@ func Resolve[S fault.Set](e *Engine, items []S, p *Plan) error {
 	return nil
 }
 
+// conductancePlan fills p with OutputNoisePSD's plan: no items, and
+// every conductance slot distinct, in template order. Solving its
+// columns' reads (factorColumn) leaves z_r[out] of each resistor r in
+// the workspace.
+func (e *Engine) conductancePlan(p *Plan) {
+	t := e.tmpl
+	*p = Plan{eng: e, off: []int{0}, zSlot: make([]int, len(t.slots))}
+	for si := range t.slots {
+		p.zSlot[si] = -1
+		if t.slots[si].kind == coeffConductance {
+			p.zSlot[si] = len(p.distinct)
+			p.distinct = append(p.distinct, si)
+		}
+	}
+}
+
 // SolveInto fills out with plan p's response table at omegas, reusing
 // out's storage. Per frequency the golden system is factored once and
 // one z-solve performed per distinct slot; a single-fault item is then
@@ -550,10 +529,7 @@ func (e *Engine) SolveInto(ctx context.Context, p *Plan, omegas []float64, worke
 	// columns otherwise), so the useful worker count is the group count.
 	// Group boundaries depend only on the omega list, never on the worker
 	// count, which keeps results bit-identical at every worker count.
-	unit := 1
-	if e.sparseColumn() {
-		unit = numeric.FreqBlock
-	}
+	unit := e.groupSize()
 	e.planSparseVector(p, out)
 	groups := (len(omegas) + unit - 1) / unit
 	workers = fanout.Workers(groups, workers)
@@ -569,30 +545,55 @@ func (e *Engine) SolveInto(ctx context.Context, p *Plan, omegas []float64, worke
 	}
 
 	if workers == 1 {
-		// Inline path, not fanout.Run: a closure passed to Run escapes
-		// to the heap, and the GA fitness path (a candidate is k=2
-		// frequencies on one worker) must not allocate.
-		ws := e.pool.Get().(*workspace)
-		defer e.pool.Put(ws)
-		ws.fitBatch(e.tmpl.n, p, out)
-		for g := 0; g < len(omegas); g += unit {
-			hi := min(g+unit, len(omegas))
-			e.prepareGroup(ws, omegas, g, hi, p, out)
-			for j := g; j < hi; j++ {
-				if err := ctx.Err(); err != nil {
-					return rerr.Canceled(err)
-				}
-				if err := e.solveColumn(ws, omegas[j], p, out, j); err != nil {
-					return err
-				}
-				if report != nil {
-					report()
-				}
+		return e.solveSerial(ctx, p, omegas, out, func(ws *workspace, j int) error {
+			if err := e.solveColumn(ws, omegas[j], p, out, j); err != nil {
+				return err
 			}
-		}
-		return nil
+			if report != nil {
+				report()
+			}
+			return nil
+		})
 	}
 	return e.solveParallel(ctx, p, omegas, workers, unit, report, out)
+}
+
+// groupSize is the number of consecutive frequency columns a worker
+// claims at once: FreqBlock columns refactored in one blocked walk on
+// the sparse path, single columns on the dense one.
+func (e *Engine) groupSize() int {
+	if e.sparseColumn() {
+		return numeric.FreqBlock
+	}
+	return 1
+}
+
+// solveSerial is the single-worker column driver, shared by SolveInto
+// and OutputNoisePSD: on one pooled workspace grown to plan p, it
+// refactors each frequency group (prepareGroup) and calls col(ws, j) for
+// the group's columns in order, checking ctx before every column. It
+// runs inline, not on fanout.Run, whose closure escapes to the heap: col
+// does not escape, so the caller's closure stays on its stack and the GA
+// fitness path (a candidate is k=2 frequencies on one worker) allocates
+// nothing.
+func (e *Engine) solveSerial(ctx context.Context, p *Plan, omegas []float64, out *Batch, col func(ws *workspace, j int) error) error {
+	ws := e.pool.Get().(*workspace)
+	defer e.pool.Put(ws)
+	ws.fitBatch(e.tmpl.n, p, out)
+	unit := e.groupSize()
+	for g := 0; g < len(omegas); g += unit {
+		hi := min(g+unit, len(omegas))
+		e.prepareGroup(ws, omegas, g, hi, p, out)
+		for j := g; j < hi; j++ {
+			if err := ctx.Err(); err != nil {
+				return rerr.Canceled(err)
+			}
+			if err := col(ws, j); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // batch resolves items into a call-local plan and solves it into out:

@@ -26,25 +26,80 @@ func relErrFloor(a, b, floor float64) float64 {
 	return math.Abs(a-b) / scale
 }
 
-// TestTemplateMatchesStampAt verifies the compiled stamp program against
-// the elements' own Stamp methods for every benchmark CUT across a
-// frequency spread — the structural correctness of the whole engine.
+// acResponses is the per-point reference the engine is pinned against:
+// |H(jω)| at each ω of a clone of cut's circuit with set applied,
+// assembled and factored afresh by analysis.AC — code that shares
+// nothing with the compiled template.
+func acResponses(t testing.TB, cut circuits.CUT, set fault.Set, omegas []float64) []float64 {
+	t.Helper()
+	c := cut.Circuit
+	if parts := set.Parts(); len(parts) > 0 {
+		var err error
+		if c, err = fault.Multi(parts).Apply(cut.Circuit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ac, err := analysis.NewAC(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := make([]float64, len(omegas))
+	for j, w := range omegas {
+		h, err := ac.Transfer(cut.Source, cut.Output, w)
+		if err != nil {
+			t.Fatalf("%s at ω=%g: %v", set.ID(), w, err)
+		}
+		row[j] = cmplx.Abs(h)
+	}
+	return row
+}
+
+// TestTemplateMatchesStampAt verifies the compiled stamp program — the
+// dense SoA stamp the column solver factors — against the elements' own
+// Stamp methods for every benchmark CUT across a frequency spread: the
+// structural correctness of the whole engine. The SoA stamp is read
+// through the numeric API only: factored, it must carry the matrix
+// StampAt builds to the identity, A_soa⁻¹·A = I, which pins every entry.
 func TestTemplateMatchesStampAt(t *testing.T) {
 	for _, cut := range circuits.All() {
 		tmpl, err := Compile(cut.Circuit)
 		if err != nil {
 			t.Fatalf("%s: %v", cut.Circuit.Name(), err)
 		}
+		n := tmpl.Size()
+		soa := numeric.NewSoAMatrix(n, n)
+		blk := numeric.NewBlock(n, n)
+		var lu numeric.SoALU
 		for _, w := range []float64{0, 1e-3, 0.3, 1, 7.7, 1e3} {
 			s := complex(0, w)
 			want, wantB, err := tmpl.System().StampAt(s)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := numeric.NewMatrix(tmpl.Size(), tmpl.Size())
-			tmpl.stampGolden(got, s)
-			if !got.Equalish(want, 1e-12*(1+want.MaxAbs())) {
-				t.Fatalf("%s: template A mismatch at ω=%g", cut.Circuit.Name(), w)
+			tmpl.stampGoldenSoA(soa, s)
+			if err := numeric.FactorSoAReuse(&lu, soa); err != nil {
+				t.Fatalf("%s: template A at ω=%g: %v", cut.Circuit.Name(), w, err)
+			}
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					blk.Set(i, j, want.At(i, j))
+				}
+			}
+			if err := lu.SolveBlock(blk); err != nil {
+				t.Fatal(err)
+			}
+			re, im := blk.Planes()
+			tol := 1e-12 * (1 + want.MaxAbs())
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					v := complex(re[i*n+j], im[i*n+j])
+					if i == j {
+						v--
+					}
+					if cmplx.Abs(v) > tol {
+						t.Fatalf("%s: template A mismatch at ω=%g: (A_soa⁻¹·A)[%d][%d] off the identity by %g", cut.Circuit.Name(), w, i, j, cmplx.Abs(v))
+					}
+				}
 			}
 			for i := range wantB {
 				if cmplx.Abs(tmpl.RHS()[i]-wantB[i]) > 1e-12 {
@@ -164,9 +219,14 @@ func TestTemplateSelfCheckRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestResponseMatchesAnalysis compares the engine's exact per-point path
-// against the classic clone+assemble+solve path over faults and
-// frequencies for every benchmark CUT.
+// TestResponseMatchesAnalysis compares the engine's per-point path — a
+// one-item plan solved at one frequency, as a dictionary miss solves it
+// — against the classic clone+assemble+solve path over faults and
+// frequencies for every benchmark CUT, to 1e-9 relative. At an exact
+// transmission zero (twin-t-notch at ω0) the reference is rounding
+// noise, a few ulps of the peak response, and so is the engine's
+// answer: a point whose reference is below 1e-15 × peak only has to
+// stay within 1e-15 × peak of it.
 func TestResponseMatchesAnalysis(t *testing.T) {
 	for _, cut := range circuits.All() {
 		eng, err := New(cut.Circuit, cut.Source, cut.Output)
@@ -179,27 +239,29 @@ func TestResponseMatchesAnalysis(t *testing.T) {
 		}
 		omegas := numeric.Logspace(cut.Omega0/50, cut.Omega0*50, 7)
 		faults := append([]fault.Fault{{}}, u.Faults()...)
+		var peak float64
+		for _, g := range acResponses(t, cut, fault.Fault{}, omegas) {
+			peak = math.Max(peak, g)
+		}
+		rounding := 1e-15 * peak
 		for _, f := range faults {
-			faulty, err := f.Apply(cut.Circuit)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ac, err := analysis.NewAC(faulty)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, w := range omegas {
-				h, err := ac.Transfer(cut.Source, cut.Output, w)
+			want := acResponses(t, cut, f, omegas)
+			for j, w := range omegas {
+				b, err := eng.BatchResponsesSets(nil, []fault.Set{f}, []float64{w}, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := eng.ResponseSet(f, w)
-				if err != nil {
-					t.Fatal(err)
+				got := b.Mags[0][0]
+				if want[j] <= rounding {
+					if math.Abs(got-want[j]) > rounding {
+						t.Fatalf("%s: fault %s ω=%g: engine %.15g vs analysis %.15g at rounding level %g",
+							cut.Circuit.Name(), f.ID(), w, got, want[j], rounding)
+					}
+					continue
 				}
-				if re := relErr(got, cmplx.Abs(h)); re > 1e-9 {
+				if re := relErr(got, want[j]); re > 1e-9 {
 					t.Fatalf("%s: fault %s ω=%g: engine %.15g vs analysis %.15g (rel %g)",
-						cut.Circuit.Name(), f.ID(), w, got, cmplx.Abs(h), re)
+						cut.Circuit.Name(), f.ID(), w, got, want[j], re)
 				}
 			}
 		}
@@ -207,9 +269,9 @@ func TestResponseMatchesAnalysis(t *testing.T) {
 }
 
 // TestBatchAgreesWithResponse is the acceptance-criterion check: the
-// Sherman–Morrison batch path agrees with the exact per-point path to
-// within 1e-9 relative error on the full paper universe × a 32-point log
-// sweep.
+// Sherman–Morrison batch path agrees with the per-point reference
+// (analysis.AC of the faulted clone) to within 1e-9 relative error on
+// the full paper universe × a 32-point log sweep.
 func TestBatchAgreesWithResponse(t *testing.T) {
 	cut := circuits.NFLowpass7()
 	eng, err := New(cut.Circuit, cut.Source, cut.Output)
@@ -229,30 +291,26 @@ func TestBatchAgreesWithResponse(t *testing.T) {
 	if len(batch.Mags) != len(faults) || len(batch.Golden) != len(omegas) {
 		t.Fatalf("batch shape %dx%d, want %dx%d", len(batch.Mags), len(batch.Golden), len(faults), len(omegas))
 	}
+	golden := acResponses(t, cut, fault.Fault{}, omegas)
 	for j, w := range omegas {
-		g, err := eng.ResponseSet(fault.Fault{}, w)
-		if err != nil {
-			t.Fatal(err)
+		if re := relErr(batch.Golden[j], golden[j]); re > 1e-9 {
+			t.Fatalf("golden ω=%g: batch %.15g vs analysis %.15g (rel %g)", w, batch.Golden[j], golden[j], re)
 		}
-		if re := relErr(batch.Golden[j], g); re > 1e-9 {
-			t.Fatalf("golden ω=%g: batch %.15g vs exact %.15g (rel %g)", w, batch.Golden[j], g, re)
-		}
-		for i, f := range faults {
-			exact, err := eng.ResponseSet(f, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if re := relErr(batch.Mags[i][j], exact); re > 1e-9 {
-				t.Fatalf("fault %s ω=%g: batch %.15g vs exact %.15g (rel %g)",
-					f.ID(), w, batch.Mags[i][j], exact, re)
+	}
+	for i, f := range faults {
+		exact := acResponses(t, cut, f, omegas)
+		for j, w := range omegas {
+			if re := relErr(batch.Mags[i][j], exact[j]); re > 1e-9 {
+				t.Fatalf("fault %s ω=%g: batch %.15g vs analysis %.15g (rel %g)",
+					f.ID(), w, batch.Mags[i][j], exact[j], re)
 			}
 		}
 	}
 }
 
-// TestBatchAllCUTs runs a smaller agreement sweep over every benchmark
-// circuit, exercising inductor and notch topologies where rank-1 updates
-// are most likely to go ill-conditioned.
+// TestBatchAllCUTs runs a smaller agreement sweep against analysis.AC
+// over every benchmark circuit, exercising inductor and notch topologies
+// where rank-1 updates are most likely to go ill-conditioned.
 func TestBatchAllCUTs(t *testing.T) {
 	for _, cut := range circuits.All() {
 		eng, err := New(cut.Circuit, cut.Source, cut.Output)
@@ -278,14 +336,11 @@ func TestBatchAllCUTs(t *testing.T) {
 		}
 		floor := 1e-3 * peak
 		for i, f := range faults {
+			exact := acResponses(t, cut, f, omegas)
 			for j, w := range omegas {
-				exact, err := eng.ResponseSet(f, w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if re := relErrFloor(batch.Mags[i][j], exact, floor); re > 1e-9 {
-					t.Fatalf("%s: fault %s ω=%g: batch %.15g vs exact %.15g (rel %g)",
-						cut.Circuit.Name(), f.ID(), w, batch.Mags[i][j], exact, re)
+				if re := relErrFloor(batch.Mags[i][j], exact[j], floor); re > 1e-9 {
+					t.Fatalf("%s: fault %s ω=%g: batch %.15g vs analysis %.15g (rel %g)",
+						cut.Circuit.Name(), f.ID(), w, batch.Mags[i][j], exact[j], re)
 				}
 			}
 		}
@@ -308,16 +363,17 @@ func TestEngineErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.ResponseSet(fault.Fault{Component: "R99", Deviation: 0.1}, 1); err == nil {
+	var p Plan
+	if err := Resolve(eng, []fault.Fault{{Component: "R99", Deviation: 0.1}}, &p); err == nil {
 		t.Fatal("unknown component accepted")
 	}
-	if _, err := eng.ResponseSet(fault.Fault{Component: "U1", Deviation: 0.1}, 1); err == nil {
+	if err := Resolve(eng, []fault.Fault{{Component: "U1", Deviation: 0.1}}, &p); err == nil {
 		t.Fatal("non-valued component accepted")
 	}
-	if _, err := eng.ResponseSet(fault.Fault{Component: "R1", Deviation: -1}, 1); err == nil {
+	if err := Resolve(eng, []fault.Fault{{Component: "R1", Deviation: -1}}, &p); err == nil {
 		t.Fatal("-100% deviation accepted")
 	}
-	if _, err := eng.ResponseSet(fault.Fault{}, -1); err == nil {
+	if err := eng.SolveInto(nil, testPlan(t, eng, []fault.Fault{{}}), []float64{-1}, 1, nil, &Batch{}); err == nil {
 		t.Fatal("negative frequency accepted")
 	}
 	if _, err := eng.BatchResponses(nil, []fault.Fault{{}}, nil, 1); err == nil {

@@ -36,9 +36,9 @@ func testOmegas(omega0 float64) []float64 {
 
 // TestBatchSetsMatchFullLUReference is the rank-k acceptance pin: for
 // every built-in CUT, the batched Woodbury path must agree with the
-// full-LU reference (ResponseSet: patch the template, factor the whole
-// system) to within 1e-9 relative error over the complete double-fault
-// universe at the paper deviations.
+// full-LU reference (analysis.AC of the faulted clone: assemble and
+// factor the whole system per point) to within 1e-9 relative error over
+// the complete double-fault universe at the paper deviations.
 func TestBatchSetsMatchFullLUReference(t *testing.T) {
 	for i, cut := range circuits.All() {
 		eng := cutEngines(t)[i]
@@ -68,14 +68,11 @@ func TestBatchSetsMatchFullLUReference(t *testing.T) {
 		}
 		floor := 1e-3 * peak
 		for si, set := range sets {
+			want := acResponses(t, cut, set, omegas)
 			for j, w := range omegas {
-				want, err := eng.ResponseSet(set, w)
-				if err != nil {
-					t.Fatalf("%s: %s: %v", cut.Circuit.Name(), set.ID(), err)
-				}
-				if re := relErrFloor(batch.Mags[si][j], want, floor); re > 1e-9 {
+				if re := relErrFloor(batch.Mags[si][j], want[j], floor); re > 1e-9 {
 					t.Fatalf("%s: %s at ω=%g: batch %.15g, full LU %.15g (rel %.3g)",
-						cut.Circuit.Name(), set.ID(), w, batch.Mags[si][j], want, re)
+						cut.Circuit.Name(), set.ID(), w, batch.Mags[si][j], want[j], re)
 				}
 			}
 		}
@@ -189,8 +186,8 @@ func TestBatchSetsSharedSlots(t *testing.T) {
 // testWorkspaceReuseAcrossShapes: per-batch workspace scratch is sized by
 // the batch, so one sparse engine must serve, in order, singles over two
 // slots, a batch holding a 3-part set, and singles over more distinct
-// slots — every batch matching ResponseSet to 1e-9 — at one worker (the
-// same pooled workspace each time) and at two.
+// slots — every batch matching analysis.AC of the faulted clone to
+// 1e-9 — at one worker (the same pooled workspace each time) and at two.
 func testWorkspaceReuseAcrossShapes(t *testing.T) {
 	grid, err := circuits.RCGrid(8)
 	if err != nil {
@@ -228,14 +225,11 @@ func testWorkspaceReuseAcrossShapes(t *testing.T) {
 			}
 			floor := 1e-3 * math.Max(b.Golden[0], math.Max(b.Golden[1], b.Golden[2]))
 			for i, set := range sets {
+				want := acResponses(t, grid, set, omegas)
 				for j, w := range omegas {
-					want, err := eng.ResponseSet(set, w)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if re := relErrFloor(b.Mags[i][j], want, floor); re > 1e-9 {
+					if re := relErrFloor(b.Mags[i][j], want[j], floor); re > 1e-9 {
 						t.Fatalf("workers=%d batch %d: %s at ω=%g: %.15g, full LU %.15g (rel %.3g)",
-							workers, si, set.ID(), w, b.Mags[i][j], want, re)
+							workers, si, set.ID(), w, b.Mags[i][j], want[j], re)
 					}
 				}
 			}
@@ -244,8 +238,8 @@ func testWorkspaceReuseAcrossShapes(t *testing.T) {
 }
 
 // TestBatchSetsRejectsDuplicateComponents: a hand-built set faulting one
-// component twice is rejected up front, in both the batch and the exact
-// paths.
+// component twice is rejected up front, by Resolve and so by every batch
+// entry point built on it.
 func TestBatchSetsRejectsDuplicateComponents(t *testing.T) {
 	cut := circuits.NFLowpass7()
 	eng, err := New(cut.Circuit, cut.Source, cut.Output)
@@ -259,8 +253,9 @@ func TestBatchSetsRejectsDuplicateComponents(t *testing.T) {
 	if _, err := eng.BatchResponsesSets(nil, []fault.Set{dup}, []float64{1}, 1); err == nil {
 		t.Fatal("duplicate-component set accepted by batch path")
 	}
-	if _, err := eng.ResponseSet(dup, 1); err == nil {
-		t.Fatal("duplicate-component set accepted by exact path")
+	var p Plan
+	if err := Resolve(eng, []fault.Set{fault.Fault{}, dup}, &p); err == nil {
+		t.Fatal("duplicate-component set accepted by Resolve")
 	}
 }
 
@@ -288,7 +283,7 @@ func TestSolveSmallAgainstLU(t *testing.T) {
 		if !solveSmall(k, flat, rhs) {
 			t.Fatalf("trial %d: solveSmall refused a well-conditioned system", trial)
 		}
-		lu, err := numeric.FactorInPlace(m)
+		lu, err := numeric.Factor(m)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,9 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
-	"math/cmplx"
 
-	"repro/internal/numeric"
 	"repro/internal/rerr"
 )
 
@@ -21,13 +19,16 @@ const boltzmann = 1.380649e-23
 func (e *Engine) SourceAmplitude() float64 { return e.ampAbs }
 
 // OutputNoisePSD evaluates the thermal (Johnson) output-noise power
-// spectral density at each angular frequency directly on the compiled
-// stamp template: every resistor is exactly one conductance slot whose
+// spectral density at each angular frequency (finite, ≥ 0) on the
+// column solver: every resistor is exactly one conductance slot whose
 // sparse u-pattern is the ±1 current-injection pattern between its
-// nodes, so the noise transfer from that resistor is the same
-// z = A(jω)⁻¹u solve the Sherman–Morrison fast path already performs.
-// With h = z[out], the contribution is 4·k_B·T·|h|²/R (V²/Hz) — the
-// current-noise form i_n² = 4kT/R through the transimpedance |h|.
+// nodes, so the noise transfer from resistor r is h_r = z_r[out] with
+// z_r = A(jω)⁻¹u_r — the z[out] read the column solver makes for every
+// distinct slot of a plan (Rohrer, Nagel, Meyer & Weber, IEEE JSSC
+// 1971). Per frequency it runs the golden factorization and those reads
+// (factorColumn) for the conductance plan on SolveInto's single-worker
+// column driver, and sums 4·k_B·T·|h_r|²/R_r (V²/Hz) — the
+// current-noise form i_n² = 4kT/R through the transimpedance |h_r|.
 //
 // The result matches analysis.OutputNoise's clone-based evaluation
 // (silence sources, inject a unit AC current across each resistor,
@@ -40,59 +41,37 @@ func (e *Engine) OutputNoisePSD(ctx context.Context, omegas []float64, tempK flo
 	if len(omegas) == 0 {
 		return nil, fmt.Errorf("%w: engine: no frequencies", rerr.ErrBadConfig)
 	}
-	resistors := 0
-	for i := range e.tmpl.slots {
-		if e.tmpl.slots[i].kind == coeffConductance {
-			resistors++
+	for i, w := range omegas {
+		if checkOmega(w) != nil {
+			return nil, fmt.Errorf("%w: engine: frequency %d is %g, want finite and ≥ 0", rerr.ErrBadConfig, i, w)
 		}
 	}
-	if resistors == 0 {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	var p Plan
+	e.conductancePlan(&p)
+	if len(p.distinct) == 0 {
 		return nil, fmt.Errorf("%w: engine: circuit has no resistors to generate thermal noise", rerr.ErrBadConfig)
 	}
-	n := e.tmpl.n
-	m := numeric.NewMatrix(n, n)
-	f := numeric.NewMatrix(n, n)
-	var lu numeric.LU
-	rhs := make([]complex128, n)
-	z := make([]complex128, n)
+	var b Batch // holds the sparse-vector plan
+	e.planSparseVector(&p, &b)
+	t := e.tmpl
 	out := make([]float64, len(omegas))
-	for j, omega := range omegas {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, rerr.Canceled(err)
-			}
-		}
-		s := complex(0, omega)
-		e.tmpl.stampGolden(m, s)
-		if err := f.CopyFrom(m); err != nil {
-			return nil, err
-		}
-		if err := numeric.FactorReuse(&lu, f); err != nil {
-			return nil, fmt.Errorf("engine: noise factorization at ω=%g: %w", omega, err)
+	err := e.solveSerial(ctx, &p, omegas, &b, func(ws *workspace, j int) error {
+		if _, err := e.factorColumn(ws, omegas[j], &p, &b, j); err != nil {
+			return err
 		}
 		var total float64
-		for i := range e.tmpl.slots {
-			sl := &e.tmpl.slots[i]
-			if sl.kind != coeffConductance {
-				continue
-			}
-			for k := range rhs {
-				rhs[k] = 0
-			}
-			for _, ent := range sl.u {
-				rhs[ent.idx] = ent.w
-			}
-			if err := lu.SolveInto(z, rhs); err != nil {
-				return nil, fmt.Errorf("engine: noise z-solve (%s) at ω=%g: %w", sl.elem, omega, err)
-			}
-			var h complex128
-			if e.outIdx >= 0 {
-				h = z[e.outIdx]
-			}
-			habs := cmplx.Abs(h)
-			total += 4 * boltzmann * tempK * habs * habs / sl.value
+		for zi, si := range p.distinct {
+			h := ws.zoutc[zi]
+			total += 4 * boltzmann * tempK * (real(h)*real(h) + imag(h)*imag(h)) / t.slots[si].value
 		}
 		out[j] = total
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -86,10 +86,10 @@ func compileSparse(t *Template) *sparseProgram {
 	return sp
 }
 
-// stampGoldenSparse is stampGolden writing the golden A(s) into sparse
-// value planes (length sym.LUNNZ(), fill positions stay zero). Entry
-// accumulation order matches the dense stamps, so shared entries sum in
-// the same order.
+// stampGoldenSparse is stampGoldenSoA writing the golden A(s) into
+// sparse value planes (length sym.LUNNZ(), fill positions stay zero).
+// Entry accumulation order matches the dense stamp, so shared entries
+// sum in the same order.
 func (t *Template) stampGoldenSparse(re, im []float64, s complex128) {
 	for i := range re {
 		re[i], im[i] = 0, 0
@@ -108,7 +108,7 @@ func (t *Template) stampGoldenSparse(re, im []float64, s complex128) {
 }
 
 // addRank1Sparse accumulates θ · u vᵀ for slot si into sparse value
-// planes — the sparse counterpart of addRank1/addRank1SoA.
+// planes — the sparse counterpart of addRank1SoA.
 func (t *Template) addRank1Sparse(re, im []float64, si int, theta complex128) {
 	if theta == 0 {
 		return

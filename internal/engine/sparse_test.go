@@ -389,6 +389,15 @@ func TestSparseBatchAllocationFree(t *testing.T) {
 	}
 }
 
+// allocMB returns the megabytes f allocates, from runtime.MemStats.
+func allocMB(f func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / 1e6
+}
+
 // TestColdBuildMemoryBounded pins the cold path's memory on a
 // thousand-node CUT, measured as runtime.MemStats.TotalAlloc deltas:
 // compiling rc-grid-32 (1025 unknowns, 3008 elements) must stay under
@@ -400,13 +409,6 @@ func TestColdBuildMemoryBounded(t *testing.T) {
 	cut, err := circuits.RCGrid(32)
 	if err != nil {
 		t.Fatal(err)
-	}
-	allocMB := func(f func()) float64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		f()
-		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc-before.TotalAlloc) / 1e6
 	}
 	if mb := allocMB(func() { _, err = Compile(cut.Circuit) }); err != nil {
 		t.Fatal(err)

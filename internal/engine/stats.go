@@ -148,7 +148,7 @@ func (e *Engine) Stats() PathStatsSnapshot { return e.stats.Snapshot() }
 // SetTracer installs (or, with nil, removes) a span tracer. When set,
 // the engine records one "engine.column" span per frequency column of
 // every solve whose plan was resolved from fault sets (the diagnosis
-// paths, dictionary grids, clouds); a plan resolved from a
+// paths, dictionary grids and misses, clouds); a plan resolved from a
 // []fault.Fault — the GA fitness hot path's universe plan — records
 // none, so a tracer on a session costs the GA nothing per evaluation.
 // Must not be toggled concurrently with a running solve.

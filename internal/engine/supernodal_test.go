@@ -19,7 +19,8 @@ import (
 // rc-grid and rc-ladder families, three ways: batches of 1, 2, 3, 5 and
 // 9 frequencies — every group shape, padded or full — on the sparse path
 // must match the dense path to 1e-9 relative over single and double
-// faults, match the ResponseSet full-LU reference on a sample of items,
+// faults, match the full-LU reference (analysis.AC of the faulted clone)
+// on a sample of items,
 // and be bit-identical at worker counts {1, 2, 4}. Every sparse golden
 // column must be refactored by the blocked walk: the SupernodalRefactors
 // delta of each batch equals its column count.
@@ -71,23 +72,11 @@ func TestSupernodalThreeWayEquivalence(t *testing.T) {
 			// double (items 0 — the golden and the first pair — included).
 			exactS := map[int][]float64{}
 			for i := 0; i < len(singles); i += 17 {
-				for _, w := range all {
-					v, err := eng.ResponseSet(singles[i], w)
-					if err != nil {
-						t.Fatal(err)
-					}
-					exactS[i] = append(exactS[i], v)
-				}
+				exactS[i] = acResponses(t, cut, singles[i], all)
 			}
 			exactD := map[int][]float64{}
 			for i := 0; i < len(doubles); i += 5 {
-				for _, w := range all {
-					v, err := eng.ResponseSet(doubles[i], w)
-					if err != nil {
-						t.Fatal(err)
-					}
-					exactD[i] = append(exactD[i], v)
-				}
+				exactD[i] = acResponses(t, cut, doubles[i], all)
 			}
 
 			eng.SetFactorPath(FactorSparse)
@@ -244,8 +233,10 @@ func TestPartialRefactorServesSMWFallback(t *testing.T) {
 		t.Fatalf("no slot for %s", comp)
 	}
 	sl := &tm.slots[si]
-	m := numeric.NewMatrix(tm.n, tm.n)
-	tm.stampGolden(m, 0)
+	m, _, err := tm.System().StampAt(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	lu, err := numeric.Factor(m)
 	if err != nil {
 		t.Fatal(err)

@@ -23,9 +23,11 @@
 // back to an exact solve when an update is ill-conditioned (blocked.go).
 // Frequencies fan out over a worker pool with per-worker scratch
 // workspaces, so a whole dictionary grid costs one golden factorization
-// per frequency instead of one per (fault, frequency). ResponseSet
-// factors each (fault set, frequency) from scratch with a plain complex
-// LU; it is the independent reference the batch path is tested against.
+// per frequency instead of one per (fault, frequency). A single point
+// (one fault set at one frequency) is a one-item batch on the same path,
+// and thermal noise reads the same per-slot z[out] (noise.go). The tests
+// pin the engine against analysis.AC, which clones and assembles the
+// circuit and shares no code with the template.
 package engine
 
 import (
@@ -289,35 +291,9 @@ func (t *Template) HasSlot(elem string) bool {
 	return ok
 }
 
-// stampGolden fills dst (which must be n×n) with the golden A(s): the
+// stampGoldenSoA fills dst (which must be n×n) with the golden A(s) as
+// split re/im planes — the dense column solver's matrix source: the
 // static entries plus every slot at its nominal value.
-func (t *Template) stampGolden(dst *numeric.Matrix, s complex128) {
-	dst.Zero()
-	for _, e := range t.static {
-		dst.Add(e.i, e.j, e.v)
-	}
-	for i := range t.slots {
-		sl := &t.slots[i]
-		t.addRank1(dst, sl, sl.coeff(sl.value, s))
-	}
-}
-
-// addRank1 accumulates θ · u vᵀ for one slot into dst.
-func (t *Template) addRank1(dst *numeric.Matrix, sl *slot, theta complex128) {
-	if theta == 0 {
-		return
-	}
-	for _, ue := range sl.u {
-		w := theta * ue.w
-		for _, ve := range sl.v {
-			dst.Add(ue.idx, ve.idx, w*ve.w)
-		}
-	}
-}
-
-// stampGoldenSoA is stampGolden writing into split re/im planes — the
-// blocked kernel path's matrix source. Stamp order matches stampGolden
-// exactly, so the two layouts hold bitwise-identical values.
 func (t *Template) stampGoldenSoA(dst *numeric.SoAMatrix, s complex128) {
 	dst.Zero()
 	for _, e := range t.static {
@@ -456,7 +432,7 @@ func (c *stampCheck) accumulate(row []circuit.Triplet, acc []complex128, cols []
 }
 
 // goldenTriplets appends the golden A(s) contributions to dst[:0] in
-// stampGolden's order, skipping the same zero-coefficient slots.
+// stampGoldenSoA's order, skipping the same zero-coefficient slots.
 func (t *Template) goldenTriplets(dst []circuit.Triplet, s complex128) []circuit.Triplet {
 	dst = dst[:0]
 	for _, e := range t.static {

@@ -17,53 +17,14 @@ type LU struct {
 	n   int
 }
 
-// Factor computes the LU factorization of the square matrix a.
-// It returns ErrSingular if a pivot is exactly zero.
+// Factor computes the LU factorization of the square matrix a, which it
+// leaves untouched. It returns ErrSingular if a pivot is exactly zero.
 func Factor(a *Matrix) (*LU, error) {
 	if a.rows != a.cols {
 		return nil, fmt.Errorf("numeric: factor %dx%d: %w", a.rows, a.cols, ErrDimension)
 	}
-	f := &LU{}
-	if err := f.factorStorage(a.Clone()); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// FactorInPlace factors a using a's own storage as the packed LU — the
-// low-allocation path for batched solvers that rebuild the matrix each
-// round anyway (only the LU header and pivot vector are allocated; see
-// FactorReuse for the fully allocation-free variant). The caller must
-// not use a afterwards; its contents are destroyed.
-func FactorInPlace(a *Matrix) (*LU, error) {
-	if a.rows != a.cols {
-		return nil, fmt.Errorf("numeric: factor %dx%d: %w", a.rows, a.cols, ErrDimension)
-	}
-	f := &LU{}
-	if err := f.factorStorage(a); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// FactorReuse is FactorInPlace recycling a caller-owned LU: the pivot
-// vector is resliced instead of reallocated, so a worker that refactors
-// into the same LU every round allocates nothing in steady state. On
-// error f is unusable until the next successful refactorization, exactly
-// like the matrix.
-func FactorReuse(f *LU, a *Matrix) error {
-	if a.rows != a.cols {
-		return fmt.Errorf("numeric: factor %dx%d: %w", a.rows, a.cols, ErrDimension)
-	}
-	return f.factorStorage(a)
-}
-
-func (f *LU) factorStorage(a *Matrix) error {
 	n := a.rows
-	if cap(f.piv) < n {
-		f.piv = make([]int, n)
-	}
-	*f = LU{lu: a, piv: f.piv[:n], n: n}
+	f := &LU{lu: a.Clone(), piv: make([]int, n), n: n}
 	for i := range f.piv {
 		f.piv[i] = i
 	}
@@ -79,7 +40,7 @@ func (f *LU) factorStorage(a *Matrix) error {
 			}
 		}
 		if mx == 0 {
-			return fmt.Errorf("numeric: zero pivot at column %d: %w", k, ErrSingular)
+			return nil, fmt.Errorf("numeric: zero pivot at column %d: %w", k, ErrSingular)
 		}
 		if p != k {
 			for j := 0; j < n; j++ {
@@ -99,7 +60,7 @@ func (f *LU) factorStorage(a *Matrix) error {
 			}
 		}
 	}
-	return nil
+	return f, nil
 }
 
 // Solve solves A*x = b for a single right-hand side. b is not modified.

@@ -71,27 +71,11 @@ func (m *Matrix) check(i, j int) {
 	}
 }
 
-// Zero resets every element to 0 without reallocating.
-func (m *Matrix) Zero() {
-	for i := range m.data {
-		m.data[i] = 0
-	}
-}
-
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
 	out := NewMatrix(m.rows, m.cols)
 	copy(out.data, m.data)
 	return out
-}
-
-// CopyFrom overwrites m with src without reallocating. Shapes must match.
-func (m *Matrix) CopyFrom(src *Matrix) error {
-	if m.rows != src.rows || m.cols != src.cols {
-		return fmt.Errorf("numeric: copy %dx%d into %dx%d: %w", src.rows, src.cols, m.rows, m.cols, ErrDimension)
-	}
-	copy(m.data, src.data)
-	return nil
 }
 
 // Equalish reports whether m and n have the same shape and all elements

@@ -171,10 +171,8 @@ func TestSolveScratchPathsAllocationFree(t *testing.T) {
 		b[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
 
-	// Warm complex128 LU storage and scratch.
-	fstore := a.Clone()
-	var lu LU
-	if err := FactorReuse(&lu, fstore); err != nil {
+	lu, err := Factor(a)
+	if err != nil {
 		t.Fatal(err)
 	}
 	x := make([]complex128, n)
@@ -195,14 +193,6 @@ func TestSolveScratchPathsAllocationFree(t *testing.T) {
 		name string
 		run  func()
 	}{
-		{"FactorReuse", func() {
-			if err := fstore.CopyFrom(a); err != nil {
-				t.Fatal(err)
-			}
-			if err := FactorReuse(&lu, fstore); err != nil {
-				t.Fatal(err)
-			}
-		}},
 		{"LU.SolveInto", func() {
 			if err := lu.SolveInto(x, b); err != nil {
 				t.Fatal(err)

@@ -194,11 +194,12 @@ func WithProgress(fn func(Progress)) Option {
 // (dictionary build, Optimize, Trajectories, Evaluate, Clouds) records
 // one "session.<stage>" span, and the underlying engine records one
 // "engine.column" span per frequency of every solve whose plan was
-// resolved from fault sets. The dictionary's single-fault universe plan
-// — the GA fitness hot path's — records none (see engine.SetTracer), so
-// a traced session computes bit-identical results at unchanged
-// steady-state allocation cost. A nil tracer is the default: all span
-// sites are no-ops. Dump the collected spans with Tracer.WriteJSON.
+// resolved from fault sets, a dictionary miss (one-item plan) included.
+// The dictionary's single-fault universe plan — the GA fitness hot
+// path's — records none (see engine.SetTracer), so a traced session
+// computes bit-identical results at unchanged steady-state allocation
+// cost. A nil tracer is the default: all span sites are no-ops. Dump the
+// collected spans with Tracer.WriteJSON.
 func WithTracer(t *Tracer) Option {
 	return func(o *sessionOptions) { o.tracer = t }
 }
