@@ -131,6 +131,59 @@ func solveSmall(k int, m, r []complex128) bool {
 	return true
 }
 
+// solve2 is solveSmall at k = 2, unrolled, for the 2×2 system
+// [m00 m01; m10 m11]·w = [r0; r1]: the same max-modulus norm, the same
+// pivot choice (a strict > on squared moduli) and row swap, the same
+// denGuard test on both pivots and the same f == 0 skip, each in the
+// same order of operations, so its verdict and every bit of its
+// solution are solveSmall's. The first pivot's reciprocal is computed
+// once and serves the back-substitution too, where solveSmall computes
+// it again.
+func solve2(m00, m01, m10, m11, r0, r1 complex128) (w0, w1 complex128, ok bool) {
+	a00 := real(m00)*real(m00) + imag(m00)*imag(m00)
+	a01 := real(m01)*real(m01) + imag(m01)*imag(m01)
+	a10 := real(m10)*real(m10) + imag(m10)*imag(m10)
+	a11 := real(m11)*real(m11) + imag(m11)*imag(m11)
+	// Not the max builtin: it returns NaN for a NaN entry, which
+	// solveSmall's loop skips.
+	var norm2 float64
+	if a00 > norm2 {
+		norm2 = a00
+	}
+	if a01 > norm2 {
+		norm2 = a01
+	}
+	if a10 > norm2 {
+		norm2 = a10
+	}
+	if a11 > norm2 {
+		norm2 = a11
+	}
+	if norm2 == 0 {
+		return 0, 0, false
+	}
+	guard2 := denGuard * denGuard * norm2
+	pa := a00
+	if a10 > pa {
+		m00, m01, m10, m11 = m10, m11, m00, m01
+		r0, r1 = r1, r0
+		pa = a10
+	}
+	if pa < guard2 {
+		return 0, 0, false
+	}
+	inv0 := recipC(m00)
+	if f := m10 * inv0; f != 0 {
+		m11 -= f * m01
+		r1 -= f * r0
+	}
+	if real(m11)*real(m11)+imag(m11)*imag(m11) < guard2 {
+		return 0, 0, false
+	}
+	w1 = r1 * recipC(m11)
+	return (r0 - m01*w1) * inv0, w1, true
+}
+
 // prepareGroup refactors the golden systems of frequency columns
 // [g, hi) in one frequency-blocked walk and caches the per-column
 // factors and outcomes in the workspace. A group shorter than FreqBlock
@@ -362,72 +415,109 @@ func (e *Engine) blockReads(ws *workspace, p *Plan) (complex128, error) {
 // where column b of Z is the already-solved z_b = A⁻¹ u_b shared with
 // every other item touching slot b; the k×k capacitance system is
 // assembled from sparse dots against the block's x0 and z columns, or,
-// on sparse-vector columns, from the group's cross-term table. An
-// ill-conditioned capacitance matrix (small pivot) or a catastrophic
-// cancellation in the output falls back to the exact solve — the same
-// guards, and the same fallback, as the rank-1 path.
+// on sparse-vector columns, from the group's cross-term table. A pair
+// (k = 2, every double fault) reads its two cross terms directly and
+// solves with solve2; larger items assemble the matrix and run
+// solveSmall. An ill-conditioned capacitance matrix (small pivot) or a
+// catastrophic cancellation in the output falls back to the exact solve
+// — the same guards, and the same fallback, as the rank-1 path.
 func (e *Engine) solveItemK(ws *workspace, s complex128, omega float64, p *Plan, out *Batch, fi, j int, x0out complex128, x0outAbs float64) error {
 	t := e.tmpl
-	bre, bim := ws.blk.Planes()
-	nc := ws.blk.Cols()
 	lo, hi := p.off[fi], p.off[fi+1]
 	k := hi - lo
-	var cross []int32
-	if ws.colSV {
-		cross = out.sv.crossAt[out.sv.crossOff[fi] : out.sv.crossOff[fi]+k*k]
-	}
-	anyDelta := false
-	for a := 0; a < k; a++ {
-		sl := &t.slots[p.partSlot[lo+a]]
-		d := sl.coeff(p.partVal[lo+a], s) - ws.gcoeff[p.zSlot[p.partSlot[lo+a]]]
-		ws.delta[a] = d
-		if d != 0 {
-			anyDelta = true
-		}
-	}
-	if !anyDelta {
-		out.Mags[fi][j] = out.Golden[j]
-		return nil
-	}
-	ws.cRankK++
-	cm := ws.cmat[:k*k]
-	w := ws.wvec[:k]
-	for a := 0; a < k; a++ {
-		sl := &t.slots[p.partSlot[lo+a]]
-		zia := p.zSlot[p.partSlot[lo+a]]
-		w[a] = ws.delta[a] * ws.vtx0[zia]
-		for b := 0; b < k; b++ {
-			zib := p.zSlot[p.partSlot[lo+b]]
-			var v complex128
-			switch {
-			case zib == zia:
-				v = ws.delta[a] * ws.vtz[zia]
-			case cross != nil:
-				v = ws.delta[a] * ws.svCross[cross[a*k+b]][ws.gx]
-			default:
-				v = ws.delta[a] * dotPlanes(sl.v, bre, bim, nc, 1+zib)
-			}
-			if a == b {
-				v++
-			}
-			cm[a*k+b] = v
-		}
-	}
 	xout := x0out
-	ok := solveSmall(k, cm, w)
-	if ok && e.outIdx >= 0 {
-		for b := 0; b < k; b++ {
-			xout -= w[b] * ws.zoutc[p.zSlot[p.partSlot[lo+b]]]
+	var ok bool
+	if k == 2 {
+		si0, si1 := p.partSlot[lo], p.partSlot[lo+1]
+		z0, z1 := p.zSlot[si0], p.zSlot[si1]
+		d0 := t.slots[si0].coeff(p.partVal[lo], s) - ws.gcoeff[z0]
+		d1 := t.slots[si1].coeff(p.partVal[lo+1], s) - ws.gcoeff[z1]
+		if d0 == 0 && d1 == 0 {
+			out.Mags[fi][j] = out.Golden[j]
+			return nil
+		}
+		ws.cRankK++
+		ws.delta[0], ws.delta[1] = d0, d1
+		// The parts' slots are distinct (Resolve), so both off-diagonal
+		// terms are cross terms: v₀ᵀz₁ and v₁ᵀz₀.
+		var c01, c10 complex128
+		if ws.colSV {
+			at := out.sv.crossOff[fi]
+			c01 = ws.svCross[out.sv.crossAt[at+1]][ws.gx]
+			c10 = ws.svCross[out.sv.crossAt[at+2]][ws.gx]
+		} else {
+			bre, bim := ws.blk.Planes()
+			nc := ws.blk.Cols()
+			c01 = dotPlanes(t.slots[si0].v, bre, bim, nc, 1+z1)
+			c10 = dotPlanes(t.slots[si1].v, bre, bim, nc, 1+z0)
+		}
+		var w0, w1 complex128
+		w0, w1, ok = solve2(d0*ws.vtz[z0]+1, d0*c01, d1*c10, d1*ws.vtz[z1]+1,
+			d0*ws.vtx0[z0], d1*ws.vtx0[z1])
+		if ok && e.outIdx >= 0 {
+			xout -= w0 * ws.zoutc[z0]
+			xout -= w1 * ws.zoutc[z1]
+		}
+	} else {
+		anyDelta := false
+		for a := 0; a < k; a++ {
+			si := p.partSlot[lo+a]
+			d := t.slots[si].coeff(p.partVal[lo+a], s) - ws.gcoeff[p.zSlot[si]]
+			ws.delta[a] = d
+			if d != 0 {
+				anyDelta = true
+			}
+		}
+		if !anyDelta {
+			out.Mags[fi][j] = out.Golden[j]
+			return nil
+		}
+		ws.cRankK++
+		bre, bim := ws.blk.Planes()
+		nc := ws.blk.Cols()
+		var cross []int32
+		if ws.colSV {
+			cross = out.sv.crossAt[out.sv.crossOff[fi] : out.sv.crossOff[fi]+k*k]
+		}
+		cm := ws.cmat[:k*k]
+		w := ws.wvec[:k]
+		for a := 0; a < k; a++ {
+			sl := &t.slots[p.partSlot[lo+a]]
+			zia := p.zSlot[p.partSlot[lo+a]]
+			w[a] = ws.delta[a] * ws.vtx0[zia]
+			for b := 0; b < k; b++ {
+				zib := p.zSlot[p.partSlot[lo+b]]
+				var v complex128
+				switch {
+				case zib == zia:
+					v = ws.delta[a] * ws.vtz[zia]
+				case cross != nil:
+					v = ws.delta[a] * ws.svCross[cross[a*k+b]][ws.gx]
+				default:
+					v = ws.delta[a] * dotPlanes(sl.v, bre, bim, nc, 1+zib)
+				}
+				if a == b {
+					v++
+				}
+				cm[a*k+b] = v
+			}
+		}
+		ok = solveSmall(k, cm, w)
+		if ok && e.outIdx >= 0 {
+			for b := 0; b < k; b++ {
+				xout -= w[b] * ws.zoutc[p.zSlot[p.partSlot[lo+b]]]
+			}
 		}
 	}
-	if !ok || absC(xout) < cancelGuard*x0outAbs {
+	ax := absC(xout)
+	if !ok || ax < cancelGuard*x0outAbs {
 		xf, err := e.exactFallback(ws, s, omega, p, fi, ws.delta[:k])
 		if err != nil {
 			return err
 		}
-		xout = xf
+		ax = absC(xf)
 	}
-	out.Mags[fi][j] = absC(xout) * e.invAmpAbs
+	out.Mags[fi][j] = ax * e.invAmpAbs
 	return nil
 }
 

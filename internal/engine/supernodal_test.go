@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"math"
+	"math/cmplx"
 	"testing"
 
 	"repro/internal/circuits"
@@ -233,26 +235,7 @@ func TestPartialRefactorServesSMWFallback(t *testing.T) {
 		t.Fatalf("no slot for %s", comp)
 	}
 	sl := &tm.slots[si]
-	m, _, err := tm.System().StampAt(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lu, err := numeric.Factor(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rhs := make([]complex128, tm.n)
-	for _, ue := range sl.u {
-		rhs[ue.idx] = ue.w
-	}
-	z := make([]complex128, tm.n)
-	if err := lu.SolveInto(z, rhs); err != nil {
-		t.Fatal(err)
-	}
-	var vtz complex128
-	for _, ve := range sl.v {
-		vtz += ve.w * z[ve.idx]
-	}
+	vtz := slotVtz(t, tm, si, 0)
 	delta := (-1 / vtz) * (1 - 3e-4)
 	cstar := real(sl.coeff(sl.value, 0) + delta)
 	if cstar <= 0 {
@@ -292,6 +275,114 @@ func TestPartialRefactorServesSMWFallback(t *testing.T) {
 	}
 	if re := relErrFloor(got.Mags[0][0], ref.Mags[0][0], 1e-3*ref.Golden[0]); re > 1e-9 {
 		t.Errorf("partial-refactor answer %.15g vs dense %.15g (rel %.3g)", got.Mags[0][0], ref.Mags[0][0], re)
+	}
+}
+
+// slotVtz returns vᵀz = vᵀA(s)⁻¹u of template slot si, from a dense
+// factorization of the golden system at s: the quantity whose
+// 1 + δ·vᵀz is the slot's Sherman–Morrison denominator.
+func slotVtz(t *testing.T, tm *Template, si int, s complex128) complex128 {
+	t.Helper()
+	sl := &tm.slots[si]
+	m, _, err := tm.System().StampAt(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lu, err := numeric.Factor(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rhs := make([]complex128, tm.n)
+	for _, ue := range sl.u {
+		rhs[ue.idx] = ue.w
+	}
+	z := make([]complex128, tm.n)
+	if err := lu.SolveInto(z, rhs); err != nil {
+		t.Fatal(err)
+	}
+	var vtz complex128
+	for _, ve := range sl.v {
+		vtz += ve.w * z[ve.idx]
+	}
+	return vtz
+}
+
+// TestRank2PivotGuardFallsBack is the rank-2 counterpart of
+// TestPartialRefactorServesSMWFallback: a double fault whose first part
+// puts 1 + δ·vᵀz at about 3e-4 and whose second part is small makes the
+// 2×2 capacitance matrix's first pivot fail denGuard, so the item must
+// be re-solved by a partial refactorization on the sparse path — one
+// rank-k attempt, one exact fallback, no dense factorization — and
+// still match analysis.AC of the faulted clone to 1e-9. The frequency
+// is low but not zero, so current flows through the faulted resistor
+// and the answer differs from the golden one.
+func TestRank2PivotGuardFallsBack(t *testing.T) {
+	lad, err := circuits.RCLadder(96)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(lad.Circuit, lad.Source, lad.Output)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.SetFactorPath(FactorSparse)
+	tm := eng.tmpl
+
+	// A resistor's δ is real, so 1 + δw (w = vᵀz) comes no closer to
+	// zero than |Im w|/|w|, which is about 5e-5 at this ω. Pick the
+	// root δ of |1 + δw| = 3e-4 that leaves the conductance positive.
+	const omega, den = 1e-6, 3e-4
+	si := tm.byName["R48"]
+	sl := &tm.slots[si]
+	w := slotVtz(t, tm, si, complex(0, omega))
+	w2 := real(w)*real(w) + imag(w)*imag(w)
+	disc := real(w)*real(w) - w2*(1-den*den)
+	if disc < 0 {
+		t.Fatalf("|1 + δ·vᵀz| cannot reach %g at ω=%g (vᵀz = %v)", den, omega, w)
+	}
+	delta := (-real(w) + math.Sqrt(disc)) / w2
+	if got := cmplx.Abs(1 + complex(delta, 0)*w); math.Abs(got-den) > 1e-6 {
+		t.Fatalf("engineered |1 + δ·vᵀz| = %g, want %g", got, den)
+	}
+	g := real(sl.coeff(sl.value, 0)) + delta
+	if g <= 0 {
+		t.Fatalf("engineered conductance %g not realizable", g)
+	}
+	// NewMulti orders the parts by name, so R48 is the first part.
+	m, err := fault.NewMulti(
+		fault.Fault{Component: "R48", Deviation: (1/g)/sl.value - 1},
+		fault.Fault{Component: "R9", Deviation: 0.01},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	omegas := []float64{omega}
+
+	before := eng.Stats()
+	got, err := eng.BatchResponsesSets(nil, []fault.Set{m}, omegas, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := eng.Stats()
+	if d := s.RankKSolves - before.RankKSolves; d != 1 {
+		t.Errorf("rank-k solves advanced by %d, want 1", d)
+	}
+	if d := s.ExactFallbacks - before.ExactFallbacks; d != 1 {
+		t.Fatalf("exact fallbacks advanced by %d, want 1 — the pivot guard did not trip", d)
+	}
+	if d := s.PartialRefactors - before.PartialRefactors; d != 1 {
+		t.Errorf("partial refactors advanced by %d, want 1: the fallback left the sparse path", d)
+	}
+	if d := s.DenseFactors - before.DenseFactors; d != 0 {
+		t.Errorf("%d dense factorizations ran, want 0", d)
+	}
+
+	want := acResponses(t, lad, m, omegas)[0]
+	if re := relErr(got.Mags[0][0], want); re > 1e-9 {
+		t.Errorf("fallback answer %.15g vs analysis.AC %.15g (rel %.3g)", got.Mags[0][0], want, re)
+	}
+	if re := relErr(got.Golden[0], want); re < 1e-3 {
+		t.Errorf("faulted response %.15g within %.3g of the golden %.15g: the check shows nothing", want, re, got.Golden[0])
 	}
 }
 

@@ -61,9 +61,12 @@ func (f Fault) ID() string {
 }
 
 // appendID appends f's ID to b. It renders like fmt's %+.0f without fmt:
-// strconv rounds half to even and keeps the sign of a negative value
-// that rounds to zero ("-0"), and a "+" goes before anything strconv
-// leaves unsigned, NaN included.
+// half-way percents round to even, a negative value that rounds to zero
+// keeps its sign ("-0"), and a "+" goes before anything else unsigned,
+// NaN included. strconv.AppendFloat with precision 0 takes its
+// multiprecision path on every call, so a whole percent below 2⁵³ —
+// math.RoundToEven is exact there and rounds as strconv does — prints
+// as an integer; NaN, ±Inf and larger values keep AppendFloat.
 func (f Fault) appendID(b []byte) []byte {
 	if f.Deviation == 0 {
 		return append(b, "golden"...)
@@ -74,7 +77,14 @@ func (f Fault) appendID(b []byte) []byte {
 	if math.IsNaN(pct) || !math.Signbit(pct) && !math.IsInf(pct, 1) {
 		b = append(b, '+')
 	}
-	b = strconv.AppendFloat(b, pct, 'f', 0, 64)
+	switch r := math.RoundToEven(pct); {
+	case r == 0 && math.Signbit(r):
+		b = append(b, "-0"...)
+	case math.Abs(r) < 1<<53:
+		b = strconv.AppendInt(b, int64(r), 10)
+	default:
+		b = strconv.AppendFloat(b, pct, 'f', 0, 64)
+	}
 	return append(b, '%')
 }
 

@@ -59,7 +59,14 @@ func fmtID(f Fault) string {
 // even, NaN gets a "+", a deviation that rounds to zero keeps its sign),
 // and a two-part Multi.ID joins its parts' IDs with "+".
 func FuzzFaultID(f *testing.F) {
+	// Beyond the paper's grid: half-way percents (±0.5 %, ±1.5 %,
+	// ±2.5 %), a percent at 2⁵³ and the one below it (the edge of the
+	// integer rendering), percents of 1e17 and 1e19, and the values
+	// strconv renders unsigned or as words.
+	p53 := float64(1<<53) / 100 // p53*100 is exactly 2⁵³
 	devs := append(PaperDeviations(), 0.004, -0.004, 0.005, -0.005, 0.125,
+		0.015, -0.015, 0.025, -0.025,
+		p53, -p53, math.Nextafter(p53, 0), 1e15, -1e15, 1e17,
 		math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1))
 	for i, d := range devs {
 		f.Add("R3", math.Float64bits(d), math.Float64bits(devs[(i+1)%len(devs)]))

@@ -3,7 +3,8 @@ package fault
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/circuit"
 )
@@ -25,22 +26,22 @@ func NewMulti(parts ...Fault) (Multi, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("fault: empty multiple fault")
 	}
-	seen := make(map[string]bool)
-	for _, p := range parts {
+	for i, p := range parts {
 		if p.IsGolden() {
 			return nil, fmt.Errorf("fault: multiple fault includes a zero deviation on %q", p.Component)
 		}
 		if p.Scale() <= 0 {
 			return nil, fmt.Errorf("fault: %s: deviation %+.0f%% makes the value nonpositive", p.Component, p.Deviation*100)
 		}
-		if seen[p.Component] {
-			return nil, fmt.Errorf("fault: component %q faulted twice", p.Component)
+		for _, q := range parts[:i] {
+			if q.Component == p.Component {
+				return nil, fmt.Errorf("fault: component %q faulted twice", p.Component)
+			}
 		}
-		seen[p.Component] = true
 	}
 	m := make(Multi, len(parts))
 	copy(m, parts)
-	sort.Slice(m, func(i, j int) bool { return m[i].Component < m[j].Component })
+	slices.SortFunc(m, func(a, b Fault) int { return strings.Compare(a.Component, b.Component) })
 	return m, nil
 }
 
