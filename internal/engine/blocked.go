@@ -6,14 +6,16 @@ import (
 	"math"
 
 	"repro/internal/numeric"
+	"repro/internal/sliceutil"
 )
 
 // This file is the engine's per-frequency column solver. The golden
 // system is factored once per frequency on one of two paths: the dense
 // path stamps it into split re/im float64 planes and factors it with
 // numeric.FactorSoAReuse (no complex division, no hypot in the pivot
-// search); the sparse path stamps FreqBlock frequencies' value planes
-// and refactors them in one numeric.BlockRefactorer walk (prepareGroup).
+// search); the sparse path stamps FreqBlock frequencies into the lanes
+// of a numeric.BlockRefactorer and factors them in place in one walk
+// (prepareGroup).
 // The corrections read x0[out], and per distinct slot vᵀx0, vᵀz and
 // z[out] (plus v_aᵀz_b for rank-k items). On dense columns — and sparse
 // columns of batches whose reaches cover most of the pattern — x0's RHS
@@ -185,33 +187,52 @@ func solve2(m00, m01, m10, m11, r0, r1 complex128) (w0, w1 complex128, ok bool) 
 }
 
 // prepareGroup refactors the golden systems of frequency columns
-// [g, hi) in one frequency-blocked walk and caches the per-column
-// factors and outcomes in the workspace. A group shorter than FreqBlock
-// (the last one, when the frequency count is not a multiple of it)
-// fills its unused planes with copies of its last real column's planes;
-// their factors are never read. Dense engines leave the cache empty.
-// Any error — including a singular plane — is deferred to the column's
-// own solve. When the solve picked the sparse-vector kernel, the
-// group's correction reads are computed here too (readGroup).
+// [g, hi) in one frequency-blocked walk: each column's golden A(jω) is
+// stamped straight into its lane of the workspace's BlockRefactorer and
+// factored there in place. The outcomes are cached per column; a
+// column's factors are copied out into a SparseLU only if it reads them
+// as one (groupLU). A group shorter than FreqBlock (the last one, when
+// the frequency count is not a multiple of it) fills its unused lanes
+// with copies of its last real column's lane; their factors are never
+// read. Dense engines leave the cache empty. Any error — including a
+// singular plane — is deferred to the column's own solve. When the solve
+// picked the sparse-vector kernel, the group's correction reads are
+// computed here too (readGroup).
 func (e *Engine) prepareGroup(ws *workspace, omegas []float64, g, hi int, p *Plan, out *Batch) {
 	ws.grpJ0 = -1
 	if !e.sparseColumn() {
 		return
 	}
 	t := e.tmpl
+	lanes := ws.bref.Lanes(t.sparse.sym)
+	clear(lanes)
+	last := hi - g - 1
 	for x := 0; x < numeric.FreqBlock; x++ {
-		if g+x < hi {
-			t.stampGoldenSparse(ws.spreBlk[x], ws.spimBlk[x], complex(0, omegas[g+x]))
-		} else {
-			copy(ws.spreBlk[x], ws.spreBlk[hi-g-1])
-			copy(ws.spimBlk[x], ws.spimBlk[hi-g-1])
+		if x <= last {
+			t.stampGoldenSparse(lanes[x:], lanes[numeric.FreqBlock+x:], fbStride, complex(0, omegas[g+x]))
+			continue
+		}
+		for at := 0; at < len(lanes); at += fbStride {
+			lanes[at+x] = lanes[at+last]
+			lanes[at+numeric.FreqBlock+x] = lanes[at+numeric.FreqBlock+last]
 		}
 	}
-	ws.grpErr = ws.bref.RefactorBlock(t.sparse.sym, &ws.slusBlk, &ws.spreBlk, &ws.spimBlk)
+	ws.grpErr = ws.bref.FactorLanes(t.sparse.sym, &ws.slusBlk)
+	ws.grpCopied = [numeric.FreqBlock]bool{}
 	ws.grpJ0 = g
 	if out.sv.on {
 		e.readGroup(ws, p, out)
 	}
+}
+
+// groupLU returns the current column's golden factors as a SparseLU,
+// copying them out of the group's lanes on the column's first read.
+func (ws *workspace) groupLU() *numeric.SparseLU {
+	if !ws.grpCopied[ws.gx] {
+		ws.bref.CopyOut(ws.gx, &ws.slusBlk[ws.gx])
+		ws.grpCopied[ws.gx] = true
+	}
+	return &ws.slusBlk[ws.gx]
 }
 
 // solveColumn fills column j of the batch table: the golden
@@ -379,7 +400,7 @@ func (e *Engine) blockReads(ws *workspace, p *Plan) (complex128, error) {
 		}
 	}
 	if ws.colSparse {
-		if err := ws.slusBlk[ws.gx].SolveBlock(blk); err != nil {
+		if err := ws.groupLU().SolveBlock(blk); err != nil {
 			return 0, err
 		}
 	} else if err := ws.slu.SolveBlock(blk); err != nil {
@@ -527,27 +548,34 @@ func (e *Engine) solveItemK(ws *workspace, s complex128, omega float64, p *Plan,
 // both blocked per-item paths take on an ill-conditioned update or
 // catastrophic cancellation. On a sparse golden column the patched
 // refactorization is a partial refactorization from the column's golden
-// factors: the slot deltas land on already-structural positions, so the
-// compiled per-slot touched rows bound exactly which columns of the
-// elimination must be redone — for a localized fault that is a small
-// reachable cone, not the whole matrix. An ill-conditioned sparse pivot
-// then falls back to the dense partial-pivoting factorization, stamping
-// the dense golden planes on demand. On a dense column this is the
-// original dense fallback unchanged.
+// factors (groupLU) over its golden planes stamped afresh: the slot
+// deltas land on already-structural positions, so the compiled per-slot
+// touched rows bound exactly which columns of the elimination must be
+// redone — for a localized fault that is a small reachable cone, not the
+// whole matrix. An ill-conditioned sparse pivot then falls back to the
+// dense partial-pivoting factorization, stamping the dense golden planes
+// on demand. On a dense column this is the original dense fallback
+// unchanged.
 func (e *Engine) exactFallback(ws *workspace, s complex128, omega float64, p *Plan, fi int, deltas []complex128) (complex128, error) {
 	t := e.tmpl
 	slots := p.partSlot[p.off[fi]:p.off[fi+1]]
 	ws.cFallback++
 	if ws.colSparse {
-		copy(ws.spre2, ws.spreBlk[ws.gx])
-		copy(ws.spim2, ws.spimBlk[ws.gx])
+		// The golden planes were factored in place; the stamp is
+		// deterministic, so re-stamping them gives the same bits.
+		lnnz := t.sparse.sym.LUNNZ()
+		ws.spre2 = sliceutil.Grow(ws.spre2, lnnz)
+		ws.spim2 = sliceutil.Grow(ws.spim2, lnnz)
+		clear(ws.spre2)
+		clear(ws.spim2)
+		t.stampGoldenSparse(ws.spre2, ws.spim2, 1, s)
 		touched := ws.touched[:0]
 		for a, si := range slots {
-			t.addRank1Sparse(ws.spre2, ws.spim2, si, deltas[a])
+			t.addRank1Sparse(ws.spre2, ws.spim2, 1, si, deltas[a])
 			touched = append(touched, t.sparse.slotRows[si]...)
 		}
 		ws.touched = touched
-		cnt, err := ws.slus2.PartialRefactor(&ws.slusBlk[ws.gx], ws.spre2, ws.spim2, touched)
+		cnt, err := ws.slus2.PartialRefactor(ws.groupLU(), ws.spre2, ws.spim2, touched)
 		if err == nil {
 			ws.cSparse++
 			ws.cPartial++

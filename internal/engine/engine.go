@@ -262,7 +262,12 @@ type Plan struct {
 // serves (fitBatch), never by the template's slot count: a worker's
 // memory is O(n·(1 + distinct slots) + k²) plus the factorization
 // storage, and O(n + reach lengths + cross terms + k²) on the
-// sparse-vector kernel.
+// sparse-vector kernel. On the sparse path the factorization storage is
+// one copy of a group's golden systems, 8 float64 per factor entry (the
+// blocked refactorer's lanes, stamped and factored in place), where a
+// stamped copy, the lanes and four de-interleaved SparseLUs once took
+// 26. Block-side batches add 2 per entry for each plane they copy out,
+// and exact fallbacks 4 for their patched planes and factors.
 type workspace struct {
 	xf    []complex128 // exact-fallback solution
 	delta []complex128 // per-part coefficient deltas of one item (k)
@@ -284,21 +289,22 @@ type workspace struct {
 	// it.
 	blk *numeric.Block
 
-	// Sparse path (sized only when the template compiled a sparse
-	// pattern). A worker claims FreqBlock consecutive frequency columns,
-	// stamps their value planes and refactors all of them in one
-	// interleaved walk (numeric.BlockRefactorer); prepareGroup pads a
-	// short last group with copies of its last real column. gx is the
-	// current column's plane in the group. spre2/spim2 and slus2 hold the
-	// patched planes and factors of a partial-refactorization fallback.
-	// colSparse records whether the current column's golden factorization
-	// is sparse; denseStamped whether ms holds this column's dense golden
-	// stamp (filled lazily, only if a dense fallback needs it).
+	// Sparse path (sized on first use). A worker claims FreqBlock
+	// consecutive frequency columns, stamps them into the lanes of bref
+	// and refactors all of them there in place, in one interleaved walk;
+	// prepareGroup pads a short last group with copies of its last real
+	// column's lane. gx is the current column's plane in the group.
+	// slusBlk[gx] receives that plane's factors from the lanes on the
+	// column's first read as a SparseLU (groupLU; grpCopied marks it).
+	// spre2/spim2 and slus2 hold the patched planes and factors of a
+	// partial-refactorization fallback. colSparse records whether the
+	// current column's golden factorization is sparse; denseStamped
+	// whether ms holds this column's dense golden stamp (filled lazily,
+	// only if a dense fallback needs it).
 	bref         numeric.BlockRefactorer
 	slusBlk      [numeric.FreqBlock]numeric.SparseLU
-	spreBlk      [numeric.FreqBlock][]float64
-	spimBlk      [numeric.FreqBlock][]float64
 	grpErr       [numeric.FreqBlock]error
+	grpCopied    [numeric.FreqBlock]bool
 	grpJ0        int // first batch column of the cached group; -1 on the dense path
 	gx           int
 	spre2, spim2 []float64
@@ -353,15 +359,7 @@ func newWorkspace(t *Template) *workspace {
 		blk:   numeric.NewBlock(0, 0), // solveColumn's Reset grows it
 		grpJ0: -1,
 	}
-	if t.sparse != nil {
-		lnnz := t.sparse.sym.LUNNZ()
-		ws.spre2 = make([]float64, lnnz)
-		ws.spim2 = make([]float64, lnnz)
-		for x := 0; x < numeric.FreqBlock; x++ {
-			ws.spreBlk[x] = make([]float64, lnnz)
-			ws.spimBlk[x] = make([]float64, lnnz)
-		}
-	} else {
+	if t.sparse == nil {
 		// Dense-only engines factor n×n every column; sparse-capable
 		// engines allocate the three dense matrices lazily, only if a
 		// column actually falls back — a thousand-node grid would

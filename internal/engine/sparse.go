@@ -12,9 +12,10 @@ import (
 // is frequency-independent, so the symbolic analysis (transversal +
 // minimum-degree ordering + fill pattern, numeric.AnalyzeSparse) runs
 // once per circuit at Compile time. Per frequency the column solver then
-// only writes coefficient values into flat planes indexed by this
-// program; prepareGroup refactors FreqBlock such plane sets in one
-// numeric.BlockRefactorer walk. No index discovery, no allocation.
+// only writes coefficient values into the lanes of a
+// numeric.BlockRefactorer, indexed by this program, and prepareGroup
+// refactors FreqBlock such lanes in place in one walk. No index
+// discovery, no allocation.
 
 // sparseProgram maps the template's stamp contributions onto value-plane
 // positions of the compiled sparse pattern.
@@ -86,30 +87,34 @@ func compileSparse(t *Template) *sparseProgram {
 	return sp
 }
 
-// stampGoldenSparse is stampGoldenSoA writing the golden A(s) into
-// sparse value planes (length sym.LUNNZ(), fill positions stay zero).
-// Entry accumulation order matches the dense stamp, so shared entries
-// sum in the same order.
-func (t *Template) stampGoldenSparse(re, im []float64, s complex128) {
-	for i := range re {
-		re[i], im[i] = 0, 0
-	}
+// stampGoldenSparse is stampGoldenSoA accumulating the golden A(s) into
+// zeroed sparse value planes laid out along the compiled pattern with
+// the given stride: position t's value is re[t*stride], im[t*stride],
+// and the entries between them are untouched. Stride 1 is an ordinary
+// plane pair (StampSparse, the exact fallback); prepareGroup stamps one
+// lane of numeric.BlockRefactorer's interleaved storage per frequency at
+// stride 2·FreqBlock. The caller zeroes the planes — one clear of the
+// whole interleaved storage serves all its lanes. Entry accumulation
+// order matches the dense stamp, so shared entries sum in the same
+// order.
+func (t *Template) stampGoldenSparse(re, im []float64, stride int, s complex128) {
 	sp := t.sparse
 	for k := range t.static {
 		v := t.static[k].v
-		at := sp.staticIdx[k]
+		at := sp.staticIdx[k] * stride
 		re[at] += real(v)
 		im[at] += imag(v)
 	}
 	for si := range t.slots {
 		sl := &t.slots[si]
-		t.addRank1Sparse(re, im, si, sl.coeff(sl.value, s))
+		t.addRank1Sparse(re, im, stride, si, sl.coeff(sl.value, s))
 	}
 }
 
 // addRank1Sparse accumulates θ · u vᵀ for slot si into sparse value
-// planes — the sparse counterpart of addRank1SoA.
-func (t *Template) addRank1Sparse(re, im []float64, si int, theta complex128) {
+// planes of the given stride (see stampGoldenSparse) — the sparse
+// counterpart of addRank1SoA.
+func (t *Template) addRank1Sparse(re, im []float64, stride, si int, theta complex128) {
 	if theta == 0 {
 		return
 	}
@@ -117,7 +122,7 @@ func (t *Template) addRank1Sparse(re, im []float64, si int, theta complex128) {
 	tr, ti := real(theta), imag(theta)
 	for p := sp.slotOff[si]; p < sp.slotOff[si+1]; p++ {
 		wr, wi := real(sp.prodW[p]), imag(sp.prodW[p])
-		at := sp.prodIdx[p]
+		at := sp.prodIdx[p] * stride
 		re[at] += tr*wr - ti*wi
 		im[at] += tr*wi + ti*wr
 	}
@@ -140,6 +145,8 @@ func (t *Template) StampSparse(re, im []float64, omega float64) error {
 	if t.sparse == nil {
 		return fmt.Errorf("engine: template has no sparse pattern")
 	}
-	t.stampGoldenSparse(re, im, complex(0, omega))
+	clear(re)
+	clear(im)
+	t.stampGoldenSparse(re, im, 1, complex(0, omega))
 	return nil
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/circuits"
 	"repro/internal/fault"
+	"repro/internal/numeric"
 )
 
 // sparseWorkerCounts is the satellite contract's worker sweep.
@@ -402,9 +403,12 @@ func allocMB(f func()) float64 {
 // thousand-node CUT, measured as runtime.MemStats.TotalAlloc deltas:
 // compiling rc-grid-32 (1025 unknowns, 3008 elements) must stay under
 // 20 MB, and a fresh engine's first batch — the 192-fault paper universe
-// at 8 ω on 2 workers — under 40 MB. Scratch sized by the element count
+// at 8 ω on 2 workers — under 7 MB. Scratch sized by the element count
 // (an nslots² capacitance matrix and a 1+nslots-column block per worker)
-// or dense n×n self-check stamps would take about 76 MB and 400 MB.
+// or dense n×n self-check stamps would take about 76 MB and 400 MB, and
+// keeping three copies of each frequency group's golden system per
+// worker (stamped planes, interleaved factors, de-interleaved SparseLUs)
+// about 11.6 MB, where the one in-place copy takes 4.2 MB.
 func TestColdBuildMemoryBounded(t *testing.T) {
 	cut, err := circuits.RCGrid(32)
 	if err != nil {
@@ -436,10 +440,78 @@ func TestColdBuildMemoryBounded(t *testing.T) {
 	var b *Batch
 	if mb := allocMB(func() { b, err = eng.BatchResponses(nil, faults, omegas, 2) }); err != nil {
 		t.Fatal(err)
-	} else if mb >= 40 {
-		t.Errorf("first rc-grid-32 batch allocated %.1f MB, want < 40", mb)
+	} else if mb >= 7 {
+		t.Errorf("first rc-grid-32 batch allocated %.1f MB, want < 7", mb)
+	} else {
+		t.Logf("first rc-grid-32 batch allocated %.2f MB", mb)
 	}
 	if eng.FactorPathName() != "sparse" || len(b.Mags) != len(faults) {
 		t.Fatalf("batch ran on the %s path with %d rows", eng.FactorPathName(), len(b.Mags))
+	}
+}
+
+// TestLaneStampMatchesStampSparse pins the one sparse stamp at both of
+// its strides: stamping frequency x into zeroed lane x of a
+// BlockRefactorer's interleaved storage, as prepareGroup does, must
+// write exactly StampSparse's planes — bit for bit, fill positions
+// zero although StampSparse's planes held stale values — and leave
+// every other lane untouched, on every built-in CUT forced sparse plus
+// rc-grid-8 and opamp-cascade-4.
+func TestLaneStampMatchesStampSparse(t *testing.T) {
+	cuts := circuits.All()
+	for _, name := range []string{"rc-grid-8", "opamp-cascade-4"} {
+		cut, err := circuits.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cuts = append(cuts, cut)
+	}
+	const stale = -1234.5
+	for _, cut := range cuts {
+		eng, err := New(cut.Circuit, cut.Source, cut.Output)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.SetFactorPath(FactorSparse)
+		if eng.FactorPathName() != "sparse" {
+			t.Fatalf("%s: no sparse pattern to stamp", cut.Circuit.Name())
+		}
+		tm := eng.Template()
+		sym := tm.SparsePattern()
+		var br numeric.BlockRefactorer
+		lanes := br.Lanes(sym)
+		for i := range lanes {
+			lanes[i] = stale
+		}
+		w0 := cut.Omega0
+		omegas := [numeric.FreqBlock]float64{0, w0 / 7, w0, 13 * w0}
+		var res, ims [numeric.FreqBlock][]float64
+		for x, w := range omegas {
+			res[x], ims[x] = make([]float64, sym.LUNNZ()), make([]float64, sym.LUNNZ())
+			for p := range res[x] {
+				res[x][p], ims[x][p] = stale, stale
+			}
+			if err := tm.StampSparse(res[x], ims[x], w); err != nil {
+				t.Fatal(err)
+			}
+			for p := 0; p < sym.LUNNZ(); p++ {
+				lanes[p*fbStride+x], lanes[p*fbStride+numeric.FreqBlock+x] = 0, 0
+			}
+			tm.stampGoldenSparse(lanes[x:], lanes[numeric.FreqBlock+x:], fbStride, complex(0, w))
+			// Lanes up to x hold their stamps, the later ones stay stale.
+			for y := 0; y < numeric.FreqBlock; y++ {
+				for p := 0; p < sym.LUNNZ(); p++ {
+					gotRe, gotIm := lanes[p*fbStride+y], lanes[p*fbStride+numeric.FreqBlock+y]
+					wantRe, wantIm := float64(stale), float64(stale)
+					if y <= x {
+						wantRe, wantIm = res[y][p], ims[y][p]
+					}
+					if math.Float64bits(gotRe) != math.Float64bits(wantRe) || math.Float64bits(gotIm) != math.Float64bits(wantIm) {
+						t.Fatalf("%s: after stamping lane %d, lane %d position %d holds (%g, %g), want (%g, %g)",
+							cut.Circuit.Name(), x, y, p, gotRe, gotIm, wantRe, wantIm)
+					}
+				}
+			}
+		}
 	}
 }

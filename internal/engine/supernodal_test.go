@@ -326,36 +326,8 @@ func TestRank2PivotGuardFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.SetFactorPath(FactorSparse)
-	tm := eng.tmpl
-
-	// A resistor's δ is real, so 1 + δw (w = vᵀz) comes no closer to
-	// zero than |Im w|/|w|, which is about 5e-5 at this ω. Pick the
-	// root δ of |1 + δw| = 3e-4 that leaves the conductance positive.
-	const omega, den = 1e-6, 3e-4
-	si := tm.byName["R48"]
-	sl := &tm.slots[si]
-	w := slotVtz(t, tm, si, complex(0, omega))
-	w2 := real(w)*real(w) + imag(w)*imag(w)
-	disc := real(w)*real(w) - w2*(1-den*den)
-	if disc < 0 {
-		t.Fatalf("|1 + δ·vᵀz| cannot reach %g at ω=%g (vᵀz = %v)", den, omega, w)
-	}
-	delta := (-real(w) + math.Sqrt(disc)) / w2
-	if got := cmplx.Abs(1 + complex(delta, 0)*w); math.Abs(got-den) > 1e-6 {
-		t.Fatalf("engineered |1 + δ·vᵀz| = %g, want %g", got, den)
-	}
-	g := real(sl.coeff(sl.value, 0)) + delta
-	if g <= 0 {
-		t.Fatalf("engineered conductance %g not realizable", g)
-	}
-	// NewMulti orders the parts by name, so R48 is the first part.
-	m, err := fault.NewMulti(
-		fault.Fault{Component: "R48", Deviation: (1/g)/sl.value - 1},
-		fault.Fault{Component: "R9", Deviation: 0.01},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const omega = 1e-6
+	m := rank2GuardPair(t, eng.tmpl, omega)
 	omegas := []float64{omega}
 
 	before := eng.Stats()
@@ -383,6 +355,109 @@ func TestRank2PivotGuardFallsBack(t *testing.T) {
 	}
 	if re := relErr(got.Golden[0], want); re < 1e-3 {
 		t.Errorf("faulted response %.15g within %.3g of the golden %.15g: the check shows nothing", want, re, got.Golden[0])
+	}
+}
+
+// rank2GuardPair returns TestRank2PivotGuardFallsBack's double fault on
+// rc-ladder-96's template tm: R48 engineered so that |1 + δ·vᵀz| = 3e-4
+// at ω as the first part, R9 at +1 % as the second.
+func rank2GuardPair(t *testing.T, tm *Template, omega float64) fault.Multi {
+	t.Helper()
+	// A resistor's δ is real, so 1 + δw (w = vᵀz) comes no closer to
+	// zero than |Im w|/|w|, which is about 5e-5 at ω = 1e-6. Pick the
+	// root δ of |1 + δw| = 3e-4 that leaves the conductance positive.
+	const den = 3e-4
+	si := tm.byName["R48"]
+	sl := &tm.slots[si]
+	w := slotVtz(t, tm, si, complex(0, omega))
+	w2 := real(w)*real(w) + imag(w)*imag(w)
+	disc := real(w)*real(w) - w2*(1-den*den)
+	if disc < 0 {
+		t.Fatalf("|1 + δ·vᵀz| cannot reach %g at ω=%g (vᵀz = %v)", den, omega, w)
+	}
+	delta := (-real(w) + math.Sqrt(disc)) / w2
+	if got := cmplx.Abs(1 + complex(delta, 0)*w); math.Abs(got-den) > 1e-6 {
+		t.Fatalf("engineered |1 + δ·vᵀz| = %g, want %g", got, den)
+	}
+	g := real(sl.coeff(sl.value, 0)) + delta
+	if g <= 0 {
+		t.Fatalf("engineered conductance %g not realizable", g)
+	}
+	// NewMulti orders the parts by name, so R48 is the first part.
+	m, err := fault.NewMulti(
+		fault.Fault{Component: "R48", Deviation: (1/g)/sl.value - 1},
+		fault.Fault{Component: "R9", Deviation: 0.01},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestFallbackLaneAcrossGroups pins the lane bookkeeping of the
+// in-place group refactorization: every group's walk overwrites the
+// lanes, so a column's factors must be copied out of its own group,
+// never carried over from the lane's previous group. On one worker, two
+// sparse batches of two frequency groups each put their exact fallbacks
+// in lane 3 of both groups, and only there; every answer must match
+// analysis.AC of the faulted clone to 1e-9, with two exact fallbacks,
+// both served by partial refactorizations, and no dense factorization:
+//
+//   - walk side: TestRank2PivotGuardFallsBack's engineered rc-ladder-96
+//     pair at ω = 1e-6 in group 1 and 1.000000001e-6 in group 2. Its
+//     reads come from the lanes, so only the fallbacks copy a plane out;
+//   - block side: the ladder's output capacitor at +3·10⁹ %, whose
+//     corrected output cancels below cancelGuard at Omega0 in group 1
+//     and 2·Omega0 in group 2, but not at the lower frequencies of lanes
+//     0–2. Every column copies its plane out for the block solve.
+func TestFallbackLaneAcrossGroups(t *testing.T) {
+	lad, err := circuits.RCLadder(96)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(lad.Circuit, lad.Source, lad.Output)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.SetFactorPath(FactorSparse)
+	w0 := lad.Omega0
+	cases := []struct {
+		name   string
+		item   fault.Set
+		walks  bool
+		omegas []float64
+	}{
+		{"walk side", rank2GuardPair(t, eng.tmpl, 1e-6), true,
+			[]float64{1e-4, 1e-3, 1e-2, 1e-6, 1.01e-4, 1.01e-3, 1.01e-2, 1.000000001e-6}},
+		{"block side", fault.Fault{Component: "C96", Deviation: 3e7}, false,
+			[]float64{w0 / 1000, w0 / 300, w0 / 100, w0, 1.01 * w0 / 1000, 1.01 * w0 / 300, 1.01 * w0 / 100, 2 * w0}},
+	}
+	for _, tc := range cases {
+		plan := testPlan(t, eng, []fault.Set{tc.item})
+		var out Batch
+		before := eng.Stats()
+		if err := eng.SolveInto(nil, plan, tc.omegas, 1, nil, &out); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		s := eng.Stats()
+		if out.sv.on != tc.walks {
+			t.Fatalf("%s: batch took the sparse-vector kernel: %v, want %v", tc.name, out.sv.on, tc.walks)
+		}
+		if d := s.ExactFallbacks - before.ExactFallbacks; d != 2 {
+			t.Errorf("%s: exact fallbacks advanced by %d, want 2 (lane 3 of each group)", tc.name, d)
+		}
+		if d := s.PartialRefactors - before.PartialRefactors; d != 2 {
+			t.Errorf("%s: partial refactors advanced by %d, want 2", tc.name, d)
+		}
+		if d := s.DenseFactors - before.DenseFactors; d != 0 {
+			t.Errorf("%s: %d dense factorizations ran, want 0", tc.name, d)
+		}
+		want := acResponses(t, lad, tc.item, tc.omegas)
+		for j, w := range tc.omegas {
+			if re := relErr(out.Mags[0][j], want[j]); re > 1e-9 {
+				t.Errorf("%s: ω=%g: %.15g vs analysis.AC %.15g (rel %.3g)", tc.name, w, out.Mags[0][j], want[j], re)
+			}
+		}
 	}
 }
 

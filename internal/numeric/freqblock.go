@@ -1,8 +1,9 @@
 package numeric
 
 import (
-	"errors"
 	"fmt"
+
+	"repro/internal/sliceutil"
 )
 
 // Frequency-blocked sparse refactorization.
@@ -11,17 +12,22 @@ import (
 // frequency: the values change (G + jωC), the elimination schedule does
 // not. The scalar walk therefore pays its per-entry overhead — the
 // cols[] index load, loop control, bounds checks, and the cache miss on
-// the scattered work-row position — once per frequency. RefactorBlock
+// the scattered work-row position — once per frequency. FactorLanes
 // eliminates FreqBlock frequency planes in a single symbolic walk over
 // an interleaved layout, so that per-entry overhead is paid once per
 // FreqBlock frequencies:
 //
-//   - work row:      bw[c*2F + f] (re), bw[c*2F + F + f] (im) — one
-//     64-byte line holds all planes of a column, so the scattered
+//   - values:        bv[t*2F + f] (re), bv[t*2F + F + f] (im) — plane f
+//     is lane f of each position's stripe, and one 64-byte line holds
+//     all planes of a position. Callers stamp their inputs straight
+//     into these lanes (Lanes), and the walk factors them in place: row
+//     i's inputs are scattered into the work row before its factors are
+//     gathered back over them, so during the walk rows above i hold
+//     factors and rows from i on hold inputs. The update loop reads
+//     only rows above i, streaming them contiguously;
+//   - work row:      bw[c*2F ...] in the same layout, so the scattered
 //     update touches one line where the scalar walk touches one per
 //     frequency;
-//   - factor values: bv[t*2F ...] in the same per-position layout,
-//     streamed contiguously by the update loop;
 //   - inverse diag:  bd[k*2F ...] likewise.
 //
 // Per-plane arithmetic is the exact scalar recurrence in the exact
@@ -30,8 +36,11 @@ import (
 // work-row value is zero, the blocked walk (which only skips when every
 // plane is zero there) multiplies through by that zero, which can flip
 // a result of exactly 0 to -0 but cannot change any other value. The
-// factors are de-interleaved into FreqBlock ordinary SparseLUs at
-// gather time, so solves, guards, and fallbacks are untouched.
+// factors stay interleaved — the sparse-vector half-solves
+// (sparsevec.go) walk them there — and CopyOut copies one plane into an
+// ordinary SparseLU only when a caller needs its full solves or a
+// partial-refactorization base, so solves, guards, and fallbacks are
+// untouched.
 //
 // Planes fail independently: a singular pivot on one frequency is
 // recorded (first failing row, same row the scalar walk would report)
@@ -39,7 +48,7 @@ import (
 // cross lanes because no arithmetic mixes planes — while the other
 // frequencies factor to completion.
 
-// FreqBlock is the number of frequency planes RefactorBlock eliminates
+// FreqBlock is the number of frequency planes FactorLanes eliminates
 // per symbolic walk. 4 planes × re/im = 8 float64 = one cache line per
 // matrix position.
 const FreqBlock = 4
@@ -48,14 +57,23 @@ const FreqBlock = 4
 // planes: FreqBlock reals then FreqBlock imaginaries.
 const fbStride = 2 * FreqBlock
 
-// BlockRefactorer owns the interleaved scratch for frequency-blocked
-// refactorization. The zero value is ready; a worker that calls
-// RefactorBlock with the same receiver every group allocates nothing in
-// steady state.
+// BlockRefactorer owns the interleaved storage for frequency-blocked
+// refactorization. The zero value is ready; a worker that refactors
+// with the same receiver every group allocates nothing in steady state.
 type BlockRefactorer struct {
-	bv []float64 // interleaved factor values along sym.cols
+	bv []float64 // interleaved values along sym.cols: inputs, factored in place
 	bd []float64 // interleaved inverse diagonal per row
 	bw []float64 // interleaved dense work row (all-zero between calls)
+}
+
+// Lanes sizes the interleaved value storage for sym and returns it for
+// the caller to fill with FreqBlock planes along sym's compiled pattern:
+// plane f's value at position t is re at [t*2F + f] and im at
+// [t*2F + F + f] (F = FreqBlock), fill positions zero. FactorLanes then
+// factors it in place. Its contents on return are unspecified.
+func (b *BlockRefactorer) Lanes(sym *SparseSymbolic) []float64 {
+	b.bv = sliceutil.Grow(b.bv, len(sym.cols)*fbStride)
+	return b.bv
 }
 
 // RefactorBlock refactors FreqBlock value-plane sets over one shared
@@ -65,57 +83,96 @@ type BlockRefactorer struct {
 // is afterwards indistinguishable from one produced by RefactorReuse on
 // that plane (same factors under ==, same guard, ready for SolveBlock).
 // errs[f] is plane f's outcome under the RefactorReuse error contract —
-// planes succeed and fail independently.
+// planes succeed and fail independently. It loads the planes into the
+// lanes, runs FactorLanes and copies every plane out; callers that stamp
+// into Lanes directly skip the load, and copy out only the planes they
+// read.
 func (b *BlockRefactorer) RefactorBlock(sym *SparseSymbolic, lus *[FreqBlock]SparseLU, ares, aims *[FreqBlock][]float64) (errs [FreqBlock]error) {
-	var guard2 [FreqBlock]float64
 	bad := false
 	for f := 0; f < FreqBlock; f++ {
-		errs[f] = lus[f].prepRefactor(sym, ares[f], aims[f])
-		if errs[f] != nil {
+		if errs[f] = checkPlanes(sym, ares[f], aims[f]); errs[f] != nil {
 			bad = true
-		} else {
-			guard2[f] = lus[f].guard2
 		}
 	}
 	if bad {
-		// Dimension errors abort the walk outright; an all-zero plane
-		// (ErrSingular from prep) merely rides along dead — its lanes
-		// stay zero and its error stands.
+		return errs
+	}
+	lanes := b.Lanes(sym)
+	a0re, a1re, a2re, a3re := ares[0], ares[1], ares[2], ares[3]
+	a0im, a1im, a2im, a3im := aims[0], aims[1], aims[2], aims[3]
+	for t := range a0re {
+		l := lanes[t*fbStride : t*fbStride+fbStride : t*fbStride+fbStride]
+		l[0], l[1], l[2], l[3] = a0re[t], a1re[t], a2re[t], a3re[t]
+		l[4], l[5], l[6], l[7] = a0im[t], a1im[t], a2im[t], a3im[t]
+	}
+	errs = b.FactorLanes(sym, lus)
+	for f := range lus {
+		b.CopyOut(f, &lus[f])
+	}
+	return errs
+}
+
+// FactorLanes factors the FreqBlock planes held in the lanes (see Lanes)
+// in place, in one symbolic walk over sym. errs[f] is plane f's outcome
+// under the RefactorReuse error contract; an all-zero plane rides along
+// dead. lus[f] is prepared as plane f's factorization — pattern and
+// pivot guard set — but its values stay in the lanes, and its value
+// slices are left empty until CopyOut fills them, so a plane read
+// without a copy fails loudly instead of serving stale factors. The
+// lanes hold the factors until the next Lanes call, for CopyOut and the
+// sparse-vector half-solves.
+func (b *BlockRefactorer) FactorLanes(sym *SparseSymbolic, lus *[FreqBlock]SparseLU) (errs [FreqBlock]error) {
+	n := sym.n
+	nnz := len(sym.cols)
+	if len(b.bv) != nnz*fbStride {
+		for f := range errs {
+			errs[f] = fmt.Errorf("numeric: factor lanes of %d values, pattern has %d entries: %w", len(b.bv)/fbStride, nnz, ErrDimension)
+		}
+		return errs
+	}
+	bv := b.bv
+	// Each plane's guard derives from its own input magnitude, exactly
+	// as prepRefactor derives it.
+	var amax2, guard2 [FreqBlock]float64
+	for tb := 0; tb < len(bv); tb += fbStride {
+		p := bv[tb : tb+fbStride : tb+fbStride]
 		for f := 0; f < FreqBlock; f++ {
-			if errs[f] != nil && !errors.Is(errs[f], ErrSingular) {
-				return errs
+			if m := p[f]*p[f] + p[FreqBlock+f]*p[FreqBlock+f]; m > amax2[f] {
+				amax2[f] = m
 			}
 		}
 	}
-
-	n := sym.n
-	nnz := len(sym.cols)
-	if cap(b.bv) < nnz*fbStride {
-		b.bv = make([]float64, nnz*fbStride)
+	for f := range lus {
+		if amax2[f] == 0 {
+			errs[f] = fmt.Errorf("numeric: refactor of all-zero matrix: %w", ErrSingular)
+		} else {
+			guard2[f] = pivotGuard * pivotGuard * amax2[f]
+		}
+		lu := &lus[f]
+		lu.sym, lu.guard2 = sym, guard2[f]
+		lu.vre, lu.vim = lu.vre[:0], lu.vim[:0]
+		lu.ire, lu.iim = lu.ire[:0], lu.iim[:0]
 	}
-	b.bv = b.bv[:nnz*fbStride]
+
 	if cap(b.bd) < n*fbStride {
 		b.bd = make([]float64, n*fbStride)
 		b.bw = make([]float64, n*fbStride)
 	}
 	b.bd = b.bd[:n*fbStride]
 	b.bw = b.bw[:n*fbStride]
-
-	a0re, a1re, a2re, a3re := ares[0], ares[1], ares[2], ares[3]
-	a0im, a1im, a2im, a3im := aims[0], aims[1], aims[2], aims[3]
-	v0re, v1re, v2re, v3re := lus[0].vre, lus[1].vre, lus[2].vre, lus[3].vre
-	v0im, v1im, v2im, v3im := lus[0].vim, lus[1].vim, lus[2].vim, lus[3].vim
 	cols, rs, dp := sym.cols, sym.rowStart, sym.diagPos
-	bv, bd, bw := b.bv, b.bd, b.bw
+	bd, bw := b.bd, b.bw
 
 	for i := 0; i < n; i++ {
 		lo, hi := rs[i], rs[i+1]
-		// Scatter row i of every plane into the interleaved work row.
+		// Scatter row i's inputs, every plane at once, into the
+		// interleaved work row.
 		for t := lo; t < hi; t++ {
-			cb := cols[t] * fbStride
+			cb, tb := cols[t]*fbStride, t*fbStride
 			wc := bw[cb : cb+fbStride : cb+fbStride]
-			wc[0], wc[1], wc[2], wc[3] = a0re[t], a1re[t], a2re[t], a3re[t]
-			wc[4], wc[5], wc[6], wc[7] = a0im[t], a1im[t], a2im[t], a3im[t]
+			uc := bv[tb : tb+fbStride : tb+fbStride]
+			wc[0], wc[1], wc[2], wc[3] = uc[0], uc[1], uc[2], uc[3]
+			wc[4], wc[5], wc[6], wc[7] = uc[4], uc[5], uc[6], uc[7]
 		}
 		// Eliminate ascending over the row's L pattern; one index walk
 		// serves every plane. On amd64 with AVX the whole walk runs in
@@ -169,23 +226,15 @@ func (b *BlockRefactorer) RefactorBlock(sym *SparseSymbolic, lus *[FreqBlock]Spa
 				wc[7] -= m3r*ui + m3i*ur
 			}
 		}
-		// Gather the finished row: into the interleaved planes (read by
-		// later update loops) and de-interleaved into each plane's
-		// SparseLU, clearing the work row behind.
+		// Gather the finished row over its inputs (read by later update
+		// loops), clearing the work row behind.
 	gather:
 		for t := lo; t < hi; t++ {
-			cb := cols[t] * fbStride
-			tb := t * fbStride
+			cb, tb := cols[t]*fbStride, t*fbStride
 			wc := bw[cb : cb+fbStride : cb+fbStride]
 			uc := bv[tb : tb+fbStride : tb+fbStride]
-			r0, r1, r2, r3 := wc[0], wc[1], wc[2], wc[3]
-			i0, i1, i2, i3 := wc[4], wc[5], wc[6], wc[7]
-			uc[0], uc[1], uc[2], uc[3] = r0, r1, r2, r3
-			uc[4], uc[5], uc[6], uc[7] = i0, i1, i2, i3
-			v0re[t], v0im[t] = r0, i0
-			v1re[t], v1im[t] = r1, i1
-			v2re[t], v2im[t] = r2, i2
-			v3re[t], v3im[t] = r3, i3
+			uc[0], uc[1], uc[2], uc[3] = wc[0], wc[1], wc[2], wc[3]
+			uc[4], uc[5], uc[6], uc[7] = wc[4], wc[5], wc[6], wc[7]
 			wc[0], wc[1], wc[2], wc[3] = 0, 0, 0, 0
 			wc[4], wc[5], wc[6], wc[7] = 0, 0, 0, 0
 		}
@@ -206,10 +255,28 @@ func (b *BlockRefactorer) RefactorBlock(sym *SparseSymbolic, lus *[FreqBlock]Spa
 					}
 				}
 			}
-			rr, ri := recip(dr, di)
-			bd[ib+f], bd[ib+FreqBlock+f] = rr, ri
-			lus[f].ire[i], lus[f].iim[i] = rr, ri
+			bd[ib+f], bd[ib+FreqBlock+f] = recip(dr, di)
 		}
 	}
 	return errs
+}
+
+// CopyOut copies plane f of the last FactorLanes — factors and inverse
+// diagonal — out of the lanes into lu, which that walk prepared as plane
+// f's factorization. lu is then ready for SolveBlock and as a
+// PartialRefactor base.
+func (b *BlockRefactorer) CopyOut(f int, lu *SparseLU) {
+	bv, bd := b.bv, b.bd
+	lu.vre = sliceutil.Grow(lu.vre, len(bv)/fbStride)
+	lu.vim = sliceutil.Grow(lu.vim, len(bv)/fbStride)
+	lu.ire = sliceutil.Grow(lu.ire, len(bd)/fbStride)
+	lu.iim = sliceutil.Grow(lu.iim, len(bd)/fbStride)
+	vre, vim := lu.vre, lu.vim
+	for t := range vre {
+		vre[t], vim[t] = bv[t*fbStride+f], bv[t*fbStride+FreqBlock+f]
+	}
+	ire, iim := lu.ire, lu.iim
+	for i := range ire {
+		ire[i], iim[i] = bd[i*fbStride+f], bd[i*fbStride+FreqBlock+f]
+	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"repro/internal/sliceutil"
 )
 
 // This file is the sparse counterpart of the SoA kernel layer: a complex
@@ -20,14 +22,16 @@ import (
 //     low, and a symbolic elimination computes the static L+U fill
 //     pattern and row schedule shared by every numeric factorization;
 //
-//   - BlockRefactorer.RefactorBlock (freqblock.go) — the numeric-only
+//   - BlockRefactorer.FactorLanes (freqblock.go) — the numeric-only
 //     refactorization the engine runs: FreqBlock frequencies' value
-//     planes eliminated in one walk over the compiled pattern into
-//     caller-owned SparseLUs, with no pivot search, no index discovery
-//     and no allocation in steady state. SparseLU.RefactorReuse is the
-//     same elimination one plane at a time — the scalar reference the
-//     blocked walk is pinned against, and the row kernel PartialRefactor
-//     reuses;
+//     planes, stamped into interleaved lanes, eliminated in place in one
+//     walk over the compiled pattern, with no pivot search, no index
+//     discovery and no allocation in steady state; CopyOut hands one
+//     plane to a caller-owned SparseLU, and RefactorBlock wraps the
+//     three steps for callers holding ordinary planes.
+//     SparseLU.RefactorReuse is the same elimination one plane at a
+//     time — the scalar reference the blocked walk is pinned against,
+//     and the row kernel PartialRefactor reuses;
 //
 //   - SolveBlock / SolveBlockInto / SolveInto — allocation-free
 //     triangular sweeps, over a whole multi-RHS Block panel or a single
@@ -509,31 +513,36 @@ func (f *SparseLU) RefactorReuse(sym *SparseSymbolic, are, aim []float64) error 
 	return nil
 }
 
-// prepRefactor validates shapes, sizes the factor storage and scratch,
-// and derives the squared pivot guard from the input magnitude. It is
-// the shared head of every refactorization flavor (scalar, frequency-
-// blocked, partial). The value planes are NOT copied: the elimination
-// scatters each row from the input planes and gathers the factored row
-// into f.vre/f.vim, so untouched garbage in f.vre is never read.
-func (f *SparseLU) prepRefactor(sym *SparseSymbolic, are, aim []float64) error {
-	nnz := len(sym.cols)
-	if len(are) != nnz || len(aim) != nnz {
+// checkPlanes validates that value planes are laid out along sym's
+// compiled pattern.
+func checkPlanes(sym *SparseSymbolic, are, aim []float64) error {
+	if nnz := len(sym.cols); len(are) != nnz || len(aim) != nnz {
 		return fmt.Errorf("numeric: refactor with planes %d/%d, pattern has %d entries: %w", len(are), len(aim), nnz, ErrDimension)
 	}
-	n := sym.n
-	if cap(f.vre) < nnz {
-		f.vre = make([]float64, nnz)
-		f.vim = make([]float64, nnz)
+	return nil
+}
+
+// prepRefactor validates shapes, sizes the factor storage and scratch,
+// and derives the squared pivot guard from the input magnitude. It is
+// the shared head of the scalar and partial refactorizations. The value
+// planes are NOT copied: the elimination scatters each row from the
+// input planes and gathers the factored row into f.vre/f.vim, so
+// untouched garbage in f.vre is never read. Each slice is sized on its
+// own capacity, so a SparseLU that FactorLanes prepared and CopyOut
+// filled (work rows never sized) can be refactored here too.
+func (f *SparseLU) prepRefactor(sym *SparseSymbolic, are, aim []float64) error {
+	if err := checkPlanes(sym, are, aim); err != nil {
+		return err
 	}
-	f.vre, f.vim = f.vre[:nnz], f.vim[:nnz]
-	if cap(f.ire) < n {
-		f.ire = make([]float64, n)
-		f.iim = make([]float64, n)
-		f.wre = make([]float64, n)
-		f.wim = make([]float64, n)
-	}
-	f.ire, f.iim = f.ire[:n], f.iim[:n]
-	f.wre, f.wim = f.wre[:n], f.wim[:n]
+	nnz, n := len(sym.cols), sym.n
+	f.vre = sliceutil.Grow(f.vre, nnz)
+	f.vim = sliceutil.Grow(f.vim, nnz)
+	f.ire = sliceutil.Grow(f.ire, n)
+	f.iim = sliceutil.Grow(f.iim, n)
+	// The work rows must be zero on entry; every elimination leaves them
+	// so, and Grow's fresh allocations are.
+	f.wre = sliceutil.Grow(f.wre, n)
+	f.wim = sliceutil.Grow(f.wim, n)
 	f.sym = sym
 
 	var amax2 float64
@@ -553,7 +562,7 @@ func (f *SparseLU) prepRefactor(sym *SparseSymbolic, are, aim []float64) error {
 // up-looking scalar sweep: scatter the row's input values into the dense
 // work row, eliminate against every factored row in its L pattern
 // ascending, gather the finished row into the factor planes, and invert
-// the pivot. RefactorBlock performs the same per-plane arithmetic in the
+// the pivot. FactorLanes performs the same per-plane arithmetic in the
 // same order.
 func (f *SparseLU) factorRowScalar(i int, are, aim []float64) error {
 	sym := f.sym

@@ -174,7 +174,7 @@ func (r *Reacher) begin(n int) (uint32, []uint32) {
 }
 
 // LowerSolve overwrites the interleaved vector y (n·2·FreqBlock, by
-// permuted row) with L⁻¹y for every plane of the last RefactorBlock on
+// permuted row) with L⁻¹y for every plane of the last FactorLanes on
 // sym. y must be zero outside reach, which must hold the closure of y's
 // nonzeros (LowerReach), sorted ascending; y stays zero outside it.
 func (b *BlockRefactorer) LowerSolve(sym *SparseSymbolic, y []float64, reach []int32) {
@@ -211,7 +211,7 @@ func (b *BlockRefactorer) LowerSolve(sym *SparseSymbolic, y []float64, reach []i
 }
 
 // UpperTSolve overwrites the interleaved vector w with U⁻ᵀw for every
-// plane of the last RefactorBlock on sym, under LowerSolve's contract
+// plane of the last FactorLanes on sym, under LowerSolve's contract
 // with reach from UpperReach.
 func (b *BlockRefactorer) UpperTSolve(sym *SparseSymbolic, w []float64, reach []int32) {
 	bv, bd := b.bv, b.bd

@@ -19,7 +19,7 @@ import (
 //     fault deltas that break the SMW guards but not the factorization.
 //
 // The golden numeric refactorization itself is BlockRefactorer.
-// RefactorBlock (freqblock.go); RefactorReuse is its scalar reference.
+// FactorLanes (freqblock.go); RefactorReuse is its scalar reference.
 //
 // A supernode here is a run [s, e) of permuted rows such that
 //
@@ -110,7 +110,9 @@ func (s *SparseSymbolic) RowOfIndex(t int) int {
 // when it tightens past base's, the kept pivots are re-checked so
 // accept/reject matches the from-scratch sweep.
 func (f *SparseLU) PartialRefactor(base *SparseLU, are, aim []float64, touched []int) (int, error) {
-	if base.sym == nil {
+	// A base that FactorLanes prepared but CopyOut never filled has empty
+	// value slices; copying from it would keep f's stale factors.
+	if base.sym == nil || len(base.vre) != len(base.sym.cols) {
 		return 0, fmt.Errorf("numeric: partial refactor from unfactored base: %w", ErrDimension)
 	}
 	sym := base.sym
