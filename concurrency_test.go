@@ -11,12 +11,12 @@ import (
 
 // TestDiagnoserConcurrentReadOnlyUse hammers one Session + Diagnoser from
 // many goroutines, mixing every shared-read entry point the serving layer
-// uses: memoized scalar responses, memo-bypassing bulk signatures
-// (DiagnoseFaults), per-fault diagnosis, and map reads. Run under -race
-// (the CI race job does) it pins the documented contract that
-// Session.Dictionary() and a built Diagnoser are safe for concurrent
-// read-only use; without -race it still verifies that concurrent results
-// are bit-identical to sequential ones.
+// uses: point responses, bulk signatures (DiagnoseFaults), per-fault
+// diagnosis, and map reads. Run under -race (the CI race job does) it
+// pins the documented contract that Session.Dictionary() and a built
+// Diagnoser are safe for concurrent read-only use; without -race it
+// still verifies that concurrent results are bit-identical to
+// sequential ones.
 func TestDiagnoserConcurrentReadOnlyUse(t *testing.T) {
 	ctx := context.Background()
 	s, err := repro.NewSession(repro.PaperCUT(), repro.WithWorkers(2))
@@ -77,7 +77,7 @@ func TestDiagnoserConcurrentReadOnlyUse(t *testing.T) {
 							return
 						}
 					}
-				case 1: // per-fault diagnosis through the memoized path
+				case 1: // per-fault diagnosis through Signature's one-set solve
 					f := faults[(g+round)%len(faults)]
 					res, err := dg.DiagnoseSet(s.Dictionary(), f)
 					if err != nil {
@@ -88,14 +88,14 @@ func TestDiagnoserConcurrentReadOnlyUse(t *testing.T) {
 						t.Errorf("goroutine %d: %s misdiagnosed as %s", g, f.Component, res.Best().Component)
 						return
 					}
-				case 2: // memoized scalar responses (lazy memo writes race here if unlocked)
+				case 2: // point responses (each looks up the grids under the dictionary's mutex)
 					got, err := s.Dictionary().Response(faults[0], omegas[0])
 					if err != nil {
 						errs[g] = err
 						return
 					}
 					if got != wantResp {
-						t.Errorf("goroutine %d: memoized response drifted: %g != %g", g, got, wantResp)
+						t.Errorf("goroutine %d: point response drifted: %g != %g", g, got, wantResp)
 						return
 					}
 				case 3: // map reads the HTTP layer performs per request

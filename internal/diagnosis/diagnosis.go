@@ -272,11 +272,11 @@ func (d *Diagnoser) DiagnoseSet(dict *dictionary.Dictionary, set fault.Set) (*Re
 // and multiple faults freely mixed) in one batched rank-k solve at the
 // map's test vector and diagnoses each, returning results aligned with
 // the input. It is the bulk shared-read entry point: the signature solve
-// bypasses the dictionary's memo into call-local scratch and the
-// projection pass only reads the map, so any number of goroutines may
-// call it on one Diagnoser/Dictionary pair concurrently. Per-set results
-// are computed independently, so a batched call is bit-identical to the
-// same sets diagnosed one at a time.
+// writes only call-local scratch and stores nothing in the dictionary,
+// and the projection pass only reads the map, so any number of
+// goroutines may call it on one Diagnoser/Dictionary pair concurrently.
+// Per-set results are computed independently, so a batched call is
+// bit-identical to the same sets diagnosed one at a time.
 func (d *Diagnoser) DiagnoseSets(ctx context.Context, dict *dictionary.Dictionary, sets []fault.Set) ([]*Result, error) {
 	if len(sets) == 0 {
 		return nil, fmt.Errorf("diagnosis: no faults")

@@ -13,8 +13,9 @@
 //
 // What the dictionary stores is the paper's fault dictionary, a table:
 // each BuildGrid or BuildGridSets keeps the engine's (fault set × ω)
-// response table as it came back, with one row index by fault-set ID,
-// and responses computed one at a time go into a small point memo.
+// response table as it came back, with one row index by fault-set ID.
+// The grids are all it stores. A query no grid answers is solved and
+// returned, not kept.
 package dictionary
 
 import (
@@ -33,16 +34,14 @@ import (
 	"repro/internal/sliceutil"
 )
 
-// MemoLimit bounds the stored responses: grid cells and point-memo
-// cells together. A grid that does not fit keeps the prefix of its cells
-// that does, golden row first and then rows in input order; once the
-// limit is reached, further responses are computed but not stored. Every
-// cell of a grid counts, even one whose point an older grid already
-// holds. Grid builds (tens of faults × hundreds of frequencies) fit
-// comfortably; what the bound prevents is a long-running probe workload
-// growing the memo without limit. The GA fitness path bypasses the memo
-// entirely (see UniverseSignaturesInto), so it neither grows it nor
-// contends on its mutex.
+// MemoLimit bounds the stored responses, the cells of the grids. A grid
+// that does not fit keeps the prefix of its cells that does, golden row
+// first and then rows in input order; once the limit is reached, further
+// grids are computed but not stored. Every cell of a grid counts, even
+// one whose point an older grid already holds. Grid builds (tens of
+// faults × hundreds of frequencies) fit comfortably; what the bound
+// prevents is a long-running process that builds grid after grid
+// growing the dictionary without limit.
 const MemoLimit = 1 << 16
 
 // Dictionary serves golden and faulty magnitude responses.
@@ -58,11 +57,9 @@ type Dictionary struct {
 	// GA's fitness evaluations and BuildGrid share it read-only.
 	plan func() (*engine.Plan, error)
 
-	mu        sync.Mutex
-	analyzers map[fault.Fault]*analysis.AC // scalar reference path only
-	grids     []*grid                      // BuildGrid/BuildGridSets tables, oldest first
-	points    map[string]pointRow          // responses computed one at a time, by set ID
-	cells     int                          // cells stored in grids and points (≤ MemoLimit)
+	mu    sync.Mutex
+	grids []*grid // BuildGrid/BuildGridSets tables, oldest first
+	cells int     // cells stored in grids (≤ MemoLimit)
 
 	// refOmegas is the test vector CircuitSignature was last called at,
 	// and refGolden the golden circuit's analysis.AC magnitudes there:
@@ -88,13 +85,6 @@ type grid struct {
 	kept  int
 }
 
-// pointRow is one fault set's point-memo entry: its parts and its
-// responses by ω.
-type pointRow struct {
-	parts []fault.Fault
-	mags  map[float64]float64
-}
-
 // New builds a dictionary for the golden circuit observed at output and
 // driven by the named source, over the given fault universe.
 func New(golden *circuit.Circuit, source, output string, u *fault.Universe) (*Dictionary, error) {
@@ -105,13 +95,11 @@ func New(golden *circuit.Circuit, source, output string, u *fault.Universe) (*Di
 		return nil, err
 	}
 	d := &Dictionary{
-		golden:    golden.Clone(),
-		source:    source,
-		output:    output,
-		universe:  u,
-		faults:    u.Faults(),
-		analyzers: make(map[fault.Fault]*analysis.AC),
-		points:    make(map[string]pointRow),
+		golden:   golden.Clone(),
+		source:   source,
+		output:   output,
+		universe: u,
+		faults:   u.Faults(),
 	}
 	// Compiling the template fails fast on unbuildable golden circuits and
 	// unusable measurements (missing source, zero amplitude).
@@ -147,45 +135,19 @@ func (d *Dictionary) Output() string { return d.output }
 // Golden returns a clone of the golden circuit.
 func (d *Dictionary) Golden() *circuit.Circuit { return d.golden.Clone() }
 
-// analyzer returns (building if needed) the AC analyzer for a fault —
-// the classic clone+assemble path kept as the scalar reference.
-func (d *Dictionary) analyzer(f fault.Fault) (*analysis.AC, error) {
-	d.mu.Lock()
-	ac, ok := d.analyzers[f]
-	d.mu.Unlock()
-	if ok {
-		return ac, nil
-	}
-	// Build outside the lock: cloning and assembling may be slow.
+// ScalarResponse computes |H(jω)| the pre-engine way: clone the golden
+// circuit, inject the fault, assemble and factor a fresh MNA system, on
+// every call; nothing is kept. It is the per-point reference:
+// CircuitSignature takes its golden term from it, and the engine is
+// verified against it.
+func (d *Dictionary) ScalarResponse(f fault.Fault, omega float64) (float64, error) {
 	faulty, err := f.Apply(d.golden)
 	if err != nil {
-		return nil, err
-	}
-	ac, err = analysis.NewAC(faulty)
-	if err != nil {
-		return nil, fmt.Errorf("dictionary: fault %s: %w", f.ID(), err)
-	}
-	d.mu.Lock()
-	// Another goroutine may have raced us; keep the first.
-	if prev, ok := d.analyzers[f]; ok {
-		ac = prev
-	} else {
-		d.analyzers[f] = ac
-	}
-	d.mu.Unlock()
-	return ac, nil
-}
-
-// ScalarResponse computes |H(jω)| the pre-engine way: clone the golden
-// circuit, inject the fault, assemble and factor a fresh MNA system.
-// It is unmemoized (only the assembled analyzer is cached per fault). It
-// is the per-point reference: CircuitSignature takes its golden term
-// from it, the engine is verified against it, and BenchmarkBatchVsScalar
-// times the engine against it.
-func (d *Dictionary) ScalarResponse(f fault.Fault, omega float64) (float64, error) {
-	ac, err := d.analyzer(f)
-	if err != nil {
 		return 0, err
+	}
+	ac, err := analysis.NewAC(faulty)
+	if err != nil {
+		return 0, fmt.Errorf("dictionary: fault %s: %w", f.ID(), err)
 	}
 	h, err := ac.Transfer(d.source, d.output, omega)
 	if err != nil {
@@ -195,25 +157,20 @@ func (d *Dictionary) ScalarResponse(f fault.Fault, omega float64) (float64, erro
 }
 
 // Response returns |H(jω)| for the given fault (use the zero Fault for
-// the golden circuit). A stored response is served when one matches;
-// otherwise the response is computed and stored in the point memo while
-// MemoLimit allows.
+// the golden circuit). A grid cell is served when one matches;
+// otherwise the response is solved and returned, and nothing is stored.
 //
-// A stored response matches when its row's ID equals the fault's and
-// its parts equal the fault's exactly, component and deviation compared
-// with ==. The ID only narrows the search: IDs round deviations to whole
+// A grid cell matches when its row's ID equals the fault's and its parts
+// equal the fault's exactly, component and deviation compared with ==.
+// The ID only narrows the search: IDs round deviations to whole
 // percents, and R4@+20.4 % must not be answered with R4@+20 %. The
-// newest grid holding the point serves first, then the point memo, so
-// for sequential calls the last computation of a point wins. The first
-// parts stored in the point memo under an ID keep it; a set whose ID
-// collides with them is computed on every query.
+// newest grid holding the point serves, from its last row with that ID
+// and its last column at ω.
 //
 // A miss is solved on the engine's batched path, the one BuildGrid
 // fills its grids through: the set is resolved as a one-item plan and
-// solved at that ω alone, and the column's golden response is stored
-// with the set's unless one is stored already, so GoldenResponse(ω)
-// after a miss at ω is a hit. A miss therefore equals the grid cell at
-// that point bit for bit, unless the engine's sparse kernel rule picks
+// solved at that ω alone. A miss therefore equals the grid cell at that
+// point bit for bit, unless the engine's sparse kernel rule picks
 // different column kernels for the grid and for the one-item plan (the
 // reach-limited half-solves for one, the multi-RHS block solve for the
 // other), as it does on chains; the two then agree to rounding.
@@ -222,8 +179,8 @@ func (d *Dictionary) Response(f fault.Fault, omega float64) (float64, error) {
 }
 
 // ResponseSet is Response over an arbitrary fault set — golden, single,
-// or multiple fault. Rows are named by the set's stable ID, so
-// single-fault entries are shared with Response and a multi-fault grid
+// or multiple fault. Grid rows are named by the set's stable ID, so a
+// single fault reads the same rows as Response, and a multi-fault grid
 // coexists with the single-fault one.
 func (d *Dictionary) ResponseSet(set fault.Set, omega float64) (float64, error) {
 	id, parts := set.ID(), set.Parts()
@@ -242,57 +199,18 @@ func (d *Dictionary) ResponseSet(set fault.Set, omega float64) (float64, error) 
 	if err := d.eng.SolveInto(nil, &p, []float64{omega}, 1, nil, &b); err != nil {
 		return 0, fmt.Errorf("dictionary: %w", err)
 	}
-
-	d.mu.Lock()
-	d.storePoint(id, parts, omega, b.Mags[0][0])
-	if _, ok := d.lookup("golden", nil, omega); !ok {
-		d.storePoint("golden", nil, omega, b.Golden[0])
-	}
-	d.mu.Unlock()
 	return b.Mags[0][0], nil
 }
 
 // lookup returns the stored response of the set with this ID and these
-// parts at ω: the newest grid holding it first, then the point memo. The
-// caller holds d.mu.
+// parts at ω from the newest grid holding it. The caller holds d.mu.
 func (d *Dictionary) lookup(id string, parts []fault.Fault, omega float64) (float64, bool) {
 	for i := len(d.grids) - 1; i >= 0; i-- {
 		if v, ok := d.grids[i].lookup(id, parts, omega); ok {
 			return v, true
 		}
 	}
-	p, ok := d.points[id]
-	if !ok || !slices.Equal(p.parts, parts) {
-		return 0, false
-	}
-	v, ok := p.mags[omega]
-	return v, ok
-}
-
-// storePoint stores one computed response in the point memo; the caller
-// holds d.mu. Nothing is stored once MemoLimit cells are, so an
-// unbounded stream of distinct probe frequencies cannot grow the memo
-// without limit, and nothing is stored under an ID that other parts
-// already hold.
-func (d *Dictionary) storePoint(id string, parts []fault.Fault, omega, mag float64) {
-	p, ok := d.points[id]
-	switch {
-	case !ok:
-		if d.cells >= MemoLimit {
-			return
-		}
-		p = pointRow{parts: slices.Clone(parts), mags: make(map[float64]float64)}
-		d.points[id] = p
-	case !slices.Equal(p.parts, parts):
-		return
-	}
-	if _, ok := p.mags[omega]; !ok {
-		if d.cells >= MemoLimit {
-			return
-		}
-		d.cells++
-	}
-	p.mags[omega] = mag
+	return 0, false
 }
 
 // newGrid wraps a finished batch as a grid over the given row parts (see
@@ -379,26 +297,16 @@ func (d *Dictionary) GoldenResponse(omega float64) (float64, error) {
 
 // Signature maps a fault set — golden, single or multiple fault — to
 // its point in the test-vector space: the vector of |H_set(ωi)| −
-// |H_golden(ωi)| over the test frequencies, memoized like ResponseSet.
-// Per the paper's simplification, the golden response sits at the
-// origin.
+// |H_golden(ωi)| over the test frequencies. It is SignaturesSets of the
+// one set, a single batched solve over every ω, so it reads no grid and
+// stores nothing. Per the paper's simplification, the golden response
+// sits at the origin.
 func (d *Dictionary) Signature(set fault.Set, omegas []float64) ([]float64, error) {
-	if len(omegas) == 0 {
-		return nil, fmt.Errorf("dictionary: empty test vector")
+	rows, err := d.SignaturesSets(nil, []fault.Set{set}, omegas)
+	if err != nil {
+		return nil, err
 	}
-	out := make([]float64, len(omegas))
-	for i, w := range omegas {
-		fm, err := d.ResponseSet(set, w)
-		if err != nil {
-			return nil, err
-		}
-		gm, err := d.GoldenResponse(w)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = fm - gm
-	}
-	return out, nil
+	return rows[0], nil
 }
 
 // CircuitSignature computes the signature point of an arbitrary circuit
@@ -406,9 +314,9 @@ func (d *Dictionary) Signature(set fault.Set, omegas []float64) ([]float64, erro
 // the same source and output — against this dictionary's golden
 // response. Both terms come from the per-point reference, analysis.AC:
 // the variant's response minus ScalarResponse of the golden circuit, so
-// a clone of the golden circuit sits exactly at the origin. Unlike
-// Signature it is not memoized (variants are one-off); only the golden
-// term at the last test vector asked for is kept.
+// a clone of the golden circuit sits exactly at the origin. Variants are
+// one-off and nothing of them is kept; only the golden term at the last
+// test vector asked for is.
 func (d *Dictionary) CircuitSignature(c *circuit.Circuit, omegas []float64) ([]float64, error) {
 	if len(omegas) == 0 {
 		return nil, fmt.Errorf("dictionary: empty test vector")
@@ -462,12 +370,11 @@ func (d *Dictionary) referenceGolden(omegas []float64) ([]float64, error) {
 // frequency grid via the batched engine, fanning the frequencies out
 // across workers goroutines (0 → one per CPU). The engine's table is kept
 // as a grid, with one row index by fault ID built before BuildGrid
-// returns, so subsequent Response/Signature/Snapshot calls on grid
-// points are pure lookups (see Response for the exact-match rule and
-// MemoLimit for how cells count). It returns the first error
+// returns, so subsequent Response, ResponseSet and Snapshot calls on
+// grid points are pure lookups (see Response for the exact-match rule
+// and MemoLimit for how cells count). It returns the first error
 // encountered; a canceled context stops within one in-flight frequency
-// per worker (the error wraps rerr.ErrCanceled) and leaves the memo
-// untouched.
+// per worker (the error wraps rerr.ErrCanceled) and stores nothing.
 func (d *Dictionary) BuildGrid(ctx context.Context, omegas []float64, workers int) error {
 	return d.BuildGridProgress(ctx, omegas, workers, nil)
 }
@@ -539,8 +446,8 @@ type SignatureScratch struct {
 // alias the scratch and stay valid until its next use, so a scratch held
 // across calls makes the steady state allocation-free. This is the GA
 // fitness path, trajectory.Builder's: every candidate test vector solves
-// the universe plan the dictionary resolved once, and neither grows the
-// response memo nor contends on its mutex.
+// the universe plan the dictionary resolved once, without reading the
+// grids or taking the dictionary's mutex.
 //
 // The solve runs inline on the calling goroutine: test vectors are a
 // handful of frequencies, and the heavy caller — the GA's fitness
@@ -559,9 +466,8 @@ func (d *Dictionary) UniverseSignaturesInto(ctx context.Context, omegas []float6
 // SignaturesSets computes the signature points of arbitrary fault sets —
 // golden, single, or multiple faults, freely mixed — in one batched
 // rank-k solve, inline like UniverseSignaturesInto. Row i is
-// |H_sets[i](ω)| − |H_golden(ω)| over omegas. It bypasses the memo:
-// bulk probe grids (hold-out trials, served points) are one-off and
-// would only bloat it.
+// |H_sets[i](ω)| − |H_golden(ω)| over omegas. Every row is solved: it
+// reads no grid and stores nothing.
 func (d *Dictionary) SignaturesSets(ctx context.Context, sets []fault.Set, omegas []float64) ([][]float64, error) {
 	return signatures(ctx, d, sets, omegas)
 }
@@ -623,7 +529,8 @@ type Export struct {
 	Entries []Entry   `json:"entries"`
 }
 
-// Snapshot evaluates (memoized) the grid and returns an Export with the
+// Snapshot evaluates the grid cell by cell, as ResponseSet does (a grid
+// cell is read, any other point solved), and returns an Export with the
 // golden row first and fault rows in universe order.
 func (d *Dictionary) Snapshot(omegas []float64) (*Export, error) {
 	return d.SnapshotSets(omegas, nil)
@@ -696,10 +603,10 @@ func ParseExport(data []byte) (*Export, error) {
 	return &e, nil
 }
 
-// CachedCount reports how many distinct (fault ID, ω) points are stored
-// — useful in tests and benchmarks to verify laziness. A point several
-// grids hold counts once here, though each of its cells counts against
-// MemoLimit. It is computed on demand from the grids and the point memo.
+// CachedCount reports how many distinct (fault ID, ω) points the grids
+// store — useful in tests and benchmarks to verify laziness. A point
+// several grids hold counts once here, though each of its cells counts
+// against MemoLimit. It is computed on demand from the grids.
 func (d *Dictionary) CachedCount() int {
 	type point struct {
 		id    string
@@ -712,7 +619,7 @@ func (d *Dictionary) CachedCount() int {
 	return len(seen)
 }
 
-// CachedFaultIDs lists the fault IDs with at least one stored response,
+// CachedFaultIDs lists the fault IDs with at least one grid cell stored,
 // sorted.
 func (d *Dictionary) CachedFaultIDs() []string {
 	d.mu.Lock()
@@ -728,7 +635,7 @@ func (d *Dictionary) CachedFaultIDs() []string {
 }
 
 // eachPoint calls fn for every stored point a lookup can reach, once per
-// grid or point memo holding it. The caller holds d.mu.
+// grid holding it. The caller holds d.mu.
 func (d *Dictionary) eachPoint(fn func(id string, omega float64)) {
 	for _, g := range d.grids {
 		for id, r := range g.rows {
@@ -737,11 +644,6 @@ func (d *Dictionary) eachPoint(fn func(id string, omega float64)) {
 					fn(id, w)
 				}
 			}
-		}
-	}
-	for id, p := range d.points {
-		for w := range p.mags {
-			fn(id, w)
 		}
 	}
 }

@@ -73,27 +73,50 @@ func TestResponseMovesWithFault(t *testing.T) {
 	}
 }
 
+// TestMemoization: the grids are all a dictionary stores. Point queries
+// store nothing, whether they miss or hit a grid, and a grid build
+// stores its cells.
 func TestMemoization(t *testing.T) {
 	d := paperDict(t)
 	if d.CachedCount() != 0 {
 		t.Fatalf("fresh dictionary has %d cached", d.CachedCount())
 	}
-	if _, err := d.GoldenResponse(1); err != nil {
+	f := fault.Fault{Component: "R3", Deviation: 0.2}
+	pair := pairSets(t, d, 1)[0]
+	query := func() {
+		t.Helper()
+		if _, err := d.GoldenResponse(1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Response(f, 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.ResponseSet(pair, 2); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Signature(f, []float64{1, 2}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.SnapshotSets([]float64{1, 2}, []fault.Set{pair}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	query()
+	if n, ids := d.CachedCount(), d.CachedFaultIDs(); n != 0 || len(ids) != 0 {
+		t.Fatalf("point queries stored %d points, IDs %v; want none", n, ids)
+	}
+	if err := d.BuildGrid(nil, []float64{1}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if d.CachedCount() != 1 {
-		t.Fatalf("cached = %d, want 1", d.CachedCount())
-	}
-	// Re-query: no growth.
-	if _, err := d.GoldenResponse(1); err != nil {
-		t.Fatal(err)
-	}
-	if d.CachedCount() != 1 {
-		t.Fatalf("cache grew on repeat query: %d", d.CachedCount())
-	}
+	const want = 7*8 + 1
 	ids := d.CachedFaultIDs()
-	if len(ids) != 1 || ids[0] != "golden" {
-		t.Fatalf("ids = %v", ids)
+	if n := d.CachedCount(); n != want || len(ids) != want || !slices.Contains(ids, "golden") {
+		t.Fatalf("after a grid build: %d cached, IDs %v; want %d with the golden row", n, ids, want)
+	}
+	// Hits at ω = 1 and misses at ω = 2 store nothing either.
+	query()
+	if n := d.CachedCount(); n != want || !slices.Equal(d.CachedFaultIDs(), ids) {
+		t.Fatalf("point queries after a grid build: %d cached, want %d", n, want)
 	}
 }
 
@@ -419,8 +442,10 @@ func TestConcurrentAccess(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The distinct points stored do not depend on the interleaving.
-	if got, want := d.CachedCount(), (7*8+1)*3+len(pairs)*3; got != want {
+	// The distinct points stored do not depend on the interleaving: the
+	// universe grid's at three ω and the pair grid's at two. The pairs'
+	// point queries at grid[0] store nothing.
+	if got, want := d.CachedCount(), (7*8+1)*3+len(pairs)*2; got != want {
 		t.Fatalf("cached = %d, want %d", got, want)
 	}
 }
@@ -507,7 +532,7 @@ func TestMemoLastWriteWins(t *testing.T) {
 
 // TestMemoLimitKeepsGridPrefix: a grid larger than MemoLimit stores the
 // cells that fit, golden row first and then rows in input order, and a
-// dropped cell is computed without growing the memo.
+// dropped cell is computed without growing the store.
 func TestMemoLimitKeepsGridPrefix(t *testing.T) {
 	d := paperDict(t)
 	omegas := numeric.Logspace(0.01, 100, 1150) // 57 rows × 1150 ω = 65 550 cells
@@ -583,9 +608,9 @@ func TestBuildGridSetsOwnsItsInputs(t *testing.T) {
 }
 
 // TestMemoMatchesDeviationExactly: IDs round deviations to whole
-// percents, so R4@+20.4 % and R4@+19.6 % share the ID "R4@+20%". A
-// memoized answer must still be the queried deviation's own, bit for bit
-// what a fresh dictionary computes.
+// percents, so R4@+20.4 % and R4@+19.6 % share the ID "R4@+20%". Every
+// answer must still be the queried deviation's own, bit for bit what a
+// fresh dictionary computes.
 func TestMemoMatchesDeviationExactly(t *testing.T) {
 	const w = 0.05
 	up := fault.Fault{Component: "R4", Deviation: 0.204}
@@ -609,7 +634,7 @@ func TestMemoMatchesDeviationExactly(t *testing.T) {
 		}
 	}
 
-	// The scalar reference path caches one analyzer per fault, not per ID.
+	// The scalar reference path answers each deviation with its own.
 	d := paperDict(t)
 	for _, f := range []fault.Fault{up, down} {
 		got, err := d.ScalarResponse(f, w)
@@ -621,12 +646,12 @@ func TestMemoMatchesDeviationExactly(t *testing.T) {
 		}
 	}
 
-	// Against a point entry, in both orders and on repeat.
+	// Misses sharing an ID, in both orders and on repeat.
 	d = paperDict(t)
 	check(d, up, "nothing")
-	check(d, down, "a point for +20.4 %")
-	check(d, down, "a point for +20.4 % and a miss")
-	check(d, up, "a point for +20.4 %")
+	check(d, down, "a miss for +20.4 %")
+	check(d, down, "misses for +20.4 % and +19.6 %")
+	check(d, up, "misses for both")
 
 	// Against a universe grid row (R4@+20 %).
 	d = paperDict(t)
@@ -663,8 +688,8 @@ func TestMemoMatchesDeviationExactly(t *testing.T) {
 // one-item plan on the engine path that fills grids. On every built-in
 // CUT, rc-grid-16 and opamp-cascade-16, a fresh dictionary's Response
 // and GoldenResponse misses equal a BuildGrid dictionary's cells bit for
-// bit, Signature equals the SignaturesSets row bit for bit, and after a
-// miss at ω GoldenResponse(ω) is a hit. On rc-ladder-64 the sparse
+// bit, Signature equals the SignaturesSets row bit for bit, and a miss
+// stores nothing. On rc-ladder-64 the sparse
 // kernel rule picks different column kernels for the grid and for a
 // one-item plan, so there they agree within 1e-12 relative to the
 // response (the golden response, for a signature).
@@ -753,17 +778,13 @@ func TestPointMissMatchesGrid(t *testing.T) {
 			}
 		}
 
-		// A miss stores its column's golden response too, so GoldenResponse
-		// at that ω is a hit.
+		// A miss stores nothing, its column's golden response included.
 		d := newDict()
 		if _, err := d.Response(faults[0], omegas[1]); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if n, ids := d.CachedCount(), d.CachedFaultIDs(); n != 2 || !slices.Equal(ids, []string{faults[0].ID(), "golden"}) {
-			t.Fatalf("%s: after a miss: %d cached, IDs %v; want the miss and its golden", name, n, ids)
-		}
-		if _, err := d.GoldenResponse(omegas[1]); err != nil || d.CachedCount() != 2 {
-			t.Fatalf("%s: GoldenResponse after a miss: %v, %d cached", name, err, d.CachedCount())
+		if n, ids := d.CachedCount(), d.CachedFaultIDs(); n != 0 || len(ids) != 0 {
+			t.Fatalf("%s: after a miss: %d cached, IDs %v; want none", name, n, ids)
 		}
 	}
 }

@@ -329,7 +329,6 @@ func (e *Engine) factorColumn(ws *workspace, omega float64, p *Plan, out *Batch,
 	// falls through to the dense partial-pivoting factorization below, so
 	// sparse never changes what is computable.
 	ws.colSparse = false
-	ws.denseStamped = false
 	if ws.grpJ0 >= 0 {
 		ws.gx = j - ws.grpJ0
 		err := ws.grpErr[ws.gx]
@@ -345,11 +344,7 @@ func (e *Engine) factorColumn(ws *workspace, omega float64, p *Plan, out *Batch,
 	}
 	if !ws.colSparse {
 		ws.ensureSoADense(t.n)
-		t.stampGoldenSoA(ws.ms, complex(0, omega))
-		ws.denseStamped = true
-		if err := ws.fs.CopyFrom(ws.ms); err != nil {
-			return 0, err
-		}
+		t.stampGoldenSoA(ws.fs, complex(0, omega))
 		if err := numeric.FactorSoAReuse(&ws.slu, ws.fs); err != nil {
 			return 0, fmt.Errorf("engine: golden system at ω=%g: %w", omega, err)
 		}
@@ -553,9 +548,10 @@ func (e *Engine) solveItemK(ws *workspace, s complex128, omega float64, p *Plan,
 // touched rows bound exactly which columns of the elimination must be
 // redone — for a localized fault that is a small reachable cone, not the
 // whole matrix. An ill-conditioned sparse pivot then falls back to the
-// dense partial-pivoting factorization, stamping the dense golden planes
-// on demand. On a dense column this is the original dense fallback
-// unchanged.
+// dense partial-pivoting factorization. The dense fallback, on either
+// kind of column, stamps the golden planes afresh and patches them: the
+// golden factorization overwrote its own stamp, and the stamp is
+// deterministic, so the fresh one holds the same bits.
 func (e *Engine) exactFallback(ws *workspace, s complex128, omega float64, p *Plan, fi int, deltas []complex128) (complex128, error) {
 	t := e.tmpl
 	slots := p.partSlot[p.off[fi]:p.off[fi+1]]
@@ -591,13 +587,7 @@ func (e *Engine) exactFallback(ws *workspace, s complex128, omega float64, p *Pl
 		ws.cDenseExact++
 	}
 	ws.ensureSoADense(t.n)
-	if !ws.denseStamped {
-		t.stampGoldenSoA(ws.ms, s)
-		ws.denseStamped = true
-	}
-	if err := ws.f2s.CopyFrom(ws.ms); err != nil {
-		return 0, err
-	}
+	t.stampGoldenSoA(ws.f2s, s)
 	for a, si := range slots {
 		t.addRank1SoA(ws.f2s, &t.slots[si], deltas[a])
 	}

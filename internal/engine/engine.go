@@ -267,17 +267,19 @@ type Plan struct {
 // blocked refactorer's lanes, stamped and factored in place), where a
 // stamped copy, the lanes and four de-interleaved SparseLUs once took
 // 26. Block-side batches add 2 per entry for each plane they copy out,
-// and exact fallbacks 4 for their patched planes and factors.
+// and exact fallbacks 4 for their patched planes and factors. On the
+// dense path it is two n×n matrices: the golden system, stamped and
+// factored in place, and an exact fallback's patched system.
 type workspace struct {
 	xf    []complex128 // exact-fallback solution
 	delta []complex128 // per-part coefficient deltas of one item (k)
 	cmat  []complex128 // k×k capacitance matrix (row-major)
 	wvec  []complex128 // capacitance RHS, overwritten with the solution (k)
 
-	// Dense SoA path: the golden matrix and both factorization targets as
-	// split re/im planes with their LU headers. Sparse-capable engines
-	// size them only if a column falls back to dense.
-	ms   *numeric.SoAMatrix // golden A(s) planes, kept unfactored for fallbacks
+	// Dense SoA path: both factorization targets as split re/im planes
+	// with their LU headers. Each is stamped and factored in place.
+	// Sparse-capable engines size them only if a column falls back to
+	// dense.
 	fs   *numeric.SoAMatrix // golden factorization storage
 	f2s  *numeric.SoAMatrix // fallback factorization storage
 	slu  numeric.SoALU      // golden SoA LU header, refactored in place
@@ -298,9 +300,7 @@ type workspace struct {
 	// column's first read as a SparseLU (groupLU; grpCopied marks it).
 	// spre2/spim2 and slus2 hold the patched planes and factors of a
 	// partial-refactorization fallback. colSparse records whether the
-	// current column's golden factorization is sparse; denseStamped
-	// whether ms holds this column's dense golden stamp (filled lazily,
-	// only if a dense fallback needs it).
+	// current column's golden factorization is sparse.
 	bref         numeric.BlockRefactorer
 	slusBlk      [numeric.FreqBlock]numeric.SparseLU
 	grpErr       [numeric.FreqBlock]error
@@ -310,7 +310,6 @@ type workspace struct {
 	spre2, spim2 []float64
 	slus2        numeric.SparseLU
 	colSparse    bool
-	denseStamped bool
 	touched      []int // merged per-slot touched rows of one fallback item
 
 	// Sparse-vector reads (sparsevec.go) of the cached group, one lane per
@@ -361,7 +360,7 @@ func newWorkspace(t *Template) *workspace {
 	}
 	if t.sparse == nil {
 		// Dense-only engines factor n×n every column; sparse-capable
-		// engines allocate the three dense matrices lazily, only if a
+		// engines allocate the two dense matrices lazily, only if a
 		// column actually falls back — a thousand-node grid would
 		// otherwise pin hundreds of megabytes per worker it never uses.
 		ws.ensureSoADense(n)
@@ -390,8 +389,7 @@ func (ws *workspace) fitBatch(n int, p *Plan, out *Batch) {
 // ensureSoADense sizes the dense SoA matrices on first use (a dense
 // golden column or a dense exact fallback).
 func (ws *workspace) ensureSoADense(n int) {
-	if ws.ms == nil {
-		ws.ms = numeric.NewSoAMatrix(n, n)
+	if ws.fs == nil {
 		ws.fs = numeric.NewSoAMatrix(n, n)
 		ws.f2s = numeric.NewSoAMatrix(n, n)
 	}

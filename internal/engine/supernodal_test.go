@@ -210,7 +210,12 @@ func TestSparseWorkerCountBitIdentical(t *testing.T) {
 // denominator guard (|1+δvᵀz| ≈ 3e-4, far under denGuard) on a sparse
 // column must be re-solved by a partial refactorization from the
 // column's golden factors — counter-asserted: no dense factorization of
-// any kind runs — and still match the dense reference to 1e-9.
+// any kind runs — and still match the dense reference to 1e-9. On the
+// dense path the exact fallback stamps the patched system afresh and
+// factors it densely: TestRank2PivotGuardFallsBack's pair trips the
+// guard there too, with one fallback and two dense factorizations
+// (counter-asserted), and matches analysis.AC of the faulted clone to
+// 1e-9.
 func TestPartialRefactorServesSMWFallback(t *testing.T) {
 	lad, err := circuits.RCLadder(96)
 	if err != nil {
@@ -275,6 +280,31 @@ func TestPartialRefactorServesSMWFallback(t *testing.T) {
 	}
 	if re := relErrFloor(got.Mags[0][0], ref.Mags[0][0], 1e-3*ref.Golden[0]); re > 1e-9 {
 		t.Errorf("partial-refactor answer %.15g vs dense %.15g (rel %.3g)", got.Mags[0][0], ref.Mags[0][0], re)
+	}
+
+	// At ω = 0 no current flows through the ladder's series resistors,
+	// so the faulted response is the golden one. The dense fallback is
+	// pinned where the fault moves the response.
+	const omega = 1e-6
+	m := rank2GuardPair(t, tm, omega)
+	before = eng.Stats()
+	dense, err := eng.BatchResponsesSets(nil, []fault.Set{m}, []float64{omega}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s = eng.Stats()
+	if d := s.ExactFallbacks - before.ExactFallbacks; d != 1 {
+		t.Fatalf("dense path: exact fallbacks advanced by %d, want 1 — the pivot guard did not trip", d)
+	}
+	if d := s.DenseFactors - before.DenseFactors; d != 2 {
+		t.Errorf("dense path: dense factorizations advanced by %d, want 2 (the golden column and the fallback)", d)
+	}
+	want := acResponses(t, lad, m, []float64{omega})[0]
+	if re := relErr(dense.Mags[0][0], want); re > 1e-9 {
+		t.Errorf("dense fallback answer %.15g vs analysis.AC %.15g (rel %.3g)", dense.Mags[0][0], want, re)
+	}
+	if re := relErr(dense.Golden[0], want); re < 1e-3 {
+		t.Errorf("faulted response %.15g within %.3g of the golden %.15g: the check shows nothing", want, re, dense.Golden[0])
 	}
 }
 

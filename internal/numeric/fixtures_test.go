@@ -80,7 +80,8 @@ func FactorSoA(a *SoAMatrix) (*SoALU, error) {
 		return nil, fmt.Errorf("numeric: factor %dx%d: %w", a.rows, a.cols, ErrDimension)
 	}
 	work := NewSoAMatrix(a.rows, a.cols)
-	_ = work.CopyFrom(a)
+	copy(work.re, a.re)
+	copy(work.im, a.im)
 	f := &SoALU{}
 	if err := FactorSoAReuse(f, work); err != nil {
 		return nil, err

@@ -61,16 +61,6 @@ func (m *SoAMatrix) Zero() {
 	}
 }
 
-// CopyFrom overwrites m with src without reallocating. Shapes must match.
-func (m *SoAMatrix) CopyFrom(src *SoAMatrix) error {
-	if m.rows != src.rows || m.cols != src.cols {
-		return fmt.Errorf("numeric: copy %dx%d into %dx%d: %w", src.rows, src.cols, m.rows, m.cols, ErrDimension)
-	}
-	copy(m.re, src.re)
-	copy(m.im, src.im)
-	return nil
-}
-
 // Block is a multi-right-hand-side block in SoA layout: rows are system
 // variables, columns are right-hand sides, and row i's values across
 // all columns are contiguous in each plane (re[i*cols : (i+1)*cols]).

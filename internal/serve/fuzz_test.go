@@ -16,7 +16,9 @@ import (
 // tolerance model on (nf-lowpass-7 at 0.56, 4.55; MaxBatch 1, so no
 // call waits out a flush window). Whatever the input, no handler may
 // panic, a 200 must carry one line holding one JSON object, and any
-// other status a JSON object with an error.
+// other status a JSON object with an error. No body may get a 5xx: a
+// bad one is the client's fault, so every status, and every batch
+// item's status, is below 500.
 func FuzzDiagnoseHandlers(f *testing.F) {
 	for _, rc := range replyCases {
 		for _, req := range rc.requests {
@@ -30,6 +32,9 @@ func FuzzDiagnoseHandlers(f *testing.F) {
 		}
 	}
 	f.Add([]byte(`{"cut":"nf-lowpass-7","point":[1e200,1e200]}`))
+	// As the batch call's body, maxBatchItems requests: four times the
+	// default queue, all from one call.
+	f.Add(bytes.TrimSuffix(bytes.Repeat([]byte(`{"point":[0.1,0]},`), maxBatchItems), []byte(",")))
 
 	build := NewEntryBuilder(BuildConfig{
 		Workers: 1, Freqs: []float64{0.56, 4.55},
@@ -66,6 +71,22 @@ func FuzzDiagnoseHandlers(f *testing.F) {
 			}
 			if msg, _ := obj["error"].(string); rec.Code != http.StatusOK && msg == "" {
 				t.Fatalf("%s: status %d without a JSON error: %s", call.path, rec.Code, reply)
+			}
+			if rec.Code >= 500 {
+				t.Fatalf("%s: status %d: %s", call.path, rec.Code, reply)
+			}
+			var items struct {
+				Results []struct {
+					Status int `json:"status"`
+				} `json:"results"`
+			}
+			if err := json.Unmarshal(line, &items); err != nil {
+				t.Fatalf("%s: reply %s: %v", call.path, reply, err)
+			}
+			for i, item := range items.Results {
+				if item.Status >= 500 {
+					t.Fatalf("%s: item %d has status %d: %s", call.path, i, item.Status, reply)
+				}
 			}
 		}
 	})

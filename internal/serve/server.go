@@ -280,13 +280,18 @@ func (s *Server) handleDiagnoseBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Submit every sub-request concurrently so the scheduler coalesces
-	// them — a batch HTTP call is micro-batching's best case.
+	// them — a batch HTTP call is micro-batching's best case — but no
+	// more at once than the queue holds: a call of up to maxBatchItems
+	// must not bounce its own items off a full queue with 503s.
 	replies := make([]diagnoseReply, len(br.Requests))
+	inFlight := make(chan struct{}, cap(entry.batcher.queue))
 	var wg sync.WaitGroup
 	for i := range br.Requests {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			inFlight <- struct{}{}
+			defer func() { <-inFlight }()
 			_, resp := s.diagnose(r.Context(), br.CUT, &br.Requests[i])
 			rep := diagnoseReply{CUT: entry.Name, BatchSize: resp.BatchSize, Rejected: resp.Rejected, Result: resp.Result}
 			rep.withProb(resp.Prob)

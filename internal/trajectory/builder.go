@@ -74,7 +74,7 @@ func (b *Builder) build(ctx context.Context, omegas []float64) (*Map, error) {
 	// Signatures are row-aligned with the universe faults:
 	// component-major, each component's block sorted ascending by
 	// deviation. The path solves the dictionary's resolved universe
-	// plan and bypasses its response memo.
+	// plan; it reads no grid and stores nothing.
 	sigs, err := b.d.UniverseSignaturesInto(ctx, omegas, &b.scratch)
 	if err != nil {
 		return nil, err

@@ -226,8 +226,8 @@ func WithProgressChannel(ch chan<- Progress) Option {
 // circuit under test and exposes every long-running stage with
 // context.Context threading, progress streaming, and structured errors.
 //
-// A Session is safe for concurrent use: the underlying dictionary
-// memoization is locked, stages do not share mutable state, and the
+// A Session is safe for concurrent use: the underlying dictionary's
+// grid store is locked, stages do not share mutable state, and the
 // subscriber list is immutable after construction.
 type Session struct {
 	cut      CUT
@@ -392,12 +392,13 @@ func (s *Session) CUT() CUT { return s.cut }
 
 // Dictionary exposes the fault dictionary.
 //
-// The dictionary is safe for concurrent use: lazy response queries
-// serialize only their memo bookkeeping behind an internal mutex, bulk
-// signature computation (SignaturesSets, UniverseSignaturesInto, and
-// the diagnose paths built on them) bypasses the memo into call-local
-// scratch, the universe's resolved engine plan is shared read-only, and
-// the batched engine draws per-worker workspaces from a sync.Pool. Any
+// The dictionary is safe for concurrent use: the grids it stores sit
+// behind an internal mutex that point queries take only to look a cell
+// up, and a point no grid holds is solved without storing anything.
+// Bulk signature computation (SignaturesSets, UniverseSignaturesInto,
+// and the diagnose paths built on them) solves into call-local scratch,
+// the universe's resolved engine plan is shared read-only, and the
+// batched engine draws per-worker workspaces from a sync.Pool. Any
 // number of goroutines may query one dictionary — the contract the
 // ftserve registry and micro-batcher rely on, pinned by the
 // repository's -race hammer test.
@@ -574,10 +575,11 @@ func (s *Session) HoldOutDoubleFaults(holdOut []float64, max int) ([]FaultSet, e
 	return diagnosis.HoldOutPairTrials(s.Universe(), holdOut, max)
 }
 
-// Precompute fills the dictionary's response memo on a frequency grid
-// with the session's worker bound, streaming one StageDictionary event
-// per solved frequency. Subsequent responses at grid points are pure
-// lookups; SaveDictionary calls this before snapshotting.
+// Precompute builds and keeps a dictionary grid at the given
+// frequencies with the session's worker bound, streaming one
+// StageDictionary event per solved frequency. Subsequent responses at
+// grid points are pure lookups; SaveDictionary calls this before
+// snapshotting.
 func (s *Session) Precompute(ctx context.Context, omegas []float64) error {
 	start := time.Now()
 	defer s.tracer.StartSpan("session.precompute").End()
