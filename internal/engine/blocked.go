@@ -187,17 +187,17 @@ func solve2(m00, m01, m10, m11, r0, r1 complex128) (w0, w1 complex128, ok bool) 
 }
 
 // prepareGroup refactors the golden systems of frequency columns
-// [g, hi) in one frequency-blocked walk: each column's golden A(jω) is
-// stamped straight into its lane of the workspace's BlockRefactorer and
-// factored there in place. The outcomes are cached per column; a
-// column's factors are copied out into a SparseLU only if it reads them
-// as one (groupLU). A group shorter than FreqBlock (the last one, when
-// the frequency count is not a multiple of it) fills its unused lanes
-// with copies of its last real column's lane; their factors are never
-// read. Dense engines leave the cache empty. Any error — including a
-// singular plane — is deferred to the column's own solve. When the solve
-// picked the sparse-vector kernel, the group's correction reads are
-// computed here too (readGroup).
+// [g, hi) in one frequency-blocked walk: the group's golden A(jω) are
+// stamped straight into the lanes of the workspace's BlockRefactorer in
+// one pass (stampGoldenLanes) and factored there in place. The outcomes
+// are cached per column; a column's factors are copied out into a
+// SparseLU only if it reads them as one (groupLU). A group shorter than
+// FreqBlock (the last one, when the frequency count is not a multiple
+// of it) stamps its unused lanes at its last real column's ω; their
+// factors are never read. Dense engines leave the cache empty. Any
+// error — including a singular plane — is deferred to the column's own
+// solve. When the solve picked the sparse-vector kernel, the group's
+// correction reads are computed here too (readGroup).
 func (e *Engine) prepareGroup(ws *workspace, omegas []float64, g, hi int, p *Plan, out *Batch) {
 	ws.grpJ0 = -1
 	if !e.sparseColumn() {
@@ -206,17 +206,7 @@ func (e *Engine) prepareGroup(ws *workspace, omegas []float64, g, hi int, p *Pla
 	t := e.tmpl
 	lanes := ws.bref.Lanes(t.sparse.sym)
 	clear(lanes)
-	last := hi - g - 1
-	for x := 0; x < numeric.FreqBlock; x++ {
-		if x <= last {
-			t.stampGoldenSparse(lanes[x:], lanes[numeric.FreqBlock+x:], fbStride, complex(0, omegas[g+x]))
-			continue
-		}
-		for at := 0; at < len(lanes); at += fbStride {
-			lanes[at+x] = lanes[at+last]
-			lanes[at+numeric.FreqBlock+x] = lanes[at+numeric.FreqBlock+last]
-		}
-	}
+	t.stampGoldenLanes(lanes, omegas[g:hi])
 	ws.grpErr = ws.bref.FactorLanes(t.sparse.sym, &ws.slusBlk)
 	ws.grpCopied = [numeric.FreqBlock]bool{}
 	ws.grpJ0 = g
@@ -564,10 +554,10 @@ func (e *Engine) exactFallback(ws *workspace, s complex128, omega float64, p *Pl
 		ws.spim2 = sliceutil.Grow(ws.spim2, lnnz)
 		clear(ws.spre2)
 		clear(ws.spim2)
-		t.stampGoldenSparse(ws.spre2, ws.spim2, 1, s)
+		t.stampGoldenSparse(ws.spre2, ws.spim2, s)
 		touched := ws.touched[:0]
 		for a, si := range slots {
-			t.addRank1Sparse(ws.spre2, ws.spim2, 1, si, deltas[a])
+			t.addRank1Sparse(ws.spre2, ws.spim2, si, deltas[a])
 			touched = append(touched, t.sparse.slotRows[si]...)
 		}
 		ws.touched = touched

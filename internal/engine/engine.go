@@ -294,8 +294,8 @@ type workspace struct {
 	// Sparse path (sized on first use). A worker claims FreqBlock
 	// consecutive frequency columns, stamps them into the lanes of bref
 	// and refactors all of them there in place, in one interleaved walk;
-	// prepareGroup pads a short last group with copies of its last real
-	// column's lane. gx is the current column's plane in the group.
+	// prepareGroup stamps a short last group's unused lanes at its last
+	// real column's ω. gx is the current column's plane in the group.
 	// slusBlk[gx] receives that plane's factors from the lanes on the
 	// column's first read as a SparseLU (groupLU; grpCopied marks it).
 	// spre2/spim2 and slus2 hold the patched planes and factors of a

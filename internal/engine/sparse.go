@@ -88,33 +88,29 @@ func compileSparse(t *Template) *sparseProgram {
 }
 
 // stampGoldenSparse is stampGoldenSoA accumulating the golden A(s) into
-// zeroed sparse value planes laid out along the compiled pattern with
-// the given stride: position t's value is re[t*stride], im[t*stride],
-// and the entries between them are untouched. Stride 1 is an ordinary
-// plane pair (StampSparse, the exact fallback); prepareGroup stamps one
-// lane of numeric.BlockRefactorer's interleaved storage per frequency at
-// stride 2·FreqBlock. The caller zeroes the planes — one clear of the
-// whole interleaved storage serves all its lanes. Entry accumulation
-// order matches the dense stamp, so shared entries sum in the same
-// order.
-func (t *Template) stampGoldenSparse(re, im []float64, stride int, s complex128) {
+// zeroed sparse value planes laid out along the compiled pattern:
+// position t's value is re[t], im[t]. StampSparse and the exact
+// fallback stamp this way; prepareGroup stamps a whole frequency group
+// with stampGoldenLanes. Entry accumulation order matches the dense
+// stamp, so shared entries sum in the same order.
+func (t *Template) stampGoldenSparse(re, im []float64, s complex128) {
 	sp := t.sparse
 	for k := range t.static {
 		v := t.static[k].v
-		at := sp.staticIdx[k] * stride
+		at := sp.staticIdx[k]
 		re[at] += real(v)
 		im[at] += imag(v)
 	}
 	for si := range t.slots {
 		sl := &t.slots[si]
-		t.addRank1Sparse(re, im, stride, si, sl.coeff(sl.value, s))
+		t.addRank1Sparse(re, im, si, sl.coeff(sl.value, s))
 	}
 }
 
 // addRank1Sparse accumulates θ · u vᵀ for slot si into sparse value
-// planes of the given stride (see stampGoldenSparse) — the sparse
-// counterpart of addRank1SoA.
-func (t *Template) addRank1Sparse(re, im []float64, stride, si int, theta complex128) {
+// planes (see stampGoldenSparse) — the sparse counterpart of
+// addRank1SoA.
+func (t *Template) addRank1Sparse(re, im []float64, si int, theta complex128) {
 	if theta == 0 {
 		return
 	}
@@ -122,9 +118,54 @@ func (t *Template) addRank1Sparse(re, im []float64, stride, si int, theta comple
 	tr, ti := real(theta), imag(theta)
 	for p := sp.slotOff[si]; p < sp.slotOff[si+1]; p++ {
 		wr, wi := real(sp.prodW[p]), imag(sp.prodW[p])
-		at := sp.prodIdx[p] * stride
+		at := sp.prodIdx[p]
 		re[at] += tr*wr - ti*wi
 		im[at] += tr*wi + ti*wr
+	}
+}
+
+// stampGoldenLanes stamps the golden A(jω) of a frequency group into
+// the zeroed interleaved lanes of a numeric.BlockRefactorer (Lanes):
+// lane x at omegas[x], and a short group's lanes past len(omegas) at its
+// last ω, so they hold the same bits as its last column's lane. One pass
+// adds each static entry and slot product to all FreqBlock lanes of its
+// position, one cache line, and each lane receives stampGoldenSparse's
+// additions in stampGoldenSparse's order, a slot skipped in a lane
+// where its θ is 0 included: lane x holds StampSparse's planes at its ω
+// bit for bit.
+func (t *Template) stampGoldenLanes(lanes []float64, omegas []float64) {
+	const nf = numeric.FreqBlock
+	sp := t.sparse
+	var s [nf]complex128
+	for x := range s {
+		s[x] = complex(0, omegas[min(x, len(omegas)-1)])
+	}
+	for k := range t.static {
+		v := t.static[k].v
+		at := sp.staticIdx[k] * fbStride
+		l := lanes[at : at+fbStride : at+fbStride]
+		r, m := real(v), imag(v)
+		l[0], l[1], l[2], l[3] = l[0]+r, l[1]+r, l[2]+r, l[3]+r
+		l[4], l[5], l[6], l[7] = l[4]+m, l[5]+m, l[6]+m, l[7]+m
+	}
+	for si := range t.slots {
+		sl := &t.slots[si]
+		var tr, ti [nf]float64
+		for x := range s {
+			th := sl.coeff(sl.value, s[x])
+			tr[x], ti[x] = real(th), imag(th)
+		}
+		for p := sp.slotOff[si]; p < sp.slotOff[si+1]; p++ {
+			wr, wi := real(sp.prodW[p]), imag(sp.prodW[p])
+			at := sp.prodIdx[p] * fbStride
+			l := lanes[at : at+fbStride : at+fbStride]
+			for x := range tr {
+				if tr[x] != 0 || ti[x] != 0 {
+					l[x] += tr[x]*wr - ti[x]*wi
+					l[nf+x] += tr[x]*wi + ti[x]*wr
+				}
+			}
+		}
 	}
 }
 
@@ -147,6 +188,6 @@ func (t *Template) StampSparse(re, im []float64, omega float64) error {
 	}
 	clear(re)
 	clear(im)
-	t.stampGoldenSparse(re, im, 1, complex(0, omega))
+	t.stampGoldenSparse(re, im, complex(0, omega))
 	return nil
 }

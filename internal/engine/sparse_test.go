@@ -450,22 +450,28 @@ func TestColdBuildMemoryBounded(t *testing.T) {
 	}
 }
 
-// TestLaneStampMatchesStampSparse pins the one sparse stamp at both of
-// its strides: stamping frequency x into zeroed lane x of a
-// BlockRefactorer's interleaved storage, as prepareGroup does, must
-// write exactly StampSparse's planes — bit for bit, fill positions
-// zero although StampSparse's planes held stale values — and leave
-// every other lane untouched, on every built-in CUT forced sparse plus
-// rc-grid-8 and opamp-cascade-4.
+// TestLaneStampMatchesStampSparse pins the one-pass group stamp that
+// prepareGroup runs: for groups of 1 to FreqBlock frequencies, some
+// with a lane at ω = 0 (where a capacitance's θ is 0 and its slot is
+// skipped in that lane alone), stampGoldenLanes must write into every
+// lane x exactly StampSparse's planes at the group's x-th ω, or at its
+// last ω for a padded lane — bit for bit, fill positions zero although
+// StampSparse's planes held stale values — on every built-in CUT forced
+// sparse (lc-ladder-lp and rlc-notch hold inductors) plus rc-grid-32 and
+// opamp-cascade-32, and on a random-valued RC mesh and LC ladder, where
+// a node's conductances differ, so an addition out of its lane's order
+// shows in the bits.
 func TestLaneStampMatchesStampSparse(t *testing.T) {
 	cuts := circuits.All()
-	for _, name := range []string{"rc-grid-8", "opamp-cascade-4"} {
+	for _, name := range []string{"rc-grid-32", "opamp-cascade-32"} {
 		cut, err := circuits.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cuts = append(cuts, cut)
 	}
+	rng := rand.New(rand.NewSource(37))
+	cuts = append(cuts, randomMeshCUT(rng, 6), randomLadderCUT(rng, 9, true))
 	const stale = -1234.5
 	for _, cut := range cuts {
 		eng, err := New(cut.Circuit, cut.Source, cut.Output)
@@ -478,37 +484,33 @@ func TestLaneStampMatchesStampSparse(t *testing.T) {
 		}
 		tm := eng.Template()
 		sym := tm.SparsePattern()
+		nnz := sym.LUNNZ()
+		re, im := make([]float64, nnz), make([]float64, nnz)
 		var br numeric.BlockRefactorer
-		lanes := br.Lanes(sym)
-		for i := range lanes {
-			lanes[i] = stale
-		}
 		w0 := cut.Omega0
-		omegas := [numeric.FreqBlock]float64{0, w0 / 7, w0, 13 * w0}
-		var res, ims [numeric.FreqBlock][]float64
-		for x, w := range omegas {
-			res[x], ims[x] = make([]float64, sym.LUNNZ()), make([]float64, sym.LUNNZ())
-			for p := range res[x] {
-				res[x][p], ims[x][p] = stale, stale
-			}
-			if err := tm.StampSparse(res[x], ims[x], w); err != nil {
-				t.Fatal(err)
-			}
-			for p := 0; p < sym.LUNNZ(); p++ {
-				lanes[p*fbStride+x], lanes[p*fbStride+numeric.FreqBlock+x] = 0, 0
-			}
-			tm.stampGoldenSparse(lanes[x:], lanes[numeric.FreqBlock+x:], fbStride, complex(0, w))
-			// Lanes up to x hold their stamps, the later ones stay stale.
-			for y := 0; y < numeric.FreqBlock; y++ {
-				for p := 0; p < sym.LUNNZ(); p++ {
-					gotRe, gotIm := lanes[p*fbStride+y], lanes[p*fbStride+numeric.FreqBlock+y]
-					wantRe, wantIm := float64(stale), float64(stale)
-					if y <= x {
-						wantRe, wantIm = res[y][p], ims[y][p]
+		for _, order := range [][numeric.FreqBlock]float64{
+			{0, w0 / 7, w0, 13 * w0},
+			{w0 / 3, 0, 5 * w0, w0 / 11},
+		} {
+			for cols := 1; cols <= numeric.FreqBlock; cols++ {
+				omegas := order[:cols]
+				lanes := br.Lanes(sym)
+				clear(lanes)
+				tm.stampGoldenLanes(lanes, omegas)
+				for x := 0; x < numeric.FreqBlock; x++ {
+					w := omegas[min(x, cols-1)]
+					for p := range re {
+						re[p], im[p] = stale, stale
 					}
-					if math.Float64bits(gotRe) != math.Float64bits(wantRe) || math.Float64bits(gotIm) != math.Float64bits(wantIm) {
-						t.Fatalf("%s: after stamping lane %d, lane %d position %d holds (%g, %g), want (%g, %g)",
-							cut.Circuit.Name(), x, y, p, gotRe, gotIm, wantRe, wantIm)
+					if err := tm.StampSparse(re, im, w); err != nil {
+						t.Fatal(err)
+					}
+					for p := 0; p < nnz; p++ {
+						gotRe, gotIm := lanes[p*fbStride+x], lanes[p*fbStride+numeric.FreqBlock+x]
+						if math.Float64bits(gotRe) != math.Float64bits(re[p]) || math.Float64bits(gotIm) != math.Float64bits(im[p]) {
+							t.Fatalf("%s: group %v, lane %d (ω = %g) position %d holds (%g, %g), StampSparse (%g, %g)",
+								cut.Circuit.Name(), omegas, x, w, p, gotRe, gotIm, re[p], im[p])
+						}
 					}
 				}
 			}

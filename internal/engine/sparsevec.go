@@ -34,7 +34,13 @@ const fbStride = 2 * numeric.FreqBlock
 // rc-grid-16 3.9 → 2.0×, rc-grid-32 4.4 → 2.3×, opamp-cascade-32 10.6 →
 // 3.2× (singles) and 1.1× (rank-2 pairs); every ladder sat at 1.5 and
 // lost or tied, 0.75–0.98×, its reaches running to the root of the
-// elimination tree. 2 splits the two groups.
+// elimination tree. 2 splits the two groups. With the AVX walks
+// (numeric's fbLowerSolveAVX, fbUpperTSolveAVX) the same runs read
+// rc-grid-16 3.9×, rc-grid-32 3.9×, opamp-cascade-32 5.2× (singles) and
+// 1.4× (pairs), and rc-ladder-512 with every passive, at ratio 1.5,
+// 1.8× (1.4× with the Go walks on the same host): the ladder wins too,
+// but the weight stays 2, because moving it changes which kernel a
+// batch takes and so that batch's last bits.
 const svEntryCost = 2
 
 // svSample is the number of slots, spread evenly over the batch, whose

@@ -40,7 +40,9 @@ import (
 // (sparsevec.go) walk them there — and CopyOut copies one plane into an
 // ordinary SparseLU only when a caller needs its full solves or a
 // partial-refactorization base, so solves, guards, and fallbacks are
-// untouched.
+// untouched. On amd64 with AVX the row elimination runs in the assembly
+// kernel fbEliminateRowAVX, and the half-solves and their dots in the
+// kernels beside it (freqblock_amd64.s).
 //
 // Planes fail independently: a singular pivot on one frequency is
 // recorded (first failing row, same row the scalar walk would report)

@@ -97,12 +97,32 @@ func checkInPlace(t *testing.T, name string, sym *SparseSymbolic, ares, aims *[F
 	}
 }
 
+// avxSettings lists the kernel gate settings a test runs under: the
+// assembly kernels and the Go loops where the CPU has AVX, the Go loops
+// alone where it does not.
+func avxSettings() []bool {
+	if fbAVX {
+		return []bool{true, false}
+	}
+	return []bool{false}
+}
+
+// withAVX runs f with the assembly kernels switched on or off and
+// restores the gate afterwards, also when f fails the test.
+func withAVX(on bool, f func()) {
+	saved := fbAVX
+	fbAVX = on
+	defer func() { fbAVX = saved }()
+	f()
+}
+
 // TestRefactorBlockMatchesScalar pins the frequency-blocked contract:
 // every plane of a RefactorBlock equals a scalar RefactorReuse of that
 // plane — factor for factor, reciprocal for reciprocal — on random
 // unsymmetric systems and grid meshes, and the in-place entry the
 // engine runs equals RefactorBlock bit for bit, on full groups and on
-// short groups padded by lane copies.
+// short groups padded by lane copies. It runs with the AVX elimination
+// kernel and again with the Go loop, the fallback off amd64.
 func TestRefactorBlockMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	type caseSys struct {
@@ -131,23 +151,33 @@ func TestRefactorBlockMatchesScalar(t *testing.T) {
 		re, im := planes(sym)
 		cases = append(cases, caseSys{fmt.Sprintf("grid-%d", k), sym, re, im})
 	}
-	var br BlockRefactorer
-	for _, cs := range cases {
-		ares, aims := blockPlanes(cs.re, cs.im)
-		var lus [FreqBlock]SparseLU
-		errs := br.RefactorBlock(cs.sym, &lus, &ares, &aims)
-		for f := 0; f < FreqBlock; f++ {
-			if errs[f] != nil {
-				t.Fatalf("%s: blocked plane %d: %v", cs.name, f, errs[f])
-			}
-			var ref SparseLU
-			if err := ref.RefactorReuse(cs.sym, ares[f], aims[f]); err != nil {
-				t.Fatalf("%s: scalar plane %d: %v", cs.name, f, err)
-			}
-			compareFactors(t, fmt.Sprintf("%s plane %d", cs.name, f), &ref, &lus[f])
+	for _, avx := range avxSettings() {
+		name := "go"
+		if avx {
+			name = "avx"
 		}
-		checkInPlace(t, cs.name, cs.sym, &ares, &aims, FreqBlock)
-		checkInPlace(t, cs.name, cs.sym, &ares, &aims, 3)
+		t.Run(name, func(t *testing.T) {
+			withAVX(avx, func() {
+				var br BlockRefactorer
+				for _, cs := range cases {
+					ares, aims := blockPlanes(cs.re, cs.im)
+					var lus [FreqBlock]SparseLU
+					errs := br.RefactorBlock(cs.sym, &lus, &ares, &aims)
+					for f := 0; f < FreqBlock; f++ {
+						if errs[f] != nil {
+							t.Fatalf("%s: blocked plane %d: %v", cs.name, f, errs[f])
+						}
+						var ref SparseLU
+						if err := ref.RefactorReuse(cs.sym, ares[f], aims[f]); err != nil {
+							t.Fatalf("%s: scalar plane %d: %v", cs.name, f, err)
+						}
+						compareFactors(t, fmt.Sprintf("%s plane %d", cs.name, f), &ref, &lus[f])
+					}
+					checkInPlace(t, cs.name, cs.sym, &ares, &aims, FreqBlock)
+					checkInPlace(t, cs.name, cs.sym, &ares, &aims, 3)
+				}
+			})
+		})
 	}
 }
 

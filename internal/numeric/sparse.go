@@ -26,7 +26,8 @@ import (
 //     refactorization the engine runs: FreqBlock frequencies' value
 //     planes, stamped into interleaved lanes, eliminated in place in one
 //     walk over the compiled pattern, with no pivot search, no index
-//     discovery and no allocation in steady state; CopyOut hands one
+//     discovery and no allocation in steady state, its row elimination
+//     in the AVX kernel fbEliminateRowAVX on amd64; CopyOut hands one
 //     plane to a caller-owned SparseLU, and RefactorBlock wraps the
 //     three steps for callers holding ordinary planes.
 //     SparseLU.RefactorReuse is the same elimination one plane at a
@@ -38,8 +39,10 @@ import (
 //     vector, mirroring the SoALU solve surface; and
 //
 //   - LowerSolve / UpperTSolve (sparsevec.go) — reach-limited
-//     half-solves over a BlockRefactorer's factors, for callers that
-//     read only a few entries pᵀA⁻¹q.
+//     half-solves over a BlockRefactorer's factors, and DotBlock over
+//     their results, for callers that read only a few entries pᵀA⁻¹q;
+//     on amd64 they run in the AVX kernels fbLowerSolveAVX,
+//     fbUpperTSolveAVX and fbDotBlockAVX.
 //
 // The factorization pivots on the statically chosen diagonal (no
 // numerical pivoting), so a refactorization guards every pivot against

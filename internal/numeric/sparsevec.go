@@ -1,6 +1,9 @@
 package numeric
 
-import "slices"
+import (
+	"fmt"
+	"slices"
+)
 
 // Sparse-vector half-solves (Tinney, Brandwajn & Chan, "Sparse vector
 // methods", IEEE Trans. PAS 1985).
@@ -26,7 +29,15 @@ import "slices"
 // frequency planes of a position. Vectors are interleaved the same way,
 // n·2·FreqBlock float64s indexed by permuted row — lane f of position i
 // is re at [i·2F + f] and im at [i·2F + F + f] — so every plane of a
-// group is solved in one walk.
+// group is solved in one walk. On amd64 with AVX, LowerSolve,
+// UpperTSolve and DotBlock run in assembly (freqblock_amd64.s), four
+// planes per instruction; the Go loops below stay as the fallback and
+// the tests' oracle. Each kernel does its Go loop's IEEE operations in
+// the same order, lane by lane, with no fused multiply-add, so every
+// number it returns has the loop's bits; a NaN's payload can differ,
+// since Go's compiler orders the operands of a commutative add or
+// multiply as it likes, and IEEE 754 leaves open whose payload survives
+// when two NaNs meet.
 
 // lowerIndex is L's pattern by columns: column k's strictly lower
 // entries are ent[start[k]:start[k+1]], by ascending row.
@@ -176,9 +187,19 @@ func (r *Reacher) begin(n int) (uint32, []uint32) {
 // LowerSolve overwrites the interleaved vector y (n·2·FreqBlock, by
 // permuted row) with L⁻¹y for every plane of the last FactorLanes on
 // sym. y must be zero outside reach, which must hold the closure of y's
-// nonzeros (LowerReach), sorted ascending; y stays zero outside it.
+// nonzeros (LowerReach), sorted ascending; y stays zero outside it. It
+// panics if y or the lanes are not sized for sym or a reach entry lies
+// outside [0, n). With AVX the walk runs in fbLowerSolveAVX, which does
+// the loop below's operations lane by lane in its order.
 func (b *BlockRefactorer) LowerSolve(sym *SparseSymbolic, y []float64, reach []int32) {
 	li := sym.lower()
+	b.checkSolve("LowerSolve", sym, y)
+	if fbAVX {
+		if r := fbLowerSolveAVX(y, b.bv, li.start, li.ent, reach, sym.n); r < len(reach) {
+			panic(fmt.Sprintf("numeric: LowerSolve reach entry %d outside [0, %d)", reach[r], sym.n))
+		}
+		return
+	}
 	bv := b.bv
 	for _, k := range reach {
 		kb := int(k) * fbStride
@@ -212,10 +233,18 @@ func (b *BlockRefactorer) LowerSolve(sym *SparseSymbolic, y []float64, reach []i
 
 // UpperTSolve overwrites the interleaved vector w with U⁻ᵀw for every
 // plane of the last FactorLanes on sym, under LowerSolve's contract
-// with reach from UpperReach.
+// with reach from UpperReach. With AVX the walk runs in
+// fbUpperTSolveAVX.
 func (b *BlockRefactorer) UpperTSolve(sym *SparseSymbolic, w []float64, reach []int32) {
+	b.checkSolve("UpperTSolve", sym, w)
 	bv, bd := b.bv, b.bd
 	cols, rs, dp := sym.cols, sym.rowStart, sym.diagPos
+	if fbAVX {
+		if r := fbUpperTSolveAVX(w, bv, bd, cols, dp, rs, reach, sym.n); r < len(reach) {
+			panic(fmt.Sprintf("numeric: UpperTSolve reach entry %d outside [0, %d)", reach[r], sym.n))
+		}
+		return
+	}
 	for _, j := range reach {
 		jb := int(j) * fbStride
 		wj := w[jb : jb+fbStride : jb+fbStride]
@@ -256,6 +285,17 @@ func (b *BlockRefactorer) UpperTSolve(sym *SparseSymbolic, w []float64, reach []
 	}
 }
 
+// checkSolve makes the checks the assembly half-solves leave to their
+// caller: the lanes hold a factorization over sym's pattern and v is an
+// interleaved vector of sym's order. The kernels check each reach entry
+// themselves.
+func (b *BlockRefactorer) checkSolve(op string, sym *SparseSymbolic, v []float64) {
+	if len(v) != sym.n*fbStride || len(b.bv) != len(sym.cols)*fbStride || len(b.bd) != sym.n*fbStride {
+		panic(fmt.Sprintf("numeric: %s of a %d-value vector on lanes of %d values and %d pivot values, pattern of order %d with %d entries",
+			op, len(v), len(b.bv), len(b.bd), sym.n, len(sym.cols)))
+	}
+}
+
 // SeedBlock adds the complex value c to position i of the interleaved
 // vector v in every plane — a frequency-independent right-hand-side
 // entry.
@@ -290,10 +330,23 @@ func ScatterBlock(v, src []float64, idx []int32) {
 }
 
 // DotBlock sets dst[f] to plane f's Σ_{i∈idx} a[i]·b[i] over two
-// interleaved vectors (plain products, no conjugation). With packed set,
-// a is packed along idx (GatherBlock) instead: its k-th position pairs
-// with b[idx[k]].
+// interleaved vectors of equal length (plain products, no conjugation).
+// With packed set, a is packed along idx (GatherBlock) instead and holds
+// at least len(idx) positions: its k-th position pairs with b[idx[k]].
+// It panics on operands of the wrong length or an index outside b. With
+// AVX the sum runs in fbDotBlockAVX, which does the loop below's
+// operations lane by lane in its order.
 func DotBlock(dst *[FreqBlock]complex128, a, b []float64, idx []int32, packed bool) {
+	if packed && len(a) < len(idx)*fbStride || !packed && len(a) != len(b) {
+		panic(fmt.Sprintf("numeric: DotBlock over %d indices of a %d-value and a %d-value operand (packed %t)", len(idx), len(a), len(b), packed))
+	}
+	if fbAVX {
+		nb := len(b) / fbStride
+		if k := fbDotBlockAVX(dst, a, b, idx, nb, packed); k < len(idx) {
+			panic(fmt.Sprintf("numeric: DotBlock index %d outside [0, %d)", idx[k], nb))
+		}
+		return
+	}
 	var s0r, s0i, s1r, s1i, s2r, s2i, s3r, s3i float64
 	for k, i := range idx {
 		ib := int(i) * fbStride

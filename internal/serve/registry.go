@@ -175,7 +175,7 @@ func (r *Registry) runBuild(name string, c *buildCall) {
 }
 
 // EngineStats aggregates the engine path counters — factorizations,
-// SMW solves, fallbacks, memo traffic — across every resident entry
+// SMW solves, fallbacks — across every resident entry
 // plus everything already retired from the LRU, giving the service-wide
 // view /metrics and /v1/stats export.
 func (r *Registry) EngineStats() engine.PathStatsSnapshot {
